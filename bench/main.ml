@@ -728,7 +728,7 @@ let run_curves opts =
     say "wrote %s" path
   in
   write "series.csv" csv;
-  write "analytics.json" (Json.to_string (Analytics.to_json a1) ^ "\n");
+  write "analytics.json" (Json.to_string (Analytics.codec.enc a1) ^ "\n");
   write "metrics.prom" (Analytics.to_prometheus a1);
   if divergent <> [] then (
     List.iter

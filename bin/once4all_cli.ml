@@ -185,27 +185,9 @@ let run_sharded_campaign ~tel ~telemetry_path ~(spec : Jobspec.t)
     dump_metrics tel telemetry_path;
     0
 
-let fuzz seed budget profile_name no_skeletons show_formulas telemetry_path
-    progress jobs shard_size checkpoint_path stop_after trace_dir ring_size
-    chaos_profile chaos_seed chaos_rate breaker_window breaker_threshold
-    no_breakers verbose =
+let fuzz spec show_formulas telemetry_path progress jobs checkpoint_path
+    stop_after trace_dir ring_size verbose =
   setup_logs verbose;
-  let spec =
-    {
-      (Jobspec.default ~name:"cli") with
-      Jobspec.seed;
-      budget;
-      shard_size;
-      profile = profile_name;
-      use_skeletons = not no_skeletons;
-      chaos_profile;
-      chaos_seed;
-      chaos_rate;
-      breakers = not no_breakers;
-      breaker_window;
-      breaker_threshold;
-    }
-  in
   match Jobspec.validate spec with
   | Error msg ->
     Printf.eprintf "%s\n" msg;
@@ -846,9 +828,7 @@ let with_client socket connect timeout f =
 let str_member k json = Option.bind (Json.member k json) Json.to_str
 let int_member k json = Option.bind (Json.member k json) Json.to_int
 
-let submit socket connect timeout spec_file name seed budget shard_size quota profile_name
-    no_skeletons trace telemetry chaos_profile chaos_seed chaos_rate
-    breaker_window breaker_threshold no_breakers =
+let submit socket connect timeout spec_file name quota trace telemetry spec =
   let spec =
     match spec_file with
     | Some path ->
@@ -858,27 +838,9 @@ let submit socket connect timeout spec_file name seed budget shard_size quota pr
         (Result.map_error
            (fun msg -> Printf.sprintf "cannot read %s: %s" path msg)
            (read_file_checked path))
-        (fun contents -> Result.bind (Json.parse contents) Jobspec.of_json)
+        (fun contents -> Result.bind (Json.parse contents) Jobspec.codec.dec)
     | None ->
-      let t =
-        {
-          (Jobspec.default ~name) with
-          Jobspec.seed;
-          budget;
-          shard_size;
-          quota;
-          profile = profile_name;
-          use_skeletons = not no_skeletons;
-          trace;
-          telemetry;
-          chaos_profile;
-          chaos_seed;
-          chaos_rate;
-          breakers = not no_breakers;
-          breaker_window;
-          breaker_threshold;
-        }
-      in
+      let t = { spec with Jobspec.name; quota; trace; telemetry } in
       Result.map (fun () -> t) (Jobspec.validate t)
   in
   match spec with
@@ -913,7 +875,7 @@ let jobs_cmd socket connect timeout =
             "findings" "quota";
           List.iter
             (fun v ->
-              match Protocol.job_view_of_json v with
+              match Protocol.job_view_codec.dec v with
               | Error _ -> ()
               | Ok (view : Protocol.job_view) ->
                 Printf.printf "%-24s %-18s %5d/%-5d %9d %6d\n" view.v_id
@@ -977,7 +939,7 @@ let shutdown_cmd socket connect timeout =
   simple_request socket connect timeout Protocol.Shutdown ~verb:"server draining"
 
 (* Snapshot a running job's merged analytics. Default output is the compact
-   canonical JSON (Analytics.to_json) on one line — the same bytes [analyze
+   canonical JSON (Analytics.codec) on one line — the same bytes [analyze
    --json] writes from the job's checkpoint once it finishes, so live and
    post-hoc views diff clean. --prom prints the Prometheus text rendering
    instead, ready to serve from a textfile collector. *)
@@ -1225,7 +1187,7 @@ let analyze path csv json export window =
     | None -> ());
     (match json with
     | Some out ->
-      write "analytics JSON" out (Json.to_string (Analytics.to_json a) ^ "\n")
+      write "analytics JSON" out (Json.to_string (Analytics.codec.enc a) ^ "\n")
     | None -> ());
     (match export with
     | Some dir ->
@@ -1234,7 +1196,7 @@ let analyze path csv json export window =
         (Analytics.to_csv a);
       write "analytics JSON"
         (Filename.concat dir "analytics.json")
-        (Json.to_string (Analytics.to_json a) ^ "\n");
+        (Json.to_string (Analytics.codec.enc a) ^ "\n");
       write "Prometheus snapshot"
         (Filename.concat dir "metrics.prom")
         (Analytics.to_prometheus a)
@@ -1333,14 +1295,39 @@ let no_breakers_arg =
            ~doc:"disable solver health circuit breakers (always run the full \
                  differential oracle)")
 
-let fuzz_cmd =
+(* The campaign options [fuzz] and [submit] share, as one term yielding the
+   job spec, so the two commands cannot drift apart. The runtime-only
+   fields (name, quota, trace, telemetry) keep their defaults here. *)
+let spec_term =
   let budget = Arg.(value & opt int 2000 & info [ "budget" ] ~docv:"N" ~doc:"test cases") in
-  let no_skel = Arg.(value & flag & info [ "no-skeletons" ] ~doc:"the w/oS ablation") in
   let shard_size =
     Arg.(value & opt int Orchestrator.default_shard_size
          & info [ "shard-size" ] ~docv:"N"
              ~doc:"ticks per shard (campaign provenance: must match when comparing or resuming)")
   in
+  let no_skel = Arg.(value & flag & info [ "no-skeletons" ] ~doc:"the w/oS ablation") in
+  let spec seed budget shard_size profile no_skeletons chaos_profile chaos_seed
+      chaos_rate breaker_window breaker_threshold no_breakers =
+    {
+      (Jobspec.default ~name:"cli") with
+      Jobspec.seed;
+      budget;
+      shard_size;
+      profile;
+      use_skeletons = not no_skeletons;
+      chaos_profile;
+      chaos_seed;
+      chaos_rate;
+      breakers = not no_breakers;
+      breaker_window;
+      breaker_threshold;
+    }
+  in
+  Term.(const spec $ seed_arg $ budget $ shard_size $ profile_arg $ no_skel
+        $ chaos_arg $ chaos_seed_arg $ chaos_rate_arg $ breaker_window_arg
+        $ breaker_threshold_arg $ no_breakers_arg)
+
+let fuzz_cmd =
   let checkpoint =
     Arg.(value & opt (some string) None
          & info [ "checkpoint" ] ~docv:"FILE"
@@ -1349,11 +1336,9 @@ let fuzz_cmd =
   let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"log campaign progress") in
   Cmd.v
     (Cmd.info "fuzz" ~doc:"run a skeleton-guided differential campaign (Algorithm 2)")
-    Term.(const fuzz $ seed_arg $ budget $ profile_arg $ no_skel $ show_arg
-          $ telemetry_arg $ progress_arg $ jobs_arg $ shard_size $ checkpoint
-          $ stop_after_arg $ trace_dir_arg $ ring_size_arg $ chaos_arg
-          $ chaos_seed_arg $ chaos_rate_arg $ breaker_window_arg
-          $ breaker_threshold_arg $ no_breakers_arg $ verbose)
+    Term.(const fuzz $ spec_term $ show_arg $ telemetry_arg $ progress_arg
+          $ jobs_arg $ checkpoint $ stop_after_arg $ trace_dir_arg
+          $ ring_size_arg $ verbose)
 
 let resume_cmd =
   let checkpoint =
@@ -1579,18 +1564,12 @@ let submit_cmd =
          & info [ "name" ] ~docv:"NAME"
              ~doc:"job name; the server suffixes it if taken")
   in
-  let budget = Arg.(value & opt int 2000 & info [ "budget" ] ~docv:"N" ~doc:"test cases") in
-  let shard_size =
-    Arg.(value & opt int Orchestrator.default_shard_size
-         & info [ "shard-size" ] ~docv:"N")
-  in
   let quota =
     Arg.(value & opt int 1
          & info [ "quota" ] ~docv:"N"
              ~doc:"fair-share weight: shards this job may run per scheduling \
                    round when the pool is contended")
   in
-  let no_skel = Arg.(value & flag & info [ "no-skeletons" ] ~doc:"the w/oS ablation") in
   let trace =
     Arg.(value & flag
          & info [ "trace" ] ~doc:"write repro bundles under the job's trace/ dir")
@@ -1603,10 +1582,7 @@ let submit_cmd =
   Cmd.v
     (Cmd.info "submit" ~doc:"submit a campaign to a running server")
     Term.(const submit $ socket_arg $ connect_arg $ connect_timeout_arg
-          $ spec_file $ name_arg $ seed_arg $ budget
-          $ shard_size $ quota $ profile_arg $ no_skel $ trace $ telemetry
-          $ chaos_arg $ chaos_seed_arg $ chaos_rate_arg $ breaker_window_arg
-          $ breaker_threshold_arg $ no_breakers_arg)
+          $ spec_file $ name_arg $ quota $ trace $ telemetry $ spec_term)
 
 let job_pos = Arg.(required & pos 0 (some string) None & info [] ~docv:"JOB")
 

@@ -93,112 +93,47 @@ let total_findings t =
 
 (* ------------------------------ json ------------------------------- *)
 
-let strings l = Json.List (List.map (fun s -> Json.String s) l)
+let sample_codec =
+  Json.Codec.(
+    obj
+      (fun bucket first_tick ticks tests parse_ok solved findings consults fuel
+           cov_points clusters ->
+        { bucket; first_tick; ticks; tests; parse_ok; solved; findings;
+          consults; fuel; cov_points; clusters })
+    |> mem "bucket" int (fun s -> s.bucket)
+    |> mem "first_tick" int (fun s -> s.first_tick)
+    |> mem "ticks" int (fun s -> s.ticks)
+    |> mem "tests" int (fun s -> s.tests)
+    |> mem "parse_ok" int (fun s -> s.parse_ok)
+    |> mem "solved" int (fun s -> s.solved)
+    |> mem "findings" int (fun s -> s.findings)
+    |> mem "consults" int (fun s -> s.consults)
+    |> mem "fuel" int (fun s -> s.fuel)
+    |> mem "cov_points" (list string) (fun s -> s.cov_points)
+    |> mem "clusters" (list string) (fun s -> s.clusters)
+    |> finish)
 
-let sample_to_json s =
-  Json.Obj
-    [
-      ("bucket", Json.Int s.bucket);
-      ("first_tick", Json.Int s.first_tick);
-      ("ticks", Json.Int s.ticks);
-      ("tests", Json.Int s.tests);
-      ("parse_ok", Json.Int s.parse_ok);
-      ("solved", Json.Int s.solved);
-      ("findings", Json.Int s.findings);
-      ("consults", Json.Int s.consults);
-      ("fuel", Json.Int s.fuel);
-      ("cov_points", strings s.cov_points);
-      ("clusters", strings s.clusters);
-    ]
+let yield_codec =
+  Json.Codec.(
+    obj
+      (fun y_theory y_profile y_seed_cluster y_tests y_parse_ok y_findings ->
+        { y_theory; y_profile; y_seed_cluster; y_tests; y_parse_ok; y_findings })
+    |> mem "theory" string (fun r -> r.y_theory)
+    |> mem "profile" string (fun r -> r.y_profile)
+    |> mem "seed_cluster" string (fun r -> r.y_seed_cluster)
+    |> mem "tests" int (fun r -> r.y_tests)
+    |> mem "parse_ok" int (fun r -> r.y_parse_ok)
+    |> mem "findings" int (fun r -> r.y_findings)
+    |> finish)
 
-let yield_to_json r =
-  Json.Obj
-    [
-      ("theory", Json.String r.y_theory);
-      ("profile", Json.String r.y_profile);
-      ("seed_cluster", Json.String r.y_seed_cluster);
-      ("tests", Json.Int r.y_tests);
-      ("parse_ok", Json.Int r.y_parse_ok);
-      ("findings", Json.Int r.y_findings);
-    ]
-
-let to_json t =
-  Json.Obj
-    [
-      ("samples", Json.List (List.map sample_to_json t.samples));
-      ("yield", Json.List (List.map yield_to_json t.yield));
-    ]
-
-let ( let* ) = Result.bind
-
-let req_int name json =
-  match Option.bind (Json.member name json) Json.to_int with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "analytics: missing int field %S" name)
-
-let req_str name json =
-  match Option.bind (Json.member name json) Json.to_str with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "analytics: missing string field %S" name)
-
-let req_strings name json =
-  match Json.member name json with
-  | Some (Json.List l) ->
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | Json.String s :: rest -> go (s :: acc) rest
-      | _ -> Error (Printf.sprintf "analytics: %S holds a non-string" name)
-    in
-    go [] l
-  | _ -> Error (Printf.sprintf "analytics: missing list field %S" name)
-
-let sample_of_json json =
-  let* bucket = req_int "bucket" json in
-  let* first_tick = req_int "first_tick" json in
-  let* ticks = req_int "ticks" json in
-  let* tests = req_int "tests" json in
-  let* parse_ok = req_int "parse_ok" json in
-  let* solved = req_int "solved" json in
-  let* findings = req_int "findings" json in
-  let* consults = req_int "consults" json in
-  let* fuel = req_int "fuel" json in
-  let* cov_points = req_strings "cov_points" json in
-  let* clusters = req_strings "clusters" json in
-  Ok
-    { bucket; first_tick; ticks; tests; parse_ok; solved; findings;
-      consults; fuel; cov_points; clusters }
-
-let yield_of_json json =
-  let* y_theory = req_str "theory" json in
-  let* y_profile = req_str "profile" json in
-  let* y_seed_cluster = req_str "seed_cluster" json in
-  let* y_tests = req_int "tests" json in
-  let* y_parse_ok = req_int "parse_ok" json in
-  let* y_findings = req_int "findings" json in
-  Ok { y_theory; y_profile; y_seed_cluster; y_tests; y_parse_ok; y_findings }
-
-let map_result f l =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest ->
-      let* v = f x in
-      go (v :: acc) rest
-  in
-  go [] l
-
-let of_json json =
-  let list_field name =
-    match Json.member name json with
-    | Some (Json.List l) -> Ok l
-    | _ -> Error (Printf.sprintf "analytics: missing list field %S" name)
-  in
-  let* samples_json = list_field "samples" in
-  let* yield_json = list_field "yield" in
-  let* samples = map_result sample_of_json samples_json in
-  let* yield = map_result yield_of_json yield_json in
-  (* re-canonicalise so hand-edited or reordered checkpoints still merge
-     and render deterministically *)
-  Ok (merge { samples; yield } empty)
+(* decoding re-canonicalises, so hand-edited or reordered checkpoints still
+   merge and render deterministically *)
+let codec =
+  Json.Codec.(
+    obj (fun samples yield -> merge { samples; yield } empty)
+    |> mem "samples" (list sample_codec) (fun t -> t.samples)
+    |> mem "yield" (list yield_codec) (fun t -> t.yield)
+    |> finish)
 
 (* ------------------------- derived series -------------------------- *)
 

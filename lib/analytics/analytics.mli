@@ -60,11 +60,10 @@ val merge : t -> t -> t
 val total_tests : t -> int
 val total_findings : t -> int
 
-val to_json : t -> O4a_telemetry.Json.t
+val codec : t O4a_telemetry.Json.Codec.t
 (** Canonical rendering — checkpoints, [analyze --json], and the server
-    [metrics] reply all use this, so their bytes compare equal. *)
-
-val of_json : O4a_telemetry.Json.t -> (t, string) result
+    [metrics] reply all encode with this, so their bytes compare equal.
+    Decoding re-canonicalises (via {!merge}). *)
 
 (** {1 Derived series} *)
 

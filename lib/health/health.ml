@@ -238,21 +238,25 @@ let merge a b =
   List.iter absorb b;
   Hashtbl.fold (fun _ e acc -> e :: acc) tbl [] |> List.sort compare_entries
 
-let entry_to_json e =
-  Json.Obj
-    [
-      ("solver", Json.String e.e_solver);
-      ("theory", Json.String e.e_theory);
-      ("queries", Json.Int e.queries);
-      ("timeouts", Json.Int e.timeouts);
-      ("errors", Json.Int e.errors);
-      ("crashes", Json.Int e.crashes);
-      ("fuel", Json.Int e.fuel);
-      ("suppressed", Json.Int e.suppressed);
-      ("probes", Json.Int e.probes);
-      ("opened", Json.Int e.opened);
-      ("reclosed", Json.Int e.reclosed);
-    ]
+let entry_codec =
+  Json.Codec.(
+    obj
+      (fun e_solver e_theory queries timeouts errors crashes fuel suppressed
+           probes opened reclosed ->
+        { e_solver; e_theory; queries; timeouts; errors; crashes; fuel;
+          suppressed; probes; opened; reclosed })
+    |> mem "solver" string (fun e -> e.e_solver)
+    |> mem "theory" string (fun e -> e.e_theory)
+    |> mem "queries" int (fun e -> e.queries)
+    |> mem "timeouts" int (fun e -> e.timeouts)
+    |> mem "errors" int (fun e -> e.errors)
+    |> mem "crashes" int (fun e -> e.crashes)
+    |> mem "fuel" int (fun e -> e.fuel)
+    |> mem "suppressed" int (fun e -> e.suppressed)
+    |> mem "probes" int (fun e -> e.probes)
+    |> mem "opened" int (fun e -> e.opened)
+    |> mem "reclosed" int (fun e -> e.reclosed)
+    |> finish)
 
 let entry_to_string e =
   Printf.sprintf
@@ -260,40 +264,6 @@ let entry_to_string e =
      reclosed %d  suppressed %d  probes %d"
     e.e_solver e.e_theory e.queries e.timeouts e.errors e.crashes e.opened
     e.reclosed e.suppressed e.probes
-
-let ( let* ) = Result.bind
-
-let req name conv json =
-  match Option.bind (Json.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "health: missing or invalid field %S" name)
-
-let entry_of_json json =
-  let* e_solver = req "solver" Json.to_str json in
-  let* e_theory = req "theory" Json.to_str json in
-  let* queries = req "queries" Json.to_int json in
-  let* timeouts = req "timeouts" Json.to_int json in
-  let* errors = req "errors" Json.to_int json in
-  let* crashes = req "crashes" Json.to_int json in
-  let* fuel = req "fuel" Json.to_int json in
-  let* suppressed = req "suppressed" Json.to_int json in
-  let* probes = req "probes" Json.to_int json in
-  let* opened = req "opened" Json.to_int json in
-  let* reclosed = req "reclosed" Json.to_int json in
-  Ok
-    {
-      e_solver;
-      e_theory;
-      queries;
-      timeouts;
-      errors;
-      crashes;
-      fuel;
-      suppressed;
-      probes;
-      opened;
-      reclosed;
-    }
 
 (* Domain-local, like the coverage ledger and the ambient telemetry handle:
    each worker installs its per-shard-attempt ledger without disturbing

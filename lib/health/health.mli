@@ -97,8 +97,7 @@ val merge : entry list -> entry list -> entry list
     sorted — merging shard exports in any completion order gives the same
     campaign totals. *)
 
-val entry_to_json : entry -> O4a_telemetry.Json.t
-val entry_of_json : O4a_telemetry.Json.t -> (entry, string) result
+val entry_codec : entry O4a_telemetry.Json.Codec.t
 
 val entry_to_string : entry -> string
 (** One-line human rendering ([solver/theory] followed by the counters) —

@@ -50,248 +50,114 @@ let version = 4
 let min_version = 1
 
 (* ------------------------------------------------------------------ *)
-(* Encoding                                                            *)
+(* Codecs                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let finding_to_json (f : Once4all.Oracle.finding) =
-  Json.Obj
-    [
-      ("kind", Json.String (Bug_db.kind_to_string f.kind));
-      ("solver", Json.String (Coverage.tag_to_string f.solver));
-      ("solver_name", Json.String f.solver_name);
-      ("signature", Json.String f.signature);
-      ( "bug_id",
-        match f.bug_id with Some id -> Json.String id | None -> Json.Null );
-      ("theory", Json.String f.theory);
-      ("mode", Json.String (Once4all.Oracle.mode_to_string f.mode));
-    ]
+module C = Json.Codec
+module Oracle = Once4all.Oracle
 
-let found_to_json (f : Once4all.Dedup.found) =
-  Json.Obj
-    [
-      ("finding", finding_to_json f.Once4all.Dedup.finding);
-      ("source", Json.String f.Once4all.Dedup.source);
-    ]
+let named what to_s of_s =
+  C.conv to_s
+    (fun s ->
+      match of_s s with
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "unknown %s %S" what s))
+    C.string
 
-let shard_result_to_json r =
-  Json.Obj
-    [
-      ("shard", Json.Int r.shard);
-      ("tests", Json.Int r.tests);
-      ("parse_ok", Json.Int r.parse_ok);
-      ("solved", Json.Int r.solved);
-      ("bytes_total", Json.Int r.bytes_total);
-      ("findings", Json.List (List.map found_to_json r.findings));
-    ]
+let finding_codec =
+  C.(
+    obj (fun kind solver solver_name signature bug_id theory mode ->
+        { Oracle.kind; solver; solver_name; signature; bug_id; theory; mode })
+    |> mem "kind"
+         (named "bug kind" Bug_db.kind_to_string Bug_db.kind_of_string)
+         (fun f -> f.Oracle.kind)
+    |> mem "solver"
+         (named "solver" Coverage.tag_to_string Coverage.tag_of_string)
+         (fun f -> f.Oracle.solver)
+    |> mem "solver_name" string (fun f -> f.Oracle.solver_name)
+    |> mem "signature" string (fun f -> f.Oracle.signature)
+    |> opt_mem "bug_id" (nullable string) ~default:None (fun f -> f.Oracle.bug_id)
+    |> mem "theory" string (fun f -> f.Oracle.theory)
+    (* pre-v3 findings carry no mode; they were all full differential runs *)
+    |> opt_mem "mode"
+         (named "oracle mode" Oracle.mode_to_string Oracle.mode_of_string)
+         ~default:Oracle.Differential (fun f -> f.Oracle.mode)
+    |> finish)
 
-let quarantine_to_json q =
-  Json.Obj
-    [
-      ("shard", Json.Int q.q_shard);
-      ("first_tick", Json.Int q.q_first_tick);
-      ("ticks", Json.Int q.q_ticks);
-      ("attempts", Json.Int q.q_attempts);
-      ("sites", Json.List (List.map (fun s -> Json.String s) q.q_sites));
-    ]
+let found_codec =
+  C.(
+    obj (fun finding source -> { Once4all.Dedup.finding; source })
+    |> mem "finding" finding_codec (fun f -> f.Once4all.Dedup.finding)
+    |> mem "source" string (fun f -> f.Once4all.Dedup.source)
+    |> finish)
 
-let to_json t =
-  Json.Obj
-    [
-      ("version", Json.Int version);
-      ("seed", Json.Int t.seed);
-      ("budget", Json.Int t.budget);
-      ("shard_size", Json.Int t.shard_size);
-      ( "extra",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) t.extra) );
-      ( "completed",
-        Json.List
-          (List.map shard_result_to_json
-             (List.sort (fun a b -> compare a.shard b.shard) t.completed)) );
-      ( "quarantined",
-        Json.List
-          (List.map quarantine_to_json
-             (List.sort (fun a b -> compare a.q_shard b.q_shard) t.quarantined))
-      );
-      ( "coverage",
-        Json.Obj (List.map (fun (k, c) -> (k, Json.Int c)) t.coverage) );
-      ( "health",
-        Json.List (List.map O4a_health.Health.entry_to_json t.health) );
-      ("analytics", O4a_analytics.Analytics.to_json t.analytics);
-      ( "artifacts",
-        Json.Obj
-          [
-            ("telemetry", Json.Bool t.artifacts.a_telemetry);
-            ("trace", Json.Bool t.artifacts.a_trace);
-            ("analytics", Json.Bool t.artifacts.a_analytics);
-          ] );
-    ]
+let shard_result_codec =
+  C.(
+    obj (fun shard tests parse_ok solved bytes_total findings ->
+        { shard; tests; parse_ok; solved; bytes_total; findings })
+    |> mem "shard" int (fun r -> r.shard)
+    |> mem "tests" int (fun r -> r.tests)
+    |> mem "parse_ok" int (fun r -> r.parse_ok)
+    |> mem "solved" int (fun r -> r.solved)
+    |> mem "bytes_total" int (fun r -> r.bytes_total)
+    |> mem "findings" (list found_codec) (fun r -> r.findings)
+    |> finish)
 
-(* ------------------------------------------------------------------ *)
-(* Decoding                                                            *)
-(* ------------------------------------------------------------------ *)
+let quarantine_codec =
+  C.(
+    obj (fun q_shard q_first_tick q_ticks q_attempts q_sites ->
+        { q_shard; q_first_tick; q_ticks; q_attempts; q_sites })
+    |> mem "shard" int (fun q -> q.q_shard)
+    |> mem "first_tick" int (fun q -> q.q_first_tick)
+    |> mem "ticks" int (fun q -> q.q_ticks)
+    |> mem "attempts" int (fun q -> q.q_attempts)
+    |> mem "sites" (list string) (fun q -> q.q_sites)
+    |> finish)
 
-let ( let* ) = Result.bind
+let artifacts_codec =
+  C.(
+    obj (fun a_telemetry a_trace a_analytics -> { a_telemetry; a_trace; a_analytics })
+    |> mem "telemetry" bool (fun a -> a.a_telemetry)
+    |> mem "trace" bool (fun a -> a.a_trace)
+    |> mem "analytics" bool (fun a -> a.a_analytics)
+    |> finish)
 
-let req name conv json =
-  match Option.bind (Json.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "checkpoint: missing or invalid field %S" name)
+let version_codec =
+  C.conv Fun.id
+    (fun v ->
+      if v >= min_version && v <= version then Ok v
+      else Error (Printf.sprintf "unsupported version %d" v))
+    C.int
 
-let list_field name json =
-  match Json.member name json with
-  | Some (Json.List l) -> Ok l
-  | _ -> Error (Printf.sprintf "checkpoint: missing or invalid field %S" name)
+let sorted key l = List.sort (fun a b -> compare (key a) (key b)) l
 
-let obj_field name json =
-  match Json.member name json with
-  | Some (Json.Obj kvs) -> Ok kvs
-  | _ -> Error (Printf.sprintf "checkpoint: missing or invalid field %S" name)
-
-let finding_of_json json =
-  let* kind_s = req "kind" Json.to_str json in
-  let* kind =
-    match Bug_db.kind_of_string kind_s with
-    | Some k -> Ok k
-    | None -> Error (Printf.sprintf "checkpoint: unknown bug kind %S" kind_s)
-  in
-  let* solver_s = req "solver" Json.to_str json in
-  let* solver =
-    match Coverage.tag_of_string solver_s with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "checkpoint: unknown solver %S" solver_s)
-  in
-  let* solver_name = req "solver_name" Json.to_str json in
-  let* signature = req "signature" Json.to_str json in
-  let bug_id = Option.bind (Json.member "bug_id" json) Json.to_str in
-  let* theory = req "theory" Json.to_str json in
-  (* pre-v3 findings carry no mode; they were all full differential runs *)
-  let* mode =
-    match Json.member "mode" json with
-    | None -> Ok Once4all.Oracle.Differential
-    | Some j -> (
-      match Option.bind (Json.to_str j) Once4all.Oracle.mode_of_string with
-      | Some m -> Ok m
-      | None -> Error "checkpoint: invalid finding mode")
-  in
-  Ok
-    {
-      Once4all.Oracle.kind;
-      solver;
-      solver_name;
-      signature;
-      bug_id;
-      theory;
-      mode;
-    }
-
-let found_of_json json =
-  let* finding_json =
-    match Json.member "finding" json with
-    | Some j -> Ok j
-    | None -> Error "checkpoint: missing field \"finding\""
-  in
-  let* finding = finding_of_json finding_json in
-  let* source = req "source" Json.to_str json in
-  Ok { Once4all.Dedup.finding; source }
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
-
-let shard_result_of_json json =
-  let* shard = req "shard" Json.to_int json in
-  let* tests = req "tests" Json.to_int json in
-  let* parse_ok = req "parse_ok" Json.to_int json in
-  let* solved = req "solved" Json.to_int json in
-  let* bytes_total = req "bytes_total" Json.to_int json in
-  let* findings_json = list_field "findings" json in
-  let* findings = map_result found_of_json findings_json in
-  Ok { shard; tests; parse_ok; solved; bytes_total; findings }
-
-let quarantine_of_json json =
-  let* q_shard = req "shard" Json.to_int json in
-  let* q_first_tick = req "first_tick" Json.to_int json in
-  let* q_ticks = req "ticks" Json.to_int json in
-  let* q_attempts = req "attempts" Json.to_int json in
-  let* sites_json = list_field "sites" json in
-  let* q_sites =
-    map_result
-      (fun s ->
-        match Json.to_str s with
-        | Some s -> Ok s
-        | None -> Error "checkpoint: quarantine site not a string")
-      sites_json
-  in
-  Ok { q_shard; q_first_tick; q_ticks; q_attempts; q_sites }
-
-let of_json json =
-  let* v = req "version" Json.to_int json in
-  let* () =
-    if v >= min_version && v <= version then Ok ()
-    else Error (Printf.sprintf "checkpoint: unsupported version %d" v)
-  in
-  let* seed = req "seed" Json.to_int json in
-  let* budget = req "budget" Json.to_int json in
-  let* shard_size = req "shard_size" Json.to_int json in
-  let* extra_kvs = obj_field "extra" json in
-  let* extra =
-    map_result
-      (fun (k, v) ->
-        match Json.to_str v with
-        | Some s -> Ok (k, s)
-        | None -> Error (Printf.sprintf "checkpoint: extra field %S not a string" k))
-      extra_kvs
-  in
-  let* completed_json = list_field "completed" json in
-  let* completed = map_result shard_result_of_json completed_json in
-  let* quarantined =
-    match Json.member "quarantined" json with
-    | None -> Ok [] (* version 1 *)
-    | Some (Json.List l) -> map_result quarantine_of_json l
-    | Some _ -> Error "checkpoint: missing or invalid field \"quarantined\""
-  in
-  let* coverage_kvs = obj_field "coverage" json in
-  let* coverage =
-    map_result
-      (fun (k, v) ->
-        match Json.to_int v with
-        | Some c -> Ok (k, c)
-        | None -> Error (Printf.sprintf "checkpoint: coverage count for %S not an int" k))
-      coverage_kvs
-  in
-  let* health =
-    match Json.member "health" json with
-    | None -> Ok [] (* versions 1-2: no health ledger yet *)
-    | Some (Json.List l) -> map_result O4a_health.Health.entry_of_json l
-    | Some _ -> Error "checkpoint: missing or invalid field \"health\""
-  in
-  let* analytics =
-    match Json.member "analytics" json with
-    | None -> Ok O4a_analytics.Analytics.empty (* versions 1-3 *)
-    | Some j -> O4a_analytics.Analytics.of_json j
-  in
-  let* artifacts =
-    match Json.member "artifacts" json with
-    | None -> Ok no_artifacts (* versions 1-3 *)
-    | Some j ->
-      let flag name =
-        match Option.bind (Json.member name j) Json.to_bool with
-        | Some b -> b
-        | None -> false
-      in
-      Ok
-        {
-          a_telemetry = flag "telemetry";
-          a_trace = flag "trace";
-          a_analytics = flag "analytics";
-        }
-  in
-  Ok
-    { seed; budget; shard_size; extra; completed; quarantined; coverage;
-      health; analytics; artifacts }
+(* members added after version 1 are [opt_mem]s whose defaults are the
+   ones [version] above lists *)
+let codec =
+  C.(
+    context "checkpoint"
+      (obj
+         (fun _version seed budget shard_size extra completed quarantined
+              coverage health analytics artifacts ->
+           { seed; budget; shard_size; extra; completed; quarantined; coverage;
+             health; analytics; artifacts })
+      |> mem "version" version_codec (fun _ -> version)
+      |> mem "seed" int (fun t -> t.seed)
+      |> mem "budget" int (fun t -> t.budget)
+      |> mem "shard_size" int (fun t -> t.shard_size)
+      |> mem "extra" (assoc string) (fun t -> t.extra)
+      |> mem "completed" (list shard_result_codec) (fun t ->
+             sorted (fun r -> r.shard) t.completed)
+      |> opt_mem "quarantined" (list quarantine_codec) ~default:[] (fun t ->
+             sorted (fun q -> q.q_shard) t.quarantined)
+      |> mem "coverage" (assoc int) (fun t -> t.coverage)
+      |> opt_mem "health" (list O4a_health.Health.entry_codec) ~default:[]
+           (fun t -> t.health)
+      |> opt_mem "analytics" O4a_analytics.Analytics.codec
+           ~default:O4a_analytics.Analytics.empty (fun t -> t.analytics)
+      |> opt_mem "artifacts" artifacts_codec ~default:no_artifacts (fun t ->
+             t.artifacts)
+      |> finish))
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)
@@ -304,7 +170,7 @@ let save ~path t =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (Json.to_string (to_json t));
+      output_string oc (Json.to_string (codec.enc t));
       output_char oc '\n');
   Sys.rename tmp path
 
@@ -332,13 +198,11 @@ let inspect ~path =
     match Json.parse_located contents with
     | Error (offset, reason) -> Error (Corrupt { offset; reason })
     | Ok json -> (
-      match of_json json with
+      match codec.dec json with
       | Ok t ->
-        (* of_json validated the version's presence and range already *)
+        (* the codec validated the version's presence and range already *)
         let i_version =
-          match Option.bind (Json.member "version" json) Json.to_int with
-          | Some v -> v
-          | None -> version
+          Result.value (C.field "version" C.int json) ~default:version
         in
         Ok { i_version; i_checkpoint = t }
       | Error msg -> Error (Invalid msg)))

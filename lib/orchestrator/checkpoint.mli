@@ -60,12 +60,11 @@ type t = {
   artifacts : artifacts;  (** all-false when loaded from a pre-v4 file *)
 }
 
-val to_json : t -> O4a_telemetry.Json.t
-val of_json : O4a_telemetry.Json.t -> (t, string) result
+val codec : t O4a_telemetry.Json.Codec.t
+(** Writes format version 4 and reads versions 1-4: members a later version
+    added decode to the defaults documented on {!t} when absent. *)
 
-val shard_result_to_json : shard_result -> O4a_telemetry.Json.t
-val shard_result_of_json :
-  O4a_telemetry.Json.t -> (shard_result, string) result
+val shard_result_codec : shard_result O4a_telemetry.Json.Codec.t
 (** The per-shard codec on its own: the distributed campaign fabric ships a
     remote worker's shard result over the wire in exactly the encoding the
     checkpoint persists, so the two can never drift. *)

@@ -563,7 +563,7 @@ module Merge = struct
                <> None)
         in
         if tear then (
-          let s = Json.to_string (Checkpoint.to_json cp) in
+          let s = Json.to_string (Checkpoint.codec.enc cp) in
           let cut = max 1 (String.length s / 2) in
           Out_channel.with_open_bin path (fun oc ->
               output_string oc (String.sub s 0 cut));

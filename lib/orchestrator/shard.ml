@@ -14,3 +14,11 @@ let plan ~budget ~shard_size =
   go [] 0 0
 
 let rng ~seed t = Rng.split_indexed ~seed ~index:t.index
+
+let codec =
+  O4a_telemetry.Json.Codec.(
+    obj (fun index first_tick ticks -> { index; first_tick; ticks })
+    |> mem "index" int (fun s -> s.index)
+    |> mem "first_tick" int (fun s -> s.first_tick)
+    |> mem "ticks" int (fun s -> s.ticks)
+    |> finish)

@@ -20,3 +20,6 @@ val plan : budget:int -> shard_size:int -> t list
 val rng : seed:int -> t -> O4a_util.Rng.t
 (** The shard's deterministic RNG: {!O4a_util.Rng.split_indexed} of the
     campaign seed at the shard index. *)
+
+val codec : t O4a_telemetry.Json.Codec.t
+(** [{"index","first_tick","ticks"}] — how a lease grant names its shard. *)

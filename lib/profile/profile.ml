@@ -65,25 +65,26 @@ let display_name = function
   | "seed.select" -> "seed-select"
   | s -> s
 
-let entry_to_json e =
-  Json.Obj
-    [
-      ("stage", Json.String e.stage);
-      ("calls", Json.Int e.calls);
-      ("wall_ns", Json.Int e.wall_ns);
-      ("alloc_words", Json.Int e.alloc_words);
-      ("promoted_words", Json.Int e.promoted_words);
-      ("consults", Json.Int e.consults);
-      ("fuel", Json.Int e.fuel);
-    ]
-
-let to_json t =
-  Json.Obj
-    [
-      ("ticks", Json.Int t.ticks);
-      ("alloc_words", Json.Int t.alloc_words);
-      ("stages", Json.List (List.map entry_to_json t.stages));
-    ]
+let codec =
+  let entry =
+    Json.Codec.(
+      obj (fun stage calls wall_ns alloc_words promoted_words consults fuel ->
+          { stage; calls; wall_ns; alloc_words; promoted_words; consults; fuel })
+      |> mem "stage" string (fun e -> e.stage)
+      |> mem "calls" int (fun e -> e.calls)
+      |> mem "wall_ns" int (fun e -> e.wall_ns)
+      |> mem "alloc_words" int (fun (e : entry) -> e.alloc_words)
+      |> mem "promoted_words" int (fun e -> e.promoted_words)
+      |> mem "consults" int (fun e -> e.consults)
+      |> mem "fuel" int (fun e -> e.fuel)
+      |> finish)
+  in
+  Json.Codec.(
+    obj (fun ticks alloc_words stages -> { ticks; alloc_words; stages })
+    |> mem "ticks" int (fun t -> t.ticks)
+    |> mem "alloc_words" int (fun t -> t.alloc_words)
+    |> mem "stages" (list entry) (fun t -> t.stages)
+    |> finish)
 
 (* ------------------------------------------------------------------ *)
 (* Ledgers                                                             *)

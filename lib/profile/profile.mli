@@ -80,8 +80,8 @@ val display_name : string -> string
     ["oracle.compare"] → ["oracle"], ["seed.select"] → ["seed-select"];
     everything else unchanged. *)
 
-val entry_to_json : entry -> O4a_telemetry.Json.t
-val to_json : t -> O4a_telemetry.Json.t
+val codec : t O4a_telemetry.Json.Codec.t
+(** The lossless form a remote shard's profile export crosses the wire in. *)
 
 (** {1 Ledgers} *)
 

@@ -98,13 +98,16 @@ let connect ?(timeout = 0.) addr =
   in
   go 0.05
 
-let send t req =
+let send_line t line =
   match
-    output_string t.oc (Json.to_string (Protocol.request_to_json req) ^ "\n");
+    output_string t.oc line;
+    output_char t.oc '\n';
     flush t.oc
   with
   | () -> Ok ()
   | exception Sys_error msg -> Error msg
+
+let send t req = send_line t (Json.to_string (Protocol.request_codec.enc req))
 
 (* one request, one reply; Error for transport failures AND ok:false replies *)
 let request t req =

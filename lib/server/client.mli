@@ -21,6 +21,9 @@ val send : t -> Protocol.request -> (unit, string) result
 (** Write one request line without reading a reply — building block for
     asymmetric exchanges (the remote worker's result/heartbeat pushes). *)
 
+val send_line : t -> string -> (unit, string) result
+(** {!send} for a request already encoded on one line (no newline). *)
+
 val request :
   t -> Protocol.request -> (O4a_telemetry.Json.t, string) result
 (** Send one request, read its one-line reply. [Error] covers transport

@@ -271,7 +271,7 @@ let finish_job job =
 let start_job t ~id ~dir ~spec ~base =
   mkdir_p dir;
   write_file (Filename.concat dir "spec.json")
-    (Json.to_string (Jobspec.to_json spec) ^ "\n");
+    (Json.to_string (Jobspec.codec.enc spec) ^ "\n");
   let profile = Jobspec.llm_profile spec in
   let campaign = Once4all.Campaign.prepare ~seed:spec.Jobspec.seed ~profile () in
   let seeds =
@@ -507,7 +507,7 @@ let send_grant t job shard c =
   in
   w.w_inflight <- w.w_inflight + 1;
   conn_send_json c
-    (Protocol.worker_msg_to_json
+    (Protocol.worker_msg_codec.enc
        (Protocol.Grant
           {
             lease = g.Lease.lease;
@@ -683,7 +683,7 @@ let revive t id =
     match In_channel.with_open_text spec_path In_channel.input_all with
     | exception Sys_error msg -> Protocol.error msg
     | contents -> (
-      match Result.bind (Json.parse contents) Jobspec.of_json with
+      match Result.bind (Json.parse contents) Jobspec.codec.dec with
       | Error msg -> Protocol.error (Printf.sprintf "%s: %s" spec_path msg)
       | Ok spec -> (
         match Checkpoint.load ~path:cp_path with
@@ -779,7 +779,7 @@ let handle_request t c = function
     let views =
       t.order
       |> List.filter_map (fun id -> Hashtbl.find_opt t.jobs id)
-      |> List.map (fun j -> Protocol.job_view_to_json (job_view j))
+      |> List.map (fun j -> Protocol.job_view_codec.enc (job_view j))
     in
     conn_send_json c (Protocol.ok [ ("jobs", Json.List views) ])
   | Protocol.Watch { job; from } -> watch t c job from
@@ -802,7 +802,7 @@ let handle_request t c = function
           (Protocol.ok
              [
                ("job", Json.String id);
-               ("analytics", O4a_analytics.Analytics.to_json a);
+               ("analytics", O4a_analytics.Analytics.codec.enc a);
                ( "prometheus",
                  Json.String (O4a_analytics.Analytics.to_prometheus a) );
              ])))
@@ -877,7 +877,7 @@ let handle_request t c = function
 
 let process_line t c line =
   if String.trim line <> "" then (
-    match Result.bind (Json.parse line) Protocol.request_of_json with
+    match Result.bind (Json.parse line) Protocol.request_codec.dec with
     | Error msg -> conn_send_json c (Protocol.error msg)
     | Ok req ->
       (* any well-formed request completes the handshake — the deadline is
@@ -1090,7 +1090,7 @@ and finish t ~workers ~listeners ~port_file ~tcp =
   List.iter
     (fun c ->
       if c.worker <> None && not c.closed then
-        conn_send_json c (Protocol.worker_msg_to_json Protocol.Drain))
+        conn_send_json c (Protocol.worker_msg_codec.enc Protocol.Drain))
     t.conns;
   Mutex.protect t.lock (fun () -> Condition.broadcast t.work);
   List.iter Domain.join workers;

@@ -12,9 +12,11 @@ let error_to_string = function
   | Line_too_long cap ->
     Printf.sprintf "request line exceeds the %d-byte frame cap" cap
 
-(* matches the daemon's outbound cap: no legitimate request or result line
-   approaches a mebibyte, but a full shard-outcome payload stays well under
-   it *)
+(* matches the daemon's outbound cap. Requests stay far below it, but a
+   shard-outcome result line does not always: remote shards record
+   telemetry, about 2 KB per tick, so a shard of more than roughly 500
+   ticks overflows. The remote worker reports such an outcome as a failed
+   shard (Worker.result_line) rather than sending the line. *)
 let default_max_line = 1 lsl 20
 
 type t = {

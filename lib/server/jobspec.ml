@@ -164,54 +164,42 @@ let of_checkpoint ~name (cp : Checkpoint.t) =
         (int_of_string_opt (find "breaker_threshold" ""));
   }
 
-let to_json t =
-  Json.Obj
-    [
-      ("name", Json.String t.name);
-      ("seed", Json.Int t.seed);
-      ("budget", Json.Int t.budget);
-      ("shard_size", Json.Int t.shard_size);
-      ("quota", Json.Int t.quota);
-      ("profile", Json.String t.profile);
-      ("use_skeletons", Json.Bool t.use_skeletons);
-      ("trace", Json.Bool t.trace);
-      ("telemetry", Json.Bool t.telemetry);
-      ("chaos", Json.String t.chaos_profile);
-      ("chaos_seed", Json.Int t.chaos_seed);
-      ("chaos_rate", Json.Float t.chaos_rate);
-      ("breakers", Json.Bool t.breakers);
-      ("breaker_window", Json.Int t.breaker_window);
-      ("breaker_threshold", Json.Int t.breaker_threshold);
-    ]
-
-(* lenient decode: only "name" is required, everything else defaults — a
-   submission can be as terse as {"name":"smoke","budget":500} *)
-let of_json json =
-  match Option.bind (Json.member "name" json) Json.to_str with
-  | None -> Error "job spec: missing or invalid field \"name\""
-  | Some name ->
-    let d = default ~name in
-    let int k dv = Option.value ~default:dv (Option.bind (Json.member k json) Json.to_int) in
-    let flt k dv = Option.value ~default:dv (Option.bind (Json.member k json) Json.to_float) in
-    let str k dv = Option.value ~default:dv (Option.bind (Json.member k json) Json.to_str) in
-    let bool k dv = Option.value ~default:dv (Option.bind (Json.member k json) Json.to_bool) in
-    let t =
-      {
-        name;
-        seed = int "seed" d.seed;
-        budget = int "budget" d.budget;
-        shard_size = int "shard_size" d.shard_size;
-        quota = int "quota" d.quota;
-        profile = str "profile" d.profile;
-        use_skeletons = bool "use_skeletons" d.use_skeletons;
-        trace = bool "trace" d.trace;
-        telemetry = bool "telemetry" d.telemetry;
-        chaos_profile = str "chaos" d.chaos_profile;
-        chaos_seed = int "chaos_seed" d.chaos_seed;
-        chaos_rate = flt "chaos_rate" d.chaos_rate;
-        breakers = bool "breakers" d.breakers;
-        breaker_window = int "breaker_window" d.breaker_window;
-        breaker_threshold = int "breaker_threshold" d.breaker_threshold;
-      }
-    in
-    Result.map (fun () -> t) (validate t)
+(* Every member but "name" is optional and defaults to {!default} — a
+   submission can be as terse as {"name":"smoke","budget":500} — but a
+   member that is present must have its type ({"budget":"500"} is an
+   error). Decoded specs are {!validate}d. *)
+let codec =
+  let d = default ~name:"" in
+  let fields =
+    Json.Codec.(
+      obj
+        (fun name seed budget shard_size quota profile use_skeletons trace
+             telemetry chaos_profile chaos_seed chaos_rate breakers
+             breaker_window breaker_threshold ->
+          { name; seed; budget; shard_size; quota; profile; use_skeletons;
+            trace; telemetry; chaos_profile; chaos_seed; chaos_rate; breakers;
+            breaker_window; breaker_threshold })
+      |> mem "name" string (fun t -> t.name)
+      |> opt_mem "seed" int ~default:d.seed (fun t -> t.seed)
+      |> opt_mem "budget" int ~default:d.budget (fun t -> t.budget)
+      |> opt_mem "shard_size" int ~default:d.shard_size (fun t -> t.shard_size)
+      |> opt_mem "quota" int ~default:d.quota (fun t -> t.quota)
+      |> opt_mem "profile" string ~default:d.profile (fun t -> t.profile)
+      |> opt_mem "use_skeletons" bool ~default:d.use_skeletons (fun t ->
+             t.use_skeletons)
+      |> opt_mem "trace" bool ~default:d.trace (fun t -> t.trace)
+      |> opt_mem "telemetry" bool ~default:d.telemetry (fun t -> t.telemetry)
+      |> opt_mem "chaos" string ~default:d.chaos_profile (fun t ->
+             t.chaos_profile)
+      |> opt_mem "chaos_seed" int ~default:d.chaos_seed (fun t -> t.chaos_seed)
+      |> opt_mem "chaos_rate" float ~default:d.chaos_rate (fun t -> t.chaos_rate)
+      |> opt_mem "breakers" bool ~default:d.breakers (fun t -> t.breakers)
+      |> opt_mem "breaker_window" int ~default:d.breaker_window (fun t ->
+             t.breaker_window)
+      |> opt_mem "breaker_threshold" int ~default:d.breaker_threshold (fun t ->
+             t.breaker_threshold)
+      |> finish)
+  in
+  Json.Codec.conv Fun.id
+    (fun t -> Result.map (fun () -> t) (validate t))
+    (Json.Codec.context "job spec" fields)

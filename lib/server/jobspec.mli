@@ -63,8 +63,8 @@ val of_checkpoint : name:string -> Orchestrator.Checkpoint.t -> t
     [telemetry] take defaults: they are runtime choices, not campaign
     identity. *)
 
-val to_json : t -> O4a_telemetry.Json.t
-
-val of_json : O4a_telemetry.Json.t -> (t, string) result
-(** Lenient: only ["name"] is required, every other field defaults. The
-    result is {!validate}d. *)
+val codec : t O4a_telemetry.Json.Codec.t
+(** Only ["name"] is required: every other absent member takes its
+    {!default}. A member that is present must have the right type
+    (["budget":"500"] fails with [job spec: field "budget": expected an
+    int]). Decoded specs are {!validate}d. *)

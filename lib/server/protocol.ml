@@ -54,98 +54,61 @@ type request =
   | Worker_heartbeat of { leases : int list }
   | Worker_result of { lease : int; outcome : Json.t }
 
-let request_to_json = function
-  | Hello proto ->
-    Json.Obj [ ("req", Json.String "hello"); ("proto", Json.Int proto) ]
-  | Submit spec ->
-    Json.Obj [ ("req", Json.String "submit"); ("spec", Jobspec.to_json spec) ]
-  | Jobs -> Json.Obj [ ("req", Json.String "jobs") ]
-  | Watch { job; from } ->
-    Json.Obj
-      [
-        ("req", Json.String "watch");
-        ("job", Json.String job);
-        ("from", Json.Int from);
-      ]
-  | Pause job ->
-    Json.Obj [ ("req", Json.String "pause"); ("job", Json.String job) ]
-  | Resume_job job ->
-    Json.Obj [ ("req", Json.String "resume"); ("job", Json.String job) ]
-  | Cancel job ->
-    Json.Obj [ ("req", Json.String "cancel"); ("job", Json.String job) ]
-  | Metrics job ->
-    Json.Obj [ ("req", Json.String "metrics"); ("job", Json.String job) ]
-  | Shutdown -> Json.Obj [ ("req", Json.String "shutdown") ]
-  | Worker_register { slots } ->
-    Json.Obj [ ("req", Json.String "worker"); ("slots", Json.Int slots) ]
-  | Worker_heartbeat { leases } ->
-    Json.Obj
-      [
-        ("req", Json.String "heartbeat");
-        ("leases", Json.List (List.map (fun l -> Json.Int l) leases));
-      ]
-  | Worker_result { lease; outcome } ->
-    Json.Obj
-      [
-        ("req", Json.String "result");
-        ("lease", Json.Int lease);
-        ("outcome", outcome);
-      ]
+module C = Json.Codec
 
-let job_field json =
-  match Option.bind (Json.member "job" json) Json.to_str with
-  | Some j -> Ok j
-  | None -> Error "request: missing or invalid field \"job\""
+let request_to_json r =
+  let verb name fields = Json.Obj (("req", Json.String name) :: fields) in
+  match r with
+  | Hello proto -> verb "hello" [ ("proto", Json.Int proto) ]
+  | Submit spec -> verb "submit" [ ("spec", Jobspec.codec.enc spec) ]
+  | Jobs -> verb "jobs" []
+  | Watch { job; from } ->
+    verb "watch" [ ("job", Json.String job); ("from", Json.Int from) ]
+  | Pause job -> verb "pause" [ ("job", Json.String job) ]
+  | Resume_job job -> verb "resume" [ ("job", Json.String job) ]
+  | Cancel job -> verb "cancel" [ ("job", Json.String job) ]
+  | Metrics job -> verb "metrics" [ ("job", Json.String job) ]
+  | Shutdown -> verb "shutdown" []
+  | Worker_register { slots } -> verb "worker" [ ("slots", Json.Int slots) ]
+  | Worker_heartbeat { leases } ->
+    verb "heartbeat" [ ("leases", C.(list int).enc leases) ]
+  | Worker_result { lease; outcome } ->
+    verb "result" [ ("lease", Json.Int lease); ("outcome", outcome) ]
 
 let request_of_json json =
-  match Option.bind (Json.member "req" json) Json.to_str with
-  | None -> Error "request: missing or invalid field \"req\""
-  | Some "hello" -> (
-    match Option.bind (Json.member "proto" json) Json.to_int with
-    | Some p -> Ok (Hello p)
-    | None -> Error "request: hello without a \"proto\" version")
-  | Some "submit" -> (
-    match Json.member "spec" json with
-    | None -> Error "request: submit without a \"spec\" object"
-    | Some spec_json ->
-      Result.map (fun spec -> Submit spec) (Jobspec.of_json spec_json))
-  | Some "jobs" -> Ok Jobs
-  | Some "watch" ->
-    Result.map
-      (fun job ->
-        let from =
-          Option.value ~default:0
-            (Option.bind (Json.member "from" json) Json.to_int)
-        in
-        Watch { job; from = max 0 from })
-      (job_field json)
-  | Some "pause" -> Result.map (fun j -> Pause j) (job_field json)
-  | Some "resume" -> Result.map (fun j -> Resume_job j) (job_field json)
-  | Some "cancel" -> Result.map (fun j -> Cancel j) (job_field json)
-  | Some "metrics" -> Result.map (fun j -> Metrics j) (job_field json)
-  | Some "shutdown" -> Ok Shutdown
-  | Some "worker" ->
-    let slots =
-      Option.value ~default:1
-        (Option.bind (Json.member "slots" json) Json.to_int)
-    in
-    if slots < 1 then Error "request: worker registration needs slots >= 1"
+  let open C in
+  let job make = Result.map make (field "job" string json) in
+  let* verb = field "req" string json in
+  match verb with
+  | "hello" -> Result.map (fun p -> Hello p) (field "proto" int json)
+  | "submit" -> Result.map (fun s -> Submit s) (field "spec" Jobspec.codec json)
+  | "jobs" -> Ok Jobs
+  | "watch" ->
+    let* job = field "job" string json in
+    let* from = field_or "from" int ~default:0 json in
+    Ok (Watch { job; from = max 0 from })
+  | "pause" -> job (fun j -> Pause j)
+  | "resume" -> job (fun j -> Resume_job j)
+  | "cancel" -> job (fun j -> Cancel j)
+  | "metrics" -> job (fun j -> Metrics j)
+  | "shutdown" -> Ok Shutdown
+  | "worker" ->
+    let* slots = field_or "slots" int ~default:1 json in
+    if slots < 1 then Error "worker registration needs slots >= 1"
     else Ok (Worker_register { slots })
-  | Some "heartbeat" -> (
-    match Json.member "leases" json with
-    | Some (Json.List ls) ->
-      let leases = List.filter_map Json.to_int ls in
-      Ok (Worker_heartbeat { leases })
-    | None -> Ok (Worker_heartbeat { leases = [] })
-    | Some _ -> Error "request: heartbeat \"leases\" must be a list")
-  | Some "result" -> (
-    match
-      ( Option.bind (Json.member "lease" json) Json.to_int,
-        Json.member "outcome" json )
-    with
-    | Some lease, Some outcome -> Ok (Worker_result { lease; outcome })
-    | _ -> Error "request: result needs \"lease\" and \"outcome\"")
-  | Some other -> Error (Printf.sprintf "request: unknown verb %S" other)
+  | "heartbeat" ->
+    let* leases = field_or "leases" (list int) ~default:[] json in
+    Ok (Worker_heartbeat { leases })
+  | "result" ->
+    let* lease = field "lease" int json in
+    (* the outcome stays raw here: the coordinator decodes it with
+       {!Wire} once it knows the lease is live *)
+    let* outcome = field "outcome" { enc = Fun.id; dec = Result.ok } json in
+    Ok (Worker_result { lease; outcome })
+  | other -> Error (Printf.sprintf "unknown verb %S" other)
+
+let request_codec =
+  C.context "request" { C.enc = request_to_json; dec = request_of_json }
 
 (* ------------------------------------------------------------------ *)
 (* Job views                                                           *)
@@ -181,27 +144,26 @@ type job_view = {
   v_quota : int;
 }
 
-let job_view_to_json v =
-  Json.Obj
-    ([
-       ("id", Json.String v.v_id);
-       ("name", Json.String v.v_name);
-       ("state", Json.String (job_state_to_string v.v_state));
-       ("shards_done", Json.Int v.v_shards_done);
-       ("shards_total", Json.Int v.v_shards_total);
-       ("findings", Json.Int v.v_findings);
-       ("quota", Json.Int v.v_quota);
-     ]
-    @ match v.v_state with Failed msg -> [ ("error", Json.String msg) ] | _ -> [])
-
-let job_view_of_json json =
-  let str k = Option.bind (Json.member k json) Json.to_str in
-  let int k =
-    Option.value ~default:0 (Option.bind (Json.member k json) Json.to_int)
+let job_view_codec =
+  let enc v =
+    Json.Obj
+      ([
+         ("id", Json.String v.v_id);
+         ("name", Json.String v.v_name);
+         ("state", Json.String (job_state_to_string v.v_state));
+         ("shards_done", Json.Int v.v_shards_done);
+         ("shards_total", Json.Int v.v_shards_total);
+         ("findings", Json.Int v.v_findings);
+         ("quota", Json.Int v.v_quota);
+       ]
+      @ match v.v_state with Failed msg -> [ ("error", Json.String msg) ] | _ -> [])
   in
-  match (str "id", str "name", str "state") with
-  | Some v_id, Some v_name, Some state ->
-    let v_state =
+  let dec json =
+    let open C in
+    let* v_id = field "id" string json in
+    let* v_name = field "name" string json in
+    let* v_state =
+      let* state = field "state" string json in
       match state with
       | "queued" -> Ok Queued
       | "running" -> Ok Running
@@ -209,22 +171,18 @@ let job_view_of_json json =
       | "done" -> Ok Done
       | "cancelled" -> Ok Cancelled
       | "failed" ->
-        Ok (Failed (Option.value ~default:"unknown failure" (str "error")))
-      | other -> Error (Printf.sprintf "job view: unknown state %S" other)
+        Result.map
+          (fun msg -> Failed msg)
+          (field_or "error" string ~default:"unknown failure" json)
+      | other -> Error (Printf.sprintf "unknown state %S" other)
     in
-    Result.map
-      (fun v_state ->
-        {
-          v_id;
-          v_name;
-          v_state;
-          v_shards_done = int "shards_done";
-          v_shards_total = int "shards_total";
-          v_findings = int "findings";
-          v_quota = int "quota";
-        })
-      v_state
-  | _ -> Error "job view: missing id/name/state"
+    let* v_shards_done = field "shards_done" int json in
+    let* v_shards_total = field "shards_total" int json in
+    let* v_findings = field "findings" int json in
+    let* v_quota = field "quota" int json in
+    Ok { v_id; v_name; v_state; v_shards_done; v_shards_total; v_findings; v_quota }
+  in
+  C.context "job view" { C.enc; dec }
 
 (* ------------------------------------------------------------------ *)
 (* Replies and stream lines                                            *)
@@ -270,24 +228,6 @@ let stream_line ~job ~kind data =
 
 module Shard = Orchestrator.Shard
 
-let shard_to_json (s : Shard.t) =
-  Json.Obj
-    [
-      ("index", Json.Int s.Shard.index);
-      ("first_tick", Json.Int s.Shard.first_tick);
-      ("ticks", Json.Int s.Shard.ticks);
-    ]
-
-let shard_of_json json =
-  match
-    ( Option.bind (Json.member "index" json) Json.to_int,
-      Option.bind (Json.member "first_tick" json) Json.to_int,
-      Option.bind (Json.member "ticks" json) Json.to_int )
-  with
-  | Some index, Some first_tick, Some ticks ->
-    Ok { Shard.index; first_tick; ticks }
-  | _ -> Error "shard: missing index/first_tick/ticks"
-
 type worker_msg =
   | Grant of {
       lease : int;
@@ -306,36 +246,25 @@ let worker_msg_to_json = function
         ("lease", Json.Int lease);
         ("job", Json.String job);
         ("attempt", Json.Int grant_attempt);
-        ("shard", shard_to_json shard);
-        ("spec", Jobspec.to_json spec);
+        ("shard", Shard.codec.enc shard);
+        ("spec", Jobspec.codec.enc spec);
       ]
   | Drain -> Json.Obj [ ("msg", Json.String "drain") ]
 
 let worker_msg_of_json json =
-  match Option.bind (Json.member "msg" json) Json.to_str with
-  | None -> Error "worker message: missing field \"msg\""
-  | Some "drain" -> Ok Drain
-  | Some "grant" -> (
-    match
-      ( Option.bind (Json.member "lease" json) Json.to_int,
-        Option.bind (Json.member "job" json) Json.to_str,
-        Json.member "shard" json,
-        Json.member "spec" json )
-    with
-    | Some lease, Some job, Some shard_json, Some spec_json ->
-      Result.bind (shard_of_json shard_json) (fun shard ->
-          Result.map
-            (fun spec ->
-              Grant
-                {
-                  lease;
-                  job;
-                  grant_attempt =
-                    Option.value ~default:0
-                      (Option.bind (Json.member "attempt" json) Json.to_int);
-                  shard;
-                  spec;
-                })
-            (Jobspec.of_json spec_json))
-    | _ -> Error "worker message: grant needs lease/job/shard/spec")
-  | Some other -> Error (Printf.sprintf "worker message: unknown kind %S" other)
+  let open C in
+  let* kind = field "msg" string json in
+  match kind with
+  | "drain" -> Ok Drain
+  | "grant" ->
+    let* lease = field "lease" int json in
+    let* job = field "job" string json in
+    let* grant_attempt = field_or "attempt" int ~default:0 json in
+    let* shard = field "shard" Shard.codec json in
+    let* spec = field "spec" Jobspec.codec json in
+    Ok (Grant { lease; job; grant_attempt; shard; spec })
+  | other -> Error (Printf.sprintf "unknown kind %S" other)
+
+let worker_msg_codec =
+  C.context "worker message"
+    { C.enc = worker_msg_to_json; dec = worker_msg_of_json }

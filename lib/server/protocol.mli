@@ -36,7 +36,7 @@ type request =
   | Cancel of string
   | Metrics of string
       (** snapshot the job's merged analytics series: the reply carries
-          {!O4a_analytics.Analytics.to_json} under ["analytics"] (plus the
+          {!O4a_analytics.Analytics.codec} under ["analytics"] (plus the
           Prometheus text rendering under ["prometheus"]), computed at the
           merge barrier — so a snapshot of a finished job is byte-identical
           to what [once4all analyze] reads from its checkpoint *)
@@ -56,8 +56,9 @@ type request =
           {!Orchestrator.shard_outcome}. No reply; a stale lease (expired,
           reassigned, or from a previous connection) is silently dropped *)
 
-val request_to_json : request -> O4a_telemetry.Json.t
-val request_of_json : O4a_telemetry.Json.t -> (request, string) result
+val request_codec : request O4a_telemetry.Json.Codec.t
+(** Tagged by ["req"]. Absent optional members default: [watch]'s ["from"]
+    to 0, [worker]'s ["slots"] to 1, [heartbeat]'s ["leases"] to []. *)
 
 type job_state = Queued | Running | Paused | Done | Failed of string | Cancelled
 
@@ -76,8 +77,7 @@ type job_view = {
   v_quota : int;
 }
 
-val job_view_to_json : job_view -> O4a_telemetry.Json.t
-val job_view_of_json : O4a_telemetry.Json.t -> (job_view, string) result
+val job_view_codec : job_view O4a_telemetry.Json.Codec.t
 
 val ok : (string * O4a_telemetry.Json.t) list -> O4a_telemetry.Json.t
 val error : string -> O4a_telemetry.Json.t
@@ -109,9 +109,6 @@ val stream_line :
     Replies carry an ["ok"] field and pushes a ["msg"] field, so both can
     share a registered worker's connection without ambiguity. *)
 
-val shard_to_json : Orchestrator.Shard.t -> O4a_telemetry.Json.t
-val shard_of_json : O4a_telemetry.Json.t -> (Orchestrator.Shard.t, string) result
-
 type worker_msg =
   | Grant of {
       lease : int;
@@ -128,5 +125,5 @@ type worker_msg =
     }
   | Drain  (** finish in-flight shards, send their results, disconnect *)
 
-val worker_msg_to_json : worker_msg -> O4a_telemetry.Json.t
-val worker_msg_of_json : O4a_telemetry.Json.t -> (worker_msg, string) result
+val worker_msg_codec : worker_msg O4a_telemetry.Json.Codec.t
+(** Tagged by ["msg"]; a grant's absent ["attempt"] decodes as 0. *)

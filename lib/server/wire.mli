@@ -1,32 +1,18 @@
-(** Wire codecs for complete shard outcomes — what a remote worker streams
-    back to the coordinator over a lease.
+(** The wire codec for complete shard outcomes — what a remote worker
+    streams back to the coordinator over a lease.
 
     Everything a {!Orchestrator.Merge.t} absorbs must round-trip losslessly:
     the merged report, repro bundles, telemetry, and analytics are
     byte-compared against the standalone run, so a codec that dropped so
-    much as a histogram bucket would break the identity. Wherever a
-    subsystem already persists the value (checkpoints, telemetry events,
-    trace bundles, analytics series) its codec is reused; only metric
-    entries (the telemetry log's histogram form is a lossy sum/count
-    summary) and profile exports get wire-specific encodings here. *)
+    much as a histogram bucket would break the identity. The outcome only
+    composes the codecs that live next to their types (checkpoint shard
+    results, telemetry events, lossless metric entries, traces, health,
+    profile, and analytics exports); it defines no encoding of its own
+    beyond the outcome's tag and the attempt logs. *)
 
-val metric_entry_to_json : O4a_telemetry.Metrics.entry -> O4a_telemetry.Json.t
-val metric_entry_of_json :
-  O4a_telemetry.Json.t -> (O4a_telemetry.Metrics.entry, string) result
-(** Lossless, including full histogram bounds and bucket counts. *)
-
-val profile_of_json :
-  O4a_telemetry.Json.t -> (O4a_profile.Profile.t, string) result
-(** Inverse of {!O4a_profile.Profile.to_json}. *)
-
-val payload_to_json : Orchestrator.shard_payload -> O4a_telemetry.Json.t
-val payload_of_json :
-  O4a_telemetry.Json.t -> (Orchestrator.shard_payload, string) result
-
-val attempt_log_to_json : Orchestrator.attempt_log -> O4a_telemetry.Json.t
-val attempt_log_of_json :
-  O4a_telemetry.Json.t -> (Orchestrator.attempt_log, string) result
+val outcome_codec : Orchestrator.shard_outcome O4a_telemetry.Json.Codec.t
 
 val outcome_to_json : Orchestrator.shard_outcome -> O4a_telemetry.Json.t
 val outcome_of_json :
   O4a_telemetry.Json.t -> (Orchestrator.shard_outcome, string) result
+(** [outcome_codec]'s two halves. *)

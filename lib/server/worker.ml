@@ -51,15 +51,42 @@ type state = {
   mutable dead : bool;  (* connection lost or quit_after tripped *)
 }
 
-let push_request st req =
+let push_line st line =
   Mutex.protect st.wlock (fun () ->
-      match Client.send st.client req with
+      match Client.send_line st.client line with
       | Ok () -> ()
       | Error msg ->
         Log.warn (fun m -> m "send failed: %s" msg);
         Mutex.protect st.qlock (fun () ->
             st.dead <- true;
             Condition.broadcast st.qcond))
+
+let push_request st req =
+  push_line st (Json.to_string (Protocol.request_codec.enc req))
+
+(* The coordinator's framer drops a connection whose line exceeds the frame
+   cap, which would strand the lease until the job hangs. An outcome too
+   big for one line is therefore reported as a failure that names the
+   remedy, and the job fails instead. *)
+let result_line ~lease (shard : Shard.t) outcome =
+  let line outcome =
+    Json.to_string
+      (Protocol.request_codec.enc
+         (Protocol.Worker_result { lease; outcome = Wire.outcome_to_json outcome }))
+  in
+  let full = line outcome in
+  let cap = Framing.default_max_line in
+  if String.length full <= cap then full
+  else (
+    Log.warn (fun m ->
+        m "shard %d outcome is %d bytes, over the frame cap" shard.Shard.index
+          (String.length full));
+    line
+      (Orchestrator.Failed
+         (Printf.sprintf
+            "shard %d outcome is %d bytes on the wire, over the %d-byte frame \
+             cap; resubmit with a smaller --shard-size"
+            shard.Shard.index (String.length full) cap)))
 
 (* env construction mirrors the daemon's start_job step for step — that
    mirror is the whole byte-identity argument, so change both or neither *)
@@ -133,9 +160,7 @@ let executor st slot () =
       in
       if quit then ()
       else (
-        push_request st
-          (Protocol.Worker_result
-             { lease = task.lease; outcome = Wire.outcome_to_json outcome });
+        push_line st (result_line ~lease:task.lease task.shard outcome);
         Mutex.protect st.qlock (fun () -> Condition.broadcast st.qcond);
         loop ())
   in
@@ -153,7 +178,7 @@ let handle_line st line =
   match Json.parse line with
   | Error msg -> Log.warn (fun m -> m "unparseable line from coordinator: %s" msg)
   | Ok json -> (
-    match Protocol.worker_msg_of_json json with
+    match Protocol.worker_msg_codec.dec json with
     | Ok (Protocol.Grant { lease; job; grant_attempt = _; shard; spec }) ->
       Log.info (fun m ->
           m "granted lease %d: job %s shard %d" lease job shard.Shard.index);

@@ -27,6 +27,13 @@ type config = {
 
 val default_heartbeat_interval : float
 
+val result_line :
+  lease:int -> Orchestrator.Shard.t -> Orchestrator.shard_outcome -> string
+(** The one-line [result] request reporting [outcome] for [lease]. An
+    outcome whose line would exceed {!Framing.default_max_line} is replaced
+    by a [Failed] outcome naming its size, the cap, and the remedy (a
+    smaller [--shard-size]), so the job fails instead of hanging. *)
+
 val run : config -> int
 (** Run until the coordinator sends [Drain] (exit 0, after delivering every
     in-flight result) or the connection is lost / [quit_after] trips

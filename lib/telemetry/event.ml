@@ -26,6 +26,8 @@ let of_json json =
     | _, None -> Error "event is missing a string \"event\" field")
   | _ -> Error "event is not a JSON object"
 
+let codec = { Json.Codec.enc = to_json; dec = of_json }
+
 let to_line event = Json.to_string (to_json event)
 
 let of_line line =

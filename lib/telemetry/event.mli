@@ -17,6 +17,10 @@ val make : ts:float -> name:string -> (string * Json.t) list -> t
 val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 
+val codec : t Json.Codec.t
+(** [to_json]/[of_json] as a codec. Hand-written because an event's field
+    list is open. *)
+
 val to_line : t -> string
 (** Single-line JSON, no trailing newline. *)
 

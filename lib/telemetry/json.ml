@@ -242,3 +242,128 @@ let rec equal a b =
     List.length xs = List.length ys
     && List.for_all2 (fun (k, v) (k', v') -> k = k' && equal v v') xs ys
   | _ -> false
+
+(* -------------------------------- codecs -------------------------------- *)
+
+module Codec = struct
+  type json = t
+  type 'a t = { enc : 'a -> json; dec : json -> ('a, string) result }
+
+  let ( let* ) = Result.bind
+
+  (* errors are built only on failure: the decode path of a large
+     checkpoint stays allocation-lean *)
+  let in_field name = function
+    | Ok _ as ok -> ok
+    | Error e -> Error (Printf.sprintf "field %S: %s" name e)
+
+  let int =
+    let dec = function Int n -> Ok n | _ -> Error "expected an int" in
+    { enc = (fun n -> Int n); dec }
+
+  let float =
+    let dec = function
+      | Float f -> Ok f
+      | Int n -> Ok (float_of_int n)
+      | _ -> Error "expected a number"
+    in
+    { enc = (fun f -> Float f); dec }
+
+  let string =
+    let dec = function String s -> Ok s | _ -> Error "expected a string" in
+    { enc = (fun s -> String s); dec }
+
+  let bool =
+    let dec = function Bool b -> Ok b | _ -> Error "expected a bool" in
+    { enc = (fun b -> Bool b); dec }
+
+  let list c =
+    let dec = function
+      | List l ->
+        let rec go i acc = function
+          | [] -> Ok (List.rev acc)
+          | x :: rest -> (
+            match c.dec x with
+            | Ok v -> go (i + 1) (v :: acc) rest
+            | Error e -> Error (Printf.sprintf "element %d: %s" i e))
+        in
+        go 0 [] l
+      | _ -> Error "expected a list"
+    in
+    { enc = (fun l -> List (List.map c.enc l)); dec }
+
+  let assoc c =
+    let dec = function
+      | Obj kvs ->
+        let rec go acc = function
+          | [] -> Ok (List.rev acc)
+          | (k, v) :: rest -> (
+            match c.dec v with
+            | Ok v -> go ((k, v) :: acc) rest
+            | Error e -> in_field k (Error e))
+        in
+        go [] kvs
+      | _ -> Error "expected an object"
+    in
+    { enc = (fun kvs -> Obj (List.map (fun (k, v) -> (k, c.enc v)) kvs)); dec }
+
+  let nullable c =
+    {
+      enc = (function Some v -> c.enc v | None -> Null);
+      dec = (function Null -> Ok None | j -> Result.map Option.some (c.dec j));
+    }
+
+  let conv enc dec c =
+    { enc = (fun v -> c.enc (enc v)); dec = (fun j -> Result.bind (c.dec j) dec) }
+
+  let context name c =
+    let dec j =
+      match c.dec j with
+      | Ok _ as ok -> ok
+      | Error e -> Error (Printf.sprintf "%s: %s" name e)
+    in
+    { c with dec }
+
+  let field name c = function
+    | Obj kvs -> (
+      match List.assoc_opt name kvs with
+      | Some v -> in_field name (c.dec v)
+      | None -> Error (Printf.sprintf "field %S: missing" name))
+    | _ -> Error "expected an object"
+
+  let field_or name c ~default = function
+    | Obj kvs -> (
+      match List.assoc_opt name kvs with
+      | Some v -> in_field name (c.dec v)
+      | None -> Ok default)
+    | _ -> Error "expected an object"
+
+  (* a record under construction: the encoders so far (reversed) and a
+     decoder yielding the constructor applied to the members decoded so far *)
+  type ('r, 'k) fields = {
+    encs : (string * ('r -> json)) list;
+    fdec : json -> ('k, string) result;
+  }
+
+  let obj make = { encs = []; fdec = (fun _ -> Ok make) }
+
+  let member decode name c get r =
+    {
+      encs = (name, fun v -> c.enc (get v)) :: r.encs;
+      fdec =
+        (fun j ->
+          match r.fdec j with
+          | Ok k -> Result.map k (decode name c j)
+          | Error _ as e -> e);
+    }
+
+  let mem name c get r = member field name c get r
+  let opt_mem name c ~default get r = member (field_or ~default) name c get r
+
+  let finish r =
+    let encs = List.rev r.encs in
+    {
+      enc = (fun v -> Obj (List.map (fun (name, enc) -> (name, enc v)) encs));
+      dec = (function Obj _ as j -> r.fdec j | _ -> Error "expected an object");
+    }
+end

@@ -43,3 +43,67 @@ val to_bool : t -> bool option
 val equal : t -> t -> bool
 (** Structural equality, except [Int n] and [Float f] compare equal when
     [float_of_int n = f] (the printer may legally narrow [2.0] to [2]). *)
+
+(** {1 Codecs}
+
+    One value per type that both encodes and decodes, so a format's field
+    list is written once. Records are built member by member —
+    [obj make |> mem "k" c get |> opt_mem "k" c ~default get |> finish] —
+    and encode their members in [mem] order. Decode errors carry a path,
+    e.g. [field "completed": element 0: field "shard": expected an int].
+    A present member of the wrong type is always an error; only [opt_mem]
+    and [field_or] supply defaults, and only for absent members. *)
+module Codec : sig
+  type json := t
+  type 'a t = { enc : 'a -> json; dec : json -> ('a, string) result }
+
+  val int : int t
+  val string : string t
+  val bool : bool t
+
+  val float : float t
+  (** Also decodes an [Int]. *)
+
+  val list : 'a t -> 'a list t
+
+  val assoc : 'a t -> (string * 'a) list t
+  (** A JSON object, in member order. *)
+
+  val nullable : 'a t -> 'a option t
+  (** [None] is [null]. *)
+
+  val conv : ('b -> 'a) -> ('a -> ('b, string) result) -> 'a t -> 'b t
+  (** [conv to_a of_a c] encodes through [to_a] and validates through
+      [of_a]. *)
+
+  val context : string -> 'a t -> 'a t
+  (** Prefix decode errors with [name ^ ": "] (e.g. ["checkpoint"]). *)
+
+  (** {2 Records} *)
+
+  type ('r, 'k) fields
+
+  val obj : 'k -> ('r, 'k) fields
+  (** Start a record codec from its constructor: a function taking the
+      members in [mem] order. *)
+
+  val mem :
+    string -> 'a t -> ('r -> 'a) -> ('r, 'a -> 'k) fields -> ('r, 'k) fields
+  (** A required member. *)
+
+  val opt_mem :
+    string -> 'a t -> default:'a -> ('r -> 'a) -> ('r, 'a -> 'k) fields -> ('r, 'k) fields
+  (** A member that decodes to [default] when absent (always encoded). *)
+
+  val finish : ('r, 'r) fields -> 'r t
+
+  (** {2 Hand-written decoders} (tagged variants, open field lists) *)
+
+  val field : string -> 'a t -> json -> ('a, string) result
+  (** [field k c j] decodes member [k] of the object [j] with [c]. *)
+
+  val field_or : string -> 'a t -> default:'a -> json -> ('a, string) result
+  (** [field], but [default] when the member is absent. *)
+
+  val ( let* ) : ('a, 'e) result -> ('a -> ('b, 'e) result) -> ('b, 'e) result
+end

@@ -255,6 +255,44 @@ let entry_to_json e =
   in
   Json.Obj (base @ value)
 
+(* The lossless form, full histogram buckets included: what a shard's
+   metrics travel in between hosts. *)
+let entry_codec =
+  let module C = Json.Codec in
+  let array c = C.conv Array.to_list (fun l -> Ok (Array.of_list l)) (C.list c) in
+  let hist =
+    C.(
+      obj (fun bounds counts sum count -> { bounds; counts; sum; count })
+      |> mem "bounds" (array float) (fun h -> h.bounds)
+      |> mem "counts" (array int) (fun h -> h.counts)
+      |> mem "sum" float (fun h -> h.sum)
+      |> mem "count" int (fun h -> h.count)
+      |> finish)
+  in
+  let enc e =
+    let value =
+      match e.value with
+      | Counter n -> ("counter", Json.Int n)
+      | Gauge v -> ("gauge", Json.Float v)
+      | Histogram h -> ("histogram", hist.enc h)
+    in
+    Json.Obj
+      [ ("name", Json.String e.name); ("labels", C.(assoc string).enc e.labels); value ]
+  in
+  let dec j =
+    let open C in
+    let* name = field "name" string j in
+    let* labels = field "labels" (assoc string) j in
+    let* value =
+      match (Json.member "counter" j, Json.member "gauge" j) with
+      | Some _, _ -> Result.map (fun n -> Counter n) (field "counter" int j)
+      | None, Some _ -> Result.map (fun v -> Gauge v) (field "gauge" float j)
+      | None, None -> Result.map (fun h -> Histogram h) (field "histogram" hist j)
+    in
+    Ok { name; labels; value }
+  in
+  { C.enc; dec }
+
 let hist_quantile h q =
   if h.count = 0 then 0.
   else (

@@ -90,3 +90,7 @@ val entry_to_json : entry -> Json.t
 (** [{"name":…,"labels":{…},"counter":…}] /  [… "gauge":…] /
     [… "histogram":{"sum":…,"count":…}] — the wire form used by the final
     ["metrics"] event of a JSONL log. *)
+
+val entry_codec : entry Json.Codec.t
+(** Lossless, full histogram bounds and bucket counts included — the form a
+    remote shard's metrics cross the wire in. *)

@@ -25,7 +25,7 @@ let meta_json (p : Trace.promoted) =
       ("id", Json.String p.Trace.trace.Trace.id);
       ("campaign_seed", Json.Int p.Trace.trace.Trace.campaign_seed);
       ("tick", Json.Int p.Trace.trace.Trace.tick);
-      ("finding", Trace.finding_to_json p.Trace.finding);
+      ("finding", Trace.finding_codec.enc p.Trace.finding);
       ( "solvers",
         Json.List
           (List.map
@@ -55,27 +55,23 @@ let write ~dir (p : Trace.promoted) =
   write_file (Filename.concat bdir "formula.smt2") p.Trace.source;
   write_file
     (Filename.concat bdir "trace.json")
-    (Json.to_string (Trace.to_json p.Trace.trace) ^ "\n");
+    (Json.to_string (Trace.codec.enc p.Trace.trace) ^ "\n");
   write_file (Filename.concat bdir "meta.json") (Json.to_string (meta_json p) ^ "\n");
   let repro = Filename.concat bdir "repro.sh" in
   write_file repro (repro_sh p);
   Unix.chmod repro 0o755;
   bdir
 
-let ( let* ) = Result.bind
-
 let load ~path =
-  let* source = read_file (Filename.concat path "formula.smt2") in
-  let* trace_text = read_file (Filename.concat path "trace.json") in
-  let* trace_json = Json.parse (String.trim trace_text) in
-  let* trace = Trace.of_json trace_json in
-  let* meta_text = read_file (Filename.concat path "meta.json") in
-  let* meta = Json.parse (String.trim meta_text) in
-  let* finding =
-    match Json.member "finding" meta with
-    | Some j -> Trace.finding_of_json j
-    | None -> Error "bundle: meta.json has no \"finding\" field"
+  let open Json.Codec in
+  let read name dec =
+    let* text = read_file (Filename.concat path name) in
+    Result.map_error (( ^ ) (name ^ ": "))
+      (Result.bind (Json.parse (String.trim text)) dec)
   in
+  let* source = read_file (Filename.concat path "formula.smt2") in
+  let* trace = read "trace.json" Trace.codec.dec in
+  let* finding = read "meta.json" (field "finding" Trace.finding_codec) in
   Ok { Trace.trace; source; finding }
 
 let scan ~dir =

@@ -5,7 +5,7 @@
     {v
     <dir>/<trace-id>/
       formula.smt2   the exact SMT-LIB text that triggered the finding
-      trace.json     the provenance trace (Trace.to_json)
+      trace.json     the provenance trace (Trace.codec)
       meta.json      finding, dedup key, campaign seed/tick, solver commits
       repro.sh       re-runs the differential oracle on formula.smt2 and
                      checks the finding signature reproduces

@@ -64,70 +64,45 @@ let solvers_run t =
 (* JSON codec                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let opt_str = function Some s -> Json.String s | None -> Json.Null
-let strings l = Json.List (List.map (fun s -> Json.String s) l)
+module C = Json.Codec
 
-let record_to_json = function
+let opt_str = C.(nullable string)
+let strings = C.(list string)
+
+let record_to_json r =
+  let stage name fields = Json.Obj (("stage", Json.String name) :: fields) in
+  match r with
   | Seed_selected { hash; bytes; size } ->
-    Json.Obj
-      [
-        ("stage", Json.String "seed");
-        ("hash", Json.String hash);
-        ("bytes", Json.Int bytes);
-        ("size", Json.Int size);
-      ]
+    stage "seed"
+      [ ("hash", Json.String hash); ("bytes", Json.Int bytes); ("size", Json.Int size) ]
   | Skeletonized { mode; holes } ->
-    Json.Obj
-      [
-        ("stage", Json.String "skeletonize");
-        ("mode", Json.String mode);
-        ("holes", Json.Int holes);
-      ]
+    stage "skeletonize" [ ("mode", Json.String mode); ("holes", Json.Int holes) ]
   | Skeleton_hole { hole; path; sort } ->
-    Json.Obj
-      [
-        ("stage", Json.String "hole");
-        ("hole", Json.Int hole);
-        ("path", Json.String path);
-        ("sort", opt_str sort);
-      ]
+    stage "hole"
+      [ ("hole", Json.Int hole); ("path", Json.String path); ("sort", opt_str.enc sort) ]
   | Hole_filled { hole; theory; sort; raw } ->
-    Json.Obj
+    stage "fill"
       [
-        ("stage", Json.String "fill");
         ("hole", Json.Int hole);
         ("theory", Json.String theory);
-        ("sort", opt_str sort);
+        ("sort", opt_str.enc sort);
         ("raw", Json.Bool raw);
       ]
   | Adapted { substitutions } ->
-    Json.Obj
-      [
-        ("stage", Json.String "adapt");
-        ( "substitutions",
-          Json.Obj (List.map (fun (a, b) -> (a, Json.String b)) substitutions) );
-      ]
+    stage "adapt" [ ("substitutions", C.(assoc string).enc substitutions) ]
   | Direct_generated { terms; theories } ->
-    Json.Obj
-      [
-        ("stage", Json.String "direct");
-        ("terms", Json.Int terms);
-        ("theories", strings theories);
-      ]
+    stage "direct" [ ("terms", Json.Int terms); ("theories", strings.enc theories) ]
   | Synthesized { bytes; parse_ok; theories } ->
-    Json.Obj
+    stage "synthesize"
       [
-        ("stage", Json.String "synthesize");
         ("bytes", Json.Int bytes);
         ("parse_ok", Json.Bool parse_ok);
-        ("theories", strings theories);
+        ("theories", strings.enc theories);
       ]
-  | Parse_rejected { error } ->
-    Json.Obj [ ("stage", Json.String "parse_rejected"); ("error", Json.String error) ]
+  | Parse_rejected { error } -> stage "parse_rejected" [ ("error", Json.String error) ]
   | Solver_run { solver; commit; verdict; steps; decisions; propagations } ->
-    Json.Obj
+    stage "solver"
       [
-        ("stage", Json.String "solver");
         ("solver", Json.String solver);
         ("commit", Json.Int commit);
         ("verdict", Json.String verdict);
@@ -136,182 +111,113 @@ let record_to_json = function
         ("propagations", Json.Int propagations);
       ]
   | Oracle_verdict { kind; solver; signature; bug_id; theory; mode } ->
-    Json.Obj
+    stage "verdict"
       [
-        ("stage", Json.String "verdict");
-        ("kind", opt_str kind);
-        ("solver", opt_str solver);
-        ("signature", opt_str signature);
-        ("bug_id", opt_str bug_id);
-        ("theory", opt_str theory);
-        ("mode", opt_str mode);
+        ("kind", opt_str.enc kind);
+        ("solver", opt_str.enc solver);
+        ("signature", opt_str.enc signature);
+        ("bug_id", opt_str.enc bug_id);
+        ("theory", opt_str.enc theory);
+        ("mode", opt_str.enc mode);
       ]
-  | Fault_injected { site } ->
-    Json.Obj [ ("stage", Json.String "fault"); ("site", Json.String site) ]
-
-let ( let* ) = Result.bind
-
-let req name conv json =
-  match Option.bind (Json.member name json) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "trace: missing or invalid field %S" name)
-
-let opt name json = Option.bind (Json.member name json) Json.to_str
-
-let string_list name json =
-  match Json.member name json with
-  | Some (Json.List l) ->
-    Ok (List.filter_map (function Json.String s -> Some s | _ -> None) l)
-  | _ -> Error (Printf.sprintf "trace: missing or invalid field %S" name)
+  | Fault_injected { site } -> stage "fault" [ ("site", Json.String site) ]
 
 let record_of_json json =
-  let* stage = req "stage" Json.to_str json in
+  let open C in
+  (* nullable members decode absent as [None], as they always have *)
+  let opt name = field_or name opt_str ~default:None json in
+  let* stage = field "stage" string json in
   match stage with
   | "seed" ->
-    let* hash = req "hash" Json.to_str json in
-    let* bytes = req "bytes" Json.to_int json in
-    let* size = req "size" Json.to_int json in
+    let* hash = field "hash" string json in
+    let* bytes = field "bytes" int json in
+    let* size = field "size" int json in
     Ok (Seed_selected { hash; bytes; size })
   | "skeletonize" ->
-    let* mode = req "mode" Json.to_str json in
-    let* holes = req "holes" Json.to_int json in
+    let* mode = field "mode" string json in
+    let* holes = field "holes" int json in
     Ok (Skeletonized { mode; holes })
   | "hole" ->
-    let* hole = req "hole" Json.to_int json in
-    let* path = req "path" Json.to_str json in
-    Ok (Skeleton_hole { hole; path; sort = opt "sort" json })
+    let* hole = field "hole" int json in
+    let* path = field "path" string json in
+    let* sort = opt "sort" in
+    Ok (Skeleton_hole { hole; path; sort })
   | "fill" ->
-    let* hole = req "hole" Json.to_int json in
-    let* theory = req "theory" Json.to_str json in
-    let* raw = req "raw" Json.to_bool json in
-    Ok (Hole_filled { hole; theory; sort = opt "sort" json; raw })
-  | "adapt" -> (
-    match Json.member "substitutions" json with
-    | Some (Json.Obj kvs) ->
-      let* substitutions =
-        List.fold_right
-          (fun (k, v) acc ->
-            let* acc = acc in
-            match Json.to_str v with
-            | Some s -> Ok ((k, s) :: acc)
-            | None -> Error "trace: adapt substitution value not a string")
-          kvs (Ok [])
-      in
-      Ok (Adapted { substitutions })
-    | _ -> Error "trace: missing or invalid field \"substitutions\"")
+    let* hole = field "hole" int json in
+    let* theory = field "theory" string json in
+    let* sort = opt "sort" in
+    let* raw = field "raw" bool json in
+    Ok (Hole_filled { hole; theory; sort; raw })
+  | "adapt" ->
+    let* substitutions = field "substitutions" (assoc string) json in
+    Ok (Adapted { substitutions })
   | "direct" ->
-    let* terms = req "terms" Json.to_int json in
-    let* theories = string_list "theories" json in
+    let* terms = field "terms" int json in
+    let* theories = field "theories" strings json in
     Ok (Direct_generated { terms; theories })
   | "synthesize" ->
-    let* bytes = req "bytes" Json.to_int json in
-    let* parse_ok = req "parse_ok" Json.to_bool json in
-    let* theories = string_list "theories" json in
+    let* bytes = field "bytes" int json in
+    let* parse_ok = field "parse_ok" bool json in
+    let* theories = field "theories" strings json in
     Ok (Synthesized { bytes; parse_ok; theories })
   | "parse_rejected" ->
-    let* error = req "error" Json.to_str json in
+    let* error = field "error" string json in
     Ok (Parse_rejected { error })
   | "solver" ->
-    let* solver = req "solver" Json.to_str json in
-    let* commit = req "commit" Json.to_int json in
-    let* verdict = req "verdict" Json.to_str json in
-    let* steps = req "steps" Json.to_int json in
-    let* decisions = req "decisions" Json.to_int json in
-    let* propagations = req "propagations" Json.to_int json in
+    let* solver = field "solver" string json in
+    let* commit = field "commit" int json in
+    let* verdict = field "verdict" string json in
+    let* steps = field "steps" int json in
+    let* decisions = field "decisions" int json in
+    let* propagations = field "propagations" int json in
     Ok (Solver_run { solver; commit; verdict; steps; decisions; propagations })
   | "verdict" ->
-    Ok
-      (Oracle_verdict
-         {
-           kind = opt "kind" json;
-           solver = opt "solver" json;
-           signature = opt "signature" json;
-           bug_id = opt "bug_id" json;
-           theory = opt "theory" json;
-           mode = opt "mode" json;
-         })
+    let* kind = opt "kind" in
+    let* solver = opt "solver" in
+    let* signature = opt "signature" in
+    let* bug_id = opt "bug_id" in
+    let* theory = opt "theory" in
+    let* mode = opt "mode" in
+    Ok (Oracle_verdict { kind; solver; signature; bug_id; theory; mode })
   | "fault" ->
-    let* site = req "site" Json.to_str json in
+    let* site = field "site" string json in
     Ok (Fault_injected { site })
-  | other -> Error (Printf.sprintf "trace: unknown stage %S" other)
+  | other -> Error (Printf.sprintf "unknown stage %S" other)
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
+let record_codec = { C.enc = record_to_json; dec = record_of_json }
 
-let to_json t =
-  Json.Obj
-    [
-      ("id", Json.String t.id);
-      ("campaign_seed", Json.Int t.campaign_seed);
-      ("tick", Json.Int t.tick);
-      ("records", Json.List (List.map record_to_json t.records));
-    ]
+let codec =
+  C.(
+    obj (fun id campaign_seed tick records -> { id; campaign_seed; tick; records })
+    |> mem "id" string (fun t -> t.id)
+    |> mem "campaign_seed" int (fun t -> t.campaign_seed)
+    |> mem "tick" int (fun t -> t.tick)
+    |> mem "records" (list record_codec) (fun t -> t.records)
+    |> finish)
 
-let of_json json =
-  let* id = req "id" Json.to_str json in
-  let* campaign_seed = req "campaign_seed" Json.to_int json in
-  let* tick = req "tick" Json.to_int json in
-  let* records_json =
-    match Json.member "records" json with
-    | Some (Json.List l) -> Ok l
-    | _ -> Error "trace: missing or invalid field \"records\""
-  in
-  let* records = map_result record_of_json records_json in
-  Ok { id; campaign_seed; tick; records }
+let finding_codec =
+  C.(
+    obj (fun kind solver solver_name signature bug_id theory dedup_key mode ->
+        { kind; solver; solver_name; signature; bug_id; theory; dedup_key; mode })
+    |> mem "kind" string (fun f -> f.kind)
+    |> mem "solver" string (fun f -> f.solver)
+    |> mem "solver_name" string (fun f -> f.solver_name)
+    |> mem "signature" string (fun f -> f.signature)
+    |> opt_mem "bug_id" opt_str ~default:None (fun f -> f.bug_id)
+    |> mem "theory" string (fun f -> f.theory)
+    |> mem "dedup_key" string (fun f -> f.dedup_key)
+    (* bundles written before oracle modes existed carry no "mode" member;
+       they were all full differential comparisons *)
+    |> opt_mem "mode" string ~default:"differential" (fun f -> f.mode)
+    |> finish)
 
-let finding_to_json f =
-  Json.Obj
-    [
-      ("kind", Json.String f.kind);
-      ("solver", Json.String f.solver);
-      ("solver_name", Json.String f.solver_name);
-      ("signature", Json.String f.signature);
-      ("bug_id", opt_str f.bug_id);
-      ("theory", Json.String f.theory);
-      ("dedup_key", Json.String f.dedup_key);
-      ("mode", Json.String f.mode);
-    ]
-
-let finding_of_json json =
-  let* kind = req "kind" Json.to_str json in
-  let* solver = req "solver" Json.to_str json in
-  let* solver_name = req "solver_name" Json.to_str json in
-  let* signature = req "signature" Json.to_str json in
-  let bug_id = opt "bug_id" json in
-  let* theory = req "theory" Json.to_str json in
-  let* dedup_key = req "dedup_key" Json.to_str json in
-  (* bundles written before oracle modes existed carry no "mode" member;
-     they were all full differential comparisons *)
-  let mode = Option.value (opt "mode" json) ~default:"differential" in
-  Ok { kind; solver; solver_name; signature; bug_id; theory; dedup_key; mode }
-
-let promoted_to_json p =
-  Json.Obj
-    [
-      ("trace", to_json p.trace);
-      ("source", Json.String p.source);
-      ("finding", finding_to_json p.finding);
-    ]
-
-let promoted_of_json json =
-  let* trace_json =
-    match Json.member "trace" json with
-    | Some j -> Ok j
-    | None -> Error "trace: missing field \"trace\""
-  in
-  let* trace = of_json trace_json in
-  let* source = req "source" Json.to_str json in
-  let* finding_json =
-    match Json.member "finding" json with
-    | Some j -> Ok j
-    | None -> Error "trace: missing field \"finding\""
-  in
-  let* finding = finding_of_json finding_json in
-  Ok { trace; source; finding }
+let promoted_codec =
+  C.(
+    obj (fun trace source finding -> { trace; source; finding })
+    |> mem "trace" codec (fun p -> p.trace)
+    |> mem "source" string (fun p -> p.source)
+    |> mem "finding" finding_codec (fun p -> p.finding)
+    |> finish)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

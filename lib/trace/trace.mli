@@ -104,16 +104,15 @@ val solvers_run : t -> (string * int) list
 (** The [(solver name, commit)] pairs of the trace's [Solver_run] records,
     in run order. *)
 
-(** {1 JSON codec} (reuses the telemetry JSON representation) *)
+(** {1 JSON codecs} (bundle files and the wire) *)
 
-val record_to_json : record -> O4a_telemetry.Json.t
-val record_of_json : O4a_telemetry.Json.t -> (record, string) result
-val to_json : t -> O4a_telemetry.Json.t
-val of_json : O4a_telemetry.Json.t -> (t, string) result
-val finding_to_json : finding_info -> O4a_telemetry.Json.t
-val finding_of_json : O4a_telemetry.Json.t -> (finding_info, string) result
-val promoted_to_json : promoted -> O4a_telemetry.Json.t
-val promoted_of_json : O4a_telemetry.Json.t -> (promoted, string) result
+val record_codec : record O4a_telemetry.Json.Codec.t
+(** Tagged by a ["stage"] member. Nullable members ([sort], the verdict's
+    fields) decode an absent member as [None]. *)
+
+val codec : t O4a_telemetry.Json.Codec.t
+val finding_codec : finding_info O4a_telemetry.Json.Codec.t
+val promoted_codec : promoted O4a_telemetry.Json.Codec.t
 
 val render : t -> string
 (** Human-readable stage tree: one line per record, holes and adaptations

@@ -188,8 +188,8 @@ let test_jobs_invariance () =
     (Analytics.to_csv r1.Orchestrator.analytics)
     (Analytics.to_csv r4.Orchestrator.analytics);
   check_string "JSON byte-identical at jobs 4"
-    (Json.to_string (Analytics.to_json r1.Orchestrator.analytics))
-    (Json.to_string (Analytics.to_json r4.Orchestrator.analytics));
+    (Json.to_string (Analytics.codec.enc r1.Orchestrator.analytics))
+    (Json.to_string (Analytics.codec.enc r4.Orchestrator.analytics));
   check_bool "plateau set identical" true
     (r1.Orchestrator.plateaus = r4.Orchestrator.plateaus)
 
@@ -297,7 +297,7 @@ let test_pre_v4_checkpoint_loads_empty () =
         | Error e -> Alcotest.fail ("checkpoint unreadable: " ^ e)
       in
       match
-        Checkpoint.of_json
+        Checkpoint.codec.dec
           (set_version 3 (strip_keys [ "analytics"; "artifacts" ] json))
       with
       | Error e -> Alcotest.fail ("v3 decode failed: " ^ e)

@@ -119,6 +119,13 @@ let outcome_roundtrips what (spec : Jobspec.t) =
       (Json.to_string (Wire.outcome_to_json outcome'))
 
 let test_wire_outcome_roundtrip () =
+  (* decode errors name the path to the offending member *)
+  check_bool "unknown fault site" true
+    (Result.bind
+       (Json.parse {|{"outcome":"quarantined","attempts":[{"attempt":0,"fired":["nope"]}]}|})
+       Wire.outcome_of_json
+    = Error
+        {|wire: field "attempts": element 0: field "fired": element 0: unknown fault site "nope"|});
   (* a clean merged outcome, with tracing + telemetry payloads in flight *)
   outcome_roundtrips "merged outcome"
     {
@@ -140,6 +147,37 @@ let test_wire_outcome_roundtrip () =
       chaos_seed = 3;
       chaos_rate = 1.0;
     }
+
+(* An outcome whose result line would exceed the coordinator's frame cap is
+   reported as a failed shard naming the remedy, instead of sending a line
+   the coordinator must reject (which hung the job). *)
+let test_over_cap_outcome_fails () =
+  let sh = { Shard.index = 3; first_tick = 30; ticks = 10 } in
+  let decode line =
+    match Result.bind (Json.parse line) Protocol.request_codec.dec with
+    | Ok (Protocol.Worker_result { lease; outcome }) -> (
+      check_int "lease kept" 7 lease;
+      match Wire.outcome_of_json outcome with
+      | Ok o -> o
+      | Error e -> Alcotest.failf "outcome decode failed: %s" e)
+    | Ok _ -> Alcotest.fail "not a result request"
+    | Error e -> Alcotest.failf "request decode failed: %s" e
+  in
+  let small = Orchestrator.Failed "boom" in
+  check_bool "an outcome under the cap is sent as is" true
+    (decode (Worker.result_line ~lease:7 sh small) = small);
+  let big = Orchestrator.Failed (String.make O4a_server.Framing.default_max_line 'x') in
+  let line = Worker.result_line ~lease:7 sh big in
+  check_bool "the line sent fits the cap" true
+    (String.length line <= O4a_server.Framing.default_max_line);
+  match decode line with
+  | Orchestrator.Failed msg ->
+    List.iter
+      (fun sub ->
+        check_bool ("failure names " ^ sub) true (O4a_util.Strx.contains_sub ~sub msg))
+      [ "shard 3"; "bytes"; string_of_int O4a_server.Framing.default_max_line;
+        "--shard-size" ]
+  | _ -> Alcotest.fail "over-cap outcome was not reported as failed"
 
 (* ------------------------- end-to-end fabric ------------------------- *)
 
@@ -189,30 +227,35 @@ let submit_exn c spec =
   | Some id -> id
   | None -> Alcotest.fail "submit reply lacks a job id"
 
-let wait_done c id =
+(* poll the job's view until [ready] holds *)
+let wait_view c id ready =
   let deadline = Unix.gettimeofday () +. 120. in
   let rec go () =
-    let states =
+    let view =
       match Json.member "jobs" (request_exn c Protocol.Jobs) with
       | Some (Json.List views) ->
-        List.filter_map
+        List.find_map
           (fun v ->
-            match Protocol.job_view_of_json v with
-            | Ok view -> Some (view.Protocol.v_id, view.Protocol.v_state)
-            | Error _ -> None)
+            match Protocol.job_view_codec.dec v with
+            | Ok view when view.Protocol.v_id = id -> Some view
+            | _ -> None)
           views
       | _ -> Alcotest.fail "malformed jobs reply"
     in
-    match List.assoc_opt id states with
-    | Some s when Protocol.job_state_terminal s -> s
+    match view with
+    | Some v when ready v -> v
     | _ ->
       if Unix.gettimeofday () > deadline then
-        Alcotest.fail "distributed job did not finish in time"
+        Alcotest.fail "distributed job did not get there in time"
       else (
         Unix.sleepf 0.05;
         go ())
   in
   go ()
+
+let wait_done c id =
+  (wait_view c id (fun v -> Protocol.job_state_terminal v.Protocol.v_state))
+    .Protocol.v_state
 
 (* the finished job's backlog, replayed over a fresh connection — includes
    every lease lifecycle event the run streamed *)
@@ -337,7 +380,6 @@ let test_dist_worker_killed_mid_lease () =
   let wa =
     Domain.spawn (fun () -> Worker.run (worker_cfg ~quit_after:1 ~port ~slots:1 ()))
   in
-  let wb = Domain.spawn (fun () -> Worker.run (worker_cfg ~port ~slots:2 ())) in
   let c = connect_tcp port in
   let spec =
     {
@@ -348,6 +390,12 @@ let test_dist_worker_killed_mid_lease () =
     }
   in
   let id = submit_exn c spec in
+  (* B joins once A's first result has merged: the coordinator granted A
+     its next shard in the same step, so A certainly dies holding a lease.
+     Had B been there from the start it could drain the queue first, and A
+     would wait for a grant forever. *)
+  ignore (wait_view c id (fun v -> v.Protocol.v_shards_done >= 1));
+  let wb = Domain.spawn (fun () -> Worker.run (worker_cfg ~port ~slots:2 ())) in
   check_bool "job completes despite the dead worker" true
     (wait_done c id = Protocol.Done);
   check_int "the dying worker exited abruptly" 1 (Domain.join wa);
@@ -422,6 +470,8 @@ let () =
         [
           Alcotest.test_case "outcome round-trip" `Slow
             test_wire_outcome_roundtrip;
+          Alcotest.test_case "over-cap outcome fails the shard" `Quick
+            test_over_cap_outcome_fails;
         ] );
       ( "fabric",
         [

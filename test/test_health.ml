@@ -146,12 +146,12 @@ let test_entry_json_round_trip () =
   ignore (record l ~probe:true Health.Good);
   List.iter
     (fun e ->
-      match Health.entry_of_json (Health.entry_to_json e) with
+      match Health.entry_codec.dec (Health.entry_codec.enc e) with
       | Error err -> Alcotest.fail ("round-trip failed: " ^ err)
       | Ok e' -> check_bool "entry round-trips" true (e = e'))
     (Health.export l);
   check_bool "garbage refused" true
-    (Result.is_error (Health.entry_of_json (Json.Int 3)))
+    (Result.is_error (Health.entry_codec.dec (Json.Int 3)))
 
 let test_ambient () =
   check_bool "default disabled" false (Health.enabled (Health.ambient ()));

@@ -239,7 +239,7 @@ let sample_checkpoint () =
 
 let test_checkpoint_json_roundtrip () =
   let cp = sample_checkpoint () in
-  match Checkpoint.of_json (Checkpoint.to_json cp) with
+  match Checkpoint.codec.dec (Checkpoint.codec.enc cp) with
   | Error e -> Alcotest.fail ("decode failed: " ^ e)
   | Ok cp' -> check_bool "round-trips" true (cp = cp')
 
@@ -314,9 +314,9 @@ let test_checkpoint_reads_v1 () =
   let json =
     set_version 1
       (strip_keys [ "quarantined"; "health"; "mode" ]
-         (Checkpoint.to_json (sample_checkpoint ())))
+         (Checkpoint.codec.enc (sample_checkpoint ())))
   in
-  match Checkpoint.of_json json with
+  match Checkpoint.codec.dec json with
   | Error e -> Alcotest.fail ("v1 decode failed: " ^ e)
   | Ok cp' ->
       check_bool "v1 loads with empty quarantine and health" true
@@ -329,18 +329,18 @@ let test_checkpoint_reads_v2 () =
   let json =
     set_version 2
       (strip_keys [ "health"; "mode" ]
-         (Checkpoint.to_json (sample_checkpoint ())))
+         (Checkpoint.codec.enc (sample_checkpoint ())))
   in
-  match Checkpoint.of_json json with
+  match Checkpoint.codec.dec json with
   | Error e -> Alcotest.fail ("v2 decode failed: " ^ e)
   | Ok cp' ->
       check_bool "v2 loads with empty health, differential findings" true
         (cp = cp')
 
 let test_checkpoint_rejects_future_version () =
-  let json = set_version 99 (Checkpoint.to_json (sample_checkpoint ())) in
+  let json = set_version 99 (Checkpoint.codec.enc (sample_checkpoint ())) in
   check_bool "future version refused" true
-    (Result.is_error (Checkpoint.of_json json))
+    (Result.is_error (Checkpoint.codec.dec json))
 
 let test_checkpoint_load_truncated () =
   (* torn write: load must produce Corrupt with a byte offset, not crash *)
@@ -376,9 +376,20 @@ let test_checkpoint_load_truncated () =
 
 let test_checkpoint_rejects_garbage () =
   check_bool "not an object" true
-    (Result.is_error (Checkpoint.of_json (Json.Int 3)));
+    (Result.is_error (Checkpoint.codec.dec (Json.Int 3)));
   check_bool "missing fields" true
-    (Result.is_error (Checkpoint.of_json (Json.Obj [ ("version", Json.Int 1) ])))
+    (Result.is_error (Checkpoint.codec.dec (Json.Obj [ ("version", Json.Int 1) ])));
+  (* the error names the path to the offending member *)
+  let json =
+    Json.Obj
+      [
+        ("version", Json.Int 4); ("seed", Json.Int 1); ("budget", Json.Int 1);
+        ("shard_size", Json.Int 1); ("extra", Json.Obj []); ("completed", Json.Int 3);
+      ]
+  in
+  check_bool "mistyped member" true
+    (Checkpoint.codec.dec json
+    = Error {|checkpoint: field "completed": expected a list|})
 
 (* ------------------------- kill / resume ------------------------- *)
 

@@ -119,7 +119,7 @@ let test_disabled_ledger_records_nothing () =
 (* ---------------------- campaign invariance ---------------------- *)
 
 let show_strip (p : Profile.t) =
-  Json.to_string (Profile.to_json (Profile.strip_timing p))
+  Json.to_string (Profile.codec.enc (Profile.strip_timing p))
 
 (* The acceptance gate: the deterministic projection of the campaign
    profile is byte-identical at --jobs 1 and --jobs 4. *)

@@ -203,7 +203,7 @@ let gen_profile =
 
 let arb_profile =
   QCheck.make
-    ~print:(fun p -> O4a_telemetry.Json.to_string (Profile.to_json p))
+    ~print:(fun p -> O4a_telemetry.Json.to_string (Profile.codec.enc p))
     gen_profile
 
 (* generated stage lists may repeat a stage; merging with [empty]
@@ -293,7 +293,7 @@ let gen_analytics =
 
 let arb_analytics =
   QCheck.make
-    ~print:(fun t -> O4a_telemetry.Json.to_string (Analytics.to_json t))
+    ~print:(fun t -> O4a_telemetry.Json.to_string (Analytics.codec.enc t))
     gen_analytics
 
 (* generated records may repeat buckets and yield keys; merging with [empty]
@@ -322,7 +322,7 @@ let analytics_props =
            = Analytics.total_findings a + Analytics.total_findings b);
     QCheck.Test.make ~name:"json round-trips to the canonical form" ~count:300
       arb_analytics
-      (fun t -> Analytics.of_json (Analytics.to_json t) = Ok (acanon t));
+      (fun t -> Analytics.codec.dec (Analytics.codec.enc t) = Ok (acanon t));
     QCheck.Test.make ~name:"cumulative series is monotone" ~count:300
       arb_analytics
       (fun t ->

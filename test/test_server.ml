@@ -22,13 +22,13 @@ let check_string = Alcotest.(check string)
 (* ------------------------- protocol ------------------------- *)
 
 let roundtrip req =
-  let json = Protocol.request_to_json req in
-  match Protocol.request_of_json json with
+  let json = Protocol.request_codec.enc req in
+  match Protocol.request_codec.dec json with
   | Error msg -> Alcotest.failf "decode failed: %s" msg
   | Ok req' ->
     check_string "request round-trip"
       (Json.to_string json)
-      (Json.to_string (Protocol.request_to_json req'))
+      (Json.to_string (Protocol.request_codec.enc req'))
 
 let test_request_roundtrip () =
   List.iter roundtrip
@@ -40,8 +40,24 @@ let test_request_roundtrip () =
       Protocol.Pause "rt";
       Protocol.Resume_job "rt";
       Protocol.Cancel "rt";
+      Protocol.Metrics "rt";
       Protocol.Shutdown;
-    ]
+      Protocol.Worker_register { slots = 2 };
+      Protocol.Worker_heartbeat { leases = [ 3; 5 ] };
+      Protocol.Worker_result { lease = 4; outcome = Json.Obj [] };
+    ];
+  let decode text = Result.bind (Json.parse text) Protocol.request_codec.dec in
+  (* absent optional members default; present ones must have their type *)
+  check_bool "bare heartbeat" true
+    (decode {|{"req":"heartbeat"}|} = Ok (Protocol.Worker_heartbeat { leases = [] }));
+  check_bool "bare watch" true
+    (decode {|{"req":"watch","job":"rt"}|}
+    = Ok (Protocol.Watch { job = "rt"; from = 0 }));
+  check_bool "non-int lease rejected, not dropped" true
+    (decode {|{"req":"heartbeat","leases":[1,"2"]}|}
+    = Error {|request: field "leases": element 1: expected an int|});
+  check_bool "mistyped slots rejected" true
+    (Result.is_error (decode {|{"req":"worker","slots":"2"}|}))
 
 let test_hello_handshake () =
   (match Protocol.check_hello Protocol.hello with
@@ -72,7 +88,7 @@ let test_job_view_roundtrip () =
       v_quota = 2;
     }
   in
-  match Protocol.job_view_of_json (Protocol.job_view_to_json view) with
+  match Protocol.job_view_codec.dec (Protocol.job_view_codec.enc view) with
   | Error msg -> Alcotest.failf "view decode failed: %s" msg
   | Ok v ->
     check_string "id" view.Protocol.v_id v.Protocol.v_id;
@@ -93,18 +109,31 @@ let test_jobspec_roundtrip () =
       breakers = false;
     }
   in
-  match Jobspec.of_json (Jobspec.to_json spec) with
+  match Jobspec.codec.dec (Jobspec.codec.enc spec) with
   | Error msg -> Alcotest.failf "spec decode failed: %s" msg
   | Ok spec' -> check_bool "jobspec round-trip" true (spec = spec')
 
 (* a terse submission needs only a name; everything else defaults *)
 let test_jobspec_lenient () =
-  match Jobspec.of_json (Json.Obj [ ("name", Json.String "terse") ]) with
+  match Jobspec.codec.dec (Json.Obj [ ("name", Json.String "terse") ]) with
   | Error msg -> Alcotest.failf "terse spec rejected: %s" msg
   | Ok spec ->
     check_bool "defaults applied" true (spec = Jobspec.default ~name:"terse");
     check_bool "bad name rejected" true
-      (Result.is_error (Jobspec.of_json (Json.Obj [ ("name", Json.String "../x") ])))
+      (Result.is_error (Jobspec.codec.dec (Json.Obj [ ("name", Json.String "../x") ])));
+    (* lenient about absent members only: a mistyped one is an error, never
+       silently the default (a string budget must not run 2000 ticks) *)
+    let typo =
+      Result.bind
+        (Json.parse {|{"name":"typo","budget":"500","shard_size":"100"}|})
+        Jobspec.codec.dec
+    in
+    check_bool "mistyped budget rejected" true
+      (typo = Error {|job spec: field "budget": expected an int|});
+    check_bool "mistyped flag rejected" true
+      (Result.is_error
+         (Jobspec.codec.dec
+            (Json.Obj [ ("name", Json.String "t"); ("trace", Json.Int 1) ])))
 
 (* checkpoint provenance and its inverse agree: a spec survives the
    extra -> of_checkpoint round trip (modulo runtime-only fields) *)
@@ -270,7 +299,7 @@ let job_states c =
   | Some (Json.List views) ->
     List.filter_map
       (fun v ->
-        match Protocol.job_view_of_json v with
+        match Protocol.job_view_codec.dec v with
         | Ok view -> Some (view.Protocol.v_id, view.Protocol.v_state)
         | Error _ -> None)
       views
@@ -426,7 +455,7 @@ let test_daemon_inbound_robustness () =
      slow megabyte write cannot race the handshake deadline instead *)
   let fd1, ic1, oc1 = raw_connect socket in
   ignore (input_line ic1 : string);  (* hello *)
-  output_string oc1 (Json.to_string (Protocol.request_to_json Protocol.Jobs));
+  output_string oc1 (Json.to_string (Protocol.request_codec.enc Protocol.Jobs));
   output_string oc1 "\n";
   flush oc1;
   ignore (input_line ic1 : string);  (* jobs reply *)
@@ -445,7 +474,7 @@ let test_daemon_inbound_robustness () =
   (* valid request, then silence: dropped at the idle deadline *)
   let fd3, ic3, oc3 = raw_connect socket in
   ignore (input_line ic3 : string);
-  output_string oc3 (Json.to_string (Protocol.request_to_json Protocol.Jobs));
+  output_string oc3 (Json.to_string (Protocol.request_codec.enc Protocol.Jobs));
   output_string oc3 "\n";
   flush oc3;
   ignore (input_line ic3 : string);  (* jobs reply *)

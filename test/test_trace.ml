@@ -69,10 +69,22 @@ let all_records =
 let test_record_roundtrip () =
   List.iter
     (fun r ->
-      match Trace.record_of_json (Trace.record_to_json r) with
+      match Trace.record_codec.dec (Trace.record_codec.enc r) with
       | Ok r' -> check_bool "record round-trips" true (r = r')
       | Error e -> Alcotest.fail ("record decode failed: " ^ e))
-    all_records
+    all_records;
+  let decode text = Result.bind (Json.parse text) Trace.record_codec.dec in
+  (* a non-string theory is an error, not silently dropped *)
+  check_bool "non-string theory rejected" true
+    (decode {|{"stage":"direct","terms":1,"theories":["sets",3]}|}
+    = Error {|field "theories": element 1: expected a string|});
+  (* traces recorded before oracle modes existed still decode *)
+  check_bool "verdict without a mode" true
+    (decode {|{"stage":"verdict","kind":null,"solver":null,"signature":null,"bug_id":null,"theory":null}|}
+    = Ok
+        (Trace.Oracle_verdict
+           { kind = None; solver = None; signature = None; bug_id = None;
+             theory = None; mode = None }))
 
 let sample_trace =
   {
@@ -99,22 +111,22 @@ let sample_promoted =
 
 let test_trace_roundtrip () =
   (* through the printer and parser, like a bundle on disk *)
-  let text = Json.to_string (Trace.to_json sample_trace) in
-  match Result.bind (Json.parse text) Trace.of_json with
+  let text = Json.to_string (Trace.codec.enc sample_trace) in
+  match Result.bind (Json.parse text) Trace.codec.dec with
   | Ok t -> check_bool "trace round-trips through text" true (t = sample_trace)
   | Error e -> Alcotest.fail ("trace decode failed: " ^ e)
 
 let test_promoted_roundtrip () =
-  let text = Json.to_string (Trace.promoted_to_json sample_promoted) in
-  match Result.bind (Json.parse text) Trace.promoted_of_json with
+  let text = Json.to_string (Trace.promoted_codec.enc sample_promoted) in
+  match Result.bind (Json.parse text) Trace.promoted_codec.dec with
   | Ok p -> check_bool "promoted round-trips" true (p = sample_promoted)
   | Error e -> Alcotest.fail ("promoted decode failed: " ^ e)
 
 let test_rejects_garbage () =
   check_bool "unknown stage" true
     (Result.is_error
-       (Trace.record_of_json (Json.Obj [ ("stage", Json.String "nope") ])));
-  check_bool "not an object" true (Result.is_error (Trace.of_json (Json.Int 3)))
+       (Trace.record_codec.dec (Json.Obj [ ("stage", Json.String "nope") ])));
+  check_bool "not an object" true (Result.is_error (Trace.codec.dec (Json.Int 3)))
 
 let test_solvers_run () =
   check_bool "solver/commit pairs in run order" true

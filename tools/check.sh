@@ -61,6 +61,20 @@ dune exec bin/once4all_cli.exe -- resume --checkpoint "$out/cp.json" --jobs 2 \
 grep -v '^resumed ' "$out/resumed.log" | diff "$out/jobs1.log" - || {
   echo "FAIL: resumed report differs from the uninterrupted run"; exit 1; }
 
+echo "== Format fixture: a checkpoint from an earlier build resumes identically =="
+# test/fixtures/checkpoint_v4.json was written by an earlier build of this
+# repository (see test/fixtures/README.md): resuming a copy must land on the
+# same report as the uninterrupted campaign it was cut from
+cp test/fixtures/checkpoint_v4.json "$out/fixture_cp.json"
+dune exec bin/once4all_cli.exe -- resume --checkpoint "$out/fixture_cp.json" \
+  > "$out/fixture_resumed.log"
+dune exec bin/once4all_cli.exe -- fuzz --budget 40 --shard-size 10 --seed 5 \
+  > "$out/fixture_full.log"
+grep -v '^resumed ' "$out/fixture_resumed.log" | diff "$out/fixture_full.log" - || {
+  echo "FAIL: the fixture checkpoint resumes to a different report than an"
+  echo "uninterrupted run; a commit that declares a semantic change must"
+  echo "regenerate test/fixtures/ (see test/fixtures/README.md)"; exit 1; }
+
 echo "== Chaos determinism: --chaos all --jobs 4 reproduces --jobs 1 =="
 dune exec bin/once4all_cli.exe -- fuzz --budget 400 --shard-size 100 --jobs 1 \
   --chaos all --chaos-seed 5 --trace-dir "$out/c1" > "$out/chaos1.log"
