@@ -125,29 +125,21 @@ let make_hud () =
 (* A campaign run is driven entirely by its {!O4a_server.Jobspec} — the same
    record the server accepts over its socket. [fuzz] builds one from flags,
    [resume] rebuilds one from the checkpoint's provenance, and both call
-   here; the server's job pipeline mirrors this function step for step, which
-   is what makes server-run campaigns byte-identical to standalone ones. *)
+   here; the campaign comes from {!Jobspec.prepare}, as a served job's does,
+   which is what makes server-run campaigns byte-identical to standalone
+   ones. *)
 let run_sharded_campaign ~tel ~telemetry_path ~(spec : Jobspec.t)
     ~show_formulas ~progress ~jobs ~checkpoint_path ~resume ~stop_after
-    ~trace_dir ~ring_size =
+    ~trace_dir =
   Telemetry.set_global tel;
   Orchestrator.Stop.install_handlers ();
   let chaos = Jobspec.chaos spec in
-  let campaign =
-    Once4all.Campaign.prepare ~seed:spec.Jobspec.seed
-      ~profile:(Jobspec.llm_profile spec) ()
-  in
-  let seeds =
-    Seeds.Corpus.filtered ~zeal:campaign.Once4all.Campaign.zeal
-      ~cove:campaign.Once4all.Campaign.cove ()
-  in
+  let { Jobspec.generators; seeds } = Jobspec.prepare spec in
   Logs.info (fun m ->
       m "generators ready (%d); %d seeds, budget %d, jobs %d"
-        (List.length campaign.Once4all.Campaign.generators)
-        (List.length seeds) spec.Jobspec.budget jobs);
+        (List.length generators) (List.length seeds) spec.Jobspec.budget jobs);
   print_string
-    (Render.header
-       ~generators:(List.length campaign.Once4all.Campaign.generators)
+    (Render.header ~generators:(List.length generators)
        ~seeds:(List.length seeds) ~budget:spec.Jobspec.budget);
   flush stdout;
   let on_progress, finish_hud =
@@ -159,10 +151,10 @@ let run_sharded_campaign ~tel ~telemetry_path ~(spec : Jobspec.t)
   match
     Orchestrator.run ~jobs ~shard_size:spec.Jobspec.shard_size
       ~config:(Jobspec.config spec) ~telemetry:tel ?checkpoint_path ~resume
-      ?stop_after ~extra:(Jobspec.extra spec) ?trace_dir ?ring_size ?chaos
+      ?stop_after ~extra:(Jobspec.extra spec) ?trace_dir ?chaos
       ?health:(Jobspec.health spec) ~profiling:progress ?on_progress
-      ~seed:(Jobspec.fuzz_seed spec) ~budget:spec.Jobspec.budget
-      ~generators:campaign.Once4all.Campaign.generators ~seeds ()
+      ~seed:(Jobspec.fuzz_seed spec) ~budget:spec.Jobspec.budget ~generators
+      ~seeds ()
   with
   | exception Failure msg ->
     finish_hud ();
@@ -174,19 +166,14 @@ let run_sharded_campaign ~tel ~telemetry_path ~(spec : Jobspec.t)
     if progress && r.Orchestrator.profile <> O4a_profile.Profile.empty then
       Printf.eprintf "%s\n%!"
         (O4a_profile.Hud.profile_line r.Orchestrator.profile);
-    print_string (Render.resumed_line r.Orchestrator.shards_resumed);
-    if r.Orchestrator.stopped || r.Orchestrator.interrupted then
-      print_string (Render.stopped_line ~checkpoint:checkpoint_path r)
-    else print_string (Render.campaign ~show_formulas ~chaos r);
-    (match trace_dir with
-    | Some dir ->
-      print_string (Render.bundles_line ~dir r.Orchestrator.bundles_written)
-    | None -> ());
+    print_string
+      (Render.finish ~show_formulas ?checkpoint:checkpoint_path ?trace_dir
+         ~chaos r);
     dump_metrics tel telemetry_path;
     0
 
 let fuzz spec show_formulas telemetry_path progress jobs checkpoint_path
-    stop_after trace_dir ring_size verbose =
+    stop_after trace_dir verbose =
   setup_logs verbose;
   match Jobspec.validate spec with
   | Error msg ->
@@ -199,10 +186,10 @@ let fuzz spec show_formulas telemetry_path progress jobs checkpoint_path
       1
     | Ok tel ->
       run_sharded_campaign ~tel ~telemetry_path ~spec ~show_formulas ~progress
-        ~jobs ~checkpoint_path ~resume:false ~stop_after ~trace_dir ~ring_size)
+        ~jobs ~checkpoint_path ~resume:false ~stop_after ~trace_dir)
 
 let resume checkpoint_path jobs show_formulas telemetry_path progress stop_after
-    trace_dir ring_size verbose =
+    trace_dir verbose =
   setup_logs verbose;
   match Orchestrator.Checkpoint.load ~path:checkpoint_path with
   | Error err ->
@@ -226,7 +213,7 @@ let resume checkpoint_path jobs show_formulas telemetry_path progress stop_after
       | Ok tel ->
         run_sharded_campaign ~tel ~telemetry_path ~spec ~show_formulas
           ~progress ~jobs ~checkpoint_path:(Some checkpoint_path) ~resume:true
-          ~stop_after ~trace_dir ~ring_size))
+          ~stop_after ~trace_dir))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -1250,12 +1237,6 @@ let trace_dir_arg =
            ~doc:"enable provenance tracing and write a self-contained repro \
                  bundle per finding under DIR (inspect with trace show / triage)")
 
-let ring_size_arg =
-  Arg.(value & opt (some int) None
-       & info [ "ring-size" ] ~docv:"N"
-           ~doc:"flight-recorder depth: finished traces retained per worker \
-                 (default 64)")
-
 let chaos_arg =
   Arg.(value & opt string "off"
        & info [ "chaos" ] ~docv:"PROFILE"
@@ -1337,8 +1318,7 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz" ~doc:"run a skeleton-guided differential campaign (Algorithm 2)")
     Term.(const fuzz $ spec_term $ show_arg $ telemetry_arg $ progress_arg
-          $ jobs_arg $ checkpoint $ stop_after_arg $ trace_dir_arg
-          $ ring_size_arg $ verbose)
+          $ jobs_arg $ checkpoint $ stop_after_arg $ trace_dir_arg $ verbose)
 
 let resume_cmd =
   let checkpoint =
@@ -1351,8 +1331,7 @@ let resume_cmd =
        ~doc:"resume an interrupted fuzz campaign from its checkpoint; lands on \
              the same report as an uninterrupted run")
     Term.(const resume $ checkpoint $ jobs_arg $ show_arg $ telemetry_arg
-          $ progress_arg $ stop_after_arg $ trace_dir_arg $ ring_size_arg
-          $ verbose)
+          $ progress_arg $ stop_after_arg $ trace_dir_arg $ verbose)
 
 let stats_cmd_v =
   (* plain strings, not Arg.file: a missing path gets our typed "cannot

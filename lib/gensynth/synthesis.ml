@@ -256,6 +256,3 @@ let self_correct ?(max_iter = max_iter) ~client ~solvers gen =
 let construct ?max_iter ~client ~solvers theory =
   let gen = initial_generator ~client theory in
   self_correct ?max_iter ~client ~solvers gen
-
-let construct_all ?max_iter ~client ~solvers theories =
-  List.map (construct ?max_iter ~client ~solvers) theories

@@ -50,10 +50,3 @@ val construct :
   solvers:Solver.Engine.t list ->
   Theory.info ->
   Generator.t * report
-
-val construct_all :
-  ?max_iter:int ->
-  client:Llm_sim.Client.t ->
-  solvers:Solver.Engine.t list ->
-  Theory.info list ->
-  (Generator.t * report) list

@@ -72,6 +72,3 @@ let cluster founds =
            representative;
            count = List.length members;
          })
-
-let distinct_bug_ids clusters =
-  clusters |> List.filter_map (fun c -> c.bug_id) |> O4a_util.Listx.dedup

@@ -39,5 +39,3 @@ val signature_to_string : signature -> string
 
 val cluster : found list -> cluster list
 (** Stable order: first-seen clusters first. *)
-
-val distinct_bug_ids : cluster list -> string list

@@ -372,22 +372,3 @@ let run_shard ~rng ?(config = default_config) ?telemetry ~shard_index ~first_tic
   in
   Telemetry.emit tel "shard.end" (("shard", Json.Int shard_index) :: stats_fields stats);
   stats
-
-let run_sources ?(max_steps = 60_000) ?telemetry ~zeal ~cove sources =
-  let tel = match telemetry with Some t -> t | None -> Telemetry.global () in
-  let stats =
-    List.fold_left
-      (fun stats source ->
-        let outcome = Oracle.test ~max_steps ~telemetry:tel ~zeal ~cove ~source () in
-        let filled =
-          {
-            Synthesize.source;
-            parsed = Result.to_option (Parser.parse_script source);
-            theories_spliced = [];
-          }
-        in
-        record_test tel filled outcome;
-        record stats filled outcome)
-      empty_stats sources
-  in
-  { stats with findings = List.rev stats.findings }

@@ -78,13 +78,3 @@ val run_shard :
     [rng] split for this shard (see {!O4a_util.Rng.split_indexed}) so the
     shard's tick stream is a deterministic function of the campaign seed and
     the shard index alone. *)
-
-val run_sources :
-  ?max_steps:int ->
-  ?telemetry:O4a_telemetry.Telemetry.t ->
-  zeal:Solver.Engine.t ->
-  cove:Solver.Engine.t ->
-  string list ->
-  stats
-(** Test pre-built sources through the same oracle (used by baselines and by
-    re-validation of reduced formulas). *)

@@ -131,33 +131,92 @@ let version_codec =
 
 let sorted key l = List.sort (fun a b -> compare (key a) (key b)) l
 
+(* A checkpoint must agree with its own shard plan: resume skips every
+   listed shard and sums the listed results, so an index outside the plan
+   or listed twice would report ticks the campaign never ran. *)
+let validate t =
+  let ( let* ) = Result.bind in
+  let positive field v =
+    if v >= 1 then Ok ()
+    else Error (Printf.sprintf "field %S: must be >= 1, got %d" field v)
+  in
+  let* () = positive "budget" t.budget in
+  let* () = positive "shard_size" t.shard_size in
+  let shards = ((t.budget - 1) / t.shard_size) + 1 in
+  let listed = Hashtbl.create 16 in
+  let place field i =
+    let fail fmt =
+      Printf.ksprintf
+        (fun why -> Error (Printf.sprintf "field %S: shard %d %s" field i why))
+        fmt
+    in
+    if i < 0 || i >= shards then fail "is outside the plan's %d shards" shards
+    else
+      match Hashtbl.find_opt listed i with
+      | Some first when first = field -> fail "is listed twice"
+      | Some first -> fail "is already listed in %S" first
+      | None ->
+        Hashtbl.add listed i field;
+        Ok ()
+  in
+  let place_all field =
+    List.fold_left
+      (fun acc i -> Result.bind acc (fun () -> place field i))
+      (Ok ())
+  in
+  let* () = place_all "completed" (List.map (fun r -> r.shard) t.completed) in
+  let* () =
+    place_all "quarantined" (List.map (fun q -> q.q_shard) t.quarantined)
+  in
+  Ok t
+
 (* members added after version 1 are [opt_mem]s whose defaults are the
    ones [version] above lists *)
 let codec =
   C.(
     context "checkpoint"
-      (obj
-         (fun _version seed budget shard_size extra completed quarantined
-              coverage health analytics artifacts ->
-           { seed; budget; shard_size; extra; completed; quarantined; coverage;
-             health; analytics; artifacts })
-      |> mem "version" version_codec (fun _ -> version)
-      |> mem "seed" int (fun t -> t.seed)
-      |> mem "budget" int (fun t -> t.budget)
-      |> mem "shard_size" int (fun t -> t.shard_size)
-      |> mem "extra" (assoc string) (fun t -> t.extra)
-      |> mem "completed" (list shard_result_codec) (fun t ->
-             sorted (fun r -> r.shard) t.completed)
-      |> opt_mem "quarantined" (list quarantine_codec) ~default:[] (fun t ->
-             sorted (fun q -> q.q_shard) t.quarantined)
-      |> mem "coverage" (assoc int) (fun t -> t.coverage)
-      |> opt_mem "health" (list O4a_health.Health.entry_codec) ~default:[]
-           (fun t -> t.health)
-      |> opt_mem "analytics" O4a_analytics.Analytics.codec
-           ~default:O4a_analytics.Analytics.empty (fun t -> t.analytics)
-      |> opt_mem "artifacts" artifacts_codec ~default:no_artifacts (fun t ->
-             t.artifacts)
-      |> finish))
+      (conv Fun.id validate
+         (obj
+            (fun _version seed budget shard_size extra completed quarantined
+                 coverage health analytics artifacts ->
+              { seed; budget; shard_size; extra; completed; quarantined;
+                coverage; health; analytics; artifacts })
+         |> mem "version" version_codec (fun _ -> version)
+         |> mem "seed" int (fun t -> t.seed)
+         |> mem "budget" int (fun t -> t.budget)
+         |> mem "shard_size" int (fun t -> t.shard_size)
+         |> mem "extra" (assoc string) (fun t -> t.extra)
+         |> mem "completed" (list shard_result_codec) (fun t ->
+                sorted (fun r -> r.shard) t.completed)
+         |> opt_mem "quarantined" (list quarantine_codec) ~default:[] (fun t ->
+                sorted (fun q -> q.q_shard) t.quarantined)
+         |> mem "coverage" (assoc int) (fun t -> t.coverage)
+         |> opt_mem "health" (list O4a_health.Health.entry_codec) ~default:[]
+              (fun t -> t.health)
+         |> opt_mem "analytics" O4a_analytics.Analytics.codec
+              ~default:O4a_analytics.Analytics.empty (fun t -> t.analytics)
+         |> opt_mem "artifacts" artifacts_codec ~default:no_artifacts (fun t ->
+                t.artifacts)
+         |> finish)))
+
+let matches ~path ~seed ~budget ~shard_size t =
+  if t.seed = seed && t.budget = budget && t.shard_size = shard_size then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "cannot resume from %s: checkpoint is for seed %d budget %d \
+          shard-size %d, requested seed %d budget %d shard-size %d"
+         path t.seed t.budget t.shard_size seed budget shard_size)
+
+let remaining base plan =
+  match base with
+  | None -> plan
+  | Some t ->
+    let settled =
+      List.map (fun r -> r.shard) t.completed
+      @ List.map (fun q -> q.q_shard) t.quarantined
+    in
+    List.filter (fun (s : Shard.t) -> not (List.mem s.Shard.index settled)) plan
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)

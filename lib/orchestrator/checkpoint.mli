@@ -62,7 +62,21 @@ type t = {
 
 val codec : t O4a_telemetry.Json.Codec.t
 (** Writes format version 4 and reads versions 1-4: members a later version
-    added decode to the defaults documented on {!t} when absent. *)
+    added decode to the defaults documented on {!t} when absent. Decoding
+    also checks the shard lists against the checkpoint's own plan: [budget]
+    and [shard_size] must be positive, and every completed or quarantined
+    index must lie in the plan and appear once across both lists. *)
+
+val matches :
+  path:string -> seed:int -> budget:int -> shard_size:int -> t ->
+  (unit, string) result
+(** [Ok] when the checkpoint at [path] was written for this
+    [(seed, budget, shard_size)]; otherwise the message naming both triples
+    that [resume], [resume-job] and a restarted server print. *)
+
+val remaining : t option -> Shard.t list -> Shard.t list
+(** The shards of a plan that the checkpoint (if any) leaves to run: those
+    neither completed nor quarantined, in plan order. *)
 
 val shard_result_codec : shard_result O4a_telemetry.Json.Codec.t
 (** The per-shard codec on its own: the distributed campaign fabric ships a

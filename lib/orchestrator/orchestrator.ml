@@ -48,16 +48,6 @@ type report = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Graceful shutdown                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The flag itself lives in {!Stop} so the signal-handling contract can be
-   shared with the campaign server without a dependency cycle. *)
-let request_stop = Stop.request
-let stop_requested = Stop.requested
-let reset_stop = Stop.reset
-
-(* ------------------------------------------------------------------ *)
 (* Generic parallel map                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -100,8 +90,8 @@ type shard_payload = {
   analytics_export : Analytics.t;
 }
 
-let run_one_shard ~worker_id ~tel_enabled ~tracing ~ring_size ~config
-    ~generators ~seeds ~zeal ~cove ~seed ~health ~profiling ~gen_profile shard =
+let run_one_shard ~worker_id ~tel_enabled ~tracing ~config ~generators ~seeds
+    ~zeal ~cove ~seed ~health ~profiling ~gen_profile shard =
   let wtel =
     if tel_enabled then
       Telemetry.create ~sink:(Sink.memory ())
@@ -114,7 +104,7 @@ let run_one_shard ~worker_id ~tel_enabled ~tracing ~ring_size ~config
      recorder carries no cross-shard state and promoted traces merge by
      shard order *)
   let recorder =
-    if tracing then Trace.Recorder.create ?ring_size ~seed ()
+    if tracing then Trace.Recorder.create ~seed
     else Trace.Recorder.disabled
   in
   let ledger = Coverage.make_ledger () in
@@ -281,18 +271,16 @@ type exec_env = {
   env_seeds : Smtlib.Script.t list;
   env_tel_enabled : bool;
   env_tracing : bool;
-  env_ring_size : int option;
   env_chaos : Faults.plan option;
   env_health : Health.config option;
   env_profiling : bool;
   env_gen_profile : string;
       (** the LLM generator profile, for yield attribution *)
-  env_engines : unit -> Engine.t * Engine.t;
 }
 
 let make_env ?(config = Fuzz.default_config) ?(tel_enabled = false)
-    ?(tracing = false) ?ring_size ?chaos ?health ?(profiling = false)
-    ?(gen_profile = "") ?engines ~seed ~generators ~seeds () =
+    ?(tracing = false) ?chaos ?health ?(profiling = false) ?(gen_profile = "")
+    ~seed ~generators ~seeds () =
   (* a plan whose profile is Off injects nothing and skips supervision *)
   let chaos =
     match chaos with Some p when Faults.enabled p -> Some p | _ -> None
@@ -304,15 +292,10 @@ let make_env ?(config = Fuzz.default_config) ?(tel_enabled = false)
     env_seeds = seeds;
     env_tel_enabled = tel_enabled;
     env_tracing = tracing;
-    env_ring_size = ring_size;
     env_chaos = chaos;
     env_health = health;
     env_profiling = profiling;
     env_gen_profile = gen_profile;
-    env_engines =
-      (match engines with
-      | Some f -> f
-      | None -> fun () -> (Engine.zeal (), Engine.cove ()));
   }
 
 let exec_shard ~env ~worker_id ~zeal ~cove shard =
@@ -326,13 +309,13 @@ let exec_shard ~env ~worker_id ~zeal ~cove shard =
        ledger's scope, so construction is charged to no stage — keeping
        {!O4a_profile.Profile.strip_timing} byte-identical at any [jobs]. *)
     let zeal, cove =
-      if env.env_profiling then env.env_engines () else (zeal, cove)
+      if env.env_profiling then (Engine.zeal (), Engine.cove ())
+      else (zeal, cove)
     in
     run_one_shard ~worker_id ~tel_enabled:env.env_tel_enabled
-      ~tracing:env.env_tracing ~ring_size:env.env_ring_size
-      ~config:env.env_config ~generators:env.env_generators
-      ~seeds:env.env_seeds ~zeal ~cove ~seed:env.env_seed
-      ~health:env.env_health ~profiling:env.env_profiling
+      ~tracing:env.env_tracing ~config:env.env_config
+      ~generators:env.env_generators ~seeds:env.env_seeds ~zeal ~cove
+      ~seed:env.env_seed ~health:env.env_health ~profiling:env.env_profiling
       ~gen_profile:env.env_gen_profile shard
   in
   run_supervised ~chaos:env.env_chaos ~run_attempt shard.Shard.index
@@ -823,13 +806,6 @@ end
 
 let default_shard_size = 250
 
-let take n xs =
-  let rec go acc n = function
-    | x :: rest when n > 0 -> go (x :: acc) (n - 1) rest
-    | _ -> List.rev acc
-  in
-  go [] n xs
-
 let load_base ~resume ~checkpoint_path ~seed ~budget ~shard_size =
   if not resume then None
   else (
@@ -838,40 +814,15 @@ let load_base ~resume ~checkpoint_path ~seed ~budget ~shard_size =
     | Some path -> (
       match Checkpoint.load ~path with
       | Error err -> failwith (Checkpoint.load_error_to_string ~path err)
-      | Ok cp ->
-        if cp.Checkpoint.seed <> seed || cp.Checkpoint.budget <> budget
-           || cp.Checkpoint.shard_size <> shard_size
-        then
-          failwith
-            (Printf.sprintf
-               "cannot resume from %s: checkpoint is for seed %d budget %d \
-                shard-size %d, requested seed %d budget %d shard-size %d"
-               path cp.Checkpoint.seed cp.Checkpoint.budget
-               cp.Checkpoint.shard_size seed budget shard_size);
-        Some cp))
-
-(* The shards a checkpoint already covers — completed or quarantined — must
-   not re-run: a resumed report would otherwise diverge from the
-   uninterrupted run's. *)
-let remaining_shards ~plan base =
-  let done_set =
-    match base with
-    | None -> []
-    | Some cp ->
-      List.fold_left
-        (fun acc (q : Checkpoint.quarantine) -> q.Checkpoint.q_shard :: acc)
-        (List.fold_left
-           (fun acc (r : Checkpoint.shard_result) -> r.Checkpoint.shard :: acc)
-           [] cp.Checkpoint.completed)
-        cp.Checkpoint.quarantined
-  in
-  List.filter (fun s -> not (List.mem s.Shard.index done_set)) plan
+      | Ok cp -> (
+        match Checkpoint.matches ~path ~seed ~budget ~shard_size cp with
+        | Error msg -> failwith msg
+        | Ok () -> Some cp)))
 
 let run ?(jobs = 1) ?(shard_size = default_shard_size)
     ?(config = Fuzz.default_config) ?telemetry ?checkpoint_path
-    ?(resume = false) ?stop_after ?(extra = []) ?engines ?trace_dir ?ring_size
-    ?chaos ?health ?(profiling = false) ?on_progress ~seed ~budget ~generators
-    ~seeds () =
+    ?(resume = false) ?stop_after ?(extra = []) ?trace_dir ?chaos ?health
+    ?(profiling = false) ?on_progress ~seed ~budget ~generators ~seeds () =
   if jobs < 1 then invalid_arg "Orchestrator.run: jobs must be >= 1";
   let tel = match telemetry with Some t -> t | None -> Telemetry.global () in
   let base = load_base ~resume ~checkpoint_path ~seed ~budget ~shard_size in
@@ -879,9 +830,11 @@ let run ?(jobs = 1) ?(shard_size = default_shard_size)
     match base with Some cp when extra = [] -> cp.Checkpoint.extra | _ -> extra
   in
   let plan = Shard.plan ~budget ~shard_size in
-  let remaining = remaining_shards ~plan base in
+  let remaining = Checkpoint.remaining base plan in
   let to_run =
-    match stop_after with Some k -> take (max 0 k) remaining | None -> remaining
+    match stop_after with
+    | Some k -> O4a_util.Listx.take k remaining
+    | None -> remaining
   in
   let interrupted = List.length to_run < List.length remaining in
   (* populate the coverage point tables before any worker races to use them,
@@ -895,8 +848,8 @@ let run ?(jobs = 1) ?(shard_size = default_shard_size)
   in
   let env =
     make_env ~config ~tel_enabled:(Telemetry.enabled tel)
-      ~tracing:(trace_dir <> None) ?ring_size ?chaos ?health ~profiling
-      ~gen_profile ?engines ~seed ~generators ~seeds ()
+      ~tracing:(trace_dir <> None) ?chaos ?health ~profiling ~gen_profile ~seed
+      ~generators ~seeds ()
   in
   let merge =
     Merge.create ~env ~tel ?checkpoint_path ?base ?on_progress ~jobs ~budget
@@ -942,11 +895,11 @@ let run ?(jobs = 1) ?(shard_size = default_shard_size)
   let record_backtraces = Printexc.backtrace_status () in
   let worker worker_id () =
     Printexc.record_backtrace record_backtraces;
-    let zeal, cove = env.env_engines () in
+    let zeal = Engine.zeal () and cove = Engine.cove () in
     let rec loop () =
       (* graceful stop lands on a shard boundary: a worker mid-shard finishes
          and merges it, but no new shard is claimed once the flag is up *)
-      if not (stop_requested ()) then (
+      if not (Stop.requested ()) then (
         let i = Atomic.fetch_and_add next 1 in
         if i < n_to_run then (
           let shard = shard_arr.(i) in
@@ -961,9 +914,9 @@ let run ?(jobs = 1) ?(shard_size = default_shard_size)
      (* degenerate case: run and merge inline on this domain, shard by shard —
         same single-owner merge as the parallel path, but progress callbacks
         fire live instead of after a full drain *)
-     let zeal, cove = env.env_engines () in
+     let zeal = Engine.zeal () and cove = Engine.cove () in
      let rec loop () =
-       if not (stop_requested ()) then (
+       if not (Stop.requested ()) then (
          let i = Atomic.fetch_and_add next 1 in
          if i < n_to_run then (
            let shard = shard_arr.(i) in
@@ -981,7 +934,7 @@ let run ?(jobs = 1) ?(shard_size = default_shard_size)
        | Q.Msg_shard (shard, outcome) -> Merge.absorb merge shard outcome
      done;
      List.iter Domain.join domains));
-  let stopped = stop_requested () && Merge.processed merge < n_to_run in
+  let stopped = Stop.requested () && Merge.processed merge < n_to_run in
   if stopped then (
     Telemetry.emit tel "campaign.stopped"
       [

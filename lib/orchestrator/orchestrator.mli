@@ -31,8 +31,7 @@ module Checkpoint = Checkpoint
 
 module Stop = Stop
 (** The process-wide stop flag and the shared two-signal handler contract
-    ({!Stop.install_handlers}). {!request_stop} / {!stop_requested} /
-    {!reset_stop} below are aliases kept for existing callers. *)
+    ({!Stop.install_handlers}). *)
 
 type report = {
   stats : Once4all.Fuzz.stats;
@@ -75,28 +74,9 @@ type report = {
       (** saturation verdicts over the final series
           ({!O4a_analytics.Analytics.plateaus} at the default window) *)
   stopped : bool;
-      (** a graceful stop ({!request_stop}) drained the campaign before all
+      (** a graceful stop ({!Stop.request}) drained the campaign before all
           planned shards ran; everything merged so far is checkpointed *)
 }
-
-(** {1 Graceful shutdown}
-
-    A process-wide stop flag, designed to be raised from a signal handler:
-    workers finish the shard they are executing but claim no new ones, the
-    merge owner drains and checkpoints what completed, and {!run} returns a
-    partial report with [stopped = true]. Because stopping always lands on a
-    shard boundary, resuming from the checkpoint reproduces the
-    uninterrupted campaign byte-for-byte. *)
-
-val request_stop : unit -> bool
-(** Raise the stop flag. [true] if this call was the one that raised it —
-    lets a signal handler escalate: first signal stops gracefully, second
-    aborts. Async-signal-safe (a single atomic exchange). *)
-
-val stop_requested : unit -> bool
-
-val reset_stop : unit -> unit
-(** Lower the flag — for tests that run several campaigns in one process. *)
 
 val default_shard_size : int
 
@@ -119,12 +99,10 @@ val make_env :
   ?config:Once4all.Fuzz.config ->
   ?tel_enabled:bool ->
   ?tracing:bool ->
-  ?ring_size:int ->
   ?chaos:O4a_faults.Faults.plan ->
   ?health:O4a_health.Health.config ->
   ?profiling:bool ->
   ?gen_profile:string ->
-  ?engines:(unit -> Solver.Engine.t * Solver.Engine.t) ->
   seed:int ->
   generators:Gensynth.Generator.t list ->
   seeds:Smtlib.Script.t list ->
@@ -253,9 +231,7 @@ val run :
   ?resume:bool ->
   ?stop_after:int ->
   ?extra:(string * string) list ->
-  ?engines:(unit -> Solver.Engine.t * Solver.Engine.t) ->
   ?trace_dir:string ->
-  ?ring_size:int ->
   ?chaos:O4a_faults.Faults.plan ->
   ?health:O4a_health.Health.config ->
   ?profiling:bool ->
@@ -281,9 +257,6 @@ val run :
       kill/resume path deterministically.
     - [extra]: opaque provenance stored in the checkpoint (defaults to the
       resumed checkpoint's own [extra] when resuming).
-    - [engines]: fresh engine pair factory, called once per worker (default
-      trunk Zeal + Cove). Engines carry unsynchronized per-query state and
-      must never be shared across workers.
     - [generators] are shared across workers: they are immutable after
       construction.
     - [trace_dir]: enable provenance tracing ({!O4a_trace.Trace}) and write a
@@ -292,8 +265,6 @@ val run :
       traces record no wall-clock, so the bundle set is byte-identical for
       every [jobs]. Checkpoints do not carry promoted traces: a resumed
       campaign only writes bundles for the shards it actually executes.
-    - [ring_size]: per-shard flight-recorder depth (default
-      {!O4a_trace.Trace.Recorder.default_ring_size}).
     - [chaos]: deterministic fault-injection plan. [None] (and a plan whose
       profile is [Off]) injects nothing and skips supervision entirely. The
       plan is pure, so the same plan gives the same injections, retries, and

@@ -11,7 +11,7 @@ let to_string = function
 
 let default_host = "127.0.0.1"
 
-let parse_tcp ?(default_host = default_host) spec =
+let parse_tcp spec =
   let fail () =
     Error
       (Printf.sprintf "invalid TCP endpoint %S (expected PORT or HOST:PORT)"

@@ -85,8 +85,7 @@ type job = {
   dir : string;
   chaos : Faults.plan option;
   tel : Telemetry.t;
-  gen_count : int;
-  seed_count : int;
+  header : string;  (* the report's first line, fixed by the campaign *)
   plan_total : int;  (* full plan, including shards resumed from disk *)
   total : int;  (* shards this server process must execute *)
   resumed : int;
@@ -249,43 +248,23 @@ let finish_job job =
     (* report.txt is the standalone run's stdout, written through the same
        Render module the CLI prints with — byte-identical by construction,
        modulo the path-bearing "wrote …"/"resumed …" lines check.sh strips *)
-    let text =
-      Render.header ~generators:job.gen_count ~seeds:job.seed_count
-        ~budget:job.spec.Jobspec.budget
-      ^ Render.resumed_line report.Orchestrator.shards_resumed
-      ^ Render.campaign ~chaos:job.chaos report
-      ^
-      match trace_dir with
-      | Some dir -> Render.bundles_line ~dir report.Orchestrator.bundles_written
-      | None -> ""
-    in
-    write_file (Filename.concat job.dir "report.txt") text;
+    write_file
+      (Filename.concat job.dir "report.txt")
+      (job.header ^ Render.finish ?trace_dir ~chaos:job.chaos report);
     set_state job Protocol.Done);
   Telemetry.flush job.tel
 
 (* Build and register a job from its spec (and, when resuming, the loaded
    checkpoint), then hand its remaining shards to the shared scheduler. The
-   pipeline here is exactly the CLI's fuzz path — Campaign.prepare,
-   Seeds.Corpus.filtered, make_env on [fuzz_seed] — so a shard executed for
-   this job is indistinguishable from one executed by `once4all fuzz`. *)
+   campaign and env come from the spec through Jobspec, the same functions
+   `once4all fuzz` and remote workers use, so a shard executed for this job
+   is indistinguishable from one executed by `once4all fuzz`. *)
 let start_job t ~id ~dir ~spec ~base =
   mkdir_p dir;
   write_file (Filename.concat dir "spec.json")
     (Json.to_string (Jobspec.codec.enc spec) ^ "\n");
-  let profile = Jobspec.llm_profile spec in
-  let campaign = Once4all.Campaign.prepare ~seed:spec.Jobspec.seed ~profile () in
-  let seeds =
-    Seeds.Corpus.filtered ~zeal:campaign.Once4all.Campaign.zeal
-      ~cove:campaign.Once4all.Campaign.cove ()
-  in
-  let chaos = Jobspec.chaos spec in
-  let env =
-    Orchestrator.make_env ~config:(Jobspec.config spec) ~tel_enabled:true
-      ~tracing:spec.Jobspec.trace ?chaos ?health:(Jobspec.health spec)
-      ~gen_profile:profile.Llm_sim.Profile.name
-      ~seed:(Jobspec.fuzz_seed spec)
-      ~generators:campaign.Once4all.Campaign.generators ~seeds ()
-  in
+  let campaign = Jobspec.prepare spec in
+  let env = Jobspec.env spec campaign in
   let callback = Sink.callback (fun ev -> on_event t id ev) in
   let sink =
     if spec.Jobspec.telemetry then
@@ -299,35 +278,22 @@ let start_job t ~id ~dir ~spec ~base =
   let plan =
     Shard.plan ~budget:spec.Jobspec.budget ~shard_size:spec.Jobspec.shard_size
   in
-  let remaining =
-    match base with
-    | None -> plan
-    | Some cp ->
-      let covered =
-        List.map (fun (r : Checkpoint.shard_result) -> r.Checkpoint.shard)
-          cp.Checkpoint.completed
-        @ List.map (fun (q : Checkpoint.quarantine) -> q.Checkpoint.q_shard)
-            cp.Checkpoint.quarantined
-      in
-      List.filter (fun s -> not (List.mem s.Shard.index covered)) plan
-  in
+  let remaining = Checkpoint.remaining base plan in
   let job =
     {
       id;
       spec;
       dir;
-      chaos;
+      chaos = Jobspec.chaos spec;
       tel;
-      gen_count = List.length campaign.Once4all.Campaign.generators;
-      seed_count = List.length seeds;
+      header =
+        Render.header
+          ~generators:(List.length campaign.Jobspec.generators)
+          ~seeds:(List.length campaign.Jobspec.seeds)
+          ~budget:spec.Jobspec.budget;
       plan_total = List.length plan;
       total = List.length remaining;
-      resumed =
-        (match base with
-        | Some cp ->
-          List.length cp.Checkpoint.completed
-          + List.length cp.Checkpoint.quarantined
-        | None -> 0);
+      resumed = List.length plan - List.length remaining;
       merge = None;
       state = Protocol.Queued;
       shards_done = 0;
@@ -672,7 +638,7 @@ let pause t id =
 
 (* Revive a job from its on-disk spec + checkpoint — the path a restarted
    server (or a SIGTERM-drained one) uses to pick campaigns back up. The
-   checkpoint's provenance must match the spec's, same rule as `resume`. *)
+   checkpoint's provenance must match the spec's: the check `resume` runs. *)
 let revive t id =
   let dir = Filename.concat t.cfg.state_dir id in
   let spec_path = Filename.concat dir "spec.json" in
@@ -689,18 +655,13 @@ let revive t id =
         match Checkpoint.load ~path:cp_path with
         | Error err ->
           Protocol.error (Checkpoint.load_error_to_string ~path:cp_path err)
-        | Ok cp ->
-          if
-            cp.Checkpoint.seed <> Jobspec.fuzz_seed spec
-            || cp.Checkpoint.budget <> spec.Jobspec.budget
-            || cp.Checkpoint.shard_size <> spec.Jobspec.shard_size
-          then
-            Protocol.error
-              (Printf.sprintf
-                 "checkpoint %s does not match the job's spec (seed/budget/\
-                  shard_size differ)"
-                 cp_path)
-          else (
+        | Ok cp -> (
+          match
+            Checkpoint.matches ~path:cp_path ~seed:(Jobspec.fuzz_seed spec)
+              ~budget:spec.Jobspec.budget ~shard_size:spec.Jobspec.shard_size cp
+          with
+          | Error msg -> Protocol.error msg
+          | Ok () ->
             let job = start_job t ~id ~dir ~spec ~base:(Some cp) in
             Log.info (fun m ->
                 m "job %s revived: %d shards left of %d" id job.total

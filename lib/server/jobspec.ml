@@ -99,6 +99,26 @@ let config t =
 
 let fuzz_seed t = t.seed + 1
 
+type campaign = {
+  generators : Gensynth.Generator.t list;
+  seeds : Smtlib.Script.t list;
+}
+
+let prepare t =
+  let c = Once4all.Campaign.prepare ~seed:t.seed ~profile:(llm_profile t) () in
+  {
+    generators = c.Once4all.Campaign.generators;
+    seeds =
+      Seeds.Corpus.filtered ~zeal:c.Once4all.Campaign.zeal
+        ~cove:c.Once4all.Campaign.cove ();
+  }
+
+let env t c =
+  Orchestrator.make_env ~config:(config t) ~tel_enabled:true ~tracing:t.trace
+    ?chaos:(chaos t) ?health:(health t)
+    ~gen_profile:(llm_profile t).Llm_sim.Profile.name ~seed:(fuzz_seed t)
+    ~generators:c.generators ~seeds:c.seeds ()
+
 (* Checkpoint provenance. This list IS the campaign's identity beyond
    (seed, budget, shard_size): the CLI and the server both derive it from a
    spec through this one function, which is what makes their checkpoints

@@ -1,13 +1,14 @@
 (** A campaign submission: everything that determines a campaign's identity
     and outputs, as one JSON-serializable record.
 
-    Both entry points derive their campaign from a spec through the same
-    functions here — the CLI's [fuzz] from its flags, the server from a
-    submitted JSON object — so a spec names {e one} campaign: same
-    generators, same shard plan, same fault plan, same breaker config, same
-    checkpoint provenance ({!extra}). That sharing is what makes a server-run
-    campaign byte-identical to the standalone run, and their checkpoints
-    interchangeable. *)
+    Every venue builds its campaign from a spec through the functions here —
+    [fuzz] and [resume] through {!prepare}, the server's jobs and remote
+    workers through {!prepare} and {!env} — so a spec names {e one}
+    campaign: same generators, same seeds, same shard plan, same fault plan,
+    same breaker config, same checkpoint provenance ({!extra}). That sharing
+    is what makes a server-run campaign byte-identical to the standalone
+    run, and their checkpoints interchangeable: a served job's checkpoint
+    resumes with [once4all resume]. *)
 
 type t = {
   name : string;  (** job identifier: 1-64 chars of [a-zA-Z0-9._-] *)
@@ -52,6 +53,27 @@ val config : t -> Once4all.Fuzz.config
 val fuzz_seed : t -> int
 (** [seed + 1] — the orchestrator seed, matching the CLI's convention (the
     construction phase consumes [seed] itself). *)
+
+(** {1 Building the campaign} *)
+
+type campaign = {
+  generators : Gensynth.Generator.t list;
+  seeds : Smtlib.Script.t list;
+      (** the seed corpus minus the formulas either trunk solver still trips
+          on — the paper's data-leakage guard *)
+}
+
+val prepare : t -> campaign
+(** Run Algorithm 1 (generator construction) for [seed] and [profile], then
+    keep the seeds both trunk solvers accept. Deterministic: every venue
+    that prepares the same spec fuzzes with the same campaign.
+    Call {!validate} first. *)
+
+val env : t -> campaign -> Orchestrator.exec_env
+(** The shard executor for the spec: its fuzz config, chaos plan, breaker
+    config, {!fuzz_seed} and LLM profile label. It always records telemetry,
+    because served jobs stream it to subscribers; tracing follows [trace].
+    A shard it executes merges exactly like one [fuzz] executes. *)
 
 val extra : t -> (string * string) list
 (** The checkpoint provenance record. One definition for both entry points,

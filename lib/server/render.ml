@@ -161,3 +161,14 @@ let bundles_line ~dir n =
   Printf.sprintf "wrote %d repro bundle%s to %s\n" n
     (if n = 1 then "" else "s")
     dir
+
+let finish ?show_formulas ?checkpoint ?trace_dir ~chaos
+    (r : Orchestrator.report) =
+  resumed_line r.Orchestrator.shards_resumed
+  ^ (if r.Orchestrator.stopped || r.Orchestrator.interrupted then
+       stopped_line ~checkpoint r
+     else campaign ?show_formulas ~chaos r)
+  ^
+  match trace_dir with
+  | Some dir -> bundles_line ~dir r.Orchestrator.bundles_written
+  | None -> ""

@@ -24,8 +24,15 @@ val campaign :
 val resumed_line : int -> string
 (** ["resumed N completed shards from checkpoint"], or [""] for [0]. *)
 
-val stopped_line : checkpoint:string option -> Orchestrator.report -> string
-(** The graceful-stop / interrupted banner with its resume hint. *)
-
-val bundles_line : dir:string -> int -> string
-(** ["wrote N repro bundles to DIR"]. *)
+val finish :
+  ?show_formulas:bool ->
+  ?checkpoint:string ->
+  ?trace_dir:string ->
+  chaos:O4a_faults.Faults.plan option ->
+  Orchestrator.report ->
+  string
+(** Everything printed after a run: the {!resumed_line}; then the
+    {!campaign} summary, or, when the run stopped or was interrupted before
+    its last shard, a banner with the [once4all resume --checkpoint]
+    command; then ["wrote N repro bundles to DIR"] when [trace_dir] is
+    given. *)

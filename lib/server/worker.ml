@@ -8,12 +8,12 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* A remote worker pool: connects to a coordinator's TCP (or Unix) listener,
    registers its slot count, and executes granted shards with the exact
-   pipeline the coordinator's local pool uses — Campaign.prepare from the
-   granted spec, Seeds.Corpus.filtered, make_env on the spec's fuzz seed,
-   Orchestrator.exec_shard. A shard outcome is a pure function of
-   (env, shard) and the env is a pure function of the spec, so a shard
-   executed here is bit-for-bit the shard the coordinator would have
-   executed itself; the network moves work, never results' content.
+   pipeline the coordinator's local pool uses — Jobspec.prepare and
+   Jobspec.env from the granted spec, then Orchestrator.exec_shard. A shard
+   outcome is a pure function of (env, shard) and the env is a pure function
+   of the spec, so a shard executed here is bit-for-bit the shard the
+   coordinator would have executed itself; the network moves work, never
+   results' content.
 
    Threading: the main thread owns the socket — reads grants, sends
    heartbeats — and [slots] executor domains pull grants off a local queue
@@ -88,30 +88,14 @@ let result_line ~lease (shard : Shard.t) outcome =
              cap; resubmit with a smaller --shard-size"
             shard.Shard.index (String.length full) cap)))
 
-(* env construction mirrors the daemon's start_job step for step — that
-   mirror is the whole byte-identity argument, so change both or neither *)
+(* one env per job: preparing a campaign runs Algorithm 1, so it happens
+   once, not per granted shard *)
 let env_for st (task : task) =
   Mutex.protect st.elock (fun () ->
       match Hashtbl.find_opt st.envs task.job with
       | Some env -> env
       | None ->
-        let spec = task.spec in
-        let profile = Jobspec.llm_profile spec in
-        let campaign =
-          Once4all.Campaign.prepare ~seed:spec.Jobspec.seed ~profile ()
-        in
-        let seeds =
-          Seeds.Corpus.filtered ~zeal:campaign.Once4all.Campaign.zeal
-            ~cove:campaign.Once4all.Campaign.cove ()
-        in
-        let env =
-          Orchestrator.make_env ~config:(Jobspec.config spec)
-            ~tel_enabled:true ~tracing:spec.Jobspec.trace
-            ?chaos:(Jobspec.chaos spec) ?health:(Jobspec.health spec)
-            ~gen_profile:profile.Llm_sim.Profile.name
-            ~seed:(Jobspec.fuzz_seed spec)
-            ~generators:campaign.Once4all.Campaign.generators ~seeds ()
-        in
+        let env = Jobspec.env task.spec (Jobspec.prepare task.spec) in
         Hashtbl.replace st.envs task.job env;
         env)
 

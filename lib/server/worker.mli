@@ -3,13 +3,12 @@
 
     Connects to a coordinator, registers [slots] executor domains, and runs
     granted shards with the exact pipeline the coordinator's local pool
-    uses — {!Once4all.Campaign.prepare} from the granted spec,
-    {!Orchestrator.make_env}, {!Orchestrator.exec_shard} — so a shard
-    executed remotely is bit-for-bit the shard the coordinator would have
-    executed itself. Results stream back as they finish; heartbeats carry
-    the in-flight lease ids on a timer owned by the socket thread, so a
-    shard may legitimately take longer than the lease timeout without
-    forfeiting it. *)
+    uses — {!Jobspec.prepare} and {!Jobspec.env} from the granted spec,
+    then {!Orchestrator.exec_shard} — so a shard executed remotely is
+    bit-for-bit the shard the coordinator would have executed itself.
+    Results stream back as they finish; heartbeats carry the in-flight lease
+    ids on a timer owned by the socket thread, so a shard may legitimately
+    take longer than the lease timeout without forfeiting it. *)
 
 type config = {
   addr : Addr.t;  (** coordinator endpoint *)

@@ -115,10 +115,6 @@ let lex_tokens input =
   done;
   List.rev !tokens
 
-let tokenize input =
-  lex_tokens input
-  |> List.map (function Lparen | Rparen -> None | Tatom a -> Some a)
-
 let read_sexps input =
   let tokens = lex_tokens input in
   let rec parse_many acc = function

@@ -15,10 +15,6 @@ exception Lex_error of string
 (** Raised on malformed input, with a human-readable message that mimics a
     solver's parser error (used by the self-correction loop). *)
 
-val tokenize : string -> atom option list
-(** Internal tokenization exposed for tests: [None] marks parens — see
-    [read_sexps] for the useful entry point. *)
-
 val read_sexps : string -> sexp list
 (** Parse a whole input into top-level S-expressions.
     Raises {!Lex_error} on malformed input (unbalanced parens, bad string

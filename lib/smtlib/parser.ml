@@ -286,17 +286,6 @@ let parse_term ?(datatypes = []) ?(ctors = []) input =
       | [] -> fail "empty input where a term was expected"
       | _ -> fail "expected a single term, got multiple S-expressions")
 
-let parse_term_in script input =
-  let dts = Script.declared_datatypes script in
-  let datatypes = List.map (fun (d : Command.datatype_decl) -> d.Command.dt_name) dts in
-  let ctors =
-    List.concat_map
-      (fun (d : Command.datatype_decl) ->
-        List.map (fun (c : Command.constructor) -> c.Command.ctor_name) d.Command.constructors)
-      dts
-  in
-  parse_term ~datatypes ~ctors input
-
 let parse_sort ?(datatypes = []) input =
   wrap (fun () ->
       match Lexer.read_sexps input with

@@ -17,9 +17,6 @@ val parse_term :
     constructor names, used to tell a nullary-constructor pattern from a
     catch-all variable pattern in [match]. *)
 
-val parse_term_in : Script.t -> string -> (Term.t, error) result
-(** Parse a term using the datatype context of an existing script. *)
-
 val parse_sort : ?datatypes:string list -> string -> (Sort.t, error) result
 
 val sort_of_sexp : datatypes:string list -> Lexer.sexp -> Sort.t

@@ -52,11 +52,6 @@ let declared_datatypes script =
     (function Command.Declare_datatypes dts -> dts | _ -> [])
     script
 
-let declared_sorts script =
-  List.filter_map
-    (function Command.Declare_sort (name, 0) -> Some name | _ -> None)
-    script
-
 let assertions script = List.filter_map Command.assert_term script
 
 let map_assertions f script =
@@ -134,9 +129,6 @@ let fresh_name script base =
     go 0)
 
 let has_check_sat script = List.mem Command.Check_sat script
-
-let ensure_check_sat script =
-  if has_check_sat script then script else script @ [ Command.Check_sat ]
 
 (* Heuristic theory tagging by operator prefixes and sorts; kept here (rather
    than in the theories library) because triage grouping must not depend on a

@@ -17,9 +17,6 @@ val declared_consts : t -> (string * Sort.t) list
 
 val declared_datatypes : t -> Command.datatype_decl list
 
-val declared_sorts : t -> string list
-(** Names introduced by [declare-sort] (arity 0 only is supported). *)
-
 val assertions : t -> Term.t list
 
 val map_assertions : (Term.t -> Term.t) -> t -> t
@@ -40,8 +37,6 @@ val fresh_name : t -> string -> string
     suffixing [base] with an integer if needed. *)
 
 val has_check_sat : t -> bool
-
-val ensure_check_sat : t -> t
 
 val theories_used : t -> string list
 (** Heuristic theory tags appearing in the script (by operator and sort

@@ -35,7 +35,6 @@ let rec to_string = function
   | Datatype name -> name
   | Uninterpreted name -> name
 
-let pp fmt s = Format.pp_print_string fmt (to_string s)
 
 let is_numeric = function Int | Real -> true | _ -> false
 

@@ -25,8 +25,6 @@ val compare : t -> t -> int
 val to_string : t -> string
 (** Concrete SMT-LIB syntax, e.g. ["(_ BitVec 8)"], ["(Seq Int)"]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val is_numeric : t -> bool
 (** Int or Real. *)
 

@@ -484,8 +484,6 @@ let last_query_stats t =
     propagations = t.act.last_propagations;
   }
 
-let total_queries t = t.act.queries
-
 let parse_check t source =
   match Parser.parse_script source with
   | Error e ->

@@ -75,9 +75,6 @@ val last_query_stats : t -> query_stats
     this engine (zeros before the first call, or for a query that crashed
     before reaching the search). *)
 
-val total_queries : t -> int
-(** How many queries this engine instance has answered. *)
-
 val solve_source : ?max_steps:int -> t -> string -> outcome
 (** Parse, check and solve SMT-LIB source text. Parse failures are reported
     as [Error] (never raised). May raise {!Crash}. *)

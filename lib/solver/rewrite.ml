@@ -204,7 +204,7 @@ let apply_first rules fired t =
   in
   go rules
 
-let simplify ?(max_passes = 4) ~rules ~fired term =
+let simplify ~rules ~fired term =
   let changed = ref false in
   let rewrite_node t =
     match apply_first rules fired t with
@@ -220,6 +220,6 @@ let simplify ?(max_passes = 4) ~rules ~fired term =
       let t' = Term.map_bottom_up rewrite_node t in
       if !changed then passes (n - 1) t' else t')
   in
-  passes max_passes term
+  passes 4 term
 
 let rule_names rules = List.map (fun r -> r.rule_name) rules

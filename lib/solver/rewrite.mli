@@ -21,9 +21,8 @@ val zeal_rules : rule list
 val cove_rules : rule list
 (** Normalization-oriented pipeline with extension-theory rules (cvc5-style). *)
 
-val simplify :
-  ?max_passes:int -> rules:rule list -> fired:(string -> unit) -> Term.t -> Term.t
-(** Bottom-up rewriting to a fixpoint (or [max_passes], default 4). [fired]
+val simplify : rules:rule list -> fired:(string -> unit) -> Term.t -> Term.t
+(** Bottom-up rewriting to a fixpoint (or 4 passes, whichever first). [fired]
     is called with the rule name each time a rule rewrites a node — the
     solver front ends use it for coverage accounting. *)
 

@@ -27,8 +27,6 @@ let has_op name = exists_term (term_op_matches name)
 
 let has_any_op names script = List.exists (fun n -> has_op n script) names
 
-let has_all_ops names script = List.for_all (fun n -> has_op n script) names
-
 let has_exists = exists_term (function Term.Exists _ -> true | _ -> false)
 
 let has_forall = exists_term (function Term.Forall _ -> true | _ -> false)
@@ -36,8 +34,6 @@ let has_forall = exists_term (function Term.Forall _ -> true | _ -> false)
 let has_quantifier = any_of [ has_exists; has_forall ]
 
 let has_let = exists_term (function Term.Let _ -> true | _ -> false)
-
-let has_annotation = exists_term (function Term.Annot _ -> true | _ -> false)
 
 let has_sort pred script =
   let decl_sorts =

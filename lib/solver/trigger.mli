@@ -18,13 +18,11 @@ val has_op : string -> t
 (** Operator name appears anywhere (plain, indexed or qualified). *)
 
 val has_any_op : string list -> t
-val has_all_ops : string list -> t
 
 val has_exists : t
 val has_forall : t
 val has_quantifier : t
 val has_let : t
-val has_annotation : t
 
 val has_sort : (Sort.t -> bool) -> t
 (** Some declared symbol or quantified binder uses a matching sort. *)

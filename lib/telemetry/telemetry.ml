@@ -35,7 +35,6 @@ let enabled t = t.enabled
 let metrics t = t.metrics
 let sink t = t.sink
 let now t = t.clock ()
-let base_labels t = t.labels
 
 let label_fields t fields =
   fields @ List.map (fun (k, v) -> (k, Json.String v)) t.labels

@@ -39,8 +39,6 @@ val metrics : t -> Metrics.t
 val sink : t -> Sink.t
 val now : t -> float
 
-val base_labels : t -> (string * string) list
-
 (** {1 Recording} *)
 
 val emit : t -> string -> (string * Json.t) list -> unit

@@ -192,5 +192,3 @@ let id_to_string id = (find id).key
 let doc id = Docs.doc (id_to_string id)
 
 let ground_truth_cfg id = Cfgs.cfg (id_to_string id)
-
-let of_string key = Option.map (fun t -> t.id) (find_by_key key)

@@ -51,5 +51,3 @@ val ground_truth_cfg : id -> string
     for the concrete syntax: quoted literals, bare nonterminals, [@hooks]. *)
 
 val id_to_string : id -> string
-
-val of_string : string -> id option

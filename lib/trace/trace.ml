@@ -285,46 +285,26 @@ let render t =
 (* ------------------------------------------------------------------ *)
 
 module Recorder = struct
-  type trace = t
-
-  type nonrec t = {
+  type t = {
     enabled : bool;
     seed : int;
-    ring : trace option array;
-    mutable ring_next : int;
     mutable in_trace : bool;
     mutable current_tick : int;
     mutable current_records : record list;  (* reversed *)
     mutable promoted_rev : promoted list;
   }
 
-  let default_ring_size = 64
-
   let disabled =
     {
       enabled = false;
       seed = 0;
-      ring = [||];
-      ring_next = 0;
       in_trace = false;
       current_tick = 0;
       current_records = [];
       promoted_rev = [];
     }
 
-  let create ?(ring_size = default_ring_size) ~seed () =
-    if ring_size <= 0 then
-      invalid_arg "Trace.Recorder.create: ring_size must be positive";
-    {
-      enabled = true;
-      seed;
-      ring = Array.make ring_size None;
-      ring_next = 0;
-      in_trace = false;
-      current_tick = 0;
-      current_records = [];
-      promoted_rev = [];
-    }
+  let create ~seed = { disabled with enabled = true; seed }
 
   let enabled r = r.enabled
   let active r = r.enabled && r.in_trace
@@ -352,17 +332,8 @@ module Recorder = struct
 
   let finish r =
     if active r then (
-      r.ring.(r.ring_next) <- Some (assemble r);
-      r.ring_next <- (r.ring_next + 1) mod Array.length r.ring;
       r.in_trace <- false;
       r.current_records <- [])
-
-  let recent r =
-    if not r.enabled then []
-    else (
-      let n = Array.length r.ring in
-      List.filter_map Fun.id
-        (List.init n (fun i -> r.ring.((r.ring_next + i) mod n))))
 
   let promoted r = List.rev r.promoted_rev
 

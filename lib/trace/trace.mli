@@ -14,11 +14,11 @@
     keeps traces reproducible across runs and worker counts. Wall-clock stage
     latency stays in the telemetry layer.
 
-    Steady state is bounded by a per-worker ring buffer ({!Recorder}): only
-    the last [ring_size] finished traces are retained. An oracle violation
-    {e promotes} the current trace — captures it in full, together with the
-    formula text and the finding — so the orchestrator can write a
-    self-contained repro bundle ({!Bundle}) at the merge barrier. *)
+    A per-shard {!Recorder} holds only the trace in progress; finishing a
+    trace drops it. An oracle violation {e promotes} the current trace —
+    captures it in full, together with the formula text and the finding —
+    so the orchestrator can write a self-contained repro bundle ({!Bundle})
+    at the merge barrier. *)
 
 (** One pipeline stage's provenance, in chronological order within a trace.
     [Adapted] records precede the [Hole_filled] record of the hole they were
@@ -122,23 +122,17 @@ val render : t -> string
 (** {1 The flight recorder} *)
 
 module Recorder : sig
-  type trace := t
-
   type t
-  (** A per-worker recorder: the in-flight trace, a bounded ring of the last
-      [ring_size] finished traces, and the promoted traces awaiting bundle
-      writing. Not thread-safe — one recorder per worker domain, like solver
-      engines. *)
-
-  val default_ring_size : int
-  (** 64. *)
+  (** A per-shard recorder: the in-flight trace and the promoted traces
+      awaiting bundle writing. Not thread-safe — each shard attempt uses its
+      own, on one domain. *)
 
   val disabled : t
   (** Records nothing; every hook short-circuits on one branch. *)
 
-  val create : ?ring_size:int -> seed:int -> unit -> t
+  val create : seed:int -> t
   (** A live recorder for the campaign identified by [seed] (trace ids derive
-      from it). Raises [Invalid_argument] if [ring_size <= 0]. *)
+      from it). *)
 
   val enabled : t -> bool
 
@@ -153,15 +147,10 @@ module Recorder : sig
   (** Append to the open trace; no-op when disabled or no trace is open. *)
 
   val promote : t -> source:string -> finding:finding_info -> unit
-  (** Capture the open trace in full (it stays open; {!finish} it as usual).
-      Promoted traces survive ring-buffer eviction. *)
+  (** Capture the open trace in full (it stays open; {!finish} it as usual). *)
 
   val finish : t -> unit
-  (** Close the open trace into the ring, evicting the oldest entry when the
-      ring is full. *)
-
-  val recent : t -> trace list
-  (** Ring contents, oldest first — at most [ring_size] traces. *)
+  (** Close the open trace; unless it was promoted, it is gone. *)
 
   val promoted : t -> promoted list
   (** Promoted traces in promotion (= campaign tick) order. *)

@@ -63,5 +63,3 @@ let cartesian xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) x
 let range lo hi =
   let rec go i acc = if i < lo then acc else go (i - 1) (i :: acc) in
   go hi []
-
-let zip_with_index xs = List.mapi (fun i x -> (i, x)) xs

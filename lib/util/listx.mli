@@ -36,5 +36,3 @@ val cartesian : 'a list -> 'b list -> ('a * 'b) list
 
 val range : int -> int -> int list
 (** [range lo hi] is [\[lo; ...; hi\]] inclusive; empty if [hi < lo]. *)
-
-val zip_with_index : 'a list -> (int * 'a) list

@@ -15,11 +15,6 @@ let split_lines s = split_on '\n' s
 
 let join sep xs = String.concat sep xs
 
-let trim_lines s =
-  let lines = split_lines s |> List.map String.trim in
-  let rec drop_empty = function "" :: rest -> drop_empty rest | l -> l in
-  lines |> drop_empty |> List.rev |> drop_empty |> List.rev |> join "\n"
-
 let indent n s =
   let pad = String.make n ' ' in
   split_lines s |> List.map (fun l -> if l = "" then l else pad ^ l) |> join "\n"

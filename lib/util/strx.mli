@@ -5,8 +5,6 @@ val contains_sub : sub:string -> string -> bool
 val split_lines : string -> string list
 val split_on : char -> string -> string list
 val join : string -> string list -> string
-val trim_lines : string -> string
-(** Trim each line and drop empty leading/trailing lines. *)
 
 val indent : int -> string -> string
 (** Prefix every line with [n] spaces. *)

@@ -86,23 +86,10 @@ let test_lease_drop_paths () =
 
 (* ------------------------- wire codecs ------------------------- *)
 
-let exec_env_for (spec : Jobspec.t) =
-  let profile = Jobspec.llm_profile spec in
-  let campaign = Once4all.Campaign.prepare ~seed:spec.Jobspec.seed ~profile () in
-  let seeds =
-    Seeds.Corpus.filtered ~zeal:campaign.Once4all.Campaign.zeal
-      ~cove:campaign.Once4all.Campaign.cove ()
-  in
-  Orchestrator.make_env ~config:(Jobspec.config spec) ~tel_enabled:true
-    ~tracing:spec.Jobspec.trace ?chaos:(Jobspec.chaos spec)
-    ?health:(Jobspec.health spec) ~gen_profile:profile.Llm_sim.Profile.name
-    ~seed:(Jobspec.fuzz_seed spec)
-    ~generators:campaign.Once4all.Campaign.generators ~seeds ()
-
 (* a real executed shard outcome survives the wire byte-for-byte: encode,
    decode, re-encode, compare the JSON strings *)
 let outcome_roundtrips what (spec : Jobspec.t) =
-  let env = exec_env_for spec in
+  let env = Jobspec.env spec (Jobspec.prepare spec) in
   let zeal = Solver.Engine.zeal () and cove = Solver.Engine.cove () in
   let sh =
     match Shard.plan ~budget:spec.Jobspec.budget ~shard_size:spec.Jobspec.shard_size with
@@ -288,26 +275,17 @@ let lease_events lines =
 
 (* what `once4all fuzz --jobs 1` would print for this spec *)
 let standalone_text (spec : Jobspec.t) =
-  let campaign =
-    Once4all.Campaign.prepare ~seed:spec.Jobspec.seed
-      ~profile:(Jobspec.llm_profile spec) ()
-  in
-  let seeds =
-    Seeds.Corpus.filtered ~zeal:campaign.Once4all.Campaign.zeal
-      ~cove:campaign.Once4all.Campaign.cove ()
-  in
+  let { Jobspec.generators; seeds } = Jobspec.prepare spec in
   let r =
     Orchestrator.run ~jobs:1 ~shard_size:spec.Jobspec.shard_size
       ~config:(Jobspec.config spec) ~extra:(Jobspec.extra spec)
       ?chaos:(Jobspec.chaos spec) ?health:(Jobspec.health spec)
-      ~seed:(Jobspec.fuzz_seed spec) ~budget:spec.Jobspec.budget
-      ~generators:campaign.Once4all.Campaign.generators ~seeds ()
+      ~seed:(Jobspec.fuzz_seed spec) ~budget:spec.Jobspec.budget ~generators
+      ~seeds ()
   in
-  Render.header
-    ~generators:(List.length campaign.Once4all.Campaign.generators)
+  Render.header ~generators:(List.length generators)
     ~seeds:(List.length seeds) ~budget:spec.Jobspec.budget
-  ^ Render.resumed_line r.Orchestrator.shards_resumed
-  ^ Render.campaign ~chaos:(Jobspec.chaos spec) r
+  ^ Render.finish ~chaos:(Jobspec.chaos spec) r
 
 let dist_cfg ~dir =
   {

@@ -391,6 +391,103 @@ let test_checkpoint_rejects_garbage () =
     (Checkpoint.codec.dec json
     = Error {|checkpoint: field "completed": expected a list|})
 
+(* the sample checkpoint (budget 300, shard size 60: shards 0-4), edited
+   before it is encoded, then decoded again *)
+let decode_edited edit =
+  Checkpoint.codec.dec (Checkpoint.codec.enc (edit (sample_checkpoint ())))
+
+let check_decode_error what expected result =
+  Alcotest.(check (result unit string)) what (Error expected)
+    (Result.map ignore result)
+
+(* edits of the sample checkpoint: its first completed shard added again at
+   another index, and its quarantined shard moved to another index *)
+let complete_again idx cp =
+  let first = List.hd cp.Checkpoint.completed in
+  {
+    cp with
+    Checkpoint.completed =
+      cp.Checkpoint.completed @ [ { first with Checkpoint.shard = idx } ];
+  }
+
+let quarantine_at idx cp =
+  {
+    cp with
+    Checkpoint.quarantined =
+      List.map
+        (fun q -> { q with Checkpoint.q_shard = idx })
+        cp.Checkpoint.quarantined;
+  }
+
+let test_checkpoint_rejects_duplicate_shard () =
+  let twice = {|checkpoint: field "completed": shard 0 is listed twice|} in
+  check_decode_error "completed shard listed twice" twice
+    (decode_edited (complete_again 0));
+  check_decode_error "quarantined shard also completed"
+    {|checkpoint: field "quarantined": shard 1 is already listed in "completed"|}
+    (decode_edited (quarantine_at 1));
+  (* every loader decodes through the codec: the file is Invalid *)
+  let path = Filename.temp_file "o4a_checkpoint" ".json" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      Checkpoint.save ~path (complete_again 0 (sample_checkpoint ()));
+      check_bool "load reports Invalid" true
+        (Checkpoint.load ~path = Error (Checkpoint.Invalid twice)))
+
+let test_checkpoint_rejects_shard_outside_plan () =
+  check_decode_error "completed shard 99"
+    {|checkpoint: field "completed": shard 99 is outside the plan's 5 shards|}
+    (decode_edited (complete_again 99));
+  check_decode_error "negative completed shard"
+    {|checkpoint: field "completed": shard -1 is outside the plan's 5 shards|}
+    (decode_edited (complete_again (-1)));
+  check_decode_error "quarantined shard one past the plan"
+    {|checkpoint: field "quarantined": shard 5 is outside the plan's 5 shards|}
+    (decode_edited (quarantine_at 5))
+
+let test_checkpoint_rejects_empty_plan () =
+  check_decode_error "zero shard size"
+    {|checkpoint: field "shard_size": must be >= 1, got 0|}
+    (decode_edited (fun cp -> { cp with Checkpoint.shard_size = 0 }));
+  check_decode_error "zero budget"
+    {|checkpoint: field "budget": must be >= 1, got 0|}
+    (decode_edited (fun cp -> { cp with Checkpoint.budget = 0 }))
+
+let test_checkpoint_matches () =
+  let cp = sample_checkpoint () in
+  let matches (seed, budget, shard_size) =
+    Checkpoint.matches ~path:"cp.json" ~seed ~budget ~shard_size cp
+  in
+  Alcotest.(check (result unit string)) "same campaign" (Ok ())
+    (matches (91, 300, 60));
+  List.iter
+    (fun (what, ((seed, budget, shard_size) as requested)) ->
+      Alcotest.(check (result unit string)) what
+        (Error
+           (Printf.sprintf
+              "cannot resume from cp.json: checkpoint is for seed 91 budget \
+               300 shard-size 60, requested seed %d budget %d shard-size %d"
+              seed budget shard_size))
+        (matches requested))
+    [
+      ("seed differs", (92, 300, 60));
+      ("budget differs", (91, 360, 60));
+      ("shard size differs", (91, 300, 50));
+    ]
+
+let test_checkpoint_remaining () =
+  let plan = Shard.plan ~budget:300 ~shard_size:60 in
+  let indices base =
+    List.map (fun s -> s.Shard.index) (Checkpoint.remaining base plan)
+  in
+  Alcotest.(check (list int)) "no checkpoint: the whole plan" [ 0; 1; 2; 3; 4 ]
+    (indices None);
+  (* completed 0-1, quarantined 2 *)
+  Alcotest.(check (list int)) "completed and quarantined shards skipped"
+    [ 3; 4 ]
+    (indices (Some (sample_checkpoint ())))
+
 (* ------------------------- kill / resume ------------------------- *)
 
 let test_stop_and_resume_round_trip () =
@@ -414,20 +511,20 @@ let test_graceful_stop_then_resume () =
   let path = Filename.temp_file "o4a_stop" ".json" in
   Fun.protect
     ~finally:(fun () ->
-      Orchestrator.reset_stop ();
+      Orchestrator.Stop.reset ();
       if Sys.file_exists path then Sys.remove path)
     (fun () ->
       let full = run ~jobs:1 () in
       (* raise the stop flag before the campaign starts: no shard is
          claimed, but the initial checkpoint still makes it resumable *)
-      check_bool "first request wins" true (Orchestrator.request_stop ());
+      check_bool "first request wins" true (Orchestrator.Stop.request ());
       check_bool "second request reports already stopping" false
-        (Orchestrator.request_stop ());
+        (Orchestrator.Stop.request ());
       let stopped = run ~jobs:2 ~checkpoint_path:path () in
       check_bool "stopped" true stopped.Orchestrator.stopped;
       check_int "no shards ran" 0 stopped.Orchestrator.shards_run;
       check_bool "checkpoint written before drain" true (Sys.file_exists path);
-      Orchestrator.reset_stop ();
+      Orchestrator.Stop.reset ();
       let resumed = run ~jobs:2 ~checkpoint_path:path ~resume:true () in
       check_bool "not stopped" false resumed.Orchestrator.stopped;
       check_bool "resume lands on the uninterrupted report" true
@@ -516,6 +613,16 @@ let () =
             test_checkpoint_rejects_future_version;
           Alcotest.test_case "load truncated" `Quick test_checkpoint_load_truncated;
           Alcotest.test_case "rejects garbage" `Quick test_checkpoint_rejects_garbage;
+          Alcotest.test_case "rejects duplicate shard" `Quick
+            test_checkpoint_rejects_duplicate_shard;
+          Alcotest.test_case "rejects shard outside plan" `Quick
+            test_checkpoint_rejects_shard_outside_plan;
+          Alcotest.test_case "rejects empty plan" `Quick
+            test_checkpoint_rejects_empty_plan;
+          Alcotest.test_case "matches provenance" `Quick
+            test_checkpoint_matches;
+          Alcotest.test_case "remaining shards" `Quick
+            test_checkpoint_remaining;
         ] );
       ( "resume",
         [

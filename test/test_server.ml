@@ -135,6 +135,21 @@ let test_jobspec_lenient () =
          (Jobspec.codec.dec
             (Json.Obj [ ("name", Json.String "t"); ("trace", Json.Int 1) ])))
 
+(* a checkpoint of [spec]'s campaign before any shard has run *)
+let fresh_checkpoint (spec : Jobspec.t) =
+  {
+    Orchestrator.Checkpoint.seed = Jobspec.fuzz_seed spec;
+    budget = spec.Jobspec.budget;
+    shard_size = spec.Jobspec.shard_size;
+    extra = Jobspec.extra spec;
+    completed = [];
+    quarantined = [];
+    coverage = [];
+    health = [];
+    analytics = O4a_analytics.Analytics.empty;
+    artifacts = Orchestrator.Checkpoint.no_artifacts;
+  }
+
 (* checkpoint provenance and its inverse agree: a spec survives the
    extra -> of_checkpoint round trip (modulo runtime-only fields) *)
 let test_jobspec_checkpoint_inverse () =
@@ -151,21 +166,7 @@ let test_jobspec_checkpoint_inverse () =
       breaker_threshold = 2;
     }
   in
-  let cp =
-    {
-      Orchestrator.Checkpoint.seed = Jobspec.fuzz_seed spec;
-      budget = spec.Jobspec.budget;
-      shard_size = spec.Jobspec.shard_size;
-      extra = Jobspec.extra spec;
-      completed = [];
-      quarantined = [];
-      coverage = [];
-      health = [];
-      analytics = O4a_analytics.Analytics.empty;
-      artifacts = Orchestrator.Checkpoint.no_artifacts;
-    }
-  in
-  let spec' = Jobspec.of_checkpoint ~name:"inv" cp in
+  let spec' = Jobspec.of_checkpoint ~name:"inv" (fresh_checkpoint spec) in
   check_bool "spec survives checkpoint round-trip" true (spec = spec')
 
 (* ------------------------- scheduler ------------------------- *)
@@ -361,26 +362,17 @@ let read_file path =
 (* what `once4all fuzz` would print for this spec: the same pipeline the
    daemon's job path runs, rendered through the same module *)
 let standalone_text (spec : Jobspec.t) ~jobs =
-  let campaign =
-    Once4all.Campaign.prepare ~seed:spec.Jobspec.seed
-      ~profile:(Jobspec.llm_profile spec) ()
-  in
-  let seeds =
-    Seeds.Corpus.filtered ~zeal:campaign.Once4all.Campaign.zeal
-      ~cove:campaign.Once4all.Campaign.cove ()
-  in
+  let { Jobspec.generators; seeds } = Jobspec.prepare spec in
   let r =
     Orchestrator.run ~jobs ~shard_size:spec.Jobspec.shard_size
       ~config:(Jobspec.config spec) ~extra:(Jobspec.extra spec)
       ?chaos:(Jobspec.chaos spec) ?health:(Jobspec.health spec)
-      ~seed:(Jobspec.fuzz_seed spec) ~budget:spec.Jobspec.budget
-      ~generators:campaign.Once4all.Campaign.generators ~seeds ()
+      ~seed:(Jobspec.fuzz_seed spec) ~budget:spec.Jobspec.budget ~generators
+      ~seeds ()
   in
-  Render.header
-    ~generators:(List.length campaign.Once4all.Campaign.generators)
+  Render.header ~generators:(List.length generators)
     ~seeds:(List.length seeds) ~budget:spec.Jobspec.budget
-  ^ Render.resumed_line r.Orchestrator.shards_resumed
-  ^ Render.campaign ~chaos:(Jobspec.chaos spec) r
+  ^ Render.finish ~chaos:(Jobspec.chaos spec) r
 
 (* ------------------------- client diagnostics ------------------------- *)
 
@@ -549,6 +541,45 @@ let test_daemon_end_to_end () =
   Client.close c;
   check_int "daemon drains and exits 0" 0 (Domain.join daemon)
 
+(* A restarted server revives a job from its spec and checkpoint on disk,
+   and refuses a checkpoint written for another campaign with the message
+   `once4all resume` prints. *)
+let test_daemon_revive_rejects_mismatch () =
+  let dir = temp_dir () in
+  let socket = Filename.concat dir "s.sock" in
+  let cfg =
+    default_cfg ~socket ~state_dir:(Filename.concat dir "state") ~pool:1
+  in
+  let spec =
+    {
+      (Jobspec.default ~name:"gamma") with
+      Jobspec.seed = 7;
+      budget = 300;
+      shard_size = 60;
+    }
+  in
+  let job_dir = Filename.concat cfg.Daemon.state_dir "gamma" in
+  Unix.mkdir cfg.Daemon.state_dir 0o700;
+  Unix.mkdir job_dir 0o700;
+  Out_channel.with_open_bin (Filename.concat job_dir "spec.json") (fun oc ->
+      output_string oc (Json.to_string (Jobspec.codec.enc spec)));
+  let cp_path = Filename.concat job_dir "checkpoint.json" in
+  Orchestrator.Checkpoint.save ~path:cp_path
+    { (fresh_checkpoint spec) with Orchestrator.Checkpoint.budget = 360 };
+  let daemon = Domain.spawn (fun () -> Daemon.run cfg) in
+  let c = connect_retry ~socket 300 in
+  Alcotest.(check (result unit string))
+    "resume-job refuses the mismatched checkpoint"
+    (Error
+       (Printf.sprintf
+          "cannot resume from %s: checkpoint is for seed 8 budget 360 \
+           shard-size 60, requested seed 8 budget 300 shard-size 60"
+          cp_path))
+    (Result.map ignore (Client.request c (Protocol.Resume_job "gamma")));
+  let _ = request_exn c Protocol.Shutdown in
+  Client.close c;
+  check_int "daemon drains and exits 0" 0 (Domain.join daemon)
+
 let () =
   Alcotest.run "server"
     [
@@ -591,5 +622,9 @@ let () =
             test_daemon_inbound_robustness;
         ] );
       ( "daemon",
-        [ Alcotest.test_case "end-to-end" `Slow test_daemon_end_to_end ] );
+        [
+          Alcotest.test_case "end-to-end" `Slow test_daemon_end_to_end;
+          Alcotest.test_case "revive rejects a mismatched checkpoint" `Quick
+            test_daemon_revive_rejects_mismatch;
+        ] );
     ]

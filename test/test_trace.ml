@@ -149,29 +149,16 @@ let test_disabled_recorder_is_inert () =
   Trace.Recorder.record r (Trace.Skeletonized { mode = "boolean"; holes = 1 });
   Trace.Recorder.promote r ~source:"x" ~finding:sample_finding;
   Trace.Recorder.finish r;
-  check_bool "no ring contents" true (Trace.Recorder.recent r = []);
   check_bool "no promotions" true (Trace.Recorder.promoted r = [])
 
-let test_ring_eviction () =
-  let r = Trace.Recorder.create ~ring_size:2 ~seed:9 () in
-  List.iter
-    (fun tick ->
-      Trace.Recorder.start r ~tick;
-      Trace.Recorder.record r (Trace.Skeletonized { mode = "boolean"; holes = tick });
-      Trace.Recorder.finish r)
-    [ 0; 1; 2 ];
-  let ticks = List.map (fun (t : Trace.t) -> t.Trace.tick) (Trace.Recorder.recent r) in
-  check_bool "ring keeps the last two, oldest first" true (ticks = [ 1; 2 ])
-
 let test_promotion_survives_eviction () =
-  let r = Trace.Recorder.create ~ring_size:1 ~seed:9 () in
+  let r = Trace.Recorder.create ~seed:9 in
   Trace.Recorder.start r ~tick:0;
   Trace.Recorder.promote r ~source:"s0" ~finding:sample_finding;
   Trace.Recorder.finish r;
   Trace.Recorder.start r ~tick:1;
   Trace.Recorder.finish r;
-  (* tick 0 has been evicted from the ring but its promotion remains *)
-  check_int "ring holds one" 1 (List.length (Trace.Recorder.recent r));
+  (* finishing drops the trace in progress, never a promoted one *)
   match Trace.Recorder.promoted r with
   | [ p ] ->
     check_int "promoted tick" 0 p.Trace.trace.Trace.tick;
@@ -180,36 +167,38 @@ let test_promotion_survives_eviction () =
       p.Trace.trace.Trace.id
   | ps -> Alcotest.failf "expected one promotion, got %d" (List.length ps)
 
+(* the records a finished trace held, read back through its promotion *)
+let promoted_records r =
+  List.map (fun (p : Trace.promoted) -> p.Trace.trace.Trace.records)
+    (Trace.Recorder.promoted r)
+
 let test_records_only_between_start_and_finish () =
-  let r = Trace.Recorder.create ~seed:9 () in
+  let r = Trace.Recorder.create ~seed:9 in
   Trace.Recorder.record r (Trace.Skeletonized { mode = "boolean"; holes = 1 });
   Trace.Recorder.start r ~tick:4;
   Trace.Recorder.record r (Trace.Skeletonized { mode = "typed"; holes = 2 });
+  Trace.Recorder.promote r ~source:"s4" ~finding:sample_finding;
   Trace.Recorder.finish r;
   Trace.Recorder.record r (Trace.Skeletonized { mode = "boolean"; holes = 3 });
-  match Trace.Recorder.recent r with
-  | [ t ] ->
-    check_bool "only the in-trace record is kept" true
-      (t.Trace.records = [ Trace.Skeletonized { mode = "typed"; holes = 2 } ])
-  | ts -> Alcotest.failf "expected one trace, got %d" (List.length ts)
+  (* a finished trace is closed: promoting now captures nothing *)
+  Trace.Recorder.promote r ~source:"late" ~finding:sample_finding;
+  check_bool "only the in-trace record is kept" true
+    (promoted_records r
+    = [ [ Trace.Skeletonized { mode = "typed"; holes = 2 } ] ])
 
 let test_ambient_scoping () =
-  let r = Trace.Recorder.create ~seed:9 () in
+  let r = Trace.Recorder.create ~seed:9 in
   check_bool "ambient starts disabled" false (Trace.noting ());
   Trace.Recorder.using r (fun () ->
       Trace.Recorder.start r ~tick:0;
       check_bool "ambient notes while installed" true (Trace.noting ());
       Trace.note (Trace.Skeletonized { mode = "boolean"; holes = 1 });
+      Trace.Recorder.promote r ~source:"s0" ~finding:sample_finding;
       Trace.Recorder.finish r);
   check_bool "ambient restored" false (Trace.noting ());
-  check_int "note reached the installed recorder" 1
-    (List.length (Trace.Recorder.recent r))
-
-let test_bad_ring_size_rejected () =
-  check_bool "ring_size 0 raises" true
-    (match Trace.Recorder.create ~ring_size:0 ~seed:1 () with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+  check_bool "note reached the installed recorder" true
+    (promoted_records r
+    = [ [ Trace.Skeletonized { mode = "boolean"; holes = 1 } ] ])
 
 (* ------------------------- bundles ------------------------- *)
 
@@ -303,13 +292,11 @@ let () =
       ( "recorder",
         [
           Alcotest.test_case "disabled inert" `Quick test_disabled_recorder_is_inert;
-          Alcotest.test_case "ring eviction" `Quick test_ring_eviction;
           Alcotest.test_case "promotion survives eviction" `Quick
             test_promotion_survives_eviction;
           Alcotest.test_case "start/finish bracket" `Quick
             test_records_only_between_start_and_finish;
           Alcotest.test_case "ambient scoping" `Quick test_ambient_scoping;
-          Alcotest.test_case "bad ring size" `Quick test_bad_ring_size_rejected;
         ] );
       ( "bundles",
         [

@@ -251,6 +251,9 @@ signal landed?)"; cat "$sstate/$job/status"; exit 1; }
   "$cli" checkpoint info "$sstate/$job/checkpoint.json" > /dev/null || {
     echo "FAIL: $job checkpoint unreadable after drain"; exit 1; }
 done
+# keep s-gamma's drained checkpoint before resume-job rewrites it: the CLI
+# must resume it too
+cp "$sstate/s-gamma/checkpoint.json" "$out/sg_cp.json"
 "$cli" serve --socket "$ssock" --state-dir "$sstate" --pool 2 \
   > "$out/serve3.log" 2>&1 &
 spid=$!
@@ -263,6 +266,12 @@ for _ in $(seq 1 100); do [ -S "$ssock" ] && break; sleep 0.1; done
 wait "$spid" || { echo "FAIL: server exited nonzero after resume"; exit 1; }
 "$cli" fuzz --seed 5 --budget 2000 --shard-size 100 --jobs 2 > "$out/sg.log"
 "$cli" fuzz --seed 9 --budget 2000 --shard-size 100 --jobs 2 > "$out/sd.log"
+"$cli" resume --checkpoint "$out/sg_cp.json" --jobs 2 > "$out/sg_cli.log"
+grep -q '^resumed ' "$out/sg_cli.log" || {
+  echo "FAIL: resume of s-gamma's served checkpoint resumed no shards"; exit 1; }
+diff <(grep -v '^resumed ' "$out/sg_cli.log") "$out/sg.log" || {
+  echo "FAIL: once4all resume of a served job's checkpoint differs from the \
+uninterrupted standalone run"; exit 1; }
 # resumed reports carry a "resumed N completed shards" provenance line
 for pair in "s-gamma sg" "s-delta sd"; do
   job="${pair% *}"; std="${pair#* }"
