@@ -27,7 +27,6 @@ module Json = O4a_telemetry.Json
 module Metrics = O4a_telemetry.Metrics
 module Trace = O4a_trace.Trace
 module Bundle = O4a_trace.Bundle
-module Faults = O4a_faults.Faults
 module Health = O4a_health.Health
 module Analytics = O4a_analytics.Analytics
 module Jobspec = O4a_server.Jobspec
@@ -172,10 +171,22 @@ let run_sharded_campaign ~tel ~telemetry_path ~(spec : Jobspec.t)
     dump_metrics tel telemetry_path;
     0
 
+(* The run options outside the job spec, checked before any work (Algorithm 1
+   included) so a bad value gets a one-line diagnostic. *)
+let validate_run ~jobs ~stop_after =
+  if jobs < 1 then Error "--jobs must be >= 1"
+  else
+    match stop_after with
+    | Some n when n < 0 -> Error "--stop-after must be >= 0"
+    | _ -> Ok ()
+
 let fuzz spec show_formulas telemetry_path progress jobs checkpoint_path
     stop_after trace_dir verbose =
   setup_logs verbose;
-  match Jobspec.validate spec with
+  match
+    Result.bind (validate_run ~jobs ~stop_after) (fun () ->
+        Jobspec.validate spec)
+  with
   | Error msg ->
     Printf.eprintf "%s\n" msg;
     1
@@ -191,10 +202,14 @@ let fuzz spec show_formulas telemetry_path progress jobs checkpoint_path
 let resume checkpoint_path jobs show_formulas telemetry_path progress stop_after
     trace_dir verbose =
   setup_logs verbose;
-  match Orchestrator.Checkpoint.load ~path:checkpoint_path with
-  | Error err ->
-    Printf.eprintf "%s\n"
-      (Orchestrator.Checkpoint.load_error_to_string ~path:checkpoint_path err);
+  match
+    Result.bind (validate_run ~jobs ~stop_after) (fun () ->
+        Result.map_error
+          (Orchestrator.Checkpoint.load_error_to_string ~path:checkpoint_path)
+          (Orchestrator.Checkpoint.load ~path:checkpoint_path))
+  with
+  | Error msg ->
+    Printf.eprintf "%s\n" msg;
     1
   | Ok cp -> (
     (* rebuild the spec the checkpoint was written under from its provenance
@@ -215,17 +230,11 @@ let resume checkpoint_path jobs show_formulas telemetry_path progress stop_after
           ~progress ~jobs ~checkpoint_path:(Some checkpoint_path) ~resume:true
           ~stop_after ~trace_dir))
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* [read_file] for user-supplied paths: a typed error instead of an uncaught
-   Sys_error, so stats/replay can print the offending path and exit 2. *)
+(* Read a user-supplied path: a typed error instead of an uncaught Sys_error
+   (a missing file, a directory), so stats/replay/reduce can print the
+   offending path and exit 2. *)
 let read_file_checked path =
-  match read_file path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | contents -> Ok contents
   | exception Sys_error msg -> Error msg
 
@@ -489,8 +498,8 @@ let stats_cmd path strict =
   if strict && (malformed > 0 || not !consistent) then 1 else 0)
 
 (* Side-by-side comparison of two telemetry logs: per-stage span count and
-   latency-percentile deltas plus end-to-end throughput — the offline
-   counterpart of `bench throughput` for two already-recorded campaigns. *)
+   latency-percentile deltas plus end-to-end throughput, for two
+   already-recorded campaigns. *)
 let stats_diff path_a path_b =
   let load path =
     match read_file_checked path with
@@ -707,7 +716,11 @@ let triage dir =
 (* ---------------- reduce ---------------- *)
 
 let reduce path =
-  let source = read_file path in
+  match read_file_checked path with
+  | Error msg ->
+    Printf.eprintf "reduce: cannot read %s: %s\n" path msg;
+    2
+  | Ok source -> (
   match Smtlib.Parser.parse_script source with
   | Error e ->
     Printf.eprintf "parse error: %s\n" (Smtlib.Parser.error_message e);
@@ -736,7 +749,7 @@ let reduce path =
       Printf.printf "size %d -> %d nodes (%d probes)\n\n"
         stats.Reduce_kit.Ddsmt.initial_size stats.final_size stats.probes;
       print_endline (Smtlib.Printer.script reduced);
-      0)
+      0))
 
 (* ---------------- report ---------------- *)
 
@@ -1052,10 +1065,15 @@ let write_file_checked path contents =
    checkpoint's analytics record, which is itself jobs-invariant — so
    check.sh can diff the output of a --jobs 4 campaign against --jobs 1. *)
 let analyze path csv json export window =
-  match Orchestrator.Checkpoint.inspect ~path with
-  | Error err ->
-    Printf.eprintf "%s\n"
-      (Orchestrator.Checkpoint.load_error_to_string ~path err);
+  match
+    if window < 1 then Error "analyze: --window must be >= 1"
+    else
+      Result.map_error
+        (Orchestrator.Checkpoint.load_error_to_string ~path)
+        (Orchestrator.Checkpoint.inspect ~path)
+  with
+  | Error msg ->
+    Printf.eprintf "%s\n" msg;
     2
   | Ok { Orchestrator.Checkpoint.i_version; i_checkpoint = cp } ->
     let a = cp.Orchestrator.Checkpoint.analytics in
@@ -1192,9 +1210,15 @@ let analyze path csv json export window =
 
 (* ---------------- command wiring ---------------- *)
 
-let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N")
+(* The default campaign: every campaign flag takes its default from here, so
+   the CLI and a terse JSON job spec cannot disagree. *)
+let default_spec = Jobspec.default ~name:"cli"
+
+let seed_arg =
+  Arg.(value & opt int default_spec.Jobspec.seed & info [ "seed" ] ~docv:"N")
 let profile_arg =
-  Arg.(value & opt string "gpt-4" & info [ "profile" ] ~docv:"NAME"
+  Arg.(value & opt string default_spec.Jobspec.profile
+       & info [ "profile" ] ~docv:"NAME"
          ~doc:"LLM profile: gpt-4, gemini-2.5-pro, claude-4.5-sonnet")
 
 let construct_cmd =
@@ -1238,7 +1262,7 @@ let trace_dir_arg =
                  bundle per finding under DIR (inspect with trace show / triage)")
 
 let chaos_arg =
-  Arg.(value & opt string "off"
+  Arg.(value & opt string default_spec.Jobspec.chaos_profile
        & info [ "chaos" ] ~docv:"PROFILE"
            ~doc:"deterministic fault injection: off, solver (hangs + spurious \
                  crashes), io (sink writes + checkpoint corruption), workers \
@@ -1246,26 +1270,26 @@ let chaos_arg =
                  a stretch — non-tainting, exercises the circuit breakers)")
 
 let chaos_seed_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt int default_spec.Jobspec.chaos_seed
        & info [ "chaos-seed" ] ~docv:"N"
            ~doc:"fault-plan seed; the same seed injects the same faults at \
                  any --jobs value")
 
 let chaos_rate_arg =
-  Arg.(value & opt float Faults.default_rate
+  Arg.(value & opt float default_spec.Jobspec.chaos_rate
        & info [ "chaos-rate" ] ~docv:"R"
            ~doc:"per-site probability a fault fires during a shard's first \
                  attempt (retries decay it); 1.0 fires on every attempt, \
                  forcing quarantine")
 
 let breaker_window_arg =
-  Arg.(value & opt int Health.default_config.O4a_health.Health.window
+  Arg.(value & opt int default_spec.Jobspec.breaker_window
        & info [ "breaker-window" ] ~docv:"N"
            ~doc:"circuit-breaker sliding window, in queries per \
                  (solver, theory); also the cooldown before a half-open probe")
 
 let breaker_threshold_arg =
-  Arg.(value & opt int Health.default_config.O4a_health.Health.threshold
+  Arg.(value & opt int default_spec.Jobspec.breaker_threshold
        & info [ "breaker-threshold" ] ~docv:"N"
            ~doc:"bad outcomes (timeouts/crashes) within the window that trip \
                  the breaker and degrade the oracle for that theory")
@@ -1280,9 +1304,12 @@ let no_breakers_arg =
    job spec, so the two commands cannot drift apart. The runtime-only
    fields (name, quota, trace, telemetry) keep their defaults here. *)
 let spec_term =
-  let budget = Arg.(value & opt int 2000 & info [ "budget" ] ~docv:"N" ~doc:"test cases") in
+  let budget =
+    Arg.(value & opt int default_spec.Jobspec.budget
+         & info [ "budget" ] ~docv:"N" ~doc:"test cases")
+  in
   let shard_size =
-    Arg.(value & opt int Orchestrator.default_shard_size
+    Arg.(value & opt int default_spec.Jobspec.shard_size
          & info [ "shard-size" ] ~docv:"N"
              ~doc:"ticks per shard (campaign provenance: must match when comparing or resuming)")
   in
@@ -1290,7 +1317,7 @@ let spec_term =
   let spec seed budget shard_size profile no_skeletons chaos_profile chaos_seed
       chaos_rate breaker_window breaker_threshold no_breakers =
     {
-      (Jobspec.default ~name:"cli") with
+      default_spec with
       Jobspec.seed;
       budget;
       shard_size;
@@ -1483,13 +1510,7 @@ let serve_cmd =
 let worker_run connect socket slots connect_timeout heartbeat quit_after
     verbose =
   setup_logs verbose;
-  let addr =
-    match connect with
-    | Some spec ->
-      Result.map (fun (h, p) -> Addr.Tcp (h, p)) (Addr.parse_tcp spec)
-    | None -> Ok (Addr.Unix_path socket)
-  in
-  match addr with
+  match client_addr socket connect with
   | Error msg ->
     Printf.eprintf "%s\n" msg;
     1
@@ -1544,7 +1565,7 @@ let submit_cmd =
              ~doc:"job name; the server suffixes it if taken")
   in
   let quota =
-    Arg.(value & opt int 1
+    Arg.(value & opt int default_spec.Jobspec.quota
          & info [ "quota" ] ~docv:"N"
              ~doc:"fair-share weight: shards this job may run per scheduling \
                    round when the pool is contended")

@@ -152,36 +152,31 @@ let extra t =
    from its provenance record — how `resume`, `resume-job`, and a restarted
    server re-arm the exact generator pool, fault plan, and breaker config. *)
 let of_checkpoint ~name (cp : Checkpoint.t) =
-  let find key d =
-    Option.value (List.assoc_opt key cp.Checkpoint.extra) ~default:d
-  in
   let d = default ~name in
+  let find key parse ~default =
+    Option.value ~default
+      (Option.bind (List.assoc_opt key cp.Checkpoint.extra) parse)
+  in
   {
     d with
-    seed =
-      (match int_of_string_opt (find "cli_seed" "") with
-      | Some s -> s
-      | None -> cp.Checkpoint.seed - 1);
+    seed = find "cli_seed" int_of_string_opt ~default:(cp.Checkpoint.seed - 1);
     budget = cp.Checkpoint.budget;
     shard_size = cp.Checkpoint.shard_size;
-    profile = find "profile" "gpt-4";
-    use_skeletons = find "use_skeletons" "true" <> "false";
-    chaos_profile = find "chaos_profile" "off";
-    chaos_seed =
-      Option.value ~default:1 (int_of_string_opt (find "chaos_seed" "1"));
-    chaos_rate =
-      Option.value ~default:Faults.default_rate
-        (float_of_string_opt
-           (find "chaos_rate" (string_of_float Faults.default_rate)));
-    breakers = find "breakers" "off" = "on";
+    profile = find "profile" Option.some ~default:d.profile;
+    use_skeletons =
+      find "use_skeletons"
+        (fun v -> Some (v <> "false"))
+        ~default:d.use_skeletons;
+    chaos_profile = find "chaos_profile" Option.some ~default:d.chaos_profile;
+    chaos_seed = find "chaos_seed" int_of_string_opt ~default:d.chaos_seed;
+    chaos_rate = find "chaos_rate" float_of_string_opt ~default:d.chaos_rate;
+    (* provenance without a "breakers" entry predates the breakers, so the
+       campaign ran without them *)
+    breakers = find "breakers" (fun v -> Some (v = "on")) ~default:false;
     breaker_window =
-      Option.value
-        ~default:Health.default_config.Health.window
-        (int_of_string_opt (find "breaker_window" ""));
+      find "breaker_window" int_of_string_opt ~default:d.breaker_window;
     breaker_threshold =
-      Option.value
-        ~default:Health.default_config.Health.threshold
-        (int_of_string_opt (find "breaker_threshold" ""));
+      find "breaker_threshold" int_of_string_opt ~default:d.breaker_threshold;
   }
 
 (* Every member but "name" is optional and defaults to {!default} — a

@@ -9,6 +9,7 @@ module Telemetry = O4a_telemetry.Telemetry
 module Sink = O4a_telemetry.Sink
 module Event = O4a_telemetry.Event
 module Json = O4a_telemetry.Json
+module Analytics = O4a_analytics.Analytics
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -122,7 +123,8 @@ let show_strip (p : Profile.t) =
   Json.to_string (Profile.codec.enc (Profile.strip_timing p))
 
 (* The acceptance gate: the deterministic projection of the campaign
-   profile is byte-identical at --jobs 1 and --jobs 4. *)
+   profile is byte-identical at --jobs 1 and --jobs 4, and the campaign's
+   work counters are pinned exactly. *)
 let test_profile_jobs_invariant () =
   let r1 = run ~jobs:1 () in
   let r4 = run ~jobs:4 () in
@@ -130,8 +132,23 @@ let test_profile_jobs_invariant () =
     "strip_timing byte-identical across jobs"
     (show_strip r1.Orchestrator.profile)
     (show_strip r4.Orchestrator.profile);
-  check_bool "profile non-empty" true
-    (r1.Orchestrator.profile.Profile.ticks = 300)
+  let p = r1.Orchestrator.profile in
+  let pin what expected actual =
+    check_int
+      (what ^ " pinned: moving it is a semantic change and must be declared")
+      expected actual
+  in
+  pin "ticks" 300 p.Profile.ticks;
+  pin "solver consults" 600 (Profile.total_consults p);
+  pin "solver fuel" 5_548_149 (Profile.total_fuel p);
+  (* the analytics ledger counts the same queries as the profile ledger *)
+  let samples = Analytics.series r1.Orchestrator.analytics in
+  let sum f = List.fold_left (fun acc pt -> acc + f pt) 0 samples in
+  check_int "analytics consults = profile consults"
+    (Profile.total_consults p)
+    (sum (fun pt -> pt.Analytics.p_consults));
+  check_int "analytics fuel = profile fuel" (Profile.total_fuel p)
+    (sum (fun pt -> pt.Analytics.p_fuel))
 
 let test_profile_off_means_empty () =
   let r = run ~jobs:2 ~profiling:false () in
