@@ -88,10 +88,12 @@ let bump ledger p by =
   ensure ledger p.id;
   ledger.counts.(p.id) <- ledger.counts.(p.id) + by
 
-let hit p =
+let hit_n p n =
   let l = ambient () in
-  bump l p 1;
-  match p.chained with Some f -> bump l f 1 | None -> ()
+  bump l p n;
+  match p.chained with Some f -> bump l f n | None -> ()
+
+let hit p = hit_n p 1
 
 let count_in ledger p =
   if p.id < Array.length ledger.counts then ledger.counts.(p.id) else 0

@@ -45,6 +45,10 @@ val hit : point -> unit
 (** Increment the point's count in the {e ambient} ledger of the calling
     domain. *)
 
+val hit_n : point -> int -> unit
+(** [hit_n p n] counts [n] hits at once: the same counts as [n] calls of
+    [hit p]. *)
+
 (** {1 Ledgers} *)
 
 type ledger

@@ -23,9 +23,22 @@ let default_config =
     datatype_depth = 2;
   }
 
-let cap config values = O4a_util.Listx.take config.max_domain_size values
+(* The first [limit] tuples of the product of [lists], first-major. They
+   draw on the first [limit] tails only, so a wide product costs its prefix,
+   not its size. *)
+let rec product ~limit = function
+  | [] -> [ [] ]
+  | values :: rest ->
+    let tails = product ~limit rest in
+    O4a_util.Listx.take limit (List.concat_map (fun v -> List.map (fun t -> v :: t) tails) values)
 
-let rec enumerate_uncapped config ~datatypes sort =
+(* The first [limit] candidates of a sort, in enumeration order. Every
+   caller wants a prefix (the cap, or a few values of a component sort), so
+   no product is built past it. *)
+let rec enumerate_upto config ~datatypes ~limit sort =
+  O4a_util.Listx.take limit (candidates config ~datatypes ~limit sort)
+
+and candidates config ~datatypes ~limit sort =
   match sort with
   | Sort.Bool -> [ Value.Bool false; Value.Bool true ]
   | Sort.Int -> List.map (fun n -> Value.Int n) (O4a_util.Listx.range config.int_lo config.int_hi)
@@ -49,10 +62,7 @@ let rec enumerate_uncapped config ~datatypes sort =
     let values = if p <= 11 then O4a_util.Listx.range 0 (p - 1) else [ 0; 1; 2; p - 2; p - 1 ] in
     List.map (fun v -> Value.mk_ff ~order:p v) values
   | Sort.Seq elt ->
-    let elems =
-      O4a_util.Listx.take config.max_container_elems
-        (enumerate_uncapped config ~datatypes elt)
-    in
+    let elems = enumerate_upto config ~datatypes ~limit:config.max_container_elems elt in
     let rec seqs len =
       if len = 0 then [ [] ]
       else (
@@ -62,10 +72,7 @@ let rec enumerate_uncapped config ~datatypes sort =
     in
     List.map (fun s -> Value.Seq (elt, s)) (seqs config.max_seq_len)
   | Sort.Set elt ->
-    let elems =
-      O4a_util.Listx.take config.max_container_elems
-        (enumerate_uncapped config ~datatypes elt)
-    in
+    let elems = enumerate_upto config ~datatypes ~limit:config.max_container_elems elt in
     let rec subsets = function
       | [] -> [ [] ]
       | x :: rest ->
@@ -74,24 +81,14 @@ let rec enumerate_uncapped config ~datatypes sort =
     in
     List.map (fun s -> Value.mk_set elt s) (subsets elems)
   | Sort.Bag elt ->
-    let elems =
-      O4a_util.Listx.take 2 (enumerate_uncapped config ~datatypes elt)
-    in
+    let elems = enumerate_upto config ~datatypes ~limit:2 elt in
     let mults = O4a_util.Listx.range 0 config.max_bag_mult in
-    let rec assignments = function
-      | [] -> [ [] ]
-      | x :: rest ->
-        let tails = assignments rest in
-        List.concat_map (fun m -> List.map (fun t -> (x, m) :: t) tails) mults
-    in
     List.map
       (fun entries -> Value.mk_bag elt (List.filter (fun (_, m) -> m > 0) entries))
-      (assignments elems)
+      (product ~limit (List.map (fun x -> List.map (fun m -> (x, m)) mults) elems))
   | Sort.Array (idx, elt) ->
-    let elt_values =
-      O4a_util.Listx.take 3 (enumerate_uncapped config ~datatypes elt)
-    in
-    let idx_values = O4a_util.Listx.take 2 (enumerate_uncapped config ~datatypes idx) in
+    let elt_values = enumerate_upto config ~datatypes ~limit:3 elt in
+    let idx_values = enumerate_upto config ~datatypes ~limit:2 idx in
     let constants =
       List.map
         (fun d -> Value.Arr { idx; elt; default = d; entries = [] })
@@ -105,19 +102,14 @@ let rec enumerate_uncapped config ~datatypes sort =
     in
     constants @ with_store
   | Sort.Tuple sorts ->
-    let rec products = function
-      | [] -> [ [] ]
-      | s :: rest ->
-        let values = O4a_util.Listx.take 3 (enumerate_uncapped config ~datatypes s) in
-        let tails = products rest in
-        List.concat_map (fun v -> List.map (fun t -> v :: t) tails) values
-    in
-    List.map (fun vs -> Value.Tuple vs) (products sorts)
-  | Sort.Datatype name -> enumerate_datatype config ~datatypes name config.datatype_depth
+    List.map
+      (fun vs -> Value.Tuple vs)
+      (product ~limit (List.map (enumerate_upto config ~datatypes ~limit:3) sorts))
+  | Sort.Datatype name -> enumerate_datatype config ~datatypes ~limit name config.datatype_depth
   | Sort.Uninterpreted name ->
     List.init config.uninterpreted_card (fun k -> Value.Un (name, k))
 
-and enumerate_datatype config ~datatypes name depth =
+and enumerate_datatype config ~datatypes ~limit name depth =
   match
     List.find_opt (fun (d : Command.datatype_decl) -> d.dt_name = name) datatypes
   with
@@ -126,27 +118,22 @@ and enumerate_datatype config ~datatypes name depth =
     let build_ctor (c : Command.constructor) =
       if depth <= 0 && c.selectors <> [] then []
       else (
-        let rec fields = function
-          | [] -> [ [] ]
-          | (_, s) :: rest ->
-            let values =
-              match s with
-              | Sort.Datatype n when n = name ->
-                enumerate_datatype config ~datatypes name (depth - 1)
-              | _ -> O4a_util.Listx.take 2 (enumerate_uncapped config ~datatypes s)
-            in
-            let tails = fields rest in
-            List.concat_map (fun v -> List.map (fun t -> v :: t) tails)
-              (O4a_util.Listx.take 2 values)
+        let field (_, s) =
+          match s with
+          | Sort.Datatype n when n = name ->
+            O4a_util.Listx.take 2 (enumerate_datatype config ~datatypes ~limit:2 name (depth - 1))
+          | _ -> enumerate_upto config ~datatypes ~limit:2 s
         in
-        List.map (fun vs -> Value.Dt (name, c.ctor_name, vs)) (fields c.selectors))
+        List.map
+          (fun vs -> Value.Dt (name, c.ctor_name, vs))
+          (product ~limit (List.map field c.selectors)))
     in
     (match List.concat_map build_ctor decl.constructors with
     | [] -> [ Value.Un (name, 0) ]
     | vs -> vs)
 
 let enumerate ?(config = default_config) ~datatypes sort =
-  cap config (enumerate_uncapped config ~datatypes sort)
+  enumerate_upto config ~datatypes ~limit:config.max_domain_size sort
 
 let default_value ?(config = default_config) ~datatypes sort =
   match enumerate ~config ~datatypes sort with

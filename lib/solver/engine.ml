@@ -20,7 +20,7 @@ type t = {
   bugs : Bug_db.spec list;
   rules : Rewrite.rule list;
   order : Search.order;
-  cov : string -> int -> unit;
+  cov : string -> int -> int -> unit;  (* [cov key line n]: n hits at once *)
   act : activity;
   steps_used : int ref;
 }
@@ -206,9 +206,9 @@ let prewarm () =
 
 let cov_fn tag =
   let tbl = table_for tag in
-  fun key line ->
+  fun key line n ->
     match Hashtbl.find_opt tbl (key, line) with
-    | Some p -> Coverage.hit p
+    | Some p -> Coverage.hit_n p n
     | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -227,13 +227,13 @@ let make ?(pure = false) tag ~commit =
     }
   in
   let base_cov = cov_fn tag in
-  let cov key line =
+  let cov key line n =
     if line = 0 then
       if O4a_util.Strx.starts_with ~prefix:"domain." key then
-        act.decisions <- act.decisions + 1
+        act.decisions <- act.decisions + n
       else if O4a_util.Strx.starts_with ~prefix:"propagate." key then
-        act.propagations <- act.propagations + 1;
-    base_cov key line
+        act.propagations <- act.propagations + n;
+    base_cov key line n
   in
   {
     tag;
@@ -391,11 +391,11 @@ let corrupt_model t script (model : Model.t) =
   Option.value falsifying ~default:model
 
 let solve_script_inner ?(max_steps = 200_000) t script =
-  List.iter (fun cmd -> t.cov (command_key cmd) 0) script;
+  List.iter (fun cmd -> t.cov (command_key cmd) 0 1) script;
   (* 1. unsupported features *)
   match unsupported_symbol t script with
   | Some sym ->
-    t.cov "unsupported.symbol" 0;
+    t.cov "unsupported.symbol" 0 1;
     Error (Printf.sprintf "unknown constant or function symbol '%s'" sym)
   | None -> (
     (* 2. pre-typecheck bug escapes (e.g. the nullary-join type-check hole) *)
@@ -405,16 +405,16 @@ let solve_script_inner ?(max_steps = 200_000) t script =
       (* 3. sort checking *)
       match Theories.Typecheck.check_script script with
       | Error msg ->
-        t.cov "typecheck.error" 0;
+        t.cov "typecheck.error" 0 1;
         Error msg
       | Ok () -> (
-        t.cov "typecheck.ok" 0;
+        t.cov "typecheck.ok" 0 1;
         (* 4. remaining crash bugs *)
         match triggered t script (fun b -> b.Bug_db.kind = Bug_db.Crash) with
         | bug :: _ -> raise (crash_of_bug t bug)
         | [] ->
           (* 5. rewriting *)
-          let fired rule = t.cov ("rw." ^ rule) 0 in
+          let fired rule = t.cov ("rw." ^ rule) 0 1 in
           let simplified =
             Script.map_assertions
               (fun a -> Rewrite.simplify ~rules:t.rules ~fired a)
@@ -424,7 +424,7 @@ let solve_script_inner ?(max_steps = 200_000) t script =
           let bounds =
             match t.tag with
             | Coverage.Zeal ->
-              t.cov "propagate.entry" 0;
+              t.cov "propagate.entry" 0 1;
               Propagate.analyze simplified
             | Coverage.Cove -> []
           in
@@ -439,7 +439,7 @@ let solve_script_inner ?(max_steps = 200_000) t script =
           (* 7. bounded model search *)
           let outcome =
             if pruned_unsat then (
-              t.cov "propagate.empty" 0;
+              t.cov "propagate.empty" 0 1;
               Unsat)
             else (
               match
@@ -487,7 +487,7 @@ let last_query_stats t =
 let parse_check t source =
   match Parser.parse_script source with
   | Error e ->
-    t.cov "unsupported.symbol" 1;
+    t.cov "unsupported.symbol" 1 1;
     Result.Error (Parser.error_message e)
   | Ok script -> (
     match unsupported_symbol t script with

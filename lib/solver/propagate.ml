@@ -56,9 +56,15 @@ let top_level_conjuncts script =
   List.concat_map flatten (Script.assertions script)
 
 let analyze script =
+  (* a zero-arity define-fun is a declared const to [Script], but its value
+     is fixed by its body: no bound on it may prune the search *)
+  let defined =
+    List.filter_map (function Command.Define_fun (n, _, _, _) -> Some n | _ -> None) script
+  in
   let int_consts =
     Script.declared_consts script
-    |> List.filter_map (fun (n, s) -> if s = Sort.Int then Some n else None)
+    |> List.filter_map (fun (n, s) ->
+           if s = Sort.Int && not (List.mem n defined) then Some n else None)
   in
   let bounds =
     List.fold_left

@@ -20,7 +20,7 @@ val solve :
   ?config:Domain.config ->
   ?max_steps:int ->
   ?order:order ->
-  ?cov:(string -> int -> unit) ->
+  ?cov:(string -> int -> int -> unit) ->
   ?bounds:(string * Propagate.interval) list ->
   ?steps_used:int ref ->
   Script.t ->
@@ -29,4 +29,12 @@ val solve :
     semantics of DESIGN.md. [Resource_limit] is returned on fuel exhaustion
     (the analog of a 10-second solver timeout). When given, [steps_used] receives
     the evaluator fuel this query consumed — the telemetry layer's
-    "fuel per query" signal. *)
+    "fuel per query" signal. [cov key line n] records [n] hits of a coverage
+    point at once.
+
+    Fuel and coverage are accounted as if every leaf of the search tree were
+    evaluated, in order: the outcome, the model, [steps_used], the tick at
+    which fuel runs out, and every coverage count are those of the plain
+    depth-first walk. Leaves whose failure the assertions read before it
+    already decide are charged (count × cost) instead of evaluated; see
+    DESIGN.md, "Fuel-exact search". *)

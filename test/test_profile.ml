@@ -141,6 +141,21 @@ let test_profile_jobs_invariant () =
   pin "ticks" 300 p.Profile.ticks;
   pin "solver consults" 600 (Profile.total_consults p);
   pin "solver fuel" 5_548_149 (Profile.total_fuel p);
+  (* The search charges leaves whose outcome is already known instead of
+     evaluating them: these two catch a charge that forgets the leaf's
+     coverage hits (total) or the skipped node visits ([domain.*] line 0,
+     which become the trace's [decisions]). *)
+  let coverage_sum keep =
+    List.fold_left
+      (fun acc (identity, count) -> if keep identity then acc + count else acc)
+      0 r1.Orchestrator.coverage
+  in
+  pin "coverage hits" 6_070_895 (coverage_sum (fun _ -> true));
+  pin "domain.* line-0 hits" 24_822
+    (coverage_sum (fun identity ->
+         match String.split_on_char '|' identity with
+         | [ _; _; func; "l"; "0" ] -> String.starts_with ~prefix:"domain." func
+         | _ -> false));
   (* the analytics ledger counts the same queries as the profile ledger *)
   let samples = Analytics.series r1.Orchestrator.analytics in
   let sum f = List.fold_left (fun acc pt -> acc + f pt) 0 samples in

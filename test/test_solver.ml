@@ -158,6 +158,184 @@ let test_default_value () =
   check_bool "bool default" true
     (Domain.default_value ~datatypes:[] Sort.Bool = Value.Bool false)
 
+(* The eager enumerator [Domain.enumerate] replaced, kept as the reference
+   for its values and their order: it builds each whole product, then caps. *)
+let rec eager_uncapped (config : Domain.config) ~datatypes sort =
+  match sort with
+  | Sort.Bool -> [ Value.Bool false; Value.Bool true ]
+  | Sort.Int ->
+    List.map (fun n -> Value.Int n) (O4a_util.Listx.range config.Domain.int_lo config.int_hi)
+  | Sort.Real ->
+    [ Value.mk_real (-1) 1; Value.mk_real (-1) 2; Value.mk_real 0 1; Value.mk_real 1 2;
+      Value.mk_real 1 1; Value.mk_real 2 1 ]
+  | Sort.String_sort -> List.map (fun s -> Value.Str s) [ ""; "a"; "b"; "ab"; "ba"; "0"; "aa" ]
+  | Sort.Reglan ->
+    [ Value.Re Regex.Empty; Value.Re Regex.Epsilon; Value.Re Regex.Any_char;
+      Value.Re Regex.All; Value.Re (Regex.Lit "a") ]
+  | Sort.Bitvec w ->
+    let full = w <= 3 in
+    let values =
+      if full then O4a_util.Listx.range 0 ((1 lsl w) - 1)
+      else (
+        let top = (1 lsl min w 30) - 1 in
+        O4a_util.Listx.dedup [ 0; 1; 2; 3; 5; top / 2; top - 1; top ])
+    in
+    List.map (fun v -> Value.mk_bv ~width:w v) values
+  | Sort.Finite_field p ->
+    let values = if p <= 11 then O4a_util.Listx.range 0 (p - 1) else [ 0; 1; 2; p - 2; p - 1 ] in
+    List.map (fun v -> Value.mk_ff ~order:p v) values
+  | Sort.Seq elt ->
+    let elems =
+      O4a_util.Listx.take config.max_container_elems (eager_uncapped config ~datatypes elt)
+    in
+    let rec seqs len =
+      if len = 0 then [ [] ]
+      else (
+        let shorter = seqs (len - 1) in
+        shorter @ List.concat_map (fun s -> List.map (fun e -> e :: s) elems)
+                    (List.filter (fun s -> List.length s = len - 1) shorter))
+    in
+    List.map (fun s -> Value.Seq (elt, s)) (seqs config.max_seq_len)
+  | Sort.Set elt ->
+    let elems =
+      O4a_util.Listx.take config.max_container_elems (eager_uncapped config ~datatypes elt)
+    in
+    let rec subsets = function
+      | [] -> [ [] ]
+      | x :: rest ->
+        let without = subsets rest in
+        without @ List.map (fun s -> x :: s) without
+    in
+    List.map (fun s -> Value.mk_set elt s) (subsets elems)
+  | Sort.Bag elt ->
+    let elems = O4a_util.Listx.take 2 (eager_uncapped config ~datatypes elt) in
+    let mults = O4a_util.Listx.range 0 config.max_bag_mult in
+    let rec assignments = function
+      | [] -> [ [] ]
+      | x :: rest ->
+        let tails = assignments rest in
+        List.concat_map (fun m -> List.map (fun t -> (x, m) :: t) tails) mults
+    in
+    List.map
+      (fun entries -> Value.mk_bag elt (List.filter (fun (_, m) -> m > 0) entries))
+      (assignments elems)
+  | Sort.Array (idx, elt) ->
+    let elt_values = O4a_util.Listx.take 3 (eager_uncapped config ~datatypes elt) in
+    let idx_values = O4a_util.Listx.take 2 (eager_uncapped config ~datatypes idx) in
+    let constants =
+      List.map (fun d -> Value.Arr { idx; elt; default = d; entries = [] }) elt_values
+    in
+    let with_store =
+      match (idx_values, elt_values) with
+      | i0 :: _, d :: alt :: _ when not (Value.equal d alt) ->
+        [ Value.Arr { idx; elt; default = d; entries = [ (i0, alt) ] } ]
+      | _ -> []
+    in
+    constants @ with_store
+  | Sort.Tuple sorts ->
+    let rec products = function
+      | [] -> [ [] ]
+      | s :: rest ->
+        let values = O4a_util.Listx.take 3 (eager_uncapped config ~datatypes s) in
+        let tails = products rest in
+        List.concat_map (fun v -> List.map (fun t -> v :: t) tails) values
+    in
+    List.map (fun vs -> Value.Tuple vs) (products sorts)
+  | Sort.Datatype name -> eager_datatype config ~datatypes name config.datatype_depth
+  | Sort.Uninterpreted name -> List.init config.uninterpreted_card (fun k -> Value.Un (name, k))
+
+and eager_datatype config ~datatypes name depth =
+  match List.find_opt (fun (d : Command.datatype_decl) -> d.dt_name = name) datatypes with
+  | None -> [ Value.Un (name, 0) ]
+  | Some decl ->
+    let build_ctor (c : Command.constructor) =
+      if depth <= 0 && c.selectors <> [] then []
+      else (
+        let rec fields = function
+          | [] -> [ [] ]
+          | (_, s) :: rest ->
+            let values =
+              match s with
+              | Sort.Datatype n when n = name -> eager_datatype config ~datatypes name (depth - 1)
+              | _ -> O4a_util.Listx.take 2 (eager_uncapped config ~datatypes s)
+            in
+            let tails = fields rest in
+            List.concat_map (fun v -> List.map (fun t -> v :: t) tails)
+              (O4a_util.Listx.take 2 values)
+        in
+        List.map (fun vs -> Value.Dt (name, c.ctor_name, vs)) (fields c.selectors))
+    in
+    (match List.concat_map build_ctor decl.constructors with
+    | [] -> [ Value.Un (name, 0) ]
+    | vs -> vs)
+
+let eager_enumerate ~datatypes sort =
+  let config = Domain.default_config in
+  O4a_util.Listx.take config.Domain.max_domain_size (eager_uncapped config ~datatypes sort)
+
+let wide_datatypes =
+  let fields n sort = String.concat " " (List.init n (fun i -> Printf.sprintf "(w%d %s)" i sort)) in
+  Script.declared_datatypes
+    (parse_script_exn
+       (Printf.sprintf
+          "(declare-datatypes ((Lst 0)) (((nil) (cons (head Int) (tail Lst)))))\n\
+           (declare-datatypes ((Rec6 0)) (((mk6 (f1 Int) (f2 Bool) (f3 String) (f4 Int) \
+           (f5 (_ BitVec 4)) (f6 Lst)) (leaf6))))\n\
+           (declare-datatypes ((Wide 0)) (((wide %s))))\n\
+           (declare-datatypes ((Wide4 0)) (((wide4 %s))))"
+          (fields 30 "Int") (fields 4 "Int")))
+
+let test_domain_matches_eager () =
+  let agree sort =
+    check_bool (Sort.to_string sort) true
+      (Domain.enumerate ~datatypes:wide_datatypes sort
+      = eager_enumerate ~datatypes:wide_datatypes sort)
+  in
+  let cycle k =
+    List.init k (fun i -> [| Sort.Int; Sort.Bool; Sort.String_sort; Sort.Bitvec 4 |].(i mod 4))
+  in
+  List.iter agree
+    [ Sort.Bool; Sort.Int; Sort.Real; Sort.String_sort; Sort.Reglan; Sort.Bitvec 2;
+      Sort.Bitvec 3; Sort.Bitvec 8; Sort.Finite_field 3; Sort.Finite_field 5;
+      Sort.Finite_field 13; Sort.Seq Sort.Int; Sort.Set Sort.Int; Sort.Bag Sort.Int;
+      Sort.Array (Sort.Int, Sort.Int); Sort.Uninterpreted "U";
+      Sort.Datatype "Lst"; Sort.Datatype "Rec6"; Sort.Datatype "Wide4" ];
+  (* tuples of arity 1-8, nested tuples, and containers of tuples *)
+  List.iter (fun k -> agree (Sort.Tuple (cycle k))) [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+  let nested =
+    Sort.Tuple [ Sort.Tuple (cycle 3); Sort.Int; Sort.Tuple [ Sort.Tuple (cycle 4); Sort.Bool ] ]
+  in
+  List.iter agree
+    [ nested; Sort.Tuple [ nested; nested ]; Sort.Seq nested; Sort.Set (Sort.Tuple (cycle 5));
+      Sort.Bag (Sort.Tuple (cycle 6)); Sort.Array (Sort.Tuple (cycle 2), nested);
+      Sort.Tuple [ Sort.Datatype "Rec6"; Sort.Datatype "Lst" ] ]
+
+(* Enumeration stops at the cap: the eager enumerator built 3^30 tuples and
+   2^30 constructor applications here before keeping 16. The first 16 values
+   of a wide product vary only its last fields, so a narrow product gives
+   them. *)
+let test_domain_wide_products_capped () =
+  let dom sort = Domain.enumerate ~datatypes:wide_datatypes sort in
+  let tuple = dom (Sort.Tuple (List.init 30 (fun _ -> Sort.Int))) in
+  check_int "30-field tuple" 16 (List.length tuple);
+  check_bool "30-field tuple prefix" true
+    (tuple
+    = List.map
+        (function
+          | Value.Tuple vs -> Value.Tuple (List.init 27 (fun _ -> Value.Int (-2)) @ vs)
+          | v -> v)
+        (eager_enumerate ~datatypes:[] (Sort.Tuple [ Sort.Int; Sort.Int; Sort.Int ])));
+  let wide = dom (Sort.Datatype "Wide") in
+  check_int "30-field constructor" 16 (List.length wide);
+  check_bool "30-field constructor prefix" true
+    (wide
+    = List.map
+        (function
+          | Value.Dt (_, _, vs) ->
+            Value.Dt ("Wide", "wide", List.init 26 (fun _ -> Value.Int (-2)) @ vs)
+          | v -> v)
+        (eager_enumerate ~datatypes:wide_datatypes (Sort.Datatype "Wide4")))
+
 (* ------------------------- Eval: arithmetic ------------------------- *)
 
 let test_eval_euclidean () =
@@ -562,6 +740,295 @@ let test_search_fuel_unknown () =
   | Search.Unknown _ -> Alcotest.fail "expected Resource_limit, got Unknown"
   | Search.Sat _ | Search.Unsat -> Alcotest.fail "expected resource-out"
 
+(* ---------------------- Search: differential ---------------------- *)
+
+(* The plain depth-first walk [Search.solve] replaced, kept as the reference
+   for its accounting: it evaluates every leaf, in order. *)
+let reference_sort_cov_key sort =
+  match sort with
+  | Sort.Bool -> "domain.bool"
+  | Sort.Int -> "domain.int"
+  | Sort.Real -> "domain.real"
+  | Sort.String_sort -> "domain.string"
+  | Sort.Reglan -> "domain.reglan"
+  | Sort.Bitvec _ -> "domain.bitvec"
+  | Sort.Finite_field _ -> "domain.ff"
+  | Sort.Seq _ -> "domain.seq"
+  | Sort.Set _ -> "domain.set"
+  | Sort.Bag _ -> "domain.bag"
+  | Sort.Array _ -> "domain.array"
+  | Sort.Tuple _ -> "domain.tuple"
+  | Sort.Datatype _ -> "domain.datatype"
+  | Sort.Uninterpreted _ -> "domain.uninterpreted"
+
+let reference_solve ?(config = Domain.default_config) ?(max_steps = 200_000)
+    ?(order = Search.Ascending) ?(cov = fun _ _ -> ()) ?(bounds = []) ?steps_used script =
+  let decls = Script.declared_funs script in
+  let defined_names =
+    List.filter_map
+      (function Command.Define_fun (n, _, _, _) -> Some n | _ -> None)
+      script
+  in
+  let is_declared (d : Script.fun_decl) =
+    (not (List.mem d.name defined_names))
+    && not
+         (List.exists
+            (fun (dt : Command.datatype_decl) ->
+              List.exists
+                (fun (c : Command.constructor) ->
+                  c.ctor_name = d.name
+                  || List.exists (fun (s, _) -> s = d.name) c.selectors
+                  || "is-" ^ c.ctor_name = d.name)
+                dt.constructors)
+            (Script.declared_datatypes script))
+  in
+  let datatypes = Script.declared_datatypes script in
+  let consts =
+    List.filter (fun (d : Script.fun_decl) -> d.arg_sorts = [] && is_declared d) decls
+  in
+  let funs =
+    List.filter (fun (d : Script.fun_decl) -> d.arg_sorts <> [] && is_declared d) decls
+  in
+  let domain_of ?name sort =
+    cov (reference_sort_cov_key sort) 0;
+    let values = Domain.enumerate ~config ~datatypes sort in
+    let values =
+      match Option.bind name (fun n -> List.assoc_opt n bounds) with
+      | Some interval ->
+        cov "propagate.bound" 0;
+        Solver.Propagate.restrict_domain interval values
+      | None -> values
+    in
+    match order with Search.Ascending -> values | Search.Descending -> List.rev values
+  in
+  let slots =
+    List.map (fun (d : Script.fun_decl) -> (`Const, d.name, d.result_sort)) consts
+    @ List.map (fun (d : Script.fun_decl) -> (`Fun, d.name, d.result_sort)) funs
+  in
+  let assertions = Script.assertions script in
+  let ctx = Eval.make_ctx ~config ~max_steps ~cov script in
+  let eval_under consts fun_defaults =
+    ctx.Eval.fun_defaults <- fun_defaults;
+    List.for_all (fun a -> Eval.eval_bool ctx consts a) assertions
+  in
+  cov "search.entry" 0;
+  let rec assign acc_consts acc_funs = function
+    | [] ->
+      if eval_under acc_consts acc_funs then
+        Some { Model.consts = acc_consts; fun_defaults = acc_funs }
+      else None
+    | (kind, name, sort) :: rest ->
+      let rec try_values = function
+        | [] -> None
+        | v :: vs -> (
+          let acc_consts', acc_funs' =
+            match kind with
+            | `Const -> ((name, v) :: acc_consts, acc_funs)
+            | `Fun -> (acc_consts, (name, v) :: acc_funs)
+          in
+          match assign acc_consts' acc_funs' rest with
+          | Some model -> Some model
+          | None -> try_values vs)
+      in
+      let domain =
+        match kind with `Const -> domain_of ~name sort | `Fun -> domain_of sort
+      in
+      try_values domain
+  in
+  let outcome =
+    match assign [] [] slots with
+    | Some model ->
+      cov "search.sat" 0;
+      Search.Sat model
+    | None ->
+      cov "search.unsat" 0;
+      Search.Unsat
+    | exception Eval.Out_of_fuel -> Search.Resource_limit
+    | exception Eval.Eval_failure msg -> Search.Unknown msg
+  in
+  (match steps_used with Some r -> r := ctx.Eval.steps | None -> ());
+  outcome
+
+(* (key, line) -> count, counted calls included *)
+let tally () =
+  let counts = Hashtbl.create 64 in
+  let add key line n =
+    let c = Option.value ~default:0 (Hashtbl.find_opt counts (key, line)) in
+    Hashtbl.replace counts (key, line) (c + n)
+  in
+  ((fun () -> List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) counts [])), add)
+
+(* counted coverage calls (n > 1) the differential has seen: the charges *)
+let charges = ref 0
+
+(* [Some why] when the search and the reference walk differ on the outcome
+   and its model, the fuel used, or any coverage count; the [domain.*] and
+   [propagate.*] line-0 counts are the engines' decisions and propagations *)
+let search_mismatch ~max_steps ~order ~bounds script =
+  let expected_counts, add_expected = tally () in
+  let expected_steps = ref (-1) in
+  let expected =
+    reference_solve ~max_steps ~order ~bounds ~steps_used:expected_steps
+      ~cov:(fun key line -> add_expected key line 1)
+      script
+  in
+  let actual_counts, add_actual = tally () in
+  let actual_steps = ref (-1) in
+  let actual =
+    Search.solve ~max_steps ~order ~bounds ~steps_used:actual_steps
+      ~cov:(fun key line n ->
+        if n > 1 then incr charges;
+        add_actual key line n)
+      script
+  in
+  if expected <> actual then Some "outcome or model"
+  else if !expected_steps <> !actual_steps then
+    Some (Printf.sprintf "steps %d, expected %d" !actual_steps !expected_steps)
+  else if expected_counts () <> actual_counts () then Some "coverage counts"
+  else None
+
+let differential_budgets = [ 50; 2_000; 20_000 ]
+
+(* Zeal's bounds for a query it searches. When a bound empties its window
+   Zeal answers [unsat] without searching, and a search under it would
+   visit every node above the empty domain without spending fuel. *)
+let zeal_bounds script =
+  let bounds = Solver.Propagate.analyze script in
+  let window = Domain.default_config in
+  if
+    List.exists
+      (fun (_, interval) ->
+        Solver.Propagate.is_empty_within interval ~window_lo:window.Domain.int_lo
+          ~window_hi:window.Domain.int_hi)
+      bounds
+  then None
+  else Some bounds
+
+let order_name = function Search.Ascending -> "ascending" | Search.Descending -> "descending"
+
+(* every budget, both orders, and with and without Zeal's propagated
+   bounds; the small budgets run out of fuel inside charged blocks *)
+let check_search_differential script =
+  List.iter
+    (fun max_steps ->
+      List.iter
+        (fun (order, bounds) ->
+          match search_mismatch ~max_steps ~order ~bounds script with
+          | None -> ()
+          | Some why ->
+            Alcotest.failf
+              "search differs from the reference (%s, max_steps %d, %s, %d bounds):\n%s" why
+              max_steps (order_name order) (List.length bounds) (Printer.script script))
+        ([ (Search.Ascending, []); (Search.Descending, []) ]
+        @
+        match zeal_bounds script with
+        | Some bounds -> [ (Search.Ascending, bounds); (Search.Descending, bounds) ]
+        | None -> []))
+    differential_budgets
+
+let test_search_differential_corpus () =
+  List.iter check_search_differential (Seeds.Corpus.all ())
+
+let differential_cases =
+  [
+    (* an assertion calling a define-fun whose body reads the last slot *)
+    "(declare-const a Int)(declare-const b Int)(declare-const c Int)\
+     (define-fun last_is ((v Int)) Bool (= c v))(assert (last_is 3))(assert (< a b))(check-sat)";
+    (* a zero-arity define-fun *)
+    "(declare-const a Int)(declare-const b Int)(define-fun k () Int (+ b 1))\
+     (assert (= k 3))(assert (> a 1))(check-sat)";
+    (* an n-ary uninterpreted function *)
+    "(declare-fun f (Int Int) Int)(declare-const x Int)(declare-const y Int)\
+     (assert (> x 2))(assert (= (f x y) 2))(check-sat)";
+    (* a quantifier binder that shadows a slot name *)
+    "(declare-const z Bool)(declare-const x Int)(declare-const y Int)\
+     (assert z)(assert (forall ((y Int)) (> (+ x y) 0)))(check-sat)";
+    (* (assert false) over six constants *)
+    "(declare-const a Int)(declare-const b Int)(declare-const c Int)(declare-const d Int)\
+     (declare-const e Int)(declare-const f Int)(assert false)(check-sat)";
+    (* no constants at all *)
+    "(assert (= 1 2))(check-sat)";
+    (* an Eval_failure in the first leaf *)
+    "(declare-const x Int)(declare-const y Int)(assert (< x (frobnicate y)))(check-sat)";
+    (* a bound that leaves one value *)
+    "(declare-const b Bool)(declare-const x Int)(declare-const y Int)\
+     (assert b)(assert (> x 2))(assert (< y x))(check-sat)";
+  ]
+
+let test_search_differential_cases () =
+  let before = !charges in
+  List.iter (fun src -> check_search_differential (parse_script_exn src)) differential_cases;
+  check_bool "the cases exercise charged blocks" true (!charges > before)
+
+(* shared generator library, built once *)
+let campaign = lazy (Once4all.Campaign.prepare ~seed:3 ())
+let generators () = (Lazy.force campaign).Once4all.Campaign.generators
+
+(* Scripts as the default campaign builds them: skeletonize a corpus seed,
+   fill its holes, and carry the result for ten rounds while it stays
+   small; each type-correct one simplified by both solvers' rules. *)
+let campaign_shaped seed =
+  let module Rng = O4a_util.Rng in
+  let rng = Rng.create seed in
+  let start = Rng.choose rng (Seeds.Corpus.all ()) in
+  let current = ref start and scripts = ref [] in
+  for _ = 1 to 10 do
+    let skeleton, holes = Once4all.Skeleton.skeletonize ~rng ~keep_prob:0.45 !current in
+    let filled =
+      if holes = 0 then
+        Once4all.Synthesize.direct ~rng ~generators:(generators ()) ~terms:(1 + Rng.int rng 3)
+      else
+        Once4all.Synthesize.fill ~swap_prob:0.55 ~rng ~generators:(generators ()) ~skeleton
+          ~holes ()
+    in
+    match filled.Once4all.Synthesize.parsed with
+    | Some script ->
+      if Theories.Typecheck.check_script script = Ok () then
+        List.iter
+          (fun rules ->
+            scripts :=
+              Script.map_assertions (Rewrite.simplify ~rules ~fired:ignore) script :: !scripts)
+          [ Rewrite.zeal_rules; Rewrite.cove_rules ];
+      current := if Script.size script <= 400 then script else start
+    | None -> current := start
+  done;
+  List.rev !scripts
+
+(* the property form of [check_search_differential]: Cove's pairing
+   (descending, no bounds) and Zeal's (ascending, with its bounds) *)
+let search_agrees script =
+  List.for_all
+    (fun max_steps ->
+      List.for_all
+        (fun (order, bounds) ->
+          match search_mismatch ~max_steps ~order ~bounds script with
+          | None -> true
+          | Some why ->
+            QCheck.Test.fail_reportf "search differs from the reference (%s, max_steps %d, %s):\n%s"
+              why max_steps (order_name order) (Printer.script script))
+        ((Search.Descending, [])
+        :: (match zeal_bounds script with
+           | Some bounds -> [ (Search.Ascending, bounds) ]
+           | None -> [])))
+    differential_budgets
+
+let search_props =
+  [
+    QCheck.Test.make ~name:"search = reference on direct scripts" ~count:200
+      QCheck.(pair (int_range 0 100_000) (int_range 1 4))
+      (fun (seed, terms) ->
+        let filled =
+          Once4all.Synthesize.direct ~rng:(O4a_util.Rng.create seed)
+            ~generators:(generators ()) ~terms
+        in
+        match filled.Once4all.Synthesize.parsed with
+        | Some script -> search_agrees script
+        | None -> true);
+    QCheck.Test.make ~name:"search = reference on campaign-shaped scripts" ~count:12
+      (QCheck.int_range 0 100_000)
+      (fun seed -> List.for_all search_agrees (campaign_shaped seed));
+  ]
+
 (* ------------------------- Model ------------------------- *)
 
 let test_model_to_string_parses () =
@@ -738,6 +1205,20 @@ let test_engine_crash_capture () =
   in
   check_bool "nullary join crash reachable" true crashed
 
+(* a zero-arity define-fun is fixed by its body: Zeal's presolve may not
+   bound it like a free constant *)
+let define_fun_src = "(define-fun x () Int 20)(assert (> x 10))(check-sat)"
+
+let test_engine_zero_arity_define_fun () =
+  List.iter
+    (fun engine ->
+      match Runner.run_source engine define_fun_src with
+      | Runner.R_sat _ -> ()
+      | r ->
+        Alcotest.failf "%s: expected sat, got %s" (Engine.name engine)
+          (Runner.result_to_string r))
+    [ Engine.zeal (); Engine.cove () ]
+
 let test_engine_determinism () =
   let zeal = Engine.zeal () in
   let src = "(declare-fun x () Int)(assert (> x 1))(check-sat)" in
@@ -780,6 +1261,10 @@ let test_propagate_ignores_disjunctions () =
     parse_script_exn "(declare-fun x () Int)(assert (or (< x 0) (> x 2)))(check-sat)"
   in
   check_bool "no bounds from or" true (Solver.Propagate.analyze script = [])
+
+let test_propagate_ignores_define_fun () =
+  check_bool "no bounds on a define-fun" true
+    (Solver.Propagate.analyze (parse_script_exn define_fun_src) = [])
 
 let test_propagate_empty_interval_fast_unsat () =
   let zeal = Engine.pure Coverage.Zeal in
@@ -976,6 +1461,8 @@ let () =
           Alcotest.test_case "distinct" `Quick test_domain_distinct;
           Alcotest.test_case "datatypes" `Quick test_domain_datatype;
           Alcotest.test_case "defaults" `Quick test_default_value;
+          Alcotest.test_case "same values as eager" `Quick test_domain_matches_eager;
+          Alcotest.test_case "wide products capped" `Quick test_domain_wide_products_capped;
         ] );
       ( "eval arithmetic",
         [
@@ -1024,7 +1511,10 @@ let () =
           Alcotest.test_case "uninterpreted function" `Quick test_search_uninterpreted_fun;
           Alcotest.test_case "order matters" `Quick test_search_order_changes_model;
           Alcotest.test_case "fuel -> unknown" `Quick test_search_fuel_unknown;
+          Alcotest.test_case "differential: corpus" `Quick test_search_differential_corpus;
+          Alcotest.test_case "differential: cases" `Quick test_search_differential_cases;
         ] );
+      ("search differential", List.map QCheck_alcotest.to_alcotest search_props);
       ( "model",
         [
           Alcotest.test_case "printable" `Quick test_model_to_string_parses;
@@ -1048,6 +1538,7 @@ let () =
           Alcotest.test_case "parse/type errors" `Quick test_engine_parse_and_type_errors;
           Alcotest.test_case "crash capture" `Quick test_engine_crash_capture;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
+          Alcotest.test_case "zero-arity define-fun" `Quick test_engine_zero_arity_define_fun;
           Alcotest.test_case "result strings" `Quick test_runner_result_strings;
           Alcotest.test_case "pure solvers agree" `Slow test_solvers_agree_when_pure;
         ] );
@@ -1057,6 +1548,7 @@ let () =
           Alcotest.test_case "analyze conjuncts" `Quick test_propagate_analyze;
           Alcotest.test_case "flipped operands" `Quick test_propagate_flipped_operands;
           Alcotest.test_case "ignores disjunctions" `Quick test_propagate_ignores_disjunctions;
+          Alcotest.test_case "ignores define-fun" `Quick test_propagate_ignores_define_fun;
           Alcotest.test_case "fast unsat" `Quick test_propagate_empty_interval_fast_unsat;
           Alcotest.test_case "restrict domain" `Quick test_propagate_restrict_domain;
           Alcotest.test_case "verdicts preserved" `Slow test_propagate_preserves_verdicts;
