@@ -323,7 +323,6 @@ type ycell = {
 }
 
 type ledger = {
-  live : bool;
   profile : string;
   mutable l_consults : int;
   mutable l_fuel : int;
@@ -331,50 +330,30 @@ type ledger = {
 }
 
 let make_ledger ~profile () =
-  { live = true; profile; l_consults = 0; l_fuel = 0; ytbl = Hashtbl.create 31 }
+  { profile; l_consults = 0; l_fuel = 0; ytbl = Hashtbl.create 31 }
 
-let disabled =
-  { live = false; profile = ""; l_consults = 0; l_fuel = 0;
-    ytbl = Hashtbl.create 1 }
+let consult l ~consults ~fuel =
+  l.l_consults <- l.l_consults + consults;
+  l.l_fuel <- l.l_fuel + fuel
 
-let ambient_key : ledger Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> disabled)
-
-let recording () = (Domain.DLS.get ambient_key).live
-
-let using l f =
-  let saved = Domain.DLS.get ambient_key in
-  Domain.DLS.set ambient_key l;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ambient_key saved) f
-
-let consult ?(fuel = 0) () =
-  let l = Domain.DLS.get ambient_key in
-  if l.live then begin
-    l.l_consults <- l.l_consults + 1;
-    l.l_fuel <- l.l_fuel + fuel
-  end
-
-let record_test ~theories ~seed_cluster ~parse_ok ~found () =
-  let l = Domain.DLS.get ambient_key in
-  if l.live then begin
-    let theories =
-      match List.sort_uniq compare theories with [] -> [ "none" ] | ts -> ts
-    in
-    List.iter
-      (fun theory ->
-        let cell =
-          match Hashtbl.find_opt l.ytbl (theory, seed_cluster) with
-          | Some c -> c
-          | None ->
-            let c = { c_tests = 0; c_parse_ok = 0; c_findings = 0 } in
-            Hashtbl.replace l.ytbl (theory, seed_cluster) c;
-            c
-        in
-        cell.c_tests <- cell.c_tests + 1;
-        if parse_ok then cell.c_parse_ok <- cell.c_parse_ok + 1;
-        if found then cell.c_findings <- cell.c_findings + 1)
-      theories
-  end
+let record_test l ~theories ~seed_cluster ~parse_ok ~found =
+  let theories =
+    match List.sort_uniq compare theories with [] -> [ "none" ] | ts -> ts
+  in
+  List.iter
+    (fun theory ->
+      let cell =
+        match Hashtbl.find_opt l.ytbl (theory, seed_cluster) with
+        | Some c -> c
+        | None ->
+          let c = { c_tests = 0; c_parse_ok = 0; c_findings = 0 } in
+          Hashtbl.replace l.ytbl (theory, seed_cluster) c;
+          c
+      in
+      cell.c_tests <- cell.c_tests + 1;
+      if parse_ok then cell.c_parse_ok <- cell.c_parse_ok + 1;
+      if found then cell.c_findings <- cell.c_findings + 1)
+    theories
 
 let export l ~bucket ~first_tick ~ticks ~tests ~parse_ok ~solved ~findings
     ~cov_points ~clusters =

@@ -3,8 +3,8 @@
     Every per-tick observable the runtime already tracks in aggregate
     (coverage, findings, validity, solver consults and fuel) is bucketed
     here per shard — one {!sample} per shard index — following the
-    coverage-ledger pattern: a fresh {!ledger} per shard attempt, ambient
-    via [Domain.DLS], exported at the shard boundary, and merged with a
+    coverage-ledger pattern: a fresh {!ledger} per shard attempt, filled by
+    the shard's fuzz loop, exported at the shard boundary, and merged with a
     commutative {!merge} by the single merge owner. Because a sample is a
     pure function of (campaign seed, shard index), the merged series — and
     everything derived from it: CSV, JSON, sparklines, plateau events — is
@@ -130,33 +130,22 @@ val to_prometheus : t -> string
 
 (** {1 Recording ledger}
 
-    Coverage-ledger pattern: the orchestrator installs a fresh ledger per
-    shard attempt with {!using}; the fuzz loop and solver runner record
-    through the ambient handle; {!export} turns the ledger plus the
-    shard's aggregate stats into a single-sample {!t} merged at the
-    barrier. *)
+    The orchestrator makes a fresh ledger per shard attempt and hands it to
+    {!Once4all.Fuzz.run_shard}, whose loop records each test's yield row
+    and the solver consults and fuel the oracle reports for it; {!export}
+    turns the ledger plus the shard's aggregate stats into a single-sample
+    {!t} merged at the barrier. *)
 
 type ledger
 
 val make_ledger : profile:string -> unit -> ledger
-val disabled : ledger
-(** Shared inert ledger; recording through it is a no-op. *)
 
-val recording : unit -> bool
-(** Whether the ambient ledger is live — lets call sites skip argument
-    preparation entirely. *)
-
-val using : ledger -> (unit -> 'a) -> 'a
-(** Run with [ledger] ambient for the calling domain; restores the
-    previous ambient ledger on exit (exceptions included). *)
-
-val consult : ?fuel:int -> unit -> unit
-(** Count one solver query (plus the fuel it burned) in the ambient
-    ledger. *)
+val consult : ledger -> consults:int -> fuel:int -> unit
+(** Count [consults] solver queries and the [fuel] they burned. *)
 
 val record_test :
-  theories:string list -> seed_cluster:string -> parse_ok:bool ->
-  found:bool -> unit -> unit
+  ledger -> theories:string list -> seed_cluster:string -> parse_ok:bool ->
+  found:bool -> unit
 (** Credit one test to the yield table under each distinct theory in
     [theories] (["none"] when empty). *)
 

@@ -89,29 +89,13 @@ let render_stats (report : Once4all.Campaign.report) found =
         Printf.sprintf "LLM tokens (one-time):       %d" report.Once4all.Campaign.llm_tokens;
       ]
 
-let run ?(seed = 42) ?(budget = 6000) ?jobs () =
+let run ?(seed = 42) ?(budget = 6000) () =
   let campaign = Once4all.Campaign.prepare ~seed () in
   let seeds =
     Seeds.Corpus.filtered ~zeal:campaign.Once4all.Campaign.zeal
       ~cove:campaign.Once4all.Campaign.cove ()
   in
-  let report =
-    match jobs with
-    | None -> Once4all.Campaign.fuzz ~seed:(seed + 1) campaign ~seeds ~budget
-    | Some jobs ->
-      (* the sharded pipeline: same generator pool, per-worker engines *)
-      let r =
-        Orchestrator.run ~jobs ~seed:(seed + 1) ~budget
-          ~generators:campaign.Once4all.Campaign.generators ~seeds ()
-      in
-      {
-        Once4all.Campaign.stats = r.Orchestrator.stats;
-        clusters = r.Orchestrator.clusters;
-        found_bug_ids = r.Orchestrator.found_bug_ids;
-        llm_calls = Llm_sim.Client.call_count campaign.Once4all.Campaign.client;
-        llm_tokens = Llm_sim.Client.token_count campaign.Once4all.Campaign.client;
-      }
-  in
+  let report = Once4all.Campaign.fuzz ~seed:(seed + 1) campaign ~seeds ~budget in
   let found =
     report.Once4all.Campaign.found_bug_ids
     |> List.filter_map Bug_db.find

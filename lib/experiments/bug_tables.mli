@@ -13,8 +13,6 @@ type result = {
   stats_text : string;
 }
 
-val run : ?seed:int -> ?budget:int -> ?jobs:int -> unit -> result
-(** Default budget 6000 test cases. Omitting [jobs] runs the historical
-    single-stream campaign ({!Once4all.Campaign.fuzz}); [~jobs:n] routes the
-    same budget through the sharded {!Orchestrator.run} pipeline on [n]
-    domains (any [n] yields the same bug set, see {!Orchestrator}). *)
+val run : ?seed:int -> ?budget:int -> unit -> result
+(** Default budget 6000 test cases, run as one single-stream campaign
+    ({!Once4all.Campaign.fuzz}). *)

@@ -7,19 +7,14 @@ let state_name = function
   | Open -> "open"
   | Half_open -> "half_open"
 
-type config = {
-  window : int;
-  threshold : int;
-  cooldown : int;
-  trip_on_error : bool;
-}
+type config = { window : int; threshold : int; cooldown : int }
 
 (* The threshold is deliberately high: the simulated solvers time out or
    crash on 15-30% of queries when perfectly healthy, and those findings are
    the point of the campaign. Only a solver that is failing most of a window
    — the sick-solver signature — should trip. *)
 let default_config =
-  { window = 16; threshold = 12; cooldown = 16; trip_on_error = false }
+  { window = 16; threshold = 12; cooldown = 16 }
 
 type outcome_class = Good | Timeout | Error | Crash
 
@@ -132,12 +127,7 @@ let record l ~solver ~theory ~probe ~fuel cls =
     | Timeout -> ks.timeouts <- ks.timeouts + 1
     | Error -> ks.errors <- ks.errors + 1
     | Crash -> ks.crashes <- ks.crashes + 1);
-    let bad =
-      match cls with
-      | Timeout | Crash -> true
-      | Error -> l.config.trip_on_error
-      | Good -> false
-    in
+    let bad = match cls with Timeout | Crash -> true | Error | Good -> false in
     if probe && ks.st = Half_open then
       if bad then (
         ks.st <- Open;

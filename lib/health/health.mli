@@ -27,11 +27,10 @@ type config = {
   window : int;  (** sliding window length, in recorded queries per key *)
   threshold : int;  (** bad outcomes within the window that trip the breaker *)
   cooldown : int;  (** suppressed queries while Open before a probe is admitted *)
-  trip_on_error : bool;
-      (** count solver errors as bad. Off by default: ill-typed or
-          unsupported inputs produce symmetric errors on {e healthy}
-          solvers, and tripping on them would open both breakers at once. *)
 }
+(** Timeouts and crashes count as bad outcomes; solver errors never do:
+    ill-typed or unsupported inputs produce symmetric errors on {e healthy}
+    solvers, and tripping on them would open both breakers at once. *)
 
 val default_config : config
 

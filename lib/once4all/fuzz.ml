@@ -21,7 +21,6 @@ type config = {
   direct_terms_max : int;
   max_steps : int;
   max_seed_growth : int;
-  progress_every : int;
 }
 
 let default_config =
@@ -35,7 +34,6 @@ let default_config =
     direct_terms_max = 3;
     max_steps = 60_000;
     max_seed_growth = 400;
-    progress_every = 500;
   }
 
 type stats = {
@@ -186,8 +184,11 @@ let record_test tel (filled : Synthesize.filled) (outcome : Oracle.outcome) =
           | None -> Json.Null );
       ])
 
-let report_progress tel ~config ~started ~generators stats =
-  if config.progress_every > 0 && stats.tests mod config.progress_every = 0 then (
+(* emit a ["progress"] event + [Logs.info] line every this many tests *)
+let progress_every = 500
+
+let report_progress tel ~started ~generators stats =
+  if stats.tests mod progress_every = 0 then (
     let elapsed = Telemetry.now tel -. started in
     let tps = if elapsed > 0. then float_of_int stats.tests /. elapsed else 0. in
     let parse_pct =
@@ -256,9 +257,10 @@ let finding_info (f : Oracle.finding) =
 (* The Algorithm 2 loop proper, shared by the whole-campaign entry point
    ({!run}) and the orchestrator's shard entry point ({!run_shard}).
    [first_tick] anchors this loop's tests in the campaign-global tick stream
-   so trace ids are identical however the budget is sharded. *)
-let run_loop ~rng ~config ~tel ~first_tick ~generators ~seeds ~zeal ~cove
-    ~budget =
+   so trace ids are identical however the budget is sharded; [analytics],
+   when given, receives every test's yield row and solver work. *)
+let run_loop ~rng ~config ~tel ~analytics ~first_tick ~generators ~seeds ~zeal
+    ~cove ~budget =
   let bandit = Bandit.create () in
   let recorder = Trace.Recorder.ambient () in
   let stats = ref empty_stats in
@@ -268,7 +270,7 @@ let run_loop ~rng ~config ~tel ~first_tick ~generators ~seeds ~zeal ~cove
     (* yield-attribution key: the seed's cluster identity, hashed once per
        mutation batch — every test in the batch descends from this pick *)
     let seed_cluster =
-      if Analytics.recording () then
+      if Option.is_some analytics then
         String.sub (Digest.to_hex (Digest.string (Printer.script seed))) 0 8
       else ""
     in
@@ -322,11 +324,16 @@ let run_loop ~rng ~config ~tel ~first_tick ~generators ~seeds ~zeal ~cove
           (float_of_int (coverage_hits () - before))
       | Uniform -> ());
       stats := record !stats filled outcome;
-      Analytics.record_test ~theories:filled.Synthesize.theories_spliced
-        ~seed_cluster ~parse_ok:(filled.Synthesize.parsed <> None)
-        ~found:(outcome.Oracle.finding <> None) ();
+      (match analytics with
+      | Some l ->
+        Analytics.consult l ~consults:outcome.Oracle.consults
+          ~fuel:outcome.Oracle.fuel;
+        Analytics.record_test l ~theories:filled.Synthesize.theories_spliced
+          ~seed_cluster ~parse_ok:(filled.Synthesize.parsed <> None)
+          ~found:(outcome.Oracle.finding <> None)
+      | None -> ());
       record_test tel filled outcome;
-      report_progress tel ~config ~started ~generators !stats;
+      report_progress tel ~started ~generators !stats;
       (* Algorithm 2, line 9: the synthesized formula becomes the next seed *)
       (match filled.Synthesize.parsed with
       | Some script when Script.size script <= config.max_seed_growth ->
@@ -349,14 +356,14 @@ let run ~rng ?(config = default_config) ?telemetry ~generators ~seeds ~zeal ~cov
       ("skeletons", Json.Bool config.use_skeletons);
     ];
   let stats =
-    run_loop ~rng ~config ~tel ~first_tick:0 ~generators ~seeds ~zeal ~cove
-      ~budget
+    run_loop ~rng ~config ~tel ~analytics:None ~first_tick:0 ~generators ~seeds
+      ~zeal ~cove ~budget
   in
   Telemetry.emit tel "campaign.end" (stats_fields stats);
   stats
 
-let run_shard ~rng ?(config = default_config) ?telemetry ~shard_index ~first_tick
-    ~generators ~seeds ~zeal ~cove ~budget () =
+let run_shard ~rng ?(config = default_config) ?telemetry ~analytics ~shard_index
+    ~first_tick ~generators ~seeds ~zeal ~cove ~budget () =
   if generators = [] then invalid_arg "Fuzz.run_shard: no generators";
   if seeds = [] then invalid_arg "Fuzz.run_shard: no seeds";
   let tel = match telemetry with Some t -> t | None -> Telemetry.global () in
@@ -367,8 +374,8 @@ let run_shard ~rng ?(config = default_config) ?telemetry ~shard_index ~first_tic
       ("ticks", Json.Int budget);
     ];
   let stats =
-    run_loop ~rng ~config ~tel ~first_tick ~generators ~seeds ~zeal ~cove
-      ~budget
+    run_loop ~rng ~config ~tel ~analytics:(Some analytics) ~first_tick
+      ~generators ~seeds ~zeal ~cove ~budget
   in
   Telemetry.emit tel "shard.end" (("shard", Json.Int shard_index) :: stats_fields stats);
   stats

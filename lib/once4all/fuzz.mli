@@ -21,9 +21,6 @@ type config = {
   direct_terms_max : int;  (** terms per formula in the w/oS variant *)
   max_steps : int;  (** solver fuel per query (the 10 s timeout analog) *)
   max_seed_growth : int;  (** reset to the seed when formulas exceed this size *)
-  progress_every : int;
-      (** emit a ["progress"] event + [Logs.info] line every N tests when
-          telemetry is enabled (0 disables the reporter) *)
 }
 
 val default_config : config
@@ -56,12 +53,13 @@ val run :
     receives stage spans ([seed.select], [skeletonize], [generate],
     [synthesize], and the oracle's nested spans), the [fuzz.*] counters
     — whose snapshot mirrors the returned {!stats} — one ["fuzz.test"]
-    event per test, and periodic ["progress"] events. *)
+    event per test, and a ["progress"] event every 500 tests. *)
 
 val run_shard :
   rng:O4a_util.Rng.t ->
   ?config:config ->
   ?telemetry:O4a_telemetry.Telemetry.t ->
+  analytics:O4a_analytics.Analytics.ledger ->
   shard_index:int ->
   first_tick:int ->
   generators:Gensynth.Generator.t list ->
@@ -77,4 +75,7 @@ val run_shard :
     orchestrator emits the single campaign pair itself. Callers supply an
     [rng] split for this shard (see {!O4a_util.Rng.split_indexed}) so the
     shard's tick stream is a deterministic function of the campaign seed and
-    the shard index alone. *)
+    the shard index alone. After each test the loop records into
+    [analytics] the test's yield row (keyed by the digest of the seed it
+    descends from) and the solver consults and fuel from its
+    {!Oracle.outcome}; {!run} records no analytics. *)

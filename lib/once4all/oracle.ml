@@ -37,6 +37,8 @@ type outcome = {
   finding : finding option;
   results : (string * string) list;
   solved : bool;
+  consults : int;
+  fuel : int;
 }
 
 let primary_theory script =
@@ -101,6 +103,8 @@ let test ?(max_steps = 200_000) ?telemetry ~zeal ~cove ~source () =
       finding = None;
       results = [ ("parser", Parser.error_message e) ];
       solved = false;
+      consults = 0;
+      fuel = 0;
     }
   | Ok script ->
     let theory = primary_theory script in
@@ -159,15 +163,17 @@ let test ?(max_steps = 200_000) ?telemetry ~zeal ~cove ~source () =
       | Runner.R_error _ -> Health.Error
       | Runner.R_sat _ | Runner.R_unsat | Runner.R_unknown _ -> Health.Good
     in
+    let fuel = ref 0 in
     let runs =
       List.map
         (fun (e, d) ->
           let r = Runner.run ~max_steps ~telemetry:tel e script in
+          let steps = (Engine.last_query_stats e).Engine.steps in
+          fuel := !fuel + steps;
           if Health.enabled ledger then (
-            let q = Engine.last_query_stats e in
             let transition =
               Health.record ledger ~solver:(Engine.name e) ~theory
-                ~probe:(d = Health.Probe) ~fuel:q.Engine.steps (classify r)
+                ~probe:(d = Health.Probe) ~fuel:steps (classify r)
             in
             emit_transition (Engine.name e) transition);
           (e, r))
@@ -298,4 +304,4 @@ let test ?(max_steps = 200_000) ?telemetry ~zeal ~cove ~source () =
           ("mode", O4a_telemetry.Json.String (mode_to_string f.mode));
         ]
     | None -> ());
-    { finding; results; solved }
+    { finding; results; solved; consults = List.length runs; fuel = !fuel }

@@ -43,6 +43,12 @@ type outcome = {
   finding : finding option;
   results : (string * string) list;  (** solver name -> printable result *)
   solved : bool;  (** at least one solver produced sat/unsat *)
+  consults : int;
+      (** solver runs in this test: 0 on a parse error, and an engine an
+          open breaker suppressed is not one *)
+  fuel : int;
+      (** the sum of each run engine's {!Solver.Engine.last_query_stats}
+          steps, read right after its run *)
 }
 
 val test :

@@ -79,6 +79,45 @@ let parallel_map ?(jobs = 1) f xs =
 (* One shard, in isolation                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Everything a worker needs to execute one shard of a campaign, and nothing
+   about which worker pool runs it or where the results merge. [run] builds
+   one per campaign; the campaign server builds one per submitted job and
+   executes shards from many envs on one shared pool — a shard result is a
+   pure function of (env, shard), so multiplexing cannot perturb it. *)
+type exec_env = {
+  env_seed : int;
+  env_config : Fuzz.config;
+  env_generators : Gensynth.Generator.t list;
+  env_seeds : Smtlib.Script.t list;
+  env_tel_enabled : bool;
+  env_tracing : bool;
+  env_chaos : Faults.plan option;
+  env_health : Health.config option;
+  env_profiling : bool;
+  env_gen_profile : string;
+      (** the LLM generator profile, for yield attribution *)
+}
+
+let make_env ?(config = Fuzz.default_config) ?(tel_enabled = false)
+    ?(tracing = false) ?chaos ?health ?(profiling = false) ?(gen_profile = "")
+    ~seed ~generators ~seeds () =
+  (* a plan whose profile is Off injects nothing and skips supervision *)
+  let chaos =
+    match chaos with Some p when Faults.enabled p -> Some p | _ -> None
+  in
+  {
+    env_seed = seed;
+    env_config = config;
+    env_generators = generators;
+    env_seeds = seeds;
+    env_tel_enabled = tel_enabled;
+    env_tracing = tracing;
+    env_chaos = chaos;
+    env_health = health;
+    env_profiling = profiling;
+    env_gen_profile = gen_profile;
+  }
+
 type shard_payload = {
   sr : Checkpoint.shard_result;
   events : Event.t list;
@@ -90,10 +129,9 @@ type shard_payload = {
   analytics_export : Analytics.t;
 }
 
-let run_one_shard ~worker_id ~tel_enabled ~tracing ~config ~generators ~seeds
-    ~zeal ~cove ~seed ~health ~profiling ~gen_profile shard =
+let run_one_shard ~env ~worker_id ~zeal ~cove shard =
   let wtel =
-    if tel_enabled then
+    if env.env_tel_enabled then
       Telemetry.create ~sink:(Sink.memory ())
         ~clock:(Telemetry.monotonic_clock ())
         ~labels:[ ("worker", string_of_int worker_id) ]
@@ -104,7 +142,7 @@ let run_one_shard ~worker_id ~tel_enabled ~tracing ~config ~generators ~seeds
      recorder carries no cross-shard state and promoted traces merge by
      shard order *)
   let recorder =
-    if tracing then Trace.Recorder.create ~seed
+    if env.env_tracing then Trace.Recorder.create ~seed:env.env_seed
     else Trace.Recorder.disabled
   in
   let ledger = Coverage.make_ledger () in
@@ -113,33 +151,37 @@ let run_one_shard ~worker_id ~tel_enabled ~tracing ~config ~generators ~seeds
      (seed, shard, attempt) and are identical at any --jobs N — and a tainted
      attempt discards its ledger wholesale along with everything else *)
   let hledger =
-    match health with
+    match env.env_health with
     | Some cfg -> Health.make_ledger cfg
     | None -> Health.disabled
   in
   (* the profile ledger follows the coverage/health pattern: fresh per shard
      attempt, ambient on the worker domain, merged commutatively at the
-     barrier. It wraps only the fuzz loop itself — per-shard setup (engine
-     state, telemetry handle, recorder) stays outside, which is part of what
-     keeps the deterministic projection identical at any --jobs N. *)
-  let pledger = if profiling then Profile.make_ledger () else Profile.disabled in
+     barrier. It wraps only the fuzz loop itself — per-shard setup (telemetry
+     handle, recorder) stays outside, which is part of what keeps the
+     deterministic projection identical at any --jobs N. *)
+  let pledger =
+    if env.env_profiling then Profile.make_ledger () else Profile.disabled
+  in
   (* the analytics ledger is always on: its counters are cheap, and keeping
      it unconditional means `analyze` works on every checkpoint a campaign
      ever writes. Same lifecycle as the coverage ledger — fresh per shard
-     attempt, discarded wholesale with a tainted attempt. *)
-  let aledger = Analytics.make_ledger ~profile:gen_profile () in
-  let rng = Shard.rng ~seed shard in
+     attempt, discarded wholesale with a tainted attempt — but not ambient:
+     the fuzz loop records into it from each test's oracle outcome. *)
+  let aledger = Analytics.make_ledger ~profile:env.env_gen_profile () in
+  let rng = Shard.rng ~seed:env.env_seed shard in
   let stats =
     Coverage.with_ledger ledger (fun () ->
         Telemetry.using wtel (fun () ->
             Trace.Recorder.using recorder (fun () ->
                 Health.using hledger (fun () ->
                     Profile.using pledger (fun () ->
-                        Analytics.using aledger (fun () ->
-                            Fuzz.run_shard ~rng ~config ~telemetry:wtel
-                              ~shard_index:shard.Shard.index
-                              ~first_tick:shard.Shard.first_tick ~generators
-                              ~seeds ~zeal ~cove ~budget:shard.Shard.ticks ()))))))
+                        Fuzz.run_shard ~rng ~config:env.env_config
+                          ~telemetry:wtel ~analytics:aledger
+                          ~shard_index:shard.Shard.index
+                          ~first_tick:shard.Shard.first_tick
+                          ~generators:env.env_generators ~seeds:env.env_seeds
+                          ~zeal ~cove ~budget:shard.Shard.ticks ())))))
   in
   {
     sr =
@@ -151,8 +193,10 @@ let run_one_shard ~worker_id ~tel_enabled ~tracing ~config ~generators ~seeds
         bytes_total = stats.Fuzz.bytes_total;
         findings = stats.Fuzz.findings;
       };
-    events = (if tel_enabled then Sink.events (Telemetry.sink wtel) else []);
-    metric_entries = (if tel_enabled then Telemetry.snapshot wtel else []);
+    events =
+      (if env.env_tel_enabled then Sink.events (Telemetry.sink wtel) else []);
+    metric_entries =
+      (if env.env_tel_enabled then Telemetry.snapshot wtel else []);
     cov_export = Coverage.export ledger;
     promoted = Trace.Recorder.promoted recorder;
     health_export = Health.export hledger;
@@ -259,66 +303,10 @@ let quarantine_of_logs (shard : Shard.t) logs =
 (* The pluggable shard executor                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything a worker needs to execute one shard of a campaign, and nothing
-   about which worker pool runs it or where the results merge. [run] builds
-   one per campaign; the campaign server builds one per submitted job and
-   executes shards from many envs on one shared pool — a shard result is a
-   pure function of (env, shard), so multiplexing cannot perturb it. *)
-type exec_env = {
-  env_seed : int;
-  env_config : Fuzz.config;
-  env_generators : Gensynth.Generator.t list;
-  env_seeds : Smtlib.Script.t list;
-  env_tel_enabled : bool;
-  env_tracing : bool;
-  env_chaos : Faults.plan option;
-  env_health : Health.config option;
-  env_profiling : bool;
-  env_gen_profile : string;
-      (** the LLM generator profile, for yield attribution *)
-}
-
-let make_env ?(config = Fuzz.default_config) ?(tel_enabled = false)
-    ?(tracing = false) ?chaos ?health ?(profiling = false) ?(gen_profile = "")
-    ~seed ~generators ~seeds () =
-  (* a plan whose profile is Off injects nothing and skips supervision *)
-  let chaos =
-    match chaos with Some p when Faults.enabled p -> Some p | _ -> None
-  in
-  {
-    env_seed = seed;
-    env_config = config;
-    env_generators = generators;
-    env_seeds = seeds;
-    env_tel_enabled = tel_enabled;
-    env_tracing = tracing;
-    env_chaos = chaos;
-    env_health = health;
-    env_profiling = profiling;
-    env_gen_profile = gen_profile;
-  }
-
 let exec_shard ~env ~worker_id ~zeal ~cove shard =
-  let run_attempt () =
-    (* Per-worker engines accumulate internal state across the shards a
-       domain happens to execute, which leaves shard results untouched (the
-       resume path already proves a shard run on a fresh engine merges
-       identically) but makes per-stage allocation counts depend on the
-       shard schedule. Profiled runs therefore give every shard attempt
-       factory-fresh engines — constructed here, outside the profile
-       ledger's scope, so construction is charged to no stage — keeping
-       {!O4a_profile.Profile.strip_timing} byte-identical at any [jobs]. *)
-    let zeal, cove =
-      if env.env_profiling then (Engine.zeal (), Engine.cove ())
-      else (zeal, cove)
-    in
-    run_one_shard ~worker_id ~tel_enabled:env.env_tel_enabled
-      ~tracing:env.env_tracing ~config:env.env_config
-      ~generators:env.env_generators ~seeds:env.env_seeds ~zeal ~cove
-      ~seed:env.env_seed ~health:env.env_health ~profiling:env.env_profiling
-      ~gen_profile:env.env_gen_profile shard
-  in
-  run_supervised ~chaos:env.env_chaos ~run_attempt shard.Shard.index
+  run_supervised ~chaos:env.env_chaos
+    ~run_attempt:(fun () -> run_one_shard ~env ~worker_id ~zeal ~cove shard)
+    shard.Shard.index
 
 (* ------------------------------------------------------------------ *)
 (* The merge sink                                                      *)
@@ -702,6 +690,18 @@ module Merge = struct
           m "shard %d merged (%d/%d done)" shard_idx (List.length t.completed)
             t.plan_total));
     notify_progress t
+
+  let check t (shard : Shard.t) = function
+    | Merged (p, _, _) ->
+      let index = shard.Shard.index in
+      let buckets =
+        List.map (fun (s : Analytics.sample) -> s.Analytics.bucket)
+          p.analytics_export.Analytics.samples
+      in
+      if List.exists (( <> ) index) (p.sr.Checkpoint.shard :: buckets) then
+        Error (Printf.sprintf "the result does not describe shard %d" index)
+      else Metrics.fits (Telemetry.metrics t.tel) p.metric_entries
+    | Quarantined _ | Failed _ -> Ok ()
 
   let finalize ?trace_dir ~interrupted ~stopped t =
     (match List.sort compare t.errors with

@@ -113,7 +113,7 @@ val make_env :
     they record traces. A [chaos] plan whose profile is [Off] is normalized
     to no plan. [gen_profile] (default [""]) labels the analytics yield
     table with the LLM generator profile; {!run} derives it from the
-    ["profile"] provenance extra. *)
+    ["profile"] provenance extra. The env is all {!exec_shard} reads. *)
 
 (** Everything one clean shard execution hands the merge owner. Concrete so
     the campaign server's wire layer can ship it between hosts — a remote
@@ -153,11 +153,10 @@ val exec_shard :
   Shard.t ->
   shard_outcome
 (** Execute one shard under the env's chaos supervision. Safe to call from
-    any domain; [zeal]/[cove] are the calling worker's private engines
-    (profiled envs ignore them and build factory-fresh ones per attempt).
-    The outcome is a pure function of [(env, shard)] — independent of
-    [worker_id] (a telemetry label), of which domain runs it, and of
-    whatever else that domain ran before. *)
+    any domain; [zeal]/[cove] are the calling worker's private engines, used
+    by every attempt, profiled or not. The outcome is a pure function of
+    [(env, shard)] — independent of [worker_id] (a telemetry label), of
+    which domain runs it, and of whatever else that domain ran before. *)
 
 (** The per-campaign merge accumulator: single-owner, order-independent.
     Whichever domain creates a [Merge.t] is the only one that may touch it;
@@ -193,6 +192,14 @@ module Merge : sig
       point independent of completion order), then checkpoint (chaos may
       tear the write — it is verified and retried) and fire the progress
       callback. Owner domain only. *)
+
+  val check : t -> Shard.t -> shard_outcome -> (unit, string) result
+  (** Vet an outcome from outside the process (a remote worker's result)
+      before absorbing it for [shard]: a [Merged] payload's shard result
+      and analytics buckets must name [shard], and its metric entries must
+      fit the campaign's registry ({!O4a_telemetry.Metrics.fits}). Changes
+      nothing; {!absorb} does not raise on an outcome that passes. Owner
+      domain only. *)
 
   val analytics_snapshot : t -> O4a_analytics.Analytics.t
   (** The series merged so far — the live [metrics] exposition reads this

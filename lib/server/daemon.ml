@@ -346,24 +346,25 @@ let drain_pipe t =
   in
   go ()
 
+let merge_result job shard outcome =
+  (* a cancelled job's in-flight shards complete but merge nowhere *)
+  if not (Protocol.job_state_terminal job.state) then (
+    let merge = Option.get job.merge in
+    match Merge.absorb merge shard outcome with
+    | exception Failure msg ->
+      (* checkpoint verify-after-save is the only raiser here *)
+      set_state job (Protocol.Failed msg);
+      Telemetry.flush job.tel
+    | () -> if Merge.processed merge >= job.total then finish_job job)
+
 let drain_results t =
   let rec go () =
     match Mutex.protect t.rlock (fun () -> Queue.take_opt t.results) with
     | None -> ()
     | Some (id, shard, outcome) ->
-      (match Hashtbl.find_opt t.jobs id with
-      | None -> ()
-      | Some job when Protocol.job_state_terminal job.state ->
-        (* a cancelled job's in-flight shards complete but merge nowhere *)
-        ()
-      | Some job -> (
-        let merge = Option.get job.merge in
-        match Merge.absorb merge shard outcome with
-        | exception Failure msg ->
-          (* checkpoint verify-after-save is the only raiser here *)
-          set_state job (Protocol.Failed msg);
-          Telemetry.flush job.tel
-        | () -> if Merge.processed merge >= job.total then finish_job job));
+      Option.iter
+        (fun job -> merge_result job shard outcome)
+        (Hashtbl.find_opt t.jobs id);
       go ()
   in
   go ()
@@ -815,21 +816,31 @@ let handle_request t c = function
           (* a worker that ships garbage forfeits the shard like an expiry *)
           Log.warn (fun m -> m "malformed result for lease %d: %s" lease msg);
           requeue_shard t g
-        | Ok oc ->
-          (match Hashtbl.find_opt t.jobs g.Lease.job with
-          | None -> ()
-          | Some job ->
-            lease_event job
-              [
-                ("event", Json.String "lease.completed");
-                ("lease", Json.Int g.Lease.lease);
-                ("shard", Json.Int g.Lease.shard.Shard.index);
-                ("worker", Json.Int g.Lease.worker);
-              ]);
-          Mutex.protect t.rlock (fun () ->
-              Queue.push (g.Lease.job, g.Lease.shard, oc) t.results);
+        | Ok oc -> (
+          (* absorb the queued local results first, then check this one and
+             absorb it in the same step on the merge owner, so the registry
+             the check saw is the one absorb meets *)
           drain_results t;
-          dispatch_remote t)))
+          match Hashtbl.find_opt t.jobs g.Lease.job with
+          | None -> dispatch_remote t
+          | Some job -> (
+            match Merge.check (Option.get job.merge) g.Lease.shard oc with
+            | Error msg ->
+              (* a result that does not fit its lease or its job forfeits
+                 the shard too: nothing of it is forwarded, absorbed or
+                 written *)
+              Log.warn (fun m -> m "rejected result for lease %d: %s" lease msg);
+              requeue_shard t g
+            | Ok () ->
+              lease_event job
+                [
+                  ("event", Json.String "lease.completed");
+                  ("lease", Json.Int g.Lease.lease);
+                  ("shard", Json.Int g.Lease.shard.Shard.index);
+                  ("worker", Json.Int g.Lease.worker);
+                ];
+              merge_result job g.Lease.shard oc;
+              dispatch_remote t)))))
   | Protocol.Shutdown ->
     Log.info (fun m -> m "shutdown requested; draining");
     conn_send_json c (Protocol.ok [ ("draining", Json.Bool true) ]);

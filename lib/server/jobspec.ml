@@ -87,7 +87,6 @@ let health t =
   else
     Some
       {
-        Health.default_config with
         Health.window = t.breaker_window;
         threshold = t.breaker_threshold;
         (* cooldown tracks the window, as the CLI's --breaker-window does *)

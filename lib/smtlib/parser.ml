@@ -222,6 +222,9 @@ let command_of_sexp ?(ctors = []) ~datatypes sexp =
       | Lexer.Atom (Lexer.Sym cname) -> { Command.ctor_name = cname; selectors = [] }
       | other -> fail "malformed constructor '%s'" (sexp_brief other)
     in
+    if List.length ctor_lists <> List.length names then
+      fail "declare-datatypes declares %d sorts but defines %d"
+        (List.length names) (List.length ctor_lists);
     let decls =
       List.map2
         (fun name ctors_sexp ->

@@ -32,14 +32,9 @@ let verdict_label = function
    still fire the ambient span hook. *)
 let observed tel engine f =
   let module Profile = O4a_profile.Profile in
-  let module Analytics = O4a_analytics.Analytics in
   let live = Telemetry.enabled tel in
   let profiling = Profile.recording () in
-  if not (live || profiling) then (
-    let r = f () in
-    if Analytics.recording () then
-      Analytics.consult ~fuel:(Engine.last_query_stats engine).Engine.steps ();
-    r)
+  if not (live || profiling) then f ()
   else (
     let solver = Engine.name engine in
     let result =
@@ -48,7 +43,6 @@ let observed tel engine f =
           let r = f () in
           let steps = (Engine.last_query_stats engine).Engine.steps in
           if profiling then Profile.consult ~fuel:steps ();
-          if Analytics.recording () then Analytics.consult ~fuel:steps ();
           r)
     in
     if not live then result

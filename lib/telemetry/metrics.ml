@@ -236,6 +236,24 @@ let absorb t entries =
         | _ -> assert false))
     entries
 
+(* The precondition of [absorb], decided by absorbing into a copy of [t]'s
+   cells with their counts zeroed, so [t] itself is untouched. *)
+let fits t entries =
+  let shadow = create () in
+  Mutex.protect t.lock (fun () ->
+      Hashtbl.iter
+        (fun k cell ->
+          Hashtbl.add shadow.cells k
+            (match cell with
+            | C_counter _ -> C_counter { count = 0 }
+            | C_gauge _ -> C_gauge { value = 0. }
+            | C_hist h ->
+              C_hist { h with counts = Array.map (fun _ -> 0) h.counts }))
+        t.cells);
+  match absorb shadow entries with
+  | () -> Ok ()
+  | exception Invalid_argument msg -> Error msg
+
 let entry_to_json e =
   let base =
     [

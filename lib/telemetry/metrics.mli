@@ -81,6 +81,12 @@ val absorb : t -> entry list -> unit
     Counter and histogram absorption commute, so merging worker snapshots in
     completion order yields a deterministic result. *)
 
+val fits : t -> entry list -> (unit, string) result
+(** Whether {!absorb} would take these entries without raising — each keeps
+    the kind, and a histogram the bounds, that the registry or an earlier
+    entry gave its name and labels — and the message it would raise if not.
+    Changes nothing. *)
+
 val hist_quantile : hist_snapshot -> float -> float
 (** [hist_quantile h q] with [q] in [[0,1]]: the upper bound of the bucket
     holding the q-th observation (the usual bucketed-histogram estimate);

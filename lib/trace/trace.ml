@@ -342,7 +342,6 @@ module Recorder = struct
   let ambient_key : t Domain.DLS.key = Domain.DLS.new_key (fun () -> disabled)
 
   let ambient () = Domain.DLS.get ambient_key
-  let set_ambient r = Domain.DLS.set ambient_key r
 
   let using r f =
     let saved = Domain.DLS.get ambient_key in

@@ -273,13 +273,18 @@ let lease_events lines =
       | _ -> None)
     lines
 
-(* what `once4all fuzz --jobs 1` would print for this spec *)
-let standalone_text (spec : Jobspec.t) =
+(* what `once4all fuzz --jobs 1` would print for this spec; with a
+   [checkpoint_path] it also writes the checkpoint a served job writes,
+   whose artifact flags record the live telemetry every served job has *)
+let standalone_text ?checkpoint_path (spec : Jobspec.t) =
   let { Jobspec.generators; seeds } = Jobspec.prepare spec in
   let r =
     Orchestrator.run ~jobs:1 ~shard_size:spec.Jobspec.shard_size
       ~config:(Jobspec.config spec) ~extra:(Jobspec.extra spec)
       ?chaos:(Jobspec.chaos spec) ?health:(Jobspec.health spec)
+      ?checkpoint_path
+      ?telemetry:
+        (Option.map (fun _ -> O4a_telemetry.Telemetry.create ()) checkpoint_path)
       ~seed:(Jobspec.fuzz_seed spec) ~budget:spec.Jobspec.budget ~generators
       ~seeds ()
   in
@@ -432,6 +437,179 @@ let test_dist_chaos_net () =
   check_int "worker drains" 0 (Domain.join w);
   check_int "daemon drains and exits 0" 0 (Domain.join daemon)
 
+(* ------------------------- untrusted results ------------------------- *)
+
+(* A hand-driven one-slot pool over TCP. It answers the [n]th grant it
+   receives with the result line [answer n ~lease shard] builds, and after
+   answering [answers] grants asks the coordinator for its job list: the
+   reply proves every result line before it was processed. Then it hangs
+   up, forfeiting whatever it was granted meanwhile. *)
+let scripted_worker ~port ~answers ~answer =
+  let c = connect_tcp port in
+  (match Client.send c (Protocol.Worker_register { slots = 1 }) with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "scripted worker cannot register: %s" msg);
+  let fd = Client.fd c in
+  let fr = O4a_server.Framing.create () in
+  let buf = Bytes.create 65536 in
+  let pending = Queue.create () in
+  let deadline = Unix.gettimeofday () +. 60. in
+  (* the next line from the coordinator; [None] once it hangs up or goes
+     silent for the rest of the deadline *)
+  let rec next_line () =
+    match Queue.take_opt pending with
+    | Some line -> Some line
+    | None -> (
+      let left = deadline -. Unix.gettimeofday () in
+      if left <= 0. then None
+      else
+        match Unix.select [ fd ] [] [] left with
+        | [], _, _ -> None
+        | _ -> (
+          match Unix.read fd buf 0 (Bytes.length buf) with
+          | 0 | (exception Unix.Unix_error _) -> None
+          | n -> (
+            match O4a_server.Framing.feed fr (Bytes.sub_string buf 0 n) with
+            | Ok lines ->
+              List.iter (fun l -> Queue.push l pending) lines;
+              next_line ()
+            | Error _ -> None)))
+  in
+  let parse line =
+    match Json.parse line with
+    | Ok json -> json
+    | Error msg -> Alcotest.failf "unparseable line from coordinator: %s" msg
+  in
+  let rec serve n =
+    if n < answers then
+      match Option.map parse (next_line ()) with
+      | None -> ()
+      | Some json -> (
+        match Protocol.worker_msg_codec.dec json with
+        | Ok (Protocol.Grant { lease; shard; _ }) ->
+          (match Client.send_line c (answer n ~lease shard) with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "scripted worker cannot send: %s" msg);
+          serve (n + 1)
+        | Ok Protocol.Drain | Error _ -> serve n)
+  in
+  serve 0;
+  ignore (Client.send c Protocol.Jobs);
+  let rec synced () =
+    match Option.map parse (next_line ()) with
+    | None -> ()
+    | Some json -> if Json.member "jobs" json = None then synced ()
+  in
+  synced ();
+  Client.close c
+
+(* Run a budget-20, two-shard job on a coordinator without local workers.
+   The scripted pool answers shard 0 correctly and shard 1 with [corrupt]
+   applied to the correct outcomes; then a well-behaved pool finishes the
+   job. The daemon must survive, reject the bad result, re-execute the
+   shard, and land on the standalone run's report, checkpoint and
+   analytics. *)
+let remote_result_rejected ~name ~corrupt =
+  let dir = temp_dir () in
+  let cfg = dist_cfg ~dir in
+  let died = Atomic.make None in
+  let daemon =
+    Domain.spawn (fun () ->
+        match Daemon.run cfg with
+        | code -> code
+        | exception e ->
+          Atomic.set died (Some (Printexc.to_string e));
+          2)
+  in
+  let port = wait_port (Filename.concat cfg.Daemon.state_dir "tcp.port") in
+  let spec =
+    { (Jobspec.default ~name) with Jobspec.seed = 3; budget = 20; shard_size = 10 }
+  in
+  let env = Jobspec.env spec (Jobspec.prepare spec) in
+  let zeal = Solver.Engine.zeal () and cove = Solver.Engine.cove () in
+  let outcomes = Hashtbl.create 2 in
+  let outcome (sh : Shard.t) =
+    match Hashtbl.find_opt outcomes sh.Shard.index with
+    | Some o -> o
+    | None ->
+      let o = Orchestrator.exec_shard ~env ~worker_id:0 ~zeal ~cove sh in
+      Hashtbl.replace outcomes sh.Shard.index o;
+      o
+  in
+  let plan = Shard.plan ~budget:20 ~shard_size:10 in
+  let answer n ~lease (sh : Shard.t) =
+    let o =
+      if n = 0 then outcome sh
+      else corrupt ~good:(List.map outcome plan) (outcome sh)
+    in
+    Worker.result_line ~lease sh o
+  in
+  let scripted =
+    Domain.spawn (fun () -> scripted_worker ~port ~answers:2 ~answer)
+  in
+  let c = connect_tcp port in
+  let id = submit_exn c spec in
+  Domain.join scripted;
+  (match Atomic.get died with
+  | Some e -> Alcotest.failf "the daemon died on a bad remote result: %s" e
+  | None -> ());
+  let w = Domain.spawn (fun () -> Worker.run (worker_cfg ~port ~slots:1 ())) in
+  check_bool "the job completes once a well-behaved pool re-executes the shard"
+    true (wait_done c id = Protocol.Done);
+  let metrics = request_exn c (Protocol.Metrics id) in
+  let job_dir = Filename.concat cfg.Daemon.state_dir id in
+  let cp_path = Filename.concat dir "standalone_checkpoint.json" in
+  check_string "report byte-identical to standalone"
+    (standalone_text ~checkpoint_path:cp_path spec)
+    (read_file (Filename.concat job_dir "report.txt"));
+  check_string "checkpoint byte-identical to standalone" (read_file cp_path)
+    (read_file (Filename.concat job_dir "checkpoint.json"));
+  (* what `analyze --json` prints for the standalone checkpoint *)
+  let analyze =
+    match Orchestrator.Checkpoint.load ~path:cp_path with
+    | Ok cp ->
+      Json.to_string
+        (O4a_analytics.Analytics.codec.enc cp.Orchestrator.Checkpoint.analytics)
+    | Error _ -> Alcotest.fail "standalone checkpoint unreadable"
+  in
+  check_string "live analytics equal analyze --json on the standalone checkpoint"
+    analyze
+    (match Json.member "analytics" metrics with
+    | Some a -> Json.to_string a
+    | None -> Alcotest.fail "metrics reply lacks analytics");
+  let _ = request_exn c Protocol.Shutdown in
+  Client.close c;
+  check_int "worker drains" 0 (Domain.join w);
+  check_int "daemon drains and exits 0" 0 (Domain.join daemon)
+
+(* shard 0's outcome, sent for shard 1's lease: merged, it listed shard 0
+   twice and the checkpoint written next failed its own verify step *)
+let test_result_for_another_shard () =
+  remote_result_rejected ~name:"wrong-shard" ~corrupt:(fun ~good _ ->
+      List.hd good)
+
+(* a result whose metrics turn the fuel histogram into a counter: absorbed,
+   it raised out of Metrics.absorb and took the whole daemon down *)
+let test_result_with_clashing_metrics () =
+  remote_result_rejected ~name:"metric-clash" ~corrupt:(fun ~good:_ o ->
+      match o with
+      | Orchestrator.Merged (p, retries, fired) ->
+        let clash (e : O4a_telemetry.Metrics.entry) =
+          match e.O4a_telemetry.Metrics.value with
+          | O4a_telemetry.Metrics.Histogram _
+            when e.O4a_telemetry.Metrics.name = "solver.fuel_per_query" ->
+            { e with O4a_telemetry.Metrics.value = O4a_telemetry.Metrics.Counter 1 }
+          | _ -> e
+        in
+        Orchestrator.Merged
+          ( { p with
+              Orchestrator.metric_entries =
+                List.map clash p.Orchestrator.metric_entries },
+            retries,
+            fired )
+      | o -> Alcotest.failf "shard 1 did not merge: %s"
+               (Json.to_string (Wire.outcome_to_json o)))
+
 let () =
   Alcotest.run "dist"
     [
@@ -459,5 +637,12 @@ let () =
             test_dist_worker_killed_mid_lease;
           Alcotest.test_case "network chaos invariance" `Slow
             test_dist_chaos_net;
+        ] );
+      ( "untrusted",
+        [
+          Alcotest.test_case "a result for another shard is requeued" `Slow
+            test_result_for_another_shard;
+          Alcotest.test_case "clashing metrics are requeued" `Slow
+            test_result_with_clashing_metrics;
         ] );
     ]

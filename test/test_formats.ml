@@ -5,7 +5,8 @@
    checkpoints, derived by hand from the v4 one, must decode to the
    documented defaults for the members their version lacked. A failure here
    means a codec drifted, so files on disk and peers on the wire would no
-   longer interoperate. *)
+   longer interoperate. The last group mutates the same files to check that
+   no decoder at a trust boundary raises. *)
 
 module Json = O4a_telemetry.Json
 module Checkpoint = Orchestrator.Checkpoint
@@ -108,6 +109,173 @@ let test_bundle () =
         (read (Filename.concat written file)))
     [ "formula.smt2"; "trace.json"; "meta.json" ]
 
+(* ------------------------ decoders never raise ------------------------ *)
+
+(* Every decoder at a trust boundary returns a result, whatever bytes
+   arrive: mutations of the fixture encodings (and of the seed corpus, for
+   the SMT-LIB parser) must decode to [Ok] or [Error], never raise. The
+   inputs are random per run; a failure prints the mutant. *)
+
+(* extreme stand-ins for a number token *)
+let odd_numbers =
+  [ "99999999999999999999999"; "4611686018427387904"; "-4611686018427387905";
+    "-1"; "-0"; "0.5"; "-2.5e-3"; "1e309"; "1e-400"; "7E+2" ]
+
+(* (start, length) of every maximal run of digits, signs, dots and
+   exponents — the number tokens of a JSON text, roughly *)
+let number_spans s =
+  let is_num c = (c >= '0' && c <= '9') || c = '-' || c = '.' || c = 'e' || c = 'E' || c = '+' in
+  let spans = ref [] in
+  let i = ref 0 in
+  let n = String.length s in
+  while !i < n do
+    if s.[!i] >= '0' && s.[!i] <= '9' then (
+      let j = ref !i in
+      while !j < n && is_num s.[!j] do incr j done;
+      spans := (!i, !j - !i) :: !spans;
+      i := !j)
+    else incr i
+  done;
+  Array.of_list !spans
+
+(* a value of another type than [v] *)
+let other_type st (v : Json.t) =
+  let kind : Json.t -> int = function
+    | Json.Null -> 0
+    | Json.Bool _ -> 1
+    | Json.Int _ | Json.Float _ -> 2
+    | Json.String _ -> 3
+    | Json.List _ -> 4
+    | Json.Obj _ -> 5
+  in
+  let others =
+    List.filter
+      (fun o -> kind o <> kind v)
+      [ Json.Null; Json.Bool true; Json.Int (-1); Json.Float 0.5;
+        Json.String "x"; Json.List []; Json.Obj [] ]
+  in
+  List.nth others (Random.State.int st (List.length others))
+
+(* replace the [k]th node (pre-order) of [v] with a value of another type *)
+let retype st k v =
+  let count = ref 0 in
+  let rec go (v : Json.t) : Json.t =
+    let here = !count in
+    incr count;
+    if here = k then other_type st v
+    else
+      match v with
+      | Json.List xs -> Json.List (List.map go xs)
+      | Json.Obj ms -> Json.Obj (List.map (fun (m, x) -> (m, go x)) ms)
+      | v -> v
+  in
+  go v
+
+let rec nodes (v : Json.t) =
+  match v with
+  | Json.List xs -> List.fold_left (fun acc x -> acc + nodes x) 1 xs
+  | Json.Obj ms -> List.fold_left (fun acc (_, x) -> acc + nodes x) 1 ms
+  | _ -> 1
+
+(* one textual mutation: a byte edit, a truncation, a duplicated span or
+   an extreme number *)
+let mutate_text st s =
+  let n = String.length s in
+  let pos () = Random.State.int st (max 1 n) in
+  match Random.State.int st 4 with
+  | 0 ->
+    let i = pos () in
+    let b = Bytes.of_string s in
+    if n > 0 then Bytes.set b i (Char.chr (Random.State.int st 256));
+    Bytes.to_string b
+  | 1 -> String.sub s 0 (pos ())
+  | 2 ->
+    let i = pos () in
+    let len = Random.State.int st (min 64 (n - i) + 1) in
+    let at = pos () in
+    String.sub s 0 at ^ String.sub s i len ^ String.sub s at (n - at)
+  | _ -> (
+    match number_spans s with
+    | [||] -> s
+    | spans ->
+      let i, len = spans.(Random.State.int st (Array.length spans)) in
+      let odd = List.nth odd_numbers (Random.State.int st (List.length odd_numbers)) in
+      String.sub s 0 i ^ odd ^ String.sub s (i + len) (n - i - len))
+
+(* textual mutations plus retyping a value, for JSON encodings *)
+let mutate_json st s =
+  match (Random.State.int st 5, Json.parse s) with
+  | 0, Ok v -> Json.to_string (retype st (Random.State.int st (nodes v)) v)
+  | _ -> mutate_text st s
+
+(* [count] mutated copies of the [seeds], read when the test runs (the
+   fixtures are relative to the test's working directory); [decode] must
+   not raise *)
+let never_raises ~name ~count ~mutate seeds decode =
+  let seeds = lazy (Array.of_list (Lazy.force seeds)) in
+  let gen st =
+    let seeds = Lazy.force seeds in
+    mutate st seeds.(Random.State.int st (Array.length seeds))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count
+       (QCheck.make ~print:(fun s -> String.escaped s) gen)
+       (fun input ->
+         match decode input with
+         | Ok _ | Error _ -> true
+         | exception e ->
+           QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)))
+
+let json_decoder codec input = Result.bind (Json.parse input) codec.Json.Codec.dec
+
+let fixtures names = lazy (List.map (fun f -> read (fixture f)) names)
+
+let decoder_props =
+  let wires =
+    fixtures [ "wire_traced.json"; "wire_quarantined.json"; "wire_profiled.json" ]
+  in
+  let requests =
+    lazy
+      (List.map
+         (fun r -> Json.to_string (O4a_server.Protocol.request_codec.enc r))
+         O4a_server.Protocol.
+           [ Submit (decode_file Jobspec.codec (fixture "jobspec.json")); Jobs;
+             Watch { job = "fixture-spec"; from = 3 }; Metrics "fixture-spec";
+             Worker_register { slots = 2 };
+             Worker_heartbeat { leases = [ 1; 5 ] };
+             Worker_result
+               { lease = 7;
+                 outcome =
+                   Result.get_ok (Json.parse (List.nth (Lazy.force wires) 1)) } ])
+  in
+  let mutant_file =
+    lazy
+      (let path = Filename.temp_file "o4a_mutant" ".json" in
+       at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+       path)
+  in
+  let corpus = Seeds.Corpus.all () in
+  [
+    never_raises ~name:"Checkpoint.inspect" ~count:500 ~mutate:mutate_json
+      (fixtures
+         [ "checkpoint_v1.json"; "checkpoint_v2.json"; "checkpoint_v3.json";
+           "checkpoint_v4.json"; "checkpoint_quarantine.json" ])
+      (fun input ->
+        let path = Lazy.force mutant_file in
+        Out_channel.with_open_bin path (fun oc -> output_string oc input);
+        Checkpoint.inspect ~path);
+    never_raises ~name:"Wire.outcome_codec" ~count:1000 ~mutate:mutate_json wires
+      (json_decoder Wire.outcome_codec);
+    never_raises ~name:"Jobspec.codec" ~count:3000 ~mutate:mutate_json
+      (fixtures [ "jobspec.json" ]) (json_decoder Jobspec.codec);
+    never_raises ~name:"Protocol.request_codec" ~count:3000 ~mutate:mutate_json
+      requests (json_decoder O4a_server.Protocol.request_codec);
+    never_raises ~name:"Parser.parse_script" ~count:(20 * List.length corpus)
+      ~mutate:mutate_text
+      (lazy (List.map Smtlib.Printer.script corpus))
+      Smtlib.Parser.parse_script;
+  ]
+
 let () =
   Alcotest.run "formats"
     [
@@ -128,4 +296,5 @@ let () =
           Alcotest.test_case "job spec" `Quick
             (reencodes Jobspec.codec "jobspec.json");
         ] );
+      ("decoders never raise", decoder_props);
     ]

@@ -12,7 +12,7 @@ let check_int = Alcotest.(check int)
 
 (* small config so trips happen within a handful of queries *)
 let cfg =
-  { Health.window = 4; threshold = 2; cooldown = 3; trip_on_error = false }
+  { Health.window = 4; threshold = 2; cooldown = 3 }
 
 let record l ?(probe = false) ?(fuel = 10) c =
   Health.record l ~solver:"zeal" ~theory:"strings" ~probe ~fuel c
@@ -46,17 +46,12 @@ let test_window_slides () =
   check_bool "two timeouts inside the window trip" true
     (record l Health.Timeout = Some Health.Open)
 
-let test_errors_trip_only_when_configured () =
+let test_errors_never_trip () =
   let l = Health.make_ledger cfg in
   for _ = 1 to 4 do
     ignore (record l Health.Error)
   done;
-  check_bool "errors alone never trip by default" true
-    (state l = Health.Closed);
-  let l = Health.make_ledger { cfg with Health.trip_on_error = true } in
-  ignore (record l Health.Error);
-  check_bool "trip_on_error counts them" true
-    (record l Health.Error = Some Health.Open)
+  check_bool "errors alone never trip" true (state l = Health.Closed)
 
 let trip l =
   ignore (record l Health.Timeout);
@@ -174,7 +169,7 @@ let seed_pool = lazy (O4a_util.Listx.take 25 (Seeds.Corpus.all ()))
 let run ~jobs () =
   Orchestrator.run ~jobs
     ~chaos:(Faults.plan ~rate:1.0 Faults.Sick_solver)
-    ~health:{ Health.default_config with window = 4; threshold = 2; cooldown = 4 }
+    ~health:{ Health.window = 4; threshold = 2; cooldown = 4 }
     ~shard_size:60 ~seed:91 ~budget:300 ~generators:(generators ())
     ~seeds:(Lazy.force seed_pool) ()
 
@@ -242,7 +237,7 @@ let () =
           Alcotest.test_case "trips at threshold" `Quick test_trips_at_threshold;
           Alcotest.test_case "window slides" `Quick test_window_slides;
           Alcotest.test_case "errors configurable" `Quick
-            test_errors_trip_only_when_configured;
+            test_errors_never_trip;
           Alcotest.test_case "probe re-closes" `Quick test_probe_recloses;
           Alcotest.test_case "probe re-opens" `Quick test_probe_reopens;
           Alcotest.test_case "keys independent" `Quick test_keys_independent;

@@ -301,18 +301,54 @@ let test_direct_mode () =
 
 (* ------------------------- Oracle ------------------------- *)
 
+let steps engine = (Solver.Engine.last_query_stats engine).Solver.Engine.steps
+
 let test_oracle_no_bug_on_clean_formula () =
   let outcome =
     Oracle.test ~zeal:(zeal ()) ~cove:(cove ())
       ~source:"(declare-fun x () Int)(assert (= x 1))(check-sat)" ()
   in
   check_bool "no finding" true (outcome.Oracle.finding = None);
-  check_bool "solved" true outcome.Oracle.solved
+  check_bool "solved" true outcome.Oracle.solved;
+  check_int "both trunk solvers consulted" 2 outcome.Oracle.consults;
+  check_int "fuel is the sum of both engines' steps"
+    (steps (zeal ()) + steps (cove ()))
+    outcome.Oracle.fuel
 
 let test_oracle_parse_error () =
   let outcome = Oracle.test ~zeal:(zeal ()) ~cove:(cove ()) ~source:"(assert" () in
   check_bool "no finding" true (outcome.Oracle.finding = None);
-  check_bool "not solved" true (not outcome.Oracle.solved)
+  check_bool "not solved" true (not outcome.Oracle.solved);
+  check_int "no consults" 0 outcome.Oracle.consults;
+  check_int "no fuel" 0 outcome.Oracle.fuel
+
+(* an engine an open breaker suppresses is not a consult, and burns no
+   fuel *)
+let test_oracle_counts_skip_suppressed () =
+  let module Health = O4a_health.Health in
+  let source = "(declare-fun x () Int)(assert (= x 1))(check-sat)" in
+  let ledger =
+    Health.make_ledger { Health.window = 4; threshold = 2; cooldown = 3 }
+  in
+  Health.using ledger (fun () ->
+      let first = Oracle.test ~zeal:(zeal ()) ~cove:(cove ()) ~source () in
+      check_int "closed breakers: both consulted" 2 first.Oracle.consults;
+      let theory =
+        match Health.export ledger with
+        | e :: _ -> e.Health.e_theory
+        | [] -> Alcotest.fail "the oracle recorded no health entry"
+      in
+      let zname = Solver.Engine.name (zeal ()) in
+      for _ = 1 to 2 do
+        ignore
+          (Health.record ledger ~solver:zname ~theory ~probe:false ~fuel:0
+             Health.Timeout)
+      done;
+      let outcome = Oracle.test ~zeal:(zeal ()) ~cove:(cove ()) ~source () in
+      check_bool "zeal suppressed" true
+        (List.mem (zname, "suppressed (breaker open)") outcome.Oracle.results);
+      check_int "only cove consulted" 1 outcome.Oracle.consults;
+      check_int "fuel is cove's alone" (steps (cove ())) outcome.Oracle.fuel)
 
 let test_oracle_crash_detection () =
   (* zeal-018 (rarity 5): vary declarations until the op-set gate opens *)
@@ -350,7 +386,11 @@ let test_oracle_extension_cross_version () =
   check_bool "two cove runs" true
     (List.for_all
        (fun (name, _) -> O4a_util.Strx.starts_with ~prefix:"cove" name)
-       outcome.Oracle.results)
+       outcome.Oracle.results);
+  check_int "two consults: cove trunk and its previous release" 2
+    outcome.Oracle.consults;
+  check_bool "fuel covers cove trunk's run" true
+    (outcome.Oracle.fuel >= steps (cove ()))
 
 let test_oracle_attribute () =
   let script =
@@ -551,6 +591,8 @@ let () =
           Alcotest.test_case "cross-version for extensions" `Quick
             test_oracle_extension_cross_version;
           Alcotest.test_case "attribution" `Quick test_oracle_attribute;
+          Alcotest.test_case "suppressed solvers are not consults" `Quick
+            test_oracle_counts_skip_suppressed;
         ] );
       ( "dedup",
         [

@@ -1,8 +1,10 @@
 (* Cross-cutting property tests: the determinism contracts the chaos harness
    leans on. SMT-LIB printing must be a parser fixpoint (repro bundles round-
    trip), [Rng.split_indexed] must be a stable O(1) jump (shard and fault
-   plans are derived from it), and [Metrics.absorb] and [Profile.merge] must
-   commute (the merge stage folds worker snapshots in completion order). *)
+   plans are derived from it), [Metrics.absorb] and [Profile.merge] must
+   commute (the merge stage folds worker snapshots in completion order), and
+   [Metrics.fits] must predict [absorb] without touching the registry (the
+   coordinator vets remote results with it). *)
 
 open Smtlib
 module Rng = O4a_util.Rng
@@ -137,6 +139,27 @@ let arb_snapshot =
            entries))
     gen_snapshot
 
+(* a snapshot with one entry turned against the others: a histogram made a
+   counter or given other bounds, or a counter renamed onto the histogram *)
+let arb_clashing =
+  let open QCheck.Gen in
+  let clash k (entries : Metrics.entry list) =
+    List.mapi
+      (fun i (e : Metrics.entry) ->
+        if i <> k then e
+        else
+          match e.Metrics.value with
+          | Metrics.Histogram h when k mod 2 = 0 ->
+            { e with
+              Metrics.value =
+                Metrics.Histogram
+                  { h with Metrics.bounds = Array.map (fun b -> 2. *. b) h.Metrics.bounds } }
+          | Metrics.Histogram _ -> { e with Metrics.value = Metrics.Counter 1 }
+          | _ -> { e with Metrics.name = "h.latency"; labels = [] })
+      entries
+  in
+  QCheck.make (map2 clash (int_range 0 4) gen_snapshot)
+
 let absorb_all snapshots =
   let t = Metrics.create () in
   List.iter (Metrics.absorb t) snapshots;
@@ -155,6 +178,19 @@ let metrics_props =
         let left = absorb_all [ absorb_all [ s1; s2 ]; s3 ] in
         let right = absorb_all [ s1; absorb_all [ s2; s3 ] ] in
         left = right);
+    QCheck.Test.make ~name:"fits is absorb's precondition and changes nothing"
+      ~count:300
+      QCheck.(pair arb_snapshot arb_clashing)
+      (fun (s1, s2) ->
+        let t = Metrics.create () in
+        Metrics.absorb t s1;
+        let before = Metrics.snapshot t in
+        let verdict = Metrics.fits t s2 in
+        Metrics.snapshot t = before
+        &&
+        match Metrics.absorb t s2 with
+        | () -> Result.is_ok verdict
+        | exception Invalid_argument _ -> Result.is_error verdict);
     QCheck.Test.make ~name:"absorbing a snapshot of itself doubles counters"
       ~count:200 arb_snapshot
       (fun s ->

@@ -218,7 +218,11 @@ let test_parse_datatypes () =
   let names = List.map (fun (d : Script.fun_decl) -> d.Script.name) funs in
   List.iter
     (fun n -> check_bool ("declares " ^ n) true (List.mem n names))
-    [ "nil"; "cons"; "head"; "tail"; "is-cons"; "is-nil"; "l" ]
+    [ "nil"; "cons"; "head"; "tail"; "is-cons"; "is-nil"; "l" ];
+  (* one sort, two constructor lists: an error, not Invalid_argument *)
+  check_bool "sort and constructor lists of different lengths" true
+    (Result.is_error
+       (Parser.parse_script "(declare-datatypes ((A 0)) (((a)) ((b))))"))
 
 let test_script_utilities () =
   let script = parse_script_exn fig1 in

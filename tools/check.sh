@@ -170,11 +170,13 @@ if grep -q '"event":"oracle.finding".*"kind":"soundness".*"mode":"degraded' \
   exit 1
 fi
 
-echo "== HUD purity: --progress changes no report and no telemetry =="
+echo "== HUD purity: --progress changes no report, telemetry or checkpoint =="
 "$cli" fuzz --budget 400 --shard-size 100 --jobs 2 \
-  --telemetry "$out/hud_off.jsonl" > "$out/hud_off.log"
+  --telemetry "$out/hud_off.jsonl" --checkpoint "$out/hud_off_cp.json" \
+  > "$out/hud_off.log"
 "$cli" fuzz --budget 400 --shard-size 100 --jobs 2 --progress \
-  --telemetry "$out/hud_on.jsonl" > "$out/hud_on.log" 2> /dev/null
+  --telemetry "$out/hud_on.jsonl" --checkpoint "$out/hud_on_cp.json" \
+  > "$out/hud_on.log" 2> /dev/null
 # the reports are identical up to the telemetry path each names
 diff <(grep -v '^telemetry written' "$out/hud_off.log") \
      <(grep -v '^telemetry written' "$out/hud_on.log") || {
@@ -182,6 +184,15 @@ diff <(grep -v '^telemetry written' "$out/hud_off.log") \
 diff <(grep -o '"event":"[^"]*"' "$out/hud_off.jsonl" | sort | uniq -c) \
      <(grep -o '"event":"[^"]*"' "$out/hud_on.jsonl" | sort | uniq -c) || {
   echo "FAIL: --progress changed the telemetry event stream"; exit 1; }
+# what the run persists: the checkpoint bytes and the analytics read back
+cmp "$out/hud_off_cp.json" "$out/hud_on_cp.json" || {
+  echo "FAIL: --progress changed the checkpoint"; exit 1; }
+"$cli" analyze "$out/hud_off_cp.json" --json "$out/hud_off_analyze.json" \
+  > /dev/null
+"$cli" analyze "$out/hud_on_cp.json" --json "$out/hud_on_analyze.json" \
+  > /dev/null
+diff "$out/hud_off_analyze.json" "$out/hud_on_analyze.json" || {
+  echo "FAIL: --progress changed analyze --json"; exit 1; }
 
 echo "== Campaign server: concurrent jobs byte-identical to standalone =="
 ssock="$out/srv.sock"
