@@ -18,6 +18,7 @@ type point = {
   func : string;
   kind : kind;
   label : string;
+  identity : string; (* the registry key, built once and shared by every export *)
   mutable chained : point option; (* function point hit alongside line 0 *)
 }
 
@@ -37,7 +38,9 @@ let register ~solver ~file ~func ~kind label =
       match Hashtbl.find_opt registry key with
       | Some p -> p
       | None ->
-        let p = { id = !next_id; solver; file; func; kind; label; chained = None } in
+        let p =
+          { id = !next_id; solver; file; func; kind; label; identity = key; chained = None }
+        in
         incr next_id;
         Hashtbl.add registry key p;
         all_points := p :: !all_points;
@@ -153,14 +156,11 @@ let hit_point_labels ?ledger solver =
 (* Export / merge — the deterministic cross-shard combination step     *)
 (* ------------------------------------------------------------------ *)
 
-let identity_of p =
-  identity ~solver:p.solver ~file:p.file ~func:p.func ~kind:p.kind p.label
-
 let export ledger =
   points ()
   |> List.filter_map (fun p ->
          let c = count_in ledger p in
-         if c > 0 then Some (identity_of p, c) else None)
+         if c > 0 then Some (p.identity, c) else None)
   |> List.sort compare
 
 (* Re-create a point from its identity key (used when a checkpoint written by

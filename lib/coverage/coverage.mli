@@ -70,7 +70,9 @@ val with_ledger : ledger -> (unit -> 'a) -> 'a
 
 val export : ledger -> (string * int) list
 (** Non-zero counts keyed by stable point identity, canonically sorted — the
-    serializable form used by checkpoints and the cross-shard merge. *)
+    serializable form used by checkpoints and the cross-shard merge. The
+    identity strings are the ones the registry built when each point was
+    registered, shared by every export rather than formatted afresh. *)
 
 val merge_into : into:ledger -> (string * int) list -> unit
 (** Add exported counts into [into]. Identities unknown to the registry are

@@ -57,11 +57,14 @@ let attribute engine script ~kind =
        (fun (b : Bug_db.spec) -> b.Bug_db.kind = kind && Bug_db.fires b script)
   |> Option.map (fun (b : Bug_db.spec) -> b.Bug_db.id)
 
+(* the last release, built pure when [engine] is: a bug-free trunk paired
+   with a buggy release would report the release's bugs as findings *)
 let previous_release_engine engine =
   let tag = Engine.tag engine in
   let history = Solver.Version.history_of tag in
   match List.rev history.Solver.Version.releases with
-  | last :: _ -> Some (Engine.make tag ~commit:last.Solver.Version.commit)
+  | last :: _ ->
+    Some (Engine.make ~pure:(Engine.is_pure engine) tag ~commit:last.Solver.Version.commit)
   | [] -> None
 
 let crash_finding engine script signature bug_id ~mode =

@@ -89,14 +89,17 @@ type job = {
   plan_total : int;  (* full plan, including shards resumed from disk *)
   total : int;  (* shards this server process must execute *)
   resumed : int;
-  mutable merge : Merge.t option;  (* set right after registration *)
+  mutable merge : Merge.t option;  (* set right after registration, dropped when terminal *)
   mutable state : Protocol.job_state;
   mutable shards_done : int;
   mutable findings : int;
-  mutable backlog_rev : string list;  (* streamed lines, newest first *)
-  mutable backlog_len : int;
+  mutable backlog : out_channel option;  (* the open [backlog_file], while live *)
+  mutable backlog_len : int;  (* lines streamed, all of them in [backlog_file] *)
   mutable subscribers : conn list;
 }
+
+(* every line a job streamed, in order, one per line *)
+let backlog_file dir = Filename.concat dir "watch.jsonl"
 
 type t = {
   cfg : config;
@@ -132,10 +135,19 @@ let wake t =
 (* Append one line to the job's backlog and deliver it to every live
    subscriber. The backlog is the catch-up source: a Watch with [from=n]
    replays lines n.. first, so a late subscriber sees exactly the stream an
-   early one saw. *)
+   early one saw. It lives in the job's directory, not in memory; the rare
+   line a terminal job still streams (a late lease event) is appended. *)
 let push_line job json =
   let line = Json.to_string json in
-  job.backlog_rev <- line :: job.backlog_rev;
+  (match job.backlog with
+  | Some oc ->
+    output_string oc line;
+    output_char oc '\n'
+  | None ->
+    Out_channel.with_open_gen [ Open_append; Open_creat; Open_binary ] 0o644
+      (backlog_file job.dir) (fun oc ->
+        output_string oc line;
+        output_char oc '\n'));
   job.backlog_len <- job.backlog_len + 1;
   List.iter (fun c -> conn_send c line) job.subscribers;
   job.subscribers <- List.filter (fun c -> not c.closed) job.subscribers
@@ -234,7 +246,16 @@ let fresh_id t name =
     in
     go 2)
 
-let finish_job job =
+(* A terminal job keeps what [jobs], [watch] and [metrics] read: its view
+   counters, its backlog file and its checkpoint. Its merge state, its env
+   and its backlog channel go. *)
+let retire t job =
+  job.merge <- None;
+  Mutex.protect t.lock (fun () -> Hashtbl.remove t.envs job.id);
+  Option.iter close_out job.backlog;
+  job.backlog <- None
+
+let finish_job t job =
   let merge = Option.get job.merge in
   let trace_dir =
     if job.spec.Jobspec.trace then Some (Filename.concat job.dir "trace")
@@ -252,7 +273,8 @@ let finish_job job =
       (Filename.concat job.dir "report.txt")
       (job.header ^ Render.finish ?trace_dir ~chaos:job.chaos report);
     set_state job Protocol.Done);
-  Telemetry.flush job.tel
+  Telemetry.flush job.tel;
+  retire t job
 
 (* Build and register a job from its spec (and, when resuming, the loaded
    checkpoint), then hand its remaining shards to the shared scheduler. The
@@ -298,7 +320,7 @@ let start_job t ~id ~dir ~spec ~base =
       state = Protocol.Queued;
       shards_done = 0;
       findings = 0;
-      backlog_rev = [];
+      backlog = Some (open_out_bin (backlog_file dir));
       backlog_len = 0;
       subscribers = [];
     }
@@ -327,7 +349,7 @@ let start_job t ~id ~dir ~spec ~base =
         Condition.broadcast t.work))
   else (
     Merge.notify_progress merge;
-    finish_job job);
+    finish_job t job);
   job
 
 (* ------------------------------------------------------------------ *)
@@ -346,7 +368,7 @@ let drain_pipe t =
   in
   go ()
 
-let merge_result job shard outcome =
+let merge_result t job shard outcome =
   (* a cancelled job's in-flight shards complete but merge nowhere *)
   if not (Protocol.job_state_terminal job.state) then (
     let merge = Option.get job.merge in
@@ -354,8 +376,9 @@ let merge_result job shard outcome =
     | exception Failure msg ->
       (* checkpoint verify-after-save is the only raiser here *)
       set_state job (Protocol.Failed msg);
-      Telemetry.flush job.tel
-    | () -> if Merge.processed merge >= job.total then finish_job job)
+      Telemetry.flush job.tel;
+      retire t job
+    | () -> if Merge.processed merge >= job.total then finish_job t job)
 
 let drain_results t =
   let rec go () =
@@ -363,7 +386,7 @@ let drain_results t =
     | None -> ()
     | Some (id, shard, outcome) ->
       Option.iter
-        (fun job -> merge_result job shard outcome)
+        (fun job -> merge_result t job shard outcome)
         (Hashtbl.find_opt t.jobs id);
       go ()
   in
@@ -696,15 +719,14 @@ let cancel t id =
       (Printf.sprintf "job %S already %s" id
          (Protocol.job_state_to_string job.state))
   | Some job ->
-    Mutex.protect t.lock (fun () ->
-        Scheduler.remove t.sched ~key:id;
-        Hashtbl.remove t.envs id);
+    Mutex.protect t.lock (fun () -> Scheduler.remove t.sched ~key:id);
     (* revoke outstanding leases: any result still in flight arrives stale *)
     List.iter
       (fun (g : Lease.grant) -> release_slot t g.Lease.worker)
       (Lease.drop_job t.leases ~job:id);
     set_state job Protocol.Cancelled;
     Telemetry.flush job.tel;
+    retire t job;
     Protocol.ok [ ("job", Json.String id) ]
 
 let watch t c id from =
@@ -721,8 +743,23 @@ let watch t c id from =
     (* replay the backlog from [from], oldest first, then subscribe for the
        live tail — catch-up and live delivery use the same lines, so every
        subscriber sees the same stream *)
-    let backlog = List.rev job.backlog_rev in
-    List.iteri (fun i line -> if i >= from then conn_send c line) backlog;
+    if from < job.backlog_len then (
+      Option.iter flush job.backlog;
+      match
+        In_channel.with_open_bin (backlog_file job.dir) (fun ic ->
+            let rec go i =
+              if i < job.backlog_len then
+                match In_channel.input_line ic with
+                | Some line ->
+                  if i >= from then conn_send c line;
+                  go (i + 1)
+                | None -> ()
+            in
+            go 0)
+      with
+      | () -> ()
+      | exception Sys_error msg ->
+        Log.err (fun m -> m "job %s: cannot replay its backlog: %s" id msg));
     if not (Protocol.job_state_terminal job.state) then (
       c.subscriber <- true;  (* read-only from here on: exempt from idle *)
       job.subscribers <- c :: job.subscribers)
@@ -749,8 +786,24 @@ let handle_request t c = function
   | Protocol.Resume_job id -> conn_send_json c (resume_job t id)
   | Protocol.Cancel id -> conn_send_json c (cancel t id)
   | Protocol.Metrics id -> (
+    let reply a =
+      Protocol.ok
+        [
+          ("job", Json.String id);
+          ("analytics", O4a_analytics.Analytics.codec.enc a);
+          ("prometheus", Json.String (O4a_analytics.Analytics.to_prometheus a));
+        ]
+    in
     match Hashtbl.find_opt t.jobs id with
     | None -> conn_send_json c (Protocol.error (Printf.sprintf "no job %S" id))
+    | Some job when Protocol.job_state_terminal job.state -> (
+      (* the final checkpoint holds the analytics the last shard barrier
+         left behind: the file analyze --json reads *)
+      let path = Filename.concat job.dir "checkpoint.json" in
+      match Checkpoint.load ~path with
+      | Ok cp -> conn_send_json c (reply cp.Checkpoint.analytics)
+      | Error err ->
+        conn_send_json c (Protocol.error (Checkpoint.load_error_to_string ~path err)))
     | Some job -> (
       match job.merge with
       | None ->
@@ -759,15 +812,7 @@ let handle_request t c = function
       | Some merge ->
         (* the snapshot is read on the main domain — the merge owner — so it
            is exactly the state the last shard barrier left behind *)
-        let a = Merge.analytics_snapshot merge in
-        conn_send_json c
-          (Protocol.ok
-             [
-               ("job", Json.String id);
-               ("analytics", O4a_analytics.Analytics.codec.enc a);
-               ( "prometheus",
-                 Json.String (O4a_analytics.Analytics.to_prometheus a) );
-             ])))
+        conn_send_json c (reply (Merge.analytics_snapshot merge))))
   | Protocol.Worker_register { slots } -> (
     match c.worker with
     | Some _ ->
@@ -823,6 +868,9 @@ let handle_request t c = function
           drain_results t;
           match Hashtbl.find_opt t.jobs g.Lease.job with
           | None -> dispatch_remote t
+          | Some job when Protocol.job_state_terminal job.state ->
+            (* the job settled while the lease was out: the result is stale *)
+            dispatch_remote t
           | Some job -> (
             match Merge.check (Option.get job.merge) g.Lease.shard oc with
             | Error msg ->
@@ -839,7 +887,7 @@ let handle_request t c = function
                   ("shard", Json.Int g.Lease.shard.Shard.index);
                   ("worker", Json.Int g.Lease.worker);
                 ];
-              merge_result job g.Lease.shard oc;
+              merge_result t job g.Lease.shard oc;
               dispatch_remote t)))))
   | Protocol.Shutdown ->
     Log.info (fun m -> m "shutdown requested; draining");
@@ -1082,6 +1130,7 @@ and finish t ~workers ~listeners ~port_file ~tcp =
               job.id job.shards_done job.plan_total)
       | _ -> ())
     t.order;
+  Hashtbl.iter (fun _ job -> Option.iter close_out job.backlog) t.jobs;
   List.iter try_flush t.conns;
   List.iter close_conn t.conns;
   t.conns <- [];

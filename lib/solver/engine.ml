@@ -17,6 +17,7 @@ type activity = {
 type t = {
   tag : Coverage.solver_tag;
   commit : int;
+  pure : bool;
   bugs : Bug_db.spec list;
   rules : Rewrite.rule list;
   order : Search.order;
@@ -238,6 +239,7 @@ let make ?(pure = false) tag ~commit =
   {
     tag;
     commit;
+    pure;
     bugs = (if pure then [] else Bug_db.active ~solver:tag ~commit);
     rules =
       (match tag with
@@ -263,6 +265,8 @@ let pure tag =
 let tag t = t.tag
 
 let commit t = t.commit
+
+let is_pure t = t.pure
 
 let name t =
   let history = Version.history_of t.tag in

@@ -56,6 +56,9 @@ val tag : t -> O4a_coverage.Coverage.solver_tag
 
 val commit : t -> int
 
+val is_pure : t -> bool
+(** Whether the engine was built with [~pure:true]. *)
+
 val supports_script : t -> Script.t -> bool
 (** Whether every theory used by the script is implemented by this solver. *)
 

@@ -26,7 +26,9 @@ val check :
   ?config:Domain.config -> ?max_steps:int -> Script.t -> t -> check_result
 (** Evaluate every assertion of the script under the model with the
     {e reference} evaluator (no injected bugs) — the oracle's ground truth
-    for classifying soundness vs invalid-model discrepancies. *)
+    for classifying soundness vs invalid-model discrepancies. Each assertion
+    is compiled once ({!Eval.eval_bool}), and all of them share one fuel
+    budget. *)
 
 val eval_terms :
   ?config:Domain.config ->
@@ -35,5 +37,6 @@ val eval_terms :
   t ->
   Term.t list ->
   (Term.t * string) list
-(** get-value support: evaluate each term under the model, rendering the
-    result in SMT-LIB syntax (or an error marker). *)
+(** get-value support: evaluate each term under the model (compiled once,
+    {!Eval.eval}), rendering the result in SMT-LIB syntax (or an error
+    marker). *)

@@ -43,10 +43,9 @@ type trigger = {
   depth : int;
   cost : int;  (* fuel the leaf used *)
   start : int;  (* step count when the leaf began *)
-  consts : (string * Value.t) list;
-  funs : (string * Value.t) list;
-  mutable hits : ((string * int) * int) list option;
-      (* the leaf's coverage calls, recorded the first time a charge needs
+  vals : Value.t array;  (* the leaf's slot values *)
+  mutable hits : (int * int) list option;
+      (* the leaf's (counter, hits), recorded the first time a charge needs
          them *)
 }
 
@@ -112,9 +111,24 @@ let solve ?(config = Domain.default_config) ?(max_steps = 200_000)
   in
   let slots = Array.of_list (slots_of ~is_fun:false @ slots_of ~is_fun:true) in
   let n = Array.length slots in
-  let hit = match cov with Some cov -> fun key line -> cov key line 1 | None -> fun _ _ -> () in
+  (* slot k of the search is slot k of the context; a later slot of the same
+     name shadows an earlier one, so the deepest assignment of a name wins *)
+  let ctx = Eval.make_ctx ~config ~max_steps script in
+  let st = Eval.state ctx in
+  Array.iter
+    (fun s -> if s.is_fun then Eval.bind_fun ctx s.name else Eval.bind ctx s.name)
+    slots;
   let assertions = Array.of_list (Script.assertions script) in
-  let ctx = Eval.make_ctx ~config ~max_steps ~cov:hit script in
+  let tests = Array.map (Eval.compile_bool ctx) assertions in
+  let hit i by =
+    let c = st.counts in
+    c.(i) <- c.(i) + by
+  in
+  let entry = Eval.point ctx "search.entry" 0
+  and sat = Eval.point ctx "search.sat" 0
+  and unsat = Eval.point ctx "search.unsat" 0
+  and bound = Eval.point ctx "propagate.bound" 0 in
+  let decision = Array.map (fun s -> Eval.point ctx (sort_cov_key s.sort) 0) slots in
   (* depth.(j): the deepest slot that assertions 0..j read *)
   let depth =
     let slot_index = Hashtbl.create 16 in
@@ -124,52 +138,38 @@ let solve ?(config = Domain.default_config) ?(max_steps = 200_000)
   for j = 1 to Array.length depth - 1 do
     depth.(j) <- max depth.(j) depth.(j - 1)
   done;
-  (* a slot's domain depends on its sort and bound alone: build it at the
-     first visit and reuse it; every visit still reports its coverage *)
-  let domains = Array.make n None in
-  let domain k =
-    match domains.(k) with
-    | Some d -> d
-    | None ->
-      let s = slots.(k) in
-      let values = Domain.enumerate ~config ~datatypes s.sort in
-      let values =
-        match s.bound with Some iv -> Propagate.restrict_domain iv values | None -> values
-      in
-      let d =
-        Array.of_list (match order with Ascending -> values | Descending -> List.rev values)
-      in
-      domains.(k) <- Some d;
-      d
+  (* a slot's domain depends on its sort and bound alone *)
+  let domains =
+    Array.map
+      (fun s ->
+        let values = Domain.enumerate ~config ~datatypes s.sort in
+        let values =
+          match s.bound with Some iv -> Propagate.restrict_domain iv values | None -> values
+        in
+        Array.of_list (match order with Ascending -> values | Descending -> List.rev values))
+      slots
   in
   let visit k =
-    let s = slots.(k) in
-    hit (sort_cov_key s.sort) 0;
-    let d = domain k in
-    if s.bound <> None then hit "propagate.bound" 0;
-    d
+    hit decision.(k) 1;
+    if slots.(k).bound <> None then hit bound 1;
+    domains.(k)
   in
-  (* index of the first false assertion under a full assignment *)
-  let first_false ctx consts funs =
-    ctx.Eval.fun_defaults <- funs;
+  (* index of the first false assertion under the slots' current values *)
+  let first_false () =
     let rec go j =
-      if j = Array.length assertions then None
-      else if Eval.eval_bool ctx consts assertions.(j) then go (j + 1)
-      else Some j
+      if j = Array.length tests then None else if tests.(j) () then go (j + 1) else Some j
     in
     go 0
+  in
+  let replay t =
+    Array.blit t.vals 0 st.vals 0 n;
+    first_false ()
   in
   let hits_of t =
     match t.hits with
     | Some hits -> hits
     | None ->
-      let counts = Hashtbl.create 32 in
-      let count key line =
-        let c = Option.value ~default:0 (Hashtbl.find_opt counts (key, line)) in
-        Hashtbl.replace counts (key, line) (c + 1)
-      in
-      ignore (first_false { ctx with Eval.cov = count; steps = t.start } t.consts t.funs);
-      let hits = Hashtbl.fold (fun key c acc -> (key, c) :: acc) counts [] in
+      let hits = Eval.recount ctx ~steps:t.start (fun () -> ignore (replay t)) in
       t.hits <- Some hits;
       hits
   in
@@ -177,33 +177,28 @@ let solve ?(config = Domain.default_config) ?(max_steps = 200_000)
      in the fuel left, since every leaf costs at least one step. *)
   let cap = max_steps + 1 in
   let times a b = if a = 0 || b = 0 then 0 else if a > cap / b then cap else a * b in
-  (* leaves.(k): the leaves under one value of slot k. Every domain is built
-     by the time the first leaf exists. *)
+  (* leaves.(k): the leaves under one value of slot k *)
   let leaves =
-    lazy
-      (let a = Array.make n 1 in
-       for k = n - 2 downto 0 do
-         a.(k) <- times a.(k + 1) (Array.length (domain (k + 1)))
-       done;
-       a)
+    let a = Array.make n 1 in
+    for k = n - 2 downto 0 do
+      a.(k) <- times a.(k + 1) (Array.length domains.(k + 1))
+    done;
+    a
   in
-  let fits count t = ctx.steps + times count t.cost <= max_steps in
+  let fits count t = st.steps + times count t.cost <= max_steps in
   (* Account for [r] whole subtrees under values of slot [k], each leaf a
      repeat of [t]: its fuel, its coverage, and one node visit per node. *)
   let bulk k r t =
-    let count = times r (Lazy.force leaves).(k) in
-    ctx.steps <- ctx.steps + (count * t.cost);
-    match cov with
-    | None -> ()
-    | Some cov ->
+    let count = times r leaves.(k) in
+    st.steps <- st.steps + (count * t.cost);
+    if cov <> None then (
       let nodes = ref r in
       for m = k + 1 to n - 1 do
-        let s = slots.(m) in
-        cov (sort_cov_key s.sort) 0 !nodes;
-        if s.bound <> None then cov "propagate.bound" 0 !nodes;
-        nodes := !nodes * Array.length (domain m)
+        hit decision.(m) !nodes;
+        if slots.(m).bound <> None then hit bound !nodes;
+        nodes := !nodes * Array.length domains.(m)
       done;
-      List.iter (fun ((key, line), c) -> cov key line (c * count)) (hits_of t)
+      List.iter (fun (i, c) -> hit i (c * count)) (hits_of t))
   in
   (* Charge [r] subtrees under values of slot [k]. When the fuel runs out
      inside them, charge sibling by sibling and walk the subtree that does
@@ -211,34 +206,46 @@ let solve ?(config = Domain.default_config) ?(max_steps = 200_000)
      exact step count, it raises [Out_of_fuel] at the same tick with the same
      partial coverage as the full walk. *)
   let rec charge k r t =
-    if fits (times r (Lazy.force leaves).(k)) t then bulk k r t
+    if fits (times r leaves.(k)) t then bulk k r t
     else
       for _ = 1 to r do
-        if fits (Lazy.force leaves).(k) t then bulk k 1 t else descend k t
+        if fits leaves.(k) t then bulk k 1 t else descend k t
       done
   and descend k t =
-    if k = n - 1 then ignore (first_false ctx t.consts t.funs)
+    if k = n - 1 then ignore (replay t)
     else charge (k + 1) (Array.length (visit (k + 1))) t
   in
-  let rec walk k consts funs =
+  let model () =
+    let consts = ref [] and funs = ref [] in
+    Array.iteri
+      (fun k s ->
+        if s.is_fun then funs := (s.name, st.vals.(k)) :: !funs
+        else consts := (s.name, st.vals.(k)) :: !consts)
+      slots;
+    { Model.consts = !consts; fun_defaults = !funs }
+  in
+  let rec walk k =
     if k = n then (
-      let start = ctx.steps in
-      match first_false ctx consts funs with
-      | None -> Found { Model.consts; fun_defaults = funs }
+      let start = st.steps in
+      match first_false () with
+      | None -> Found (model ())
       | Some j when depth.(j) < n - 1 ->
-        Repeats { depth = depth.(j); cost = ctx.steps - start; start; consts; funs; hits = None }
+        Repeats
+          {
+            depth = depth.(j);
+            cost = st.steps - start;
+            start;
+            vals = Array.sub st.vals 0 n;
+            hits = None;
+          }
       | Some _ -> Failed)
     else (
-      let s = slots.(k) in
       let values = visit k in
       let rec try_from i =
         if i = Array.length values then Failed
         else (
-          let v = values.(i) in
-          let consts', funs' =
-            if s.is_fun then (consts, (s.name, v) :: funs) else ((s.name, v) :: consts, funs)
-          in
-          match walk (k + 1) consts' funs' with
+          st.vals.(k) <- values.(i);
+          match walk (k + 1) with
           | Found model -> Found model
           | Repeats t when t.depth < k ->
             let r = Array.length values - i - 1 in
@@ -248,17 +255,24 @@ let solve ?(config = Domain.default_config) ?(max_steps = 200_000)
       in
       try_from 0)
   in
-  hit "search.entry" 0;
+  let flush () = match cov with Some cov -> Eval.flush ctx cov | None -> () in
   let outcome =
-    match walk 0 [] [] with
-    | Found model ->
-      hit "search.sat" 0;
-      Sat model
-    | Failed | Repeats _ ->
-      hit "search.unsat" 0;
-      Unsat
-    | exception Eval.Out_of_fuel -> Resource_limit
-    | exception Eval.Eval_failure msg -> Unknown msg
+    Fun.protect ~finally:flush @@ fun () ->
+    hit entry 1;
+    (* a slot with no value leaves nothing to assign above it *)
+    if Array.exists (fun d -> Array.length d = 0) domains then (
+      hit unsat 1;
+      Unsat)
+    else
+      match walk 0 with
+      | Found model ->
+        hit sat 1;
+        Sat model
+      | Failed | Repeats _ ->
+        hit unsat 1;
+        Unsat
+      | exception Eval.Out_of_fuel -> Resource_limit
+      | exception Eval.Eval_failure msg -> Unknown msg
   in
-  (match steps_used with Some r -> r := ctx.Eval.steps | None -> ());
+  (match steps_used with Some r -> r := st.steps | None -> ());
   outcome

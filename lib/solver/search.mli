@@ -30,11 +30,14 @@ val solve :
     (the analog of a 10-second solver timeout). When given, [steps_used] receives
     the evaluator fuel this query consumed — the telemetry layer's
     "fuel per query" signal. [cov key line n] records [n] hits of a coverage
-    point at once.
+    point at once: the query counts its hits per point and reports them in
+    one batch when it ends, however it ends.
 
+    The assertions are compiled once per query ({!Eval.compile_bool}).
     Fuel and coverage are accounted as if every leaf of the search tree were
     evaluated, in order: the outcome, the model, [steps_used], the tick at
     which fuel runs out, and every coverage count are those of the plain
     depth-first walk. Leaves whose failure the assertions read before it
     already decide are charged (count × cost) instead of evaluated; see
-    DESIGN.md, "Fuel-exact search". *)
+    DESIGN.md, "Fuel-exact search". A slot whose domain is empty after its
+    bound answers [Unsat] at once, spending no fuel. *)

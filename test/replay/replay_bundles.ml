@@ -1,0 +1,92 @@
+(* Replay every repro bundle under a directory through both evaluators.
+
+     dune exec test/replay/replay_bundles.exe -- DIR
+
+   For each formula.smt2 under DIR, and for each solver whose front end
+   would search it, runs [Solver.Search.solve] and the reference walk over
+   the tree-walking evaluator (test/reference) with that solver's rewrite
+   rules, enumeration order and propagated bounds, at the campaign's fuel
+   budget, and compares the outcome, the model, the fuel and every (key,
+   line) coverage count. Exits 1 naming the first bundle that differs, or
+   when DIR holds no bundle. *)
+
+open Smtlib
+module Coverage = O4a_coverage.Coverage
+module Domain = Solver.Domain
+module Propagate = Solver.Propagate
+module Rewrite = Solver.Rewrite
+module Search = Solver.Search
+
+(* the campaign's budget per query (Fuzz.default_config) *)
+let max_steps = 60_000
+
+let rec formulas dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun name ->
+         let path = Filename.concat dir name in
+         if Sys.is_directory path then formulas path
+         else if name = "formula.smt2" then [ path ]
+         else [])
+
+(* the query [tag]'s engine would search, as Engine.solve_script builds it,
+   or [None] when its front end answers without searching *)
+let query tag script =
+  let window = Domain.default_config in
+  if
+    (not (Solver.Engine.supports_script (Solver.Engine.pure tag) script))
+    || Theories.Typecheck.check_script script <> Ok ()
+  then None
+  else (
+    let rules, order =
+      match tag with
+      | Coverage.Zeal -> (Rewrite.zeal_rules, Search.Ascending)
+      | Coverage.Cove -> (Rewrite.cove_rules, Search.Descending)
+    in
+    let simplified =
+      Script.map_assertions (fun a -> Rewrite.simplify ~rules ~fired:ignore a) script
+    in
+    let bounds =
+      match tag with Coverage.Zeal -> Propagate.analyze simplified | Coverage.Cove -> []
+    in
+    if
+      List.exists
+        (fun (_, iv) ->
+          Propagate.is_empty_within iv ~window_lo:window.Domain.int_lo
+            ~window_hi:window.Domain.int_hi)
+        bounds
+    then None
+    else Some (simplified, order, bounds))
+
+let () =
+  let dir = if Array.length Sys.argv = 2 then Sys.argv.(1) else "" in
+  if dir = "" || not (Sys.file_exists dir && Sys.is_directory dir) then (
+    prerr_endline "usage: replay_bundles DIR";
+    exit 2);
+  let t0 = Unix.gettimeofday () in
+  let bundles = formulas dir in
+  if bundles = [] then (
+    Printf.eprintf "FAIL: no formula.smt2 under %s\n" dir;
+    exit 1);
+  let searches = ref 0 in
+  List.iter
+    (fun path ->
+      let source = In_channel.with_open_bin path In_channel.input_all in
+      match Parser.parse_script source with
+      | Error _ -> ()
+      | Ok script ->
+        List.iter
+          (fun tag ->
+            match query tag script with
+            | None -> ()
+            | Some (simplified, order, bounds) -> (
+              incr searches;
+              match Reference.Walk.mismatch ~max_steps ~order ~bounds simplified with
+              | None -> ()
+              | Some why ->
+                Printf.eprintf "FAIL: %s: %s search differs from the reference walk (%s)\n"
+                  path (Coverage.tag_to_string tag) why;
+                exit 1))
+          [ Coverage.Zeal; Coverage.Cove ])
+    bundles;
+  Printf.printf "replayed %d bundles (%d searches) through both evaluators: identical (%.1f s)\n"
+    (List.length bundles) !searches (Unix.gettimeofday () -. t0)

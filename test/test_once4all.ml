@@ -400,6 +400,31 @@ let test_oracle_attribute () =
   match Oracle.attribute (zeal ()) script ~kind:Bug_db.Crash with
   | Some _ | None -> () (* gated by rarity; just ensure no exception *)
 
+(* The null campaign: with bug-free solvers, a shard of the CLI's default
+   campaign reports nothing. Any finding is a false positive of the
+   substrate: a cross-version pairing that kept the release's bugs, or an
+   evaluator that answers differently under the two solvers. *)
+let test_oracle_null_campaign () =
+  let module Jobspec = O4a_server.Jobspec in
+  let spec = { (Jobspec.default ~name:"null") with Jobspec.budget = 300; shard_size = 300 } in
+  let env = Jobspec.env spec (Jobspec.prepare spec) in
+  let shard =
+    match Orchestrator.Shard.plan ~budget:300 ~shard_size:300 with
+    | [ s ] -> s
+    | _ -> Alcotest.fail "expected one shard"
+  in
+  let zeal = Solver.Engine.pure Coverage.Zeal and cove = Solver.Engine.pure Coverage.Cove in
+  match Orchestrator.exec_shard ~env ~worker_id:0 ~zeal ~cove shard with
+  | Orchestrator.Merged (payload, _, _) ->
+    let findings = payload.Orchestrator.sr.Orchestrator.Checkpoint.findings in
+    List.iter
+      (fun (f : Dedup.found) ->
+        Printf.printf "false finding from %s: %s\n" f.Dedup.finding.Oracle.solver_name
+          f.Dedup.finding.Oracle.signature)
+      findings;
+    check_int "findings of pure solvers (seed 42, 300 ticks)" 0 (List.length findings)
+  | Orchestrator.Quarantined _ | Orchestrator.Failed _ -> Alcotest.fail "shard did not merge"
+
 (* ------------------------- Dedup ------------------------- *)
 
 let mk_found kind solver_name signature theory source =
@@ -593,6 +618,7 @@ let () =
           Alcotest.test_case "attribution" `Quick test_oracle_attribute;
           Alcotest.test_case "suppressed solvers are not consults" `Quick
             test_oracle_counts_skip_suppressed;
+          Alcotest.test_case "null campaign" `Slow test_oracle_null_campaign;
         ] );
       ( "dedup",
         [

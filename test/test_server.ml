@@ -327,9 +327,9 @@ let wait_all_done c ids =
   in
   go ()
 
-(* collect a job's full watch stream (backlog from 0, then live) until its
+(* collect a job's watch stream (backlog from [from], then live) until its
    terminal state line *)
-let watch_lines ~socket job =
+let watch_lines ~from ~socket job =
   let c = connect_retry ~socket 50 in
   let lines = ref [] in
   let terminal = ref false in
@@ -347,7 +347,7 @@ let watch_lines ~socket job =
     | _ -> ());
     not !terminal
   in
-  (match Client.stream c (Protocol.Watch { job; from = 0 }) ~on_line with
+  (match Client.stream c (Protocol.Watch { job; from }) ~on_line with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "watch failed: %s" msg);
   Client.close c;
@@ -505,7 +505,7 @@ let test_daemon_end_to_end () =
   let id_b = submit spec_b in
   check_string "first job keeps its name" "alpha" id_a;
   (* early subscriber: attaches while the jobs are still running *)
-  let early = Domain.spawn (fun () -> watch_lines ~socket id_a) in
+  let early = Domain.spawn (fun () -> watch_lines ~from:0 ~socket id_a) in
   let states = wait_all_done c [ id_a; id_b ] in
   List.iter
     (fun id ->
@@ -514,7 +514,7 @@ let test_daemon_end_to_end () =
     [ id_a; id_b ];
   let early_lines = Domain.join early in
   (* late subscriber: attaches after completion, replays the backlog *)
-  let late_lines = watch_lines ~socket id_a in
+  let late_lines = watch_lines ~from:0 ~socket id_a in
   check_bool "late subscriber catches up to the early one's stream" true
     (early_lines = late_lines);
   check_bool "stream is non-trivial" true (List.length late_lines > 10);
@@ -537,6 +537,46 @@ let test_daemon_end_to_end () =
     (Result.is_error
        (Client.request c
           (Protocol.Submit { spec_a with Jobspec.name = "bad"; budget = 0 })));
+  let _ = request_exn c Protocol.Shutdown in
+  Client.close c;
+  check_int "daemon drains and exits 0" 0 (Domain.join daemon)
+
+(* A finished job keeps only its counters, its backlog file and its
+   checkpoint, and still answers every reader: a late [watch] from 0 (and
+   from the middle) replays exactly what a live subscriber got, and
+   [metrics] is the analytics of its final checkpoint. *)
+let test_daemon_finished_job () =
+  let dir = temp_dir () in
+  let socket = Filename.concat dir "s.sock" in
+  let cfg = default_cfg ~socket ~state_dir:(Filename.concat dir "state") ~pool:2 in
+  let daemon = Domain.spawn (fun () -> Daemon.run cfg) in
+  let c = connect_retry ~socket 300 in
+  let spec =
+    { (Jobspec.default ~name:"delta") with Jobspec.seed = 5; budget = 120; shard_size = 40 }
+  in
+  let id =
+    match Option.bind (Json.member "job" (request_exn c (Protocol.Submit spec))) Json.to_str with
+    | Some id -> id
+    | None -> Alcotest.fail "submit reply lacks a job id"
+  in
+  let live = Domain.spawn (fun () -> watch_lines ~from:0 ~socket id) in
+  let states = wait_all_done c [ id ] in
+  check_bool "done" true (List.assoc_opt id states = Some Protocol.Done);
+  let live_lines = Domain.join live in
+  check_bool "late watch from 0 = the live stream" true
+    (watch_lines ~from:0 ~socket id = live_lines);
+  let from = List.length live_lines / 2 in
+  check_bool "late watch from the middle = the live stream's tail" true
+    (watch_lines ~from ~socket id = List.filteri (fun i _ -> i >= from) live_lines);
+  let cp_path = Filename.concat (Filename.concat cfg.Daemon.state_dir id) "checkpoint.json" in
+  let expected =
+    match Orchestrator.Checkpoint.load ~path:cp_path with
+    | Ok cp -> Json.to_string (O4a_analytics.Analytics.codec.enc cp.Orchestrator.Checkpoint.analytics)
+    | Error _ -> Alcotest.fail "the finished job's checkpoint does not load"
+  in
+  (match Json.member "analytics" (request_exn c (Protocol.Metrics id)) with
+  | Some a -> check_string "metrics = the checkpoint's analytics" expected (Json.to_string a)
+  | None -> Alcotest.fail "metrics reply lacks analytics");
   let _ = request_exn c Protocol.Shutdown in
   Client.close c;
   check_int "daemon drains and exits 0" 0 (Domain.join daemon)
@@ -624,6 +664,7 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "end-to-end" `Slow test_daemon_end_to_end;
+          Alcotest.test_case "finished job" `Slow test_daemon_finished_job;
           Alcotest.test_case "revive rejects a mismatched checkpoint" `Quick
             test_daemon_revive_rejects_mismatch;
         ] );

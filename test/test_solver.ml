@@ -659,7 +659,10 @@ let rewrite_preserves_semantics_on seeds rules =
       let ctx = Eval.make_ctx seed in
       let consts = Script.declared_consts seed in
       let env =
-        List.map (fun (n, s) -> (n, Domain.default_value ~datatypes:ctx.Eval.datatypes s)) consts
+        List.map
+          (fun (n, s) ->
+            (n, Domain.default_value ~datatypes:(Script.declared_datatypes seed) s))
+          consts
       in
       List.for_all
         (fun assertion ->
@@ -740,154 +743,86 @@ let test_search_fuel_unknown () =
   | Search.Unknown _ -> Alcotest.fail "expected Resource_limit, got Unknown"
   | Search.Sat _ | Search.Unsat -> Alcotest.fail "expected resource-out"
 
+(* A bound that empties the last slot's domain: no assignment exists, and
+   the answer must not cost a visit to every node above that slot (6^8
+   of them here, spending no fuel). *)
+let test_search_empty_domain () =
+  let n = 9 in
+  let decls =
+    String.concat "" (List.init n (fun i -> Printf.sprintf "(declare-const x%d Int)" i))
+  in
+  let last = Printf.sprintf "x%d" (n - 1) in
+  let script = parse_script_exn (Printf.sprintf "%s(assert (> %s 0))(check-sat)" decls last) in
+  let hits = ref 0 and steps = ref (-1) in
+  let outcome =
+    Search.solve ~max_steps:1000
+      ~bounds:[ (last, { Solver.Propagate.lo = Some 10; hi = Some 5 }) ]
+      ~cov:(fun _ _ k -> hits := !hits + k)
+      ~steps_used:steps script
+  in
+  check_bool "unsat" true (outcome = Search.Unsat);
+  check_int "no fuel" 0 !steps;
+  check_bool (Printf.sprintf "%d coverage hits, under 10" !hits) true (!hits < 10)
+
 (* ---------------------- Search: differential ---------------------- *)
 
-(* The plain depth-first walk [Search.solve] replaced, kept as the reference
-   for its accounting: it evaluates every leaf, in order. *)
-let reference_sort_cov_key sort =
-  match sort with
-  | Sort.Bool -> "domain.bool"
-  | Sort.Int -> "domain.int"
-  | Sort.Real -> "domain.real"
-  | Sort.String_sort -> "domain.string"
-  | Sort.Reglan -> "domain.reglan"
-  | Sort.Bitvec _ -> "domain.bitvec"
-  | Sort.Finite_field _ -> "domain.ff"
-  | Sort.Seq _ -> "domain.seq"
-  | Sort.Set _ -> "domain.set"
-  | Sort.Bag _ -> "domain.bag"
-  | Sort.Array _ -> "domain.array"
-  | Sort.Tuple _ -> "domain.tuple"
-  | Sort.Datatype _ -> "domain.datatype"
-  | Sort.Uninterpreted _ -> "domain.uninterpreted"
-
-let reference_solve ?(config = Domain.default_config) ?(max_steps = 200_000)
-    ?(order = Search.Ascending) ?(cov = fun _ _ -> ()) ?(bounds = []) ?steps_used script =
-  let decls = Script.declared_funs script in
-  let defined_names =
-    List.filter_map
-      (function Command.Define_fun (n, _, _, _) -> Some n | _ -> None)
-      script
-  in
-  let is_declared (d : Script.fun_decl) =
-    (not (List.mem d.name defined_names))
-    && not
-         (List.exists
-            (fun (dt : Command.datatype_decl) ->
-              List.exists
-                (fun (c : Command.constructor) ->
-                  c.ctor_name = d.name
-                  || List.exists (fun (s, _) -> s = d.name) c.selectors
-                  || "is-" ^ c.ctor_name = d.name)
-                dt.constructors)
-            (Script.declared_datatypes script))
-  in
-  let datatypes = Script.declared_datatypes script in
-  let consts =
-    List.filter (fun (d : Script.fun_decl) -> d.arg_sorts = [] && is_declared d) decls
-  in
-  let funs =
-    List.filter (fun (d : Script.fun_decl) -> d.arg_sorts <> [] && is_declared d) decls
-  in
-  let domain_of ?name sort =
-    cov (reference_sort_cov_key sort) 0;
-    let values = Domain.enumerate ~config ~datatypes sort in
-    let values =
-      match Option.bind name (fun n -> List.assoc_opt n bounds) with
-      | Some interval ->
-        cov "propagate.bound" 0;
-        Solver.Propagate.restrict_domain interval values
-      | None -> values
-    in
-    match order with Search.Ascending -> values | Search.Descending -> List.rev values
-  in
-  let slots =
-    List.map (fun (d : Script.fun_decl) -> (`Const, d.name, d.result_sort)) consts
-    @ List.map (fun (d : Script.fun_decl) -> (`Fun, d.name, d.result_sort)) funs
-  in
-  let assertions = Script.assertions script in
-  let ctx = Eval.make_ctx ~config ~max_steps ~cov script in
-  let eval_under consts fun_defaults =
-    ctx.Eval.fun_defaults <- fun_defaults;
-    List.for_all (fun a -> Eval.eval_bool ctx consts a) assertions
-  in
-  cov "search.entry" 0;
-  let rec assign acc_consts acc_funs = function
-    | [] ->
-      if eval_under acc_consts acc_funs then
-        Some { Model.consts = acc_consts; fun_defaults = acc_funs }
-      else None
-    | (kind, name, sort) :: rest ->
-      let rec try_values = function
-        | [] -> None
-        | v :: vs -> (
-          let acc_consts', acc_funs' =
-            match kind with
-            | `Const -> ((name, v) :: acc_consts, acc_funs)
-            | `Fun -> (acc_consts, (name, v) :: acc_funs)
-          in
-          match assign acc_consts' acc_funs' rest with
-          | Some model -> Some model
-          | None -> try_values vs)
-      in
-      let domain =
-        match kind with `Const -> domain_of ~name sort | `Fun -> domain_of sort
-      in
-      try_values domain
-  in
-  let outcome =
-    match assign [] [] slots with
-    | Some model ->
-      cov "search.sat" 0;
-      Search.Sat model
-    | None ->
-      cov "search.unsat" 0;
-      Search.Unsat
-    | exception Eval.Out_of_fuel -> Search.Resource_limit
-    | exception Eval.Eval_failure msg -> Search.Unknown msg
-  in
-  (match steps_used with Some r -> r := ctx.Eval.steps | None -> ());
-  outcome
-
-(* (key, line) -> count, counted calls included *)
-let tally () =
-  let counts = Hashtbl.create 64 in
-  let add key line n =
-    let c = Option.value ~default:0 (Hashtbl.find_opt counts (key, line)) in
-    Hashtbl.replace counts (key, line) (c + n)
-  in
-  ((fun () -> List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) counts [])), add)
-
-(* counted coverage calls (n > 1) the differential has seen: the charges *)
-let charges = ref 0
-
-(* [Some why] when the search and the reference walk differ on the outcome
-   and its model, the fuel used, or any coverage count; the [domain.*] and
-   [propagate.*] line-0 counts are the engines' decisions and propagations *)
-let search_mismatch ~max_steps ~order ~bounds script =
-  let expected_counts, add_expected = tally () in
-  let expected_steps = ref (-1) in
-  let expected =
-    reference_solve ~max_steps ~order ~bounds ~steps_used:expected_steps
-      ~cov:(fun key line -> add_expected key line 1)
-      script
-  in
-  let actual_counts, add_actual = tally () in
-  let actual_steps = ref (-1) in
-  let actual =
-    Search.solve ~max_steps ~order ~bounds ~steps_used:actual_steps
-      ~cov:(fun key line n ->
-        if n > 1 then incr charges;
-        add_actual key line n)
-      script
-  in
-  if expected <> actual then Some "outcome or model"
-  else if !expected_steps <> !actual_steps then
-    Some (Printf.sprintf "steps %d, expected %d" !actual_steps !expected_steps)
-  else if expected_counts () <> actual_counts () then Some "coverage counts"
-  else None
+(* The references live in test/reference: [Reference.Walk.solve], the plain
+   depth-first walk [Search.solve] replaced, evaluates every leaf in order
+   with [Reference.Eval], the tree-walker the compiled [Eval] replaced. *)
 
 let differential_budgets = [ 50; 2_000; 20_000 ]
+
+(* [Some why] when compiled and tree-walking evaluation of an assertion
+   differ on the value or failure text, the steps (so the step at which fuel
+   runs out), or any coverage count. Each assertion is evaluated on its own,
+   under the first and under the last value of every declared symbol. *)
+let eval_mismatch ~max_steps script =
+  let decls = Script.declared_funs script in
+  let datatypes = Script.declared_datatypes script in
+  let env pick ~funs =
+    List.filter_map
+      (fun (d : Script.fun_decl) ->
+        match Domain.enumerate ~datatypes d.result_sort with
+        | _ :: _ as values when (d.arg_sorts <> []) = funs -> Some (d.name, pick values)
+        | _ -> None)
+      decls
+  in
+  let outcome run =
+    match run () with
+    | v -> Ok v
+    | exception (Eval.Out_of_fuel | Reference.Eval.Out_of_fuel) -> Error "out of fuel"
+    | exception (Eval.Eval_failure msg | Reference.Eval.Eval_failure msg) -> Error msg
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let compiled consts funs a =
+    let counts, add = Reference.Walk.tally () in
+    let ctx = Eval.make_ctx ~max_steps ~fun_defaults:funs script in
+    let r = outcome (fun () -> Eval.eval ctx consts a) in
+    Eval.flush ctx add;
+    (r, (Eval.state ctx).Eval.steps, counts ())
+  in
+  let walked consts funs a =
+    let counts, add = Reference.Walk.tally () in
+    let ctx =
+      Reference.Eval.make_ctx ~max_steps ~fun_defaults:funs ~cov:(fun key line -> add key line 1)
+        script
+    in
+    let r = outcome (fun () -> Reference.Eval.eval ctx consts a) in
+    (r, ctx.Reference.Eval.steps, counts ())
+  in
+  List.find_map
+    (fun pick ->
+      let consts = env pick ~funs:false and funs = env pick ~funs:true in
+      List.find_map
+        (fun a ->
+          let r, steps, counts = compiled consts funs a in
+          let r', steps', counts' = walked consts funs a in
+          if r <> r' then Some "value or failure text"
+          else if steps <> steps' then Some (Printf.sprintf "steps %d, expected %d" steps steps')
+          else if counts <> counts' then Some "coverage counts"
+          else None)
+        (Script.assertions script))
+    [ List.hd; O4a_util.Listx.last ]
 
 (* Zeal's bounds for a query it searches. When a bound empties its window
    Zeal answers [unsat] without searching, and a search under it would
@@ -911,9 +846,14 @@ let order_name = function Search.Ascending -> "ascending" | Search.Descending ->
 let check_search_differential script =
   List.iter
     (fun max_steps ->
+      (match eval_mismatch ~max_steps script with
+      | None -> ()
+      | Some why ->
+        Alcotest.failf "evaluation differs from the reference (%s, max_steps %d):\n%s" why
+          max_steps (Printer.script script));
       List.iter
         (fun (order, bounds) ->
-          match search_mismatch ~max_steps ~order ~bounds script with
+          match Reference.Walk.mismatch ~max_steps ~order ~bounds script with
           | None -> ()
           | Some why ->
             Alcotest.failf
@@ -953,12 +893,60 @@ let differential_cases =
     (* a bound that leaves one value *)
     "(declare-const b Bool)(declare-const x Int)(declare-const y Int)\
      (assert b)(assert (> x 2))(assert (< y x))(check-sat)";
+    (* let shadowing a slot and an outer let, and a name bound twice in one
+       let (the last binding wins) *)
+    "(declare-const x Int)(declare-const y Int)\
+     (assert (let ((x (+ y 1))) (let ((x (* x 2)) (y x)) (= y (- x 1)))))\
+     (assert (let ((a x) (a y)) (> a 0)))(check-sat)";
+    (* define-fun bodies reading a binder of their caller: a quantifier's and
+       a let's *)
+    "(define-fun above ((v Int)) Bool (> v w))(define-fun k () Int (+ z 1))\
+     (declare-const x Int)(declare-const y Int)\
+     (assert (exists ((w Int)) (above x)))(assert (let ((z y)) (= k 2)))(check-sat)";
+    (* a let binder shadowing a zero-arity define-fun *)
+    "(define-fun k () Int 5)(declare-const x Int)(declare-const y Int)\
+     (assert (let ((k x)) (> k 1)))(assert (< y k))(check-sat)";
+    (* nested quantifiers, an inner binder shadowing an outer one *)
+    "(declare-const x Int)(declare-const p Bool)\
+     (assert (forall ((a Int)) (exists ((b Int) (a Bool)) (and (=> a p) (> (+ b x) 0)))))\
+     (check-sat)";
+    (* match with a variable pattern, selector misapplication, and a failure
+       inside a constructor's arguments *)
+    "(declare-datatypes ((Lst 0)) (((nil) (cons (head Int) (tail Lst)))))\
+     (declare-const l Lst)(declare-const x Int)\
+     (assert (match l ((nil (> (head l) x)) (whole (> (head whole) x)))))\
+     (assert (= (tail (tail l)) nil))(check-sat)";
+    "(declare-datatypes ((Lst 0)) (((nil) (cons (head Int) (tail Lst)))))\
+     (declare-const x Int)(declare-const y Int)\
+     (assert (> x 0))(assert (= (cons (frobnicate y) nil) nil))(check-sat)";
+    (* n-ary uninterpreted functions of two sorts *)
+    "(declare-fun f (Int Int Int) Int)(declare-fun g (Int) Bool)\
+     (declare-const x Int)(declare-const y Int)\
+     (assert (g (f x y 0)))(assert (> (f y x 1) x))(check-sat)";
+    (* ite and and evaluate every argument: the dead division still counts *)
+    "(declare-const x Int)(declare-const y Int)\
+     (assert (and (> x 5) (= (div x 0) 0)))\
+     (assert (ite (> y 0) true (= (mod y 0) y)))(check-sat)";
+    (* annotations tick, and a failure after partly evaluated arguments *)
+    "(declare-const x Int)(declare-const y Int)\
+     (assert (! (> (+ x y) 1) :named big))\
+     (assert (< (* x (- y 2)) (str.len x)))(check-sat)";
   ]
 
+(* minor-heap words [f] allocates: the work a walk does *)
+let words f =
+  let w0 = Gc.minor_words () in
+  ignore (f ());
+  Gc.minor_words () -. w0
+
 let test_search_differential_cases () =
-  let before = !charges in
   List.iter (fun src -> check_search_differential (parse_script_exn src)) differential_cases;
-  check_bool "the cases exercise charged blocks" true (!charges > before)
+  (* coverage is counted per query, so a charge is visible only as work not
+     done: (assert false) over six constants evaluates one leaf, not 20,000 *)
+  let script = parse_script_exn (List.nth differential_cases 4) in
+  let search = words (fun () -> Search.solve ~max_steps:20_000 script)
+  and walk = words (fun () -> Reference.Walk.solve ~max_steps:20_000 script) in
+  check_bool "the cases exercise charged blocks" true (search *. 10. < walk)
 
 (* shared generator library, built once *)
 let campaign = lazy (Once4all.Campaign.prepare ~seed:3 ())
@@ -999,9 +987,14 @@ let campaign_shaped seed =
 let search_agrees script =
   List.for_all
     (fun max_steps ->
+      (match eval_mismatch ~max_steps script with
+      | None -> ()
+      | Some why ->
+        QCheck.Test.fail_reportf "evaluation differs from the reference (%s, max_steps %d):\n%s"
+          why max_steps (Printer.script script));
       List.for_all
         (fun (order, bounds) ->
-          match search_mismatch ~max_steps ~order ~bounds script with
+          match Reference.Walk.mismatch ~max_steps ~order ~bounds script with
           | None -> true
           | Some why ->
             QCheck.Test.fail_reportf "search differs from the reference (%s, max_steps %d, %s):\n%s"
@@ -1511,6 +1504,7 @@ let () =
           Alcotest.test_case "uninterpreted function" `Quick test_search_uninterpreted_fun;
           Alcotest.test_case "order matters" `Quick test_search_order_changes_model;
           Alcotest.test_case "fuel -> unknown" `Quick test_search_fuel_unknown;
+          Alcotest.test_case "empty domain" `Quick test_search_empty_domain;
           Alcotest.test_case "differential: corpus" `Quick test_search_differential_corpus;
           Alcotest.test_case "differential: cases" `Quick test_search_differential_cases;
         ] );

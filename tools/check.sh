@@ -53,6 +53,11 @@ ONCE4ALL="$PWD/_build/default/bin/once4all_cli.exe" "$repro" > "$out/repro.log" 
 grep -q "expected signature reproduced" "$out/repro.log" || {
   echo "FAIL: repro.sh did not reproduce its finding"; cat "$out/repro.log"; exit 1; }
 
+echo "== Bundle replay: each bundle's searches, compiled = tree-walking evaluator =="
+# outcome, model, fuel and every coverage count under both solvers' rules,
+# order and bounds at the campaign's 60,000 steps; names the bundle that differs
+dune exec test/replay/replay_bundles.exe -- "$out/t1"
+
 echo "== Checkpoint/resume: stop after 2 shards, resume, same report =="
 dune exec bin/once4all_cli.exe -- fuzz --budget 400 --shard-size 100 --jobs 1 \
   --checkpoint "$out/cp.json" --stop-after 2 > /dev/null
