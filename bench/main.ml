@@ -1,15 +1,14 @@
-(* Once4All benchmark & reproduction harness.
+(* Once4All reproduction harness.
 
    Usage:
-     dune exec bench/main.exe                 -- everything (micro + all tables/figures)
-     dune exec bench/main.exe -- micro        -- Bechamel micro-benchmarks only
-     dune exec bench/main.exe -- table1|table2|fig5|fig6|fig7|fig8|fig9
-     dune exec bench/main.exe -- validity|stats|ablation-adapt|ablation-iters
+     dune exec bench/main.exe                 -- every table and figure
+     dune exec bench/main.exe -- table1|table2|stats|fig5|fig6|fig7|fig8|fig9
+     dune exec bench/main.exe -- validity|ablation-adapt|ablation-iters
+     dune exec bench/main.exe -- ablation-mixed|ablation-schedule
 
-   One Bechamel Test.make per table/figure exercises that experiment's core
-   pipeline step; the named modes print the reproduced rows/series (paper
-   values quoted inline for comparison). Campaign throughput is measured by
-   the repository benchmark, perfbench/. *)
+   Each mode prints the reproduced rows/series (paper values quoted inline
+   for comparison). Campaign throughput and the cost of each pipeline step,
+   layer by layer, are measured by the repository benchmark, perfbench/. *)
 
 module E = Experiments
 
@@ -149,115 +148,9 @@ let run_ablation_iters () =
   say "%s" r.E.Ablations.text
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: the core pipeline step behind each       *)
-(* table/figure                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let micro_tests () =
-  let open Bechamel in
-  let c = Lazy.force campaign in
-  let pool = Lazy.force seeds in
-  let zeal = c.Once4all.Campaign.zeal and cove = c.Once4all.Campaign.cove in
-  let generators = c.Once4all.Campaign.generators in
-  let fig1_src =
-    "(declare-fun s () (Seq Int))\n(assert (exists ((f Int)) (distinct (seq.len (seq.rev s)) f)))\n(check-sat)"
-  in
-  let seed_script = List.hd pool in
-  let rng = O4a_util.Rng.create 1 in
-  [
-    (* Table 1/2: the campaign's inner loop — one mutate+test iteration *)
-    Test.make ~name:"table1+2/fuzz-iteration"
-      (Staged.stage (fun () ->
-           let skeleton, holes = Once4all.Skeleton.skeletonize ~rng seed_script in
-           let filled =
-             if holes = 0 then Once4all.Synthesize.direct ~rng ~generators ~terms:2
-             else Once4all.Synthesize.fill ~rng ~generators ~skeleton ~holes ()
-           in
-           ignore
-             (Once4all.Oracle.test ~max_steps:30_000 ~zeal ~cove
-                ~source:filled.Once4all.Synthesize.source ())));
-    (* Figure 5: lifespan probe — replay a trigger against one release *)
-    Test.make ~name:"fig5/release-replay"
-      (Staged.stage (fun () ->
-           let engine = Solver.Engine.zeal ~commit:10 () in
-           ignore (Solver.Runner.run_source ~max_steps:30_000 engine fig1_src)));
-    (* Figures 6/8: one coverage-measured solver execution *)
-    Test.make ~name:"fig6+8/solve-with-coverage"
-      (Staged.stage (fun () ->
-           ignore (Solver.Runner.run ~max_steps:30_000 cove seed_script)));
-    (* Figures 7/9: one bisection step of the correcting-commit method *)
-    Test.make ~name:"fig7+9/bisect-probe"
-      (Staged.stage (fun () ->
-           let engine = Solver.Engine.cove ~commit:60 () in
-           ignore (Solver.Runner.run ~max_steps:30_000 engine seed_script)));
-    (* 5.1 validity: one generator emission + front-end validation *)
-    Test.make ~name:"validity/generate+parse-check"
-      (Staged.stage (fun () ->
-           let g = O4a_util.Rng.choose rng generators in
-           match Gensynth.Generator.generate g ~rng with
-           | e ->
-             ignore
-               (Solver.Engine.parse_check cove (Gensynth.Generator.render_script [ e ]))
-           | exception Failure _ -> ()));
-    (* telemetry overhead: the disabled (default) hook must cost only a
-       branch; the null-sink live handle shows the instrumented price *)
-    Test.make ~name:"telemetry/span-disabled"
-      (Staged.stage (fun () ->
-           O4a_telemetry.Telemetry.with_span O4a_telemetry.Telemetry.disabled
-             "bench" (fun () -> ())));
-    Test.make ~name:"telemetry/span-null-sink"
-      (Staged.stage
-         (let tel = O4a_telemetry.Telemetry.create () in
-          fun () -> O4a_telemetry.Telemetry.with_span tel "bench" (fun () -> ())));
-    Test.make ~name:"telemetry/incr-disabled"
-      (Staged.stage (fun () ->
-           O4a_telemetry.Telemetry.incr O4a_telemetry.Telemetry.disabled
-             "bench.counter"));
-    Test.make ~name:"telemetry/incr-null-sink"
-      (Staged.stage
-         (let tel = O4a_telemetry.Telemetry.create () in
-          fun () -> O4a_telemetry.Telemetry.incr tel "bench.counter"));
-    (* substrate benchmarks *)
-    Test.make ~name:"substrate/parse-script"
-      (Staged.stage (fun () -> ignore (Smtlib.Parser.parse_script fig1_src)));
-    Test.make ~name:"substrate/typecheck-seed"
-      (Staged.stage (fun () -> ignore (Theories.Typecheck.check_script seed_script)));
-    Test.make ~name:"substrate/rewrite-seed"
-      (Staged.stage (fun () ->
-           List.iter
-             (fun a ->
-               ignore
-                 (Solver.Rewrite.simplify ~rules:Solver.Rewrite.zeal_rules
-                    ~fired:(fun _ -> ())
-                    a))
-             (Smtlib.Script.assertions seed_script)));
-  ]
-
-let run_micro () =
-  section "Bechamel micro-benchmarks (one per table/figure pipeline step)";
-  let open Bechamel in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  let tests = Test.make_grouped ~name:"once4all" (micro_tests ()) in
-  let raw = Benchmark.all cfg instances tests in
-  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  let merged = Analyze.merge ols instances results in
-  let clock = Hashtbl.find merged (Measure.label Toolkit.Instance.monotonic_clock) in
-  say "%-45s %15s" "benchmark" "ns/run";
-  say "%s" (String.make 62 '-');
-  Hashtbl.fold (fun name ols_result acc -> (name, ols_result) :: acc) clock []
-  |> List.sort compare
-  |> List.iter (fun (name, ols_result) ->
-         match Analyze.OLS.estimates ols_result with
-         | Some (est :: _) -> say "%-45s %15.0f" name est
-         | _ -> say "%-45s %15s" name "n/a")
-
-(* ------------------------------------------------------------------ *)
 
 let all_modes =
   [
-    ("micro", run_micro);
     ("table1", run_table1);
     ("table2", run_table2);
     ("stats", run_stats);

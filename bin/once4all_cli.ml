@@ -753,6 +753,8 @@ let reduce path =
 
 (* ---------------- report ---------------- *)
 
+(* the campaign `fuzz --seed SEED --budget N --no-breakers` runs, then one
+   triage report per cluster it finds *)
 let report seed budget =
   let campaign = Once4all.Campaign.prepare ~seed () in
   let seeds =
@@ -760,10 +762,13 @@ let report seed budget =
       ~cove:campaign.Once4all.Campaign.cove ()
   in
   Printf.printf "fuzzing (budget %d) before writing reports...\n%!" budget;
-  let r = Once4all.Campaign.fuzz ~seed:(seed + 1) campaign ~seeds ~budget in
+  let r =
+    Orchestrator.run ~seed:(seed + 1) ~budget
+      ~generators:campaign.Once4all.Campaign.generators ~seeds ()
+  in
   print_endline
     (Once4all.Report.render_campaign ~zeal:campaign.Once4all.Campaign.zeal
-       ~cove:campaign.Once4all.Campaign.cove r.Once4all.Campaign.clusters);
+       ~cove:campaign.Once4all.Campaign.cove r.Orchestrator.clusters);
   0
 
 (* ---------------- lineup ---------------- *)

@@ -13,12 +13,15 @@ let () =
   let zeal = campaign.Once4all.Campaign.zeal in
   let cove = campaign.Once4all.Campaign.cove in
   let seeds = Seeds.Corpus.filtered ~zeal ~cove () in
-  let report = Once4all.Campaign.fuzz ~seed:29 campaign ~seeds ~budget:1500 in
+  let report =
+    Orchestrator.run ~seed:29 ~budget:1500
+      ~generators:campaign.Once4all.Campaign.generators ~seeds ()
+  in
 
   Printf.printf "campaign: %d tests, %d findings, %d issues after de-duplication\n\n"
-    report.Once4all.Campaign.stats.Once4all.Fuzz.tests
-    (List.length report.Once4all.Campaign.stats.Once4all.Fuzz.findings)
-    (List.length report.Once4all.Campaign.clusters);
+    report.Orchestrator.stats.Once4all.Fuzz.tests
+    (List.length report.Orchestrator.stats.Once4all.Fuzz.findings)
+    (List.length report.Orchestrator.clusters);
 
   (* triage report: one line per issue, with ground-truth attribution *)
   print_endline "triage:";
@@ -32,13 +35,13 @@ let () =
       Printf.printf "  %-13s %-14s x%-4d %s\n"
         (Solver.Bug_db.kind_to_string c.Once4all.Dedup.kind)
         c.Once4all.Dedup.theory c.Once4all.Dedup.count status)
-    report.Once4all.Campaign.clusters;
+    report.Orchestrator.clusters;
 
   (* pick a crash and reduce the reproducer before "reporting" it *)
   (match
      List.find_opt
        (fun (c : Once4all.Dedup.cluster) -> c.Once4all.Dedup.kind = Solver.Bug_db.Crash)
-       report.Once4all.Campaign.clusters
+       report.Orchestrator.clusters
    with
   | None -> ()
   | Some crash -> (

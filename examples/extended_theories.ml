@@ -54,11 +54,14 @@ let () =
           [ "seq"; "sets"; "bags"; "finite_fields" ])
       (Seeds.Corpus.all ())
   in
-  let report = Once4all.Campaign.fuzz ~seed:13 campaign ~seeds ~budget:600 in
+  let report =
+    Orchestrator.run ~seed:13 ~budget:600
+      ~generators:campaign.Once4all.Campaign.generators ~seeds ()
+  in
   Printf.printf "-- focused extension campaign --\n";
   Printf.printf "%d tests, %d issues:\n"
-    report.Once4all.Campaign.stats.Once4all.Fuzz.tests
-    (List.length report.Once4all.Campaign.clusters);
+    report.Orchestrator.stats.Once4all.Fuzz.tests
+    (List.length report.Orchestrator.clusters);
   List.iter
     (fun (c : Once4all.Dedup.cluster) ->
       let spec = Option.bind c.Once4all.Dedup.bug_id Solver.Bug_db.find in
@@ -68,4 +71,4 @@ let () =
         (match spec with
         | Some s -> s.Solver.Bug_db.summary
         | None -> c.Once4all.Dedup.key))
-    report.Once4all.Campaign.clusters
+    report.Orchestrator.clusters

@@ -23,22 +23,25 @@ let () =
   Printf.printf "seeds: %d formulas\n%!" (List.length seeds);
 
   (* a short fuzzing campaign *)
-  let report = Once4all.Campaign.fuzz ~seed:7 campaign ~seeds ~budget:800 in
-  let stats = report.Once4all.Campaign.stats in
+  let report =
+    Orchestrator.run ~seed:7 ~budget:800
+      ~generators:campaign.Once4all.Campaign.generators ~seeds ()
+  in
+  let stats = report.Orchestrator.stats in
   Printf.printf "ran %d tests; %d bug-triggering formulas, %d distinct issues\n\n"
     stats.Once4all.Fuzz.tests
     (List.length stats.Once4all.Fuzz.findings)
-    (List.length report.Once4all.Campaign.clusters);
+    (List.length report.Orchestrator.clusters);
 
   List.iter
     (fun (c : Once4all.Dedup.cluster) ->
       Printf.printf "- [%s] %s (seen %d times)\n"
         (Solver.Bug_db.kind_to_string c.Once4all.Dedup.kind)
         c.Once4all.Dedup.key c.Once4all.Dedup.count)
-    report.Once4all.Campaign.clusters;
+    report.Orchestrator.clusters;
 
   (* minimize one representative, like the paper's reporting workflow *)
-  match report.Once4all.Campaign.clusters with
+  match report.Orchestrator.clusters with
   | [] -> print_endline "(no bugs this run — try a larger budget)"
   | first :: _ -> (
     match Smtlib.Parser.parse_script first.Once4all.Dedup.representative.Once4all.Dedup.source with

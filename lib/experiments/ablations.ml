@@ -23,13 +23,14 @@ let adaptation ?(seed = 42) ?(budget = 1500) () =
           { Once4all.Fuzz.default_config with Once4all.Fuzz.adapt_prob }
         in
         let report =
-          Once4all.Campaign.fuzz ~seed:(seed + 1) ~config campaign ~seeds ~budget
+          Orchestrator.run ~config ~seed:(seed + 1) ~budget
+            ~generators:campaign.Once4all.Campaign.generators ~seeds ()
         in
-        let s = report.Once4all.Campaign.stats in
+        let s = report.Orchestrator.stats in
         {
           adapt_prob;
           findings = List.length s.Once4all.Fuzz.findings;
-          distinct_bugs = List.length report.Once4all.Campaign.found_bug_ids;
+          distinct_bugs = List.length report.Orchestrator.found_bug_ids;
           solved_pct =
             (if s.Once4all.Fuzz.tests = 0 then 0.
              else
@@ -130,15 +131,16 @@ type mode_result = {
   text : string;
 }
 
-let run_mode ~campaign ~seeds ~seed ~budget ~mode ~config =
-  O4a_coverage.Coverage.reset ();
-  let report = Once4all.Campaign.fuzz ~seed ~config campaign ~seeds ~budget in
-  let snapshot = O4a_coverage.Coverage.snapshot O4a_coverage.Coverage.Cove in
+let run_mode ~campaign ~seeds ~seed ~budget ~shard_size ~mode ~config =
+  let report =
+    Orchestrator.run ~shard_size ~config ~seed ~budget
+      ~generators:campaign.Once4all.Campaign.generators ~seeds ()
+  in
   {
     mode;
-    findings = List.length report.Once4all.Campaign.stats.Once4all.Fuzz.findings;
-    distinct_bugs = List.length report.Once4all.Campaign.found_bug_ids;
-    cove_line_pct = O4a_coverage.Coverage.line_pct snapshot;
+    findings = List.length report.Orchestrator.stats.Once4all.Fuzz.findings;
+    distinct_bugs = List.length report.Orchestrator.found_bug_ids;
+    cove_line_pct = O4a_coverage.Coverage.line_pct report.Orchestrator.coverage_cove;
   }
 
 let render_modes ~title rows =
@@ -159,11 +161,14 @@ let mixed_sorts ?(seed = 42) ?(budget = 1500) () =
       ~cove:campaign.Once4all.Campaign.cove ()
   in
   let base = Once4all.Fuzz.default_config in
+  let run_mode =
+    run_mode ~campaign ~seeds ~seed:(seed + 1) ~budget
+      ~shard_size:Orchestrator.default_shard_size
+  in
   let rows =
     [
-      run_mode ~campaign ~seeds ~seed:(seed + 1) ~budget ~mode:"boolean holes (paper)"
-        ~config:base;
-      run_mode ~campaign ~seeds ~seed:(seed + 1) ~budget ~mode:"mixed-sort holes (5.3)"
+      run_mode ~mode:"boolean holes (paper)" ~config:base;
+      run_mode ~mode:"mixed-sort holes (5.3)"
         ~config:{ base with Once4all.Fuzz.mixed_sorts = true };
     ]
   in
@@ -176,11 +181,15 @@ let scheduling ?(seed = 42) ?(budget = 1500) () =
       ~cove:campaign.Once4all.Campaign.cove ()
   in
   let base = Once4all.Fuzz.default_config in
+  (* the bandit learns within a shard, so each arm runs as one shard: one
+     feedback stream over the whole budget *)
+  let run_mode =
+    run_mode ~campaign ~seeds ~seed:(seed + 1) ~budget ~shard_size:budget
+  in
   let rows =
     [
-      run_mode ~campaign ~seeds ~seed:(seed + 1) ~budget ~mode:"uniform (paper)"
-        ~config:base;
-      run_mode ~campaign ~seeds ~seed:(seed + 1) ~budget ~mode:"coverage-guided (5.3)"
+      run_mode ~mode:"uniform (paper)" ~config:base;
+      run_mode ~mode:"coverage-guided (5.3)"
         ~config:{ base with Once4all.Fuzz.schedule = Once4all.Fuzz.Coverage_guided };
     ]
   in

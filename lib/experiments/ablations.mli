@@ -52,4 +52,6 @@ val mixed_sorts : ?seed:int -> ?budget:int -> unit -> mode_result
 (** Boolean-only holes (the paper's configuration) vs typed holes. *)
 
 val scheduling : ?seed:int -> ?budget:int -> unit -> mode_result
-(** Uniform generator choice vs the coverage-guided bandit. *)
+(** Uniform generator choice vs the coverage-guided bandit. Both arms run as
+    one shard of [budget] ticks, so the bandit learns from one feedback
+    stream over the whole campaign. *)

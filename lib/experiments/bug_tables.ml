@@ -2,7 +2,7 @@ module Bug_db = Solver.Bug_db
 module Coverage = O4a_coverage.Coverage
 
 type result = {
-  report : Once4all.Campaign.report;
+  report : Orchestrator.report;
   found : Bug_db.spec list;
   table1 : string;
   table2 : string;
@@ -68,8 +68,7 @@ let render_table2 found =
       ]
   ^ "\n(paper: crash 20/15/35, invalid model 4/2/6, soundness 3/1/4)"
 
-let render_stats (report : Once4all.Campaign.report) found =
-  let s = report.Once4all.Campaign.stats in
+let render_stats ~llm_calls ~llm_tokens (s : Once4all.Fuzz.stats) found =
   let extension = count Bug_db.is_extension_theory_bug found in
   Render.heading "Campaign statistics (paper 4.2)"
   ^ "\n"
@@ -85,19 +84,13 @@ let render_stats (report : Once4all.Campaign.report) found =
           (List.length found)
           (List.length Bug_db.campaign_bugs);
         Printf.sprintf "extension-theory bugs:       %d (paper: 11)" extension;
-        Printf.sprintf "LLM calls (one-time):        %d" report.Once4all.Campaign.llm_calls;
-        Printf.sprintf "LLM tokens (one-time):       %d" report.Once4all.Campaign.llm_tokens;
+        Printf.sprintf "LLM calls (one-time):        %d" llm_calls;
+        Printf.sprintf "LLM tokens (one-time):       %d" llm_tokens;
       ]
 
-let run ?(seed = 42) ?(budget = 6000) () =
-  let campaign = Once4all.Campaign.prepare ~seed () in
-  let seeds =
-    Seeds.Corpus.filtered ~zeal:campaign.Once4all.Campaign.zeal
-      ~cove:campaign.Once4all.Campaign.cove ()
-  in
-  let report = Once4all.Campaign.fuzz ~seed:(seed + 1) campaign ~seeds ~budget in
+let render ~llm_calls ~llm_tokens (report : Orchestrator.report) =
   let found =
-    report.Once4all.Campaign.found_bug_ids
+    report.Orchestrator.found_bug_ids
     |> List.filter_map Bug_db.find
     |> List.filter (fun (s : Bug_db.spec) -> not s.Bug_db.historical)
   in
@@ -106,5 +99,20 @@ let run ?(seed = 42) ?(budget = 6000) () =
     found;
     table1 = render_table1 found;
     table2 = render_table2 found;
-    stats_text = render_stats report found;
+    stats_text =
+      render_stats ~llm_calls ~llm_tokens report.Orchestrator.stats found;
   }
+
+let run ?(seed = 42) ?(budget = 6000) () =
+  let campaign = Once4all.Campaign.prepare ~seed () in
+  let seeds =
+    Seeds.Corpus.filtered ~zeal:campaign.Once4all.Campaign.zeal
+      ~cove:campaign.Once4all.Campaign.cove ()
+  in
+  let report =
+    Orchestrator.run ~seed:(seed + 1) ~budget
+      ~generators:campaign.Once4all.Campaign.generators ~seeds ()
+  in
+  let client = campaign.Once4all.Campaign.client in
+  render ~llm_calls:(Llm_sim.Client.call_count client)
+    ~llm_tokens:(Llm_sim.Client.token_count client) report

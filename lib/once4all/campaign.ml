@@ -12,11 +12,10 @@ type t = {
   cove : Solver.Engine.t;
 }
 
-let prepare ?(seed = 42) ?(profile = Llm_sim.Profile.gpt4) ?zeal ?cove ?theories
-    ?telemetry () =
-  let tel = match telemetry with Some t -> t | None -> Telemetry.global () in
-  let zeal = Option.value zeal ~default:(Solver.Engine.zeal ()) in
-  let cove = Option.value cove ~default:(Solver.Engine.cove ()) in
+let prepare ?(seed = 42) ?(profile = Llm_sim.Profile.gpt4) ?theories () =
+  let tel = Telemetry.global () in
+  let zeal = Solver.Engine.zeal () in
+  let cove = Solver.Engine.cove () in
   let theories = Option.value theories ~default:Theories.Theory.all in
   let client = Llm_sim.Client.create ~seed profile in
   Log.info (fun m ->
@@ -57,57 +56,3 @@ let prepare ?(seed = 42) ?(profile = Llm_sim.Profile.gpt4) ?zeal ?cove ?theories
     zeal;
     cove;
   }
-
-type report = {
-  stats : Fuzz.stats;
-  clusters : Dedup.cluster list;
-  found_bug_ids : string list;
-  llm_calls : int;
-  llm_tokens : int;
-}
-
-let fuzz ?(seed = 1337) ?config ?telemetry t ~seeds ~budget =
-  let tel = match telemetry with Some t -> t | None -> Telemetry.global () in
-  let rng = O4a_util.Rng.create seed in
-  let stats =
-    Fuzz.run ~rng ?config ~telemetry:tel ~generators:t.generators ~seeds
-      ~zeal:t.zeal ~cove:t.cove ~budget ()
-  in
-  Log.info (fun m ->
-      m "campaign finished: %d tests, %d solved, %d bug-triggering formulas"
-        stats.Fuzz.tests stats.Fuzz.solved
-        (List.length stats.Fuzz.findings));
-  let clusters =
-    Telemetry.with_span tel "dedup" (fun () -> Dedup.cluster stats.Fuzz.findings)
-  in
-  List.iter
-    (fun (c : Dedup.cluster) ->
-      Log.debug (fun m ->
-          m "cluster [%s] %s x%d"
-            (Solver.Bug_db.kind_to_string c.Dedup.kind)
-            c.Dedup.key c.Dedup.count))
-    clusters;
-  (* specimens hit: every ground-truth id observed, not just cluster
-     majorities — duplicate bugs share a crash site with their original *)
-  let found_bug_ids =
-    stats.Fuzz.findings
-    |> List.filter_map (fun f -> f.Dedup.finding.Oracle.bug_id)
-    |> O4a_util.Listx.dedup
-  in
-  let report =
-    {
-      stats;
-      clusters;
-      found_bug_ids;
-      llm_calls = Llm_sim.Client.call_count t.client;
-      llm_tokens = Llm_sim.Client.token_count t.client;
-    }
-  in
-  Telemetry.emit tel "campaign.report"
-    [
-      ("clusters", Json.Int (List.length clusters));
-      ("found_bug_ids", Json.Int (List.length found_bug_ids));
-      ("llm_calls", Json.Int report.llm_calls);
-      ("llm_tokens", Json.Int report.llm_tokens);
-    ];
-  report

@@ -1,14 +1,14 @@
-(** End-to-end Once4All campaign: Algorithm 1 (one-time generator
-    construction) followed by Algorithm 2 (skeleton-guided fuzzing), then
-    de-duplication and ground-truth attribution. This is the top-level entry
-    point the CLI, the examples and every experiment build on. *)
-
-open Smtlib
+(** Algorithm 1 of a Once4All campaign: the one-time construction of the
+    generator library, with the trunk solvers that validate it. Every
+    campaign — the CLI's [fuzz] and [report], the server, the paper's
+    tables and ablations, the examples — builds its generators here and
+    runs Algorithm 2 on them through the sharded orchestrator
+    ([Orchestrator.run]). *)
 
 type t = {
   generators : Gensynth.Generator.t list;
   generator_reports : Gensynth.Synthesis.report list;
-  client : Llm_sim.Client.t;
+  client : Llm_sim.Client.t;  (** its call and token counts are the LLM cost *)
   zeal : Solver.Engine.t;
   cove : Solver.Engine.t;
 }
@@ -16,33 +16,11 @@ type t = {
 val prepare :
   ?seed:int ->
   ?profile:Llm_sim.Profile.t ->
-  ?zeal:Solver.Engine.t ->
-  ?cove:Solver.Engine.t ->
   ?theories:Theories.Theory.info list ->
-  ?telemetry:O4a_telemetry.Telemetry.t ->
   unit ->
   t
 (** Build the generator library (the one-time LLM investment). Defaults:
-    gpt-4 profile, trunk solvers, all theories. When telemetry is enabled,
-    each theory's construction runs under a ["construct"] span and emits a
+    seed 42, gpt-4 profile, all theories; generators are validated against
+    fresh trunk solvers. When the ambient telemetry handle is enabled, each
+    theory's construction runs under a ["construct"] span and emits a
     ["gen.construct"] event with its validity trajectory. *)
-
-type report = {
-  stats : Fuzz.stats;
-  clusters : Dedup.cluster list;
-  found_bug_ids : string list;  (** distinct ground-truth specimens hit *)
-  llm_calls : int;
-  llm_tokens : int;
-}
-
-val fuzz :
-  ?seed:int ->
-  ?config:Fuzz.config ->
-  ?telemetry:O4a_telemetry.Telemetry.t ->
-  t ->
-  seeds:Script.t list ->
-  budget:int ->
-  report
-(** Run the campaign (see {!Fuzz.run} for the telemetry it produces); the
-    final de-duplication runs under a ["dedup"] span and the whole run is
-    summarized by a ["campaign.report"] event. *)

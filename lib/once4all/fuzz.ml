@@ -5,10 +5,6 @@ module Json = O4a_telemetry.Json
 module Trace = O4a_trace.Trace
 module Analytics = O4a_analytics.Analytics
 
-let log_src = Logs.Src.create "once4all.fuzz" ~doc:"Once4All fuzzing loop"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type schedule = Uniform | Coverage_guided
 
 type config = {
@@ -184,50 +180,6 @@ let record_test tel (filled : Synthesize.filled) (outcome : Oracle.outcome) =
           | None -> Json.Null );
       ])
 
-(* emit a ["progress"] event + [Logs.info] line every this many tests *)
-let progress_every = 500
-
-let report_progress tel ~started ~generators stats =
-  if stats.tests mod progress_every = 0 then (
-    let elapsed = Telemetry.now tel -. started in
-    let tps = if elapsed > 0. then float_of_int stats.tests /. elapsed else 0. in
-    let parse_pct =
-      if stats.tests = 0 then 0.
-      else 100. *. float_of_int stats.parse_ok /. float_of_int stats.tests
-    in
-    (* per-generator pick counts live in the metrics registry, so they are
-       only available on a live handle; the log line works either way *)
-    let picks =
-      if not (Telemetry.enabled tel) then []
-      else
-        List.map
-          (fun g ->
-            let key = g.Gensynth.Generator.theory.Theories.Theory.key in
-            ( key,
-              Telemetry.counter_value tel
-                ~labels:[ ("generator", key) ]
-                "fuzz.generator.picks" ))
-          generators
-    in
-    Log.info (fun m ->
-        m "progress: %d tests (%.0f/s), parse-ok %.1f%%, %d findings%s"
-          stats.tests tps parse_pct
-          (List.length stats.findings)
-          (if picks = [] then ""
-           else
-             Printf.sprintf ", picks [%s]"
-               (String.concat " "
-                  (List.map (fun (k, n) -> Printf.sprintf "%s:%d" k n) picks))));
-    Telemetry.emit tel "progress"
-      [
-        ("tests", Json.Int stats.tests);
-        ("elapsed_s", Json.Float elapsed);
-        ("tests_per_s", Json.Float tps);
-        ("parse_ok_pct", Json.Float parse_pct);
-        ("findings", Json.Int (List.length stats.findings));
-        ("picks", Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) picks));
-      ])
-
 let stats_fields stats =
   [
     ("tests", Json.Int stats.tests);
@@ -254,25 +206,29 @@ let finding_info (f : Oracle.finding) =
     mode = Oracle.mode_to_string f.Oracle.mode;
   }
 
-(* The Algorithm 2 loop proper, shared by the whole-campaign entry point
-   ({!run}) and the orchestrator's shard entry point ({!run_shard}).
-   [first_tick] anchors this loop's tests in the campaign-global tick stream
-   so trace ids are identical however the budget is sharded; [analytics],
-   when given, receives every test's yield row and solver work. *)
-let run_loop ~rng ~config ~tel ~analytics ~first_tick ~generators ~seeds ~zeal
-    ~cove ~budget =
+(* The Algorithm 2 loop over one shard's ticks. [first_tick] anchors them in
+   the campaign-global tick stream, so trace ids are identical however the
+   budget is sharded; [analytics] receives every test's yield row and solver
+   work. *)
+let run_shard ~rng ~config ~telemetry:tel ~analytics ~shard_index ~first_tick
+    ~generators ~seeds ~zeal ~cove ~budget =
+  if generators = [] then invalid_arg "Fuzz.run_shard: no generators";
+  if seeds = [] then invalid_arg "Fuzz.run_shard: no seeds";
+  Telemetry.emit tel "shard.start"
+    [
+      ("shard", Json.Int shard_index);
+      ("first_tick", Json.Int first_tick);
+      ("ticks", Json.Int budget);
+    ];
   let bandit = Bandit.create () in
   let recorder = Trace.Recorder.ambient () in
   let stats = ref empty_stats in
-  let started = Telemetry.now tel in
   while !stats.tests < budget do
     let seed = Telemetry.with_span tel "seed.select" (fun () -> Rng.choose rng seeds) in
     (* yield-attribution key: the seed's cluster identity, hashed once per
        mutation batch — every test in the batch descends from this pick *)
     let seed_cluster =
-      if Option.is_some analytics then
-        String.sub (Digest.to_hex (Digest.string (Printer.script seed))) 0 8
-      else ""
+      String.sub (Digest.to_hex (Digest.string (Printer.script seed))) 0 8
     in
     let current = ref seed in
     let rounds = min config.mutations_per_seed (budget - !stats.tests) in
@@ -324,16 +280,12 @@ let run_loop ~rng ~config ~tel ~analytics ~first_tick ~generators ~seeds ~zeal
           (float_of_int (coverage_hits () - before))
       | Uniform -> ());
       stats := record !stats filled outcome;
-      (match analytics with
-      | Some l ->
-        Analytics.consult l ~consults:outcome.Oracle.consults
-          ~fuel:outcome.Oracle.fuel;
-        Analytics.record_test l ~theories:filled.Synthesize.theories_spliced
-          ~seed_cluster ~parse_ok:(filled.Synthesize.parsed <> None)
-          ~found:(outcome.Oracle.finding <> None)
-      | None -> ());
+      Analytics.consult analytics ~consults:outcome.Oracle.consults
+        ~fuel:outcome.Oracle.fuel;
+      Analytics.record_test analytics ~theories:filled.Synthesize.theories_spliced
+        ~seed_cluster ~parse_ok:(filled.Synthesize.parsed <> None)
+        ~found:(outcome.Oracle.finding <> None);
       record_test tel filled outcome;
-      report_progress tel ~started ~generators !stats;
       (* Algorithm 2, line 9: the synthesized formula becomes the next seed *)
       (match filled.Synthesize.parsed with
       | Some script when Script.size script <= config.max_seed_growth ->
@@ -341,41 +293,6 @@ let run_loop ~rng ~config ~tel ~analytics ~first_tick ~generators ~seeds ~zeal
       | _ -> current := seed)
     done
   done;
-  { !stats with findings = List.rev !stats.findings }
-
-let run ~rng ?(config = default_config) ?telemetry ~generators ~seeds ~zeal ~cove
-    ~budget () =
-  if generators = [] then invalid_arg "Fuzz.run: no generators";
-  if seeds = [] then invalid_arg "Fuzz.run: no seeds";
-  let tel = match telemetry with Some t -> t | None -> Telemetry.global () in
-  Telemetry.emit tel "campaign.start"
-    [
-      ("budget", Json.Int budget);
-      ("seeds", Json.Int (List.length seeds));
-      ("generators", Json.Int (List.length generators));
-      ("skeletons", Json.Bool config.use_skeletons);
-    ];
-  let stats =
-    run_loop ~rng ~config ~tel ~analytics:None ~first_tick:0 ~generators ~seeds
-      ~zeal ~cove ~budget
-  in
-  Telemetry.emit tel "campaign.end" (stats_fields stats);
-  stats
-
-let run_shard ~rng ?(config = default_config) ?telemetry ~analytics ~shard_index
-    ~first_tick ~generators ~seeds ~zeal ~cove ~budget () =
-  if generators = [] then invalid_arg "Fuzz.run_shard: no generators";
-  if seeds = [] then invalid_arg "Fuzz.run_shard: no seeds";
-  let tel = match telemetry with Some t -> t | None -> Telemetry.global () in
-  Telemetry.emit tel "shard.start"
-    [
-      ("shard", Json.Int shard_index);
-      ("first_tick", Json.Int first_tick);
-      ("ticks", Json.Int budget);
-    ];
-  let stats =
-    run_loop ~rng ~config ~tel ~analytics:(Some analytics) ~first_tick
-      ~generators ~seeds ~zeal ~cove ~budget
-  in
+  let stats = { !stats with findings = List.rev !stats.findings } in
   Telemetry.emit tel "shard.end" (("shard", Json.Int shard_index) :: stats_fields stats);
   stats

@@ -34,31 +34,14 @@ type stats = {
 }
 
 val stats_fields : stats -> (string * O4a_telemetry.Json.t) list
-(** The event-field rendering of a stats record — the payload of
-    ["campaign.end"] / ["shard.end"] events, shared with the orchestrator so
-    a merged campaign ends with the same schema as a sequential one. *)
-
-val run :
-  rng:O4a_util.Rng.t ->
-  ?config:config ->
-  ?telemetry:O4a_telemetry.Telemetry.t ->
-  generators:Gensynth.Generator.t list ->
-  seeds:Script.t list ->
-  zeal:Solver.Engine.t ->
-  cove:Solver.Engine.t ->
-  budget:int ->
-  unit ->
-  stats
-(** Run [budget] tests. [telemetry] (default: the ambient global handle)
-    receives stage spans ([seed.select], [skeletonize], [generate],
-    [synthesize], and the oracle's nested spans), the [fuzz.*] counters
-    — whose snapshot mirrors the returned {!stats} — one ["fuzz.test"]
-    event per test, and a ["progress"] event every 500 tests. *)
+(** The event-field rendering of a stats record — the payload of each
+    ["shard.end"] event, shared with the orchestrator, whose merged
+    ["campaign.end"] event carries the same fields. *)
 
 val run_shard :
   rng:O4a_util.Rng.t ->
-  ?config:config ->
-  ?telemetry:O4a_telemetry.Telemetry.t ->
+  config:config ->
+  telemetry:O4a_telemetry.Telemetry.t ->
   analytics:O4a_analytics.Analytics.ledger ->
   shard_index:int ->
   first_tick:int ->
@@ -67,15 +50,20 @@ val run_shard :
   zeal:Solver.Engine.t ->
   cove:Solver.Engine.t ->
   budget:int ->
-  unit ->
   stats
-(** One shard of a sharded campaign: the same loop as {!run} over [budget]
-    ticks, but bracketed by ["shard.start"]/["shard.end"] events (carrying
-    [shard_index] and [first_tick]) instead of campaign events — the
-    orchestrator emits the single campaign pair itself. Callers supply an
-    [rng] split for this shard (see {!O4a_util.Rng.split_indexed}) so the
-    shard's tick stream is a deterministic function of the campaign seed and
-    the shard index alone. After each test the loop records into
+(** Run one shard of a campaign: [budget] tests, bracketed by
+    ["shard.start"]/["shard.end"] events (carrying [shard_index] and
+    [first_tick]); the orchestrator runs the shards and emits the single
+    campaign pair itself. [telemetry] receives stage
+    spans ([seed.select], [skeletonize], [generate], [synthesize], and the
+    oracle's nested spans), the [fuzz.*] counters — whose snapshot mirrors
+    the returned {!stats} — and one ["fuzz.test"] event per test. Callers
+    supply an [rng] split for this shard (see {!O4a_util.Rng.split_indexed})
+    so the shard's tick stream is a deterministic function of the campaign
+    seed and the shard index alone. After each test the loop records into
     [analytics] the test's yield row (keyed by the digest of the seed it
     descends from) and the solver consults and fuel from its
-    {!Oracle.outcome}; {!run} records no analytics. *)
+    {!Oracle.outcome}. The coverage-guided schedule's bandit lives for one
+    shard and reads the calling domain's ambient coverage ledger, so one
+    shard is one feedback stream. Raises [Invalid_argument] on an empty
+    [generators] or [seeds]. *)

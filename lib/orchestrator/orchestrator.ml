@@ -181,7 +181,7 @@ let run_one_shard ~env ~worker_id ~zeal ~cove shard =
                           ~shard_index:shard.Shard.index
                           ~first_tick:shard.Shard.first_tick
                           ~generators:env.env_generators ~seeds:env.env_seeds
-                          ~zeal ~cove ~budget:shard.Shard.ticks ())))))
+                          ~zeal ~cove ~budget:shard.Shard.ticks)))))
   in
   {
     sr =

@@ -117,11 +117,26 @@ let request t req =
           | Some msg -> Error msg
           | None -> Ok reply))
 
+(* A watch on a finished job replays the backlog past [from] and stops
+   there: the server neither subscribes the connection nor closes it, so the
+   reply's [state] and [backlog] bound what is left to read, and the
+   connection stays usable for the next request. *)
 let stream t req ~on_line =
   Result.bind (request t req) (fun reply ->
-      let rec go () =
-        match read_json t with
-        | Error _ -> Ok ()  (* stream ended: server closed or drained *)
-        | Ok json -> if on_line json then go () else Ok ()
+      let field name decode = Option.bind (Json.member name reply) decode in
+      let remaining =
+        match (req, field "state" Json.to_str, field "backlog" Json.to_int) with
+        | Protocol.Watch { from; _ }, Some ("done" | "failed" | "cancelled"),
+          Some backlog ->
+          Some (max 0 (backlog - max 0 from))
+        | _ -> None
       in
-      Result.map (fun () -> reply) (go ()))
+      let rec go remaining =
+        if remaining = Some 0 then Ok ()
+        else
+          match read_json t with
+          | Error _ -> Ok ()  (* stream ended: server closed or drained *)
+          | Ok json ->
+            if on_line json then go (Option.map pred remaining) else Ok ()
+      in
+      Result.map (fun () -> reply) (go remaining))

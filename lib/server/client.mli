@@ -36,7 +36,10 @@ val stream :
   (O4a_telemetry.Json.t, string) result
 (** Send a streaming request (Watch): after its [ok] reply — returned on
     success — every subsequent line is handed to [on_line] until it returns
-    [false] or the server closes the stream. *)
+    [false] or the server closes the stream. A watch on a job the reply
+    names as finished ([done]/[failed]/[cancelled]) ends after the
+    [backlog - from] replayed lines, and the connection stays open for
+    further requests. *)
 
 val fd : t -> Unix.file_descr
 (** The underlying descriptor, for callers that multiplex the connection

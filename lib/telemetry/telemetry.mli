@@ -7,9 +7,9 @@
     {!create} builds a live handle whose hooks update the registry and stream
     events to the sink.
 
-    Instrumented entry points ([Fuzz.run], [Oracle.test], [Runner.run], …)
-    take [?telemetry] defaulting to {!global}; deep hooks (solver engine,
-    generator synthesis) always read {!global}. Install a live handle with
+    Instrumented entry points ([Orchestrator.run], [Oracle.test],
+    [Runner.run], …) take [?telemetry] defaulting to {!global}; deep hooks
+    (solver engine, generator synthesis) always read {!global}. Install a live handle with
     {!set_global} (or scoped, with {!using}) to capture those too. *)
 
 type t

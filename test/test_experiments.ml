@@ -120,6 +120,48 @@ let test_bug_tables_mini () =
       check_bool "not historical" true (not s.Solver.Bug_db.historical))
     r.E.Bug_tables.found
 
+(* Tables 1-2, the statistics and Figure 5 are a function of the merged
+   campaign: the same campaign at --jobs 1, at --jobs 2, and killed after two
+   shards then resumed from its checkpoint renders the same bytes. *)
+let test_bug_tables_any_campaign () =
+  let campaign = Once4all.Campaign.prepare ~seed:4 () in
+  let seeds =
+    Seeds.Corpus.filtered ~zeal:campaign.Once4all.Campaign.zeal
+      ~cove:campaign.Once4all.Campaign.cove ()
+  in
+  let client = campaign.Once4all.Campaign.client in
+  let run ?checkpoint_path ?resume ?stop_after ~jobs () =
+    Orchestrator.run ~jobs ~shard_size:50 ?checkpoint_path ?resume ?stop_after
+      ~seed:5 ~budget:200 ~generators:campaign.Once4all.Campaign.generators
+      ~seeds ()
+  in
+  let text report =
+    let r =
+      E.Bug_tables.render ~llm_calls:(Llm_sim.Client.call_count client)
+        ~llm_tokens:(Llm_sim.Client.token_count client) report
+    in
+    String.concat "\n"
+      [
+        r.E.Bug_tables.table1;
+        r.E.Bug_tables.table2;
+        r.E.Bug_tables.stats_text;
+        (E.Lifespan.run ~found:r.E.Bug_tables.found).E.Lifespan.text;
+      ]
+  in
+  let reference = run ~jobs:1 () in
+  check_bool "the campaign hits specimens" true
+    (reference.Orchestrator.found_bug_ids <> []);
+  let expected = text reference in
+  Alcotest.(check string) "jobs 2" expected (text (run ~jobs:2 ()));
+  let path = Filename.temp_file "o4a_tables" ".json" in
+  let first = run ~jobs:1 ~checkpoint_path:path ~stop_after:2 () in
+  check_bool "killed after two shards" true first.Orchestrator.interrupted;
+  let resumed = run ~jobs:1 ~checkpoint_path:path ~resume:true () in
+  Sys.remove path;
+  check_int "two shards came from the checkpoint" 2
+    resumed.Orchestrator.shards_resumed;
+  Alcotest.(check string) "killed and resumed" expected (text resumed)
+
 let test_lifespan_rows () =
   (* with ground truth as "found", the lifespan table reproduces the shape *)
   let confirmed =
@@ -185,6 +227,8 @@ let () =
           Alcotest.test_case "unique bugs mini" `Slow test_unique_bugs_mini;
           Alcotest.test_case "validity" `Slow test_validity_experiment;
           Alcotest.test_case "bug tables mini" `Slow test_bug_tables_mini;
+          Alcotest.test_case "tables from any campaign" `Slow
+            test_bug_tables_any_campaign;
           Alcotest.test_case "lifespan" `Quick test_lifespan_rows;
           Alcotest.test_case "iteration ablation" `Slow test_ablation_iterations;
           Alcotest.test_case "variants" `Slow test_variants_lineup;

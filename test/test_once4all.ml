@@ -21,6 +21,12 @@ let generators () = (Lazy.force campaign).Campaign.generators
 let zeal () = (Lazy.force campaign).Campaign.zeal
 let cove () = (Lazy.force campaign).Campaign.cove
 
+(* a campaign over the shared generator library, in the orchestrator's
+   defaults unless overridden *)
+let fuzz ?shard_size ?config ~seed ~seeds ~budget () =
+  Orchestrator.run ?shard_size ?config ~seed ~budget ~generators:(generators ())
+    ~seeds ()
+
 (* ------------------------- Skeleton ------------------------- *)
 
 let test_atom_paths_flat () =
@@ -170,35 +176,28 @@ let test_skeletonize_typed_and_fill () =
   check_bool "typed fills mostly well-sorted" true (!parsed_ok >= 12)
 
 let test_mixed_sorts_fuzz_runs () =
-  let c = Lazy.force campaign in
-  let rng = O4a_util.Rng.create 53 in
   let config = { Fuzz.default_config with Fuzz.mixed_sorts = true } in
   let stats =
-    Fuzz.run ~rng ~config ~generators:c.Campaign.generators
-      ~seeds:(O4a_util.Listx.take 15 (Seeds.Corpus.all ()))
-      ~zeal:(zeal ()) ~cove:(cove ()) ~budget:120 ()
+    (fuzz ~config ~seed:53 ~seeds:(O4a_util.Listx.take 15 (Seeds.Corpus.all ()))
+       ~budget:120 ()).Orchestrator.stats
   in
   check_int "budget" 120 stats.Fuzz.tests;
   check_bool "mostly parseable" true (stats.Fuzz.parse_ok * 10 >= stats.Fuzz.tests * 7)
 
 let test_coverage_guided_schedule_runs () =
-  let c = Lazy.force campaign in
-  let rng = O4a_util.Rng.create 57 in
   let config = { Fuzz.default_config with Fuzz.schedule = Fuzz.Coverage_guided } in
   let stats =
-    Fuzz.run ~rng ~config ~generators:c.Campaign.generators
-      ~seeds:(O4a_util.Listx.take 15 (Seeds.Corpus.all ()))
-      ~zeal:(zeal ()) ~cove:(cove ()) ~budget:120 ()
+    (fuzz ~config ~seed:57 ~seeds:(O4a_util.Listx.take 15 (Seeds.Corpus.all ()))
+       ~budget:120 ()).Orchestrator.stats
   in
   check_int "budget" 120 stats.Fuzz.tests
 
 (* ---------------- Report ---------------- *)
 
 let test_report_rendering () =
-  let c = Lazy.force campaign in
   let seeds = O4a_util.Listx.take 25 (Seeds.Corpus.all ()) in
-  let r = Once4all.Campaign.fuzz ~seed:61 c ~seeds ~budget:300 in
-  match r.Campaign.clusters with
+  let r = fuzz ~seed:61 ~seeds ~budget:300 () in
+  match r.Orchestrator.clusters with
   | [] -> Alcotest.fail "campaign found nothing to report"
   | cluster :: _ ->
     let report =
@@ -522,52 +521,47 @@ let test_dedup_majority_bug_id () =
 (* ------------------------- Fuzz loop / campaign ------------------------- *)
 
 let test_fuzz_respects_budget () =
-  let rng = O4a_util.Rng.create 23 in
   let seeds = O4a_util.Listx.take 10 (Seeds.Corpus.all ()) in
-  let stats =
-    Fuzz.run ~rng ~generators:(generators ()) ~seeds ~zeal:(zeal ()) ~cove:(cove ())
-      ~budget:57 ()
-  in
-  check_int "exact budget" 57 stats.Fuzz.tests
+  (* 57 = 20 + 20 + 17: the last shard is cut to the budget *)
+  let r = fuzz ~shard_size:20 ~seed:23 ~seeds ~budget:57 () in
+  check_int "exact budget" 57 r.Orchestrator.stats.Fuzz.tests
 
 let test_fuzz_rejects_empty_inputs () =
-  let rng = O4a_util.Rng.create 23 in
-  Alcotest.check_raises "no generators" (Invalid_argument "Fuzz.run: no generators")
+  Alcotest.check_raises "no generators"
+    (Failure
+       "Orchestrator.run: shard 0 failed: Invalid_argument(\"Fuzz.run_shard: no \
+        generators\")")
     (fun () ->
       ignore
-        (Fuzz.run ~rng ~generators:[] ~seeds:(Seeds.Corpus.all ()) ~zeal:(zeal ())
-           ~cove:(cove ()) ~budget:1 ()))
+        (Orchestrator.run ~seed:23 ~budget:1 ~generators:[]
+           ~seeds:(Seeds.Corpus.all ()) ()))
 
 let test_campaign_end_to_end () =
-  let c = Lazy.force campaign in
   let seeds = O4a_util.Listx.take 30 (Seeds.Corpus.all ()) in
-  let report = Campaign.fuzz ~seed:31 c ~seeds ~budget:400 in
-  check_int "budget honored" 400 report.Campaign.stats.Fuzz.tests;
-  check_bool "finds bugs at this budget" true (report.Campaign.clusters <> []);
-  check_bool "ground truth attribution" true (report.Campaign.found_bug_ids <> []);
+  let report = fuzz ~seed:31 ~seeds ~budget:400 () in
+  check_int "budget honored" 400 report.Orchestrator.stats.Fuzz.tests;
+  check_bool "finds bugs at this budget" true (report.Orchestrator.clusters <> []);
+  check_bool "ground truth attribution" true (report.Orchestrator.found_bug_ids <> []);
   (* every cluster key is unique *)
-  let keys = List.map (fun c -> c.Dedup.key) report.Campaign.clusters in
+  let keys = List.map (fun c -> c.Dedup.key) report.Orchestrator.clusters in
   check_int "unique keys" (List.length keys) (List.length (O4a_util.Listx.dedup keys))
 
 let test_campaign_deterministic () =
-  let c = Lazy.force campaign in
   let seeds = O4a_util.Listx.take 20 (Seeds.Corpus.all ()) in
-  let r1 = Campaign.fuzz ~seed:37 c ~seeds ~budget:150 in
-  let r2 = Campaign.fuzz ~seed:37 c ~seeds ~budget:150 in
-  check_bool "same findings" true
-    (List.map (fun c -> c.Dedup.key) r1.Campaign.clusters
-    = List.map (fun c -> c.Dedup.key) r2.Campaign.clusters)
+  let keys (r : Orchestrator.report) =
+    List.map (fun c -> c.Dedup.key) r.Orchestrator.clusters
+  in
+  let r1 = fuzz ~seed:37 ~seeds ~budget:150 () in
+  let r2 = fuzz ~seed:37 ~seeds ~budget:150 () in
+  check_bool "same findings" true (keys r1 = keys r2)
 
 let test_wos_variant_runs () =
-  let c = Lazy.force campaign in
-  let rng = O4a_util.Rng.create 41 in
   let config = { Fuzz.default_config with Fuzz.use_skeletons = false } in
-  let stats =
-    Fuzz.run ~rng ~config ~generators:c.Campaign.generators
-      ~seeds:(O4a_util.Listx.take 10 (Seeds.Corpus.all ()))
-      ~zeal:(zeal ()) ~cove:(cove ()) ~budget:100 ()
+  let r =
+    fuzz ~config ~seed:41 ~seeds:(O4a_util.Listx.take 10 (Seeds.Corpus.all ()))
+      ~budget:100 ()
   in
-  check_int "runs" 100 stats.Fuzz.tests
+  check_int "runs" 100 r.Orchestrator.stats.Fuzz.tests
 
 let () =
   Alcotest.run "once4all"

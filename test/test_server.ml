@@ -568,6 +568,36 @@ let test_daemon_finished_job () =
   let from = List.length live_lines / 2 in
   check_bool "late watch from the middle = the live stream's tail" true
     (watch_lines ~from ~socket id = List.filteri (fun i _ -> i >= from) live_lines);
+  (* a reader at or past the end of the finished job's backlog reads nothing
+     and returns at once, not after the server's idle timeout; the second
+     one shares the connection the metrics request below still uses *)
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let lines = f () in
+    (lines, Unix.gettimeofday () -. t0)
+  in
+  let on_own_connection from () = watch_lines ~from ~socket id in
+  let on_shared_connection from () =
+    let lines = ref [] in
+    (match
+       Client.stream c (Protocol.Watch { job = id; from }) ~on_line:(fun json ->
+           lines := Json.to_string json :: !lines;
+           true)
+     with
+    | Ok _ -> ()
+    | Error msg -> Alcotest.failf "watch failed: %s" msg);
+    !lines
+  in
+  let backlog = List.length live_lines in
+  List.iter
+    (fun (what, (lines, secs)) ->
+      check_int (what ^ ": no lines") 0 (List.length lines);
+      check_bool (Printf.sprintf "%s: returns in under 5 s (%.1f s)" what secs) true
+        (secs < 5.))
+    [
+      ("watch from the backlog's end", timed (on_own_connection backlog));
+      ("watch past the backlog's end", timed (on_shared_connection (backlog + 5)));
+    ];
   let cp_path = Filename.concat (Filename.concat cfg.Daemon.state_dir id) "checkpoint.json" in
   let expected =
     match Orchestrator.Checkpoint.load ~path:cp_path with

@@ -353,17 +353,15 @@ let test_parse_log_torn_tail () =
    stats the fuzzer itself returns *)
 let test_campaign_counters_match () =
   let tel = Telemetry.create ~sink:(Sink.memory ()) () in
+  let campaign = Once4all.Campaign.prepare ~seed:42 () in
+  let seeds =
+    Seeds.Corpus.filtered ~zeal:campaign.Once4all.Campaign.zeal
+      ~cove:campaign.Once4all.Campaign.cove ()
+  in
   let stats =
-    Telemetry.using tel (fun () ->
-        let campaign = Once4all.Campaign.prepare ~seed:42 () in
-        let seeds =
-          Seeds.Corpus.filtered ~zeal:campaign.Once4all.Campaign.zeal
-            ~cove:campaign.Once4all.Campaign.cove ()
-        in
-        let report =
-          Once4all.Campaign.fuzz ~seed:43 campaign ~seeds ~budget:120
-        in
-        report.Once4all.Campaign.stats)
+    (Orchestrator.run ~telemetry:tel ~seed:43 ~budget:120
+       ~generators:campaign.Once4all.Campaign.generators ~seeds ())
+      .Orchestrator.stats
   in
   check_int "tests counter" stats.Once4all.Fuzz.tests
     (Telemetry.counter_value tel "fuzz.tests");

@@ -418,4 +418,24 @@ grep -q '^analytics: ' "$out/an_info.log" || {
   echo "FAIL: checkpoint info lacks the analytics sample count"
   cat "$out/an_info.log"; exit 1; }
 
+echo "== Examples: every example runs to completion =="
+# tier-1 builds the examples but never runs them
+for ex in quickstart extended_theories differential_campaign \
+          generator_construction solver_tour; do
+  "$PWD/_build/default/examples/$ex.exe" > "$out/example_$ex.log" 2>&1 || {
+    echo "FAIL: examples/$ex.ml exited nonzero"; cat "$out/example_$ex.log"; exit 1; }
+done
+
+echo "== report: triage reports for the clusters fuzz --no-breakers finds =="
+"$cli" report --seed 7 --budget 400 > "$out/report.log"
+"$cli" fuzz --seed 7 --budget 400 --no-breakers > "$out/nobreakers.log"
+sed -n 's/^- crash\/cluster signature: `\(.*\)`$/\1/p' "$out/report.log" \
+  | sort > "$out/report.keys"
+sed -n 's/^  \[[^]]*\] \(.*\)  x[0-9]*\(  -> .*\)\{0,1\}$/\1/p' \
+  "$out/nobreakers.log" | sort > "$out/nobreakers.keys"
+[ -s "$out/nobreakers.keys" ] || {
+  echo "FAIL: fuzz --no-breakers listed no clusters"; cat "$out/nobreakers.log"; exit 1; }
+diff "$out/report.keys" "$out/nobreakers.keys" || {
+  echo "FAIL: report and fuzz --no-breakers name different clusters"; exit 1; }
+
 echo "OK"
