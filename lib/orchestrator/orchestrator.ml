@@ -1,6 +1,7 @@
 module Shard = Shard
 module Checkpoint = Checkpoint
 module Stop = Stop
+module Pool = Pool
 module Rng = O4a_util.Rng
 module Telemetry = O4a_telemetry.Telemetry
 module Metrics = O4a_telemetry.Metrics
@@ -52,28 +53,20 @@ type report = {
 (* ------------------------------------------------------------------ *)
 
 let parallel_map ?(jobs = 1) f xs =
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  let jobs = max 1 (min jobs n) in
+  let jobs = min jobs (List.length xs) in
   if jobs <= 1 then List.map f xs
   else (
-    let out = Array.make n None in
-    let next = Atomic.make 0 in
-    let err : exn option Atomic.t = Atomic.make None in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then (
-          (try out.(i) <- Some (f arr.(i))
-           with e -> ignore (Atomic.compare_and_set err None (Some e)));
-          loop ())
-      in
-      loop ()
-    in
-    let domains = List.init jobs (fun _ -> Domain.spawn worker) in
-    List.iter Domain.join domains;
-    (match Atomic.get err with Some e -> raise e | None -> ());
-    Array.to_list (Array.map Option.get out))
+    let pool = Pool.create ~slots:jobs in
+    List.iteri
+      (fun i x ->
+        Pool.submit pool (fun ~worker_id:_ ~zeal:_ ~cove:_ ->
+            (i, try Ok (f x) with e -> Error e)))
+      xs;
+    let out = List.map (fun _ -> Pool.take pool) xs in
+    ignore (Pool.close pool);
+    (* placed by index, so the error raised is the first in list order *)
+    List.sort (fun (i, _) (j, _) -> compare i j) out
+    |> List.map (fun (_, r) -> match r with Ok y -> y | Error e -> raise e))
 
 (* ------------------------------------------------------------------ *)
 (* One shard, in isolation                                             *)
@@ -855,85 +848,36 @@ let run ?(jobs = 1) ?(shard_size = default_shard_size)
     Merge.create ~env ~tel ?checkpoint_path ?base ?on_progress ~jobs ~budget
       ~shard_size ~extra ()
   in
-  let shard_arr = Array.of_list to_run in
-  let n_to_run = Array.length shard_arr in
-  let nworkers = max 1 (min jobs n_to_run) in
-  (* a single results queue: workers push, the main domain is the only
-     consumer — the merge stage has one owner. Each worker pushes a final
-     [Msg_worker_done] sentinel, so the merge loop terminates whether the
-     campaign runs to completion or is stopped early by a signal. *)
-  let module Q = struct
-    type msg = Msg_shard of Shard.t * shard_outcome | Msg_worker_done
-  end in
-  let queue : Q.msg Queue.t = Queue.create () in
-  let qmutex = Mutex.create () in
-  let qcond = Condition.create () in
-  let push r =
-    Mutex.protect qmutex (fun () ->
-        Queue.push r queue;
-        Condition.signal qcond)
-  in
-  let pop () =
-    Mutex.lock qmutex;
-    while Queue.is_empty queue do
-      Condition.wait qcond qmutex
-    done;
-    let r = Queue.pop queue in
-    Mutex.unlock qmutex;
-    r
-  in
-  let next = Atomic.make 0 in
+  let n_to_run = List.length to_run in
   (* write a checkpoint before any shard runs, so a signal that lands in the
      campaign's first seconds still leaves a resumable file behind *)
   if n_to_run > 0 then Merge.checkpoint_now merge;
-  (* backtrace recording is per-domain runtime state: a fresh domain starts
-     from the OCAMLRUNPARAM default, silently dropping whatever the
-     application (or test harness) enabled on the main domain. Mirror it so
-     worker crashes keep their backtraces — and so a raise costs the same
-     counted words on every path, keeping the profile's exact allocation
-     total identical between the inline (jobs <= 1) and worker paths. *)
-  let record_backtraces = Printexc.backtrace_status () in
-  let worker worker_id () =
-    Printexc.record_backtrace record_backtraces;
-    let zeal = Engine.zeal () and cove = Engine.cove () in
-    let rec loop () =
-      (* graceful stop lands on a shard boundary: a worker mid-shard finishes
-         and merges it, but no new shard is claimed once the flag is up *)
-      if not (Stop.requested ()) then (
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n_to_run then (
-          let shard = shard_arr.(i) in
-          push (Q.Msg_shard (shard, exec_shard ~env ~worker_id ~zeal ~cove shard));
-          loop ()))
-    in
-    loop ();
-    push Q.Msg_worker_done
-  in
   Merge.notify_progress merge;
-  (if nworkers <= 1 || n_to_run = 0 then (
-     (* degenerate case: run and merge inline on this domain, shard by shard —
-        same single-owner merge as the parallel path, but progress callbacks
-        fire live instead of after a full drain *)
-     let zeal = Engine.zeal () and cove = Engine.cove () in
-     let rec loop () =
-       if not (Stop.requested ()) then (
-         let i = Atomic.fetch_and_add next 1 in
-         if i < n_to_run then (
-           let shard = shard_arr.(i) in
-           Merge.absorb merge shard
-             (exec_shard ~env ~worker_id:0 ~zeal ~cove shard);
-           loop ()))
-     in
-     loop ())
-   else (
-     let domains = List.init nworkers (fun wid -> Domain.spawn (worker wid)) in
-     let live_workers = ref (List.length domains) in
-     while !live_workers > 0 do
-       match pop () with
-       | Q.Msg_worker_done -> decr live_workers
-       | Q.Msg_shard (shard, outcome) -> Merge.absorb merge shard outcome
-     done;
-     List.iter Domain.join domains));
+  (* jobs 1 runs every shard inline on this domain, so progress callbacks
+     fire live; either way this domain is the merge's one owner *)
+  let nworkers = min jobs n_to_run in
+  let pool = Pool.create ~slots:(if nworkers <= 1 then 0 else nworkers) in
+  (* set when the merge loop ends, so an absorb that raises leaves the
+     shards not yet started unrun *)
+  let over = Atomic.make false in
+  List.iter
+    (fun shard ->
+      Pool.submit pool (fun ~worker_id ~zeal ~cove ->
+          (* graceful stop lands on a shard boundary: a shard that started
+             finishes and merges, but none starts once the flag is up *)
+          if Stop.requested () || Atomic.get over then None
+          else Some (shard, exec_shard ~env ~worker_id ~zeal ~cove shard)))
+    to_run;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set over true;
+      ignore (Pool.close pool))
+    (fun () ->
+      for _ = 1 to n_to_run do
+        Option.iter
+          (fun (shard, outcome) -> Merge.absorb merge shard outcome)
+          (Pool.take pool)
+      done);
   let stopped = Stop.requested () && Merge.processed merge < n_to_run in
   if stopped then (
     Telemetry.emit tel "campaign.stopped"

@@ -2,8 +2,8 @@
     OCaml 5 domains and merge the results deterministically.
 
     The campaign's tick range is cut into {!Shard} units whose plan and RNGs
-    depend only on [(seed, budget, shard_size)]. Workers pull shards from a
-    shared queue; each worker owns its solver engines, each shard runs inside
+    depend only on [(seed, budget, shard_size)]. Shards run as tasks on one
+    {!Pool}; each executor owns its solver engines, each shard runs inside
     a private coverage ledger and a private telemetry handle (memory sink,
     monotonic clock, a [worker] base label). A single merge owner — the
     calling domain — folds finished shards back together: findings are
@@ -32,6 +32,8 @@ module Checkpoint = Checkpoint
 module Stop = Stop
 (** The process-wide stop flag and the shared two-signal handler contract
     ({!Stop.install_handlers}). *)
+
+module Pool = Pool
 
 type report = {
   stats : Once4all.Fuzz.stats;
@@ -83,7 +85,7 @@ val default_shard_size : int
 (** {1 The pluggable shard pipeline}
 
     {!run} below is one assembly of these pieces: a shard source (the
-    campaign's own plan), {!exec_shard} on a private worker pool, and a
+    campaign's own plan), {!exec_shard} on a private {!Pool}, and a
     {!Merge.t} sink on the calling domain. The campaign server assembles the
     same pieces differently — one {!exec_env}/{!Merge.t} pair per submitted
     job, shards from many jobs interleaved on one shared pool. Because a
@@ -251,8 +253,8 @@ val run :
   report
 (** Run a sharded campaign of [budget] tests.
 
-    - [jobs] (default 1): worker domains. The report is identical for every
-      value; only wall-clock changes.
+    - [jobs] (default 1): executor domains (none at 1: shards run inline).
+      The report is identical for every value; only wall-clock changes.
     - [shard_size] (default {!default_shard_size}): ticks per shard. Part of
       the campaign's provenance — changing it changes the shard RNG streams,
       so it must match across resumes (and between runs being compared).
@@ -298,6 +300,7 @@ val run :
     merging and checkpointing the shards that did finish). *)
 
 val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving map over a domain pool ([jobs] <= 1 degrades to
-    [List.map]). [f] must be safe to call from any domain. Used by the
-    experiment harnesses to fan out independent campaign runs. *)
+(** Order-preserving map over a {!Pool} ([jobs] <= 1 degrades to
+    [List.map]); the first element in list order whose [f] raised raises.
+    [f] must be safe to call from any domain. Used by the experiment
+    harnesses to fan out independent campaign runs. *)

@@ -9,10 +9,9 @@ type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 
 let fd t = t.fd
 
-let close t =
-  (try close_out_noerr t.oc with _ -> ());
-  (try close_in_noerr t.ic with _ -> ());
-  try Unix.close t.fd with Unix.Unix_error _ -> ()
+(* once, through [oc] so pending output is flushed: [ic] shares the fd,
+   and a second close could hit a descriptor another domain just opened *)
+let close t = close_out_noerr t.oc
 
 let read_json t =
   match input_line t.ic with

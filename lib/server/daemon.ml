@@ -9,6 +9,7 @@ module Shard = Orchestrator.Shard
 module Checkpoint = Orchestrator.Checkpoint
 module Merge = Orchestrator.Merge
 module Stop = Orchestrator.Stop
+module Pool = Orchestrator.Pool
 
 let log_src = Logs.Src.create "once4all.server" ~doc:"Campaign server daemon"
 
@@ -89,6 +90,7 @@ type job = {
   plan_total : int;  (* full plan, including shards resumed from disk *)
   total : int;  (* shards this server process must execute *)
   resumed : int;
+  mutable env : Orchestrator.exec_env option;  (* dropped when terminal *)
   mutable merge : Merge.t option;  (* set right after registration, dropped when terminal *)
   mutable state : Protocol.job_state;
   mutable shards_done : int;
@@ -101,20 +103,14 @@ type job = {
 (* every line a job streamed, in order, one per line *)
 let backlog_file dir = Filename.concat dir "watch.jsonl"
 
+(* Everything here belongs to the main domain. The local slots' tasks read
+   only [drain], through [stopping]. *)
 type t = {
   cfg : config;
-  (* shared with the worker pool, guarded by [lock] *)
   sched : Scheduler.t;
-  envs : (string, Orchestrator.exec_env) Hashtbl.t;
-  lock : Mutex.t;
-  work : Condition.t;
+  pool : (job * Shard.t * Orchestrator.shard_outcome) option Pool.t;
+  mutable local_busy : int;  (* local slots holding a shard *)
   drain : bool Atomic.t;  (* protocol-level shutdown; SIGTERM uses Stop *)
-  (* worker -> main results, guarded by [rlock]; [pipe_w] wakes the select *)
-  results : (string * Shard.t * Orchestrator.shard_outcome) Queue.t;
-  rlock : Mutex.t;
-  pipe_r : Unix.file_descr;
-  pipe_w : Unix.file_descr;
-  (* main-domain-only state *)
   jobs : (string, job) Hashtbl.t;
   mutable order : string list;  (* submission order *)
   mutable conns : conn list;
@@ -123,10 +119,6 @@ type t = {
 }
 
 let stopping t = Stop.requested () || Atomic.get t.drain
-
-let wake t =
-  try ignore (Unix.write_substring t.pipe_w "x" 0 1)
-  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _) -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Event streaming                                                     *)
@@ -249,13 +241,13 @@ let fresh_id t name =
 (* A terminal job keeps what [jobs], [watch] and [metrics] read: its view
    counters, its backlog file and its checkpoint. Its merge state, its env
    and its backlog channel go. *)
-let retire t job =
+let retire job =
   job.merge <- None;
-  Mutex.protect t.lock (fun () -> Hashtbl.remove t.envs job.id);
+  job.env <- None;
   Option.iter close_out job.backlog;
   job.backlog <- None
 
-let finish_job t job =
+let finish_job job =
   let merge = Option.get job.merge in
   let trace_dir =
     if job.spec.Jobspec.trace then Some (Filename.concat job.dir "trace")
@@ -274,7 +266,7 @@ let finish_job t job =
       (job.header ^ Render.finish ?trace_dir ~chaos:job.chaos report);
     set_state job Protocol.Done);
   Telemetry.flush job.tel;
-  retire t job
+  retire job
 
 (* Build and register a job from its spec (and, when resuming, the loaded
    checkpoint), then hand its remaining shards to the shared scheduler. The
@@ -316,6 +308,7 @@ let start_job t ~id ~dir ~spec ~base =
       plan_total = List.length plan;
       total = List.length remaining;
       resumed = List.length plan - List.length remaining;
+      env = Some env;
       merge = None;
       state = Protocol.Queued;
       shards_done = 0;
@@ -343,32 +336,17 @@ let start_job t ~id ~dir ~spec ~base =
     Merge.checkpoint_now merge;
     Merge.notify_progress merge;
     set_state job Protocol.Running;
-    Mutex.protect t.lock (fun () ->
-        Hashtbl.replace t.envs id env;
-        Scheduler.add t.sched ~key:id ~quota:spec.Jobspec.quota remaining;
-        Condition.broadcast t.work))
+    Scheduler.add t.sched ~key:id ~quota:spec.Jobspec.quota remaining)
   else (
     Merge.notify_progress merge;
-    finish_job t job);
+    finish_job job);
   job
 
 (* ------------------------------------------------------------------ *)
 (* Result merging (main domain = single owner for every job's merge)    *)
 (* ------------------------------------------------------------------ *)
 
-let drain_pipe t =
-  let buf = Bytes.create 64 in
-  let rec go () =
-    match Unix.read t.pipe_r buf 0 64 with
-    | 0 -> ()
-    | _ -> go ()
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      -> ()
-  in
-  go ()
-
-let merge_result t job shard outcome =
+let merge_result job shard outcome =
   (* a cancelled job's in-flight shards complete but merge nowhere *)
   if not (Protocol.job_state_terminal job.state) then (
     let merge = Option.get job.merge in
@@ -377,60 +355,8 @@ let merge_result t job shard outcome =
       (* checkpoint verify-after-save is the only raiser here *)
       set_state job (Protocol.Failed msg);
       Telemetry.flush job.tel;
-      retire t job
-    | () -> if Merge.processed merge >= job.total then finish_job t job)
-
-let drain_results t =
-  let rec go () =
-    match Mutex.protect t.rlock (fun () -> Queue.take_opt t.results) with
-    | None -> ()
-    | Some (id, shard, outcome) ->
-      Option.iter
-        (fun job -> merge_result t job shard outcome)
-        (Hashtbl.find_opt t.jobs id);
-      go ()
-  in
-  go ()
-
-(* ------------------------------------------------------------------ *)
-(* Worker pool                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let worker t wid () =
-  Printexc.record_backtrace (Printexc.backtrace_status ());
-  let zeal = Engine.zeal () and cove = Engine.cove () in
-  let claim () =
-    Mutex.lock t.lock;
-    let rec go () =
-      if stopping t then (
-        Mutex.unlock t.lock;
-        None)
-      else (
-        match Scheduler.next t.sched with
-        | Some (key, shard) -> (
-          (* an env can only be missing if cancellation raced the scheduler;
-             skip the orphan shard rather than die holding [t.lock] *)
-          match Hashtbl.find_opt t.envs key with
-          | Some env ->
-            Mutex.unlock t.lock;
-            Some (key, env, shard)
-          | None -> go ())
-        | None ->
-          Condition.wait t.work t.lock;
-          go ())
-    in
-    go ()
-  in
-  let rec loop () =
-    match claim () with
-    | None -> ()
-    | Some (key, env, shard) ->
-      let outcome = Orchestrator.exec_shard ~env ~worker_id:wid ~zeal ~cove shard in
-      Mutex.protect t.rlock (fun () -> Queue.push (key, shard, outcome) t.results);
-      wake t;
-      loop ()
-  in
-  loop ()
+      retire job
+    | () -> if Merge.processed merge >= job.total then finish_job job)
 
 (* ------------------------------------------------------------------ *)
 (* Remote worker pools: leases, dispatch, reassignment                 *)
@@ -465,9 +391,7 @@ let requeue_shard t (g : Lease.grant) =
            (Lease.has_lease_for t.leases ~job:g.Lease.job
               ~shard_index:g.Lease.shard.Shard.index)
     then (
-      Mutex.protect t.lock (fun () ->
-          Scheduler.requeue t.sched ~key:g.Lease.job g.Lease.shard;
-          Condition.broadcast t.work);
+      Scheduler.requeue t.sched ~key:g.Lease.job g.Lease.shard;
       lease_event job
         [
           ("event", Json.String "lease.reassigned");
@@ -558,31 +482,44 @@ let free_worker t =
         | _ -> best)
     None t.conns
 
-(* Pull shards off the shared scheduler and lease them to whichever remote
-   pool has the most free slots. Runs on the main domain; the local pool
-   competes for the same scheduler under [t.lock], so a coordinator with
-   both local and remote workers load-balances naturally. *)
-let rec dispatch_remote t =
-  if not (stopping t) then
-    match free_worker t with
+(* Fill free slots from the scheduler: the local ones first, then the
+   remote pool with the most free slots. The server loop calls this once a
+   turn, so a shard is dispatched as soon as a slot frees up anywhere. Main
+   domain only, like every scheduler call. *)
+let rec dispatch t =
+  let local = t.local_busy < t.cfg.pool in
+  let remote = if local then None else free_worker t in
+  if (local || remote <> None) && not (stopping t) then
+    match Scheduler.next t.sched with
     | None -> ()
-    | Some c -> (
-      match Mutex.protect t.lock (fun () -> Scheduler.next t.sched) with
-      | None -> ()
-      | Some (key, shard) -> (
-        match Hashtbl.find_opt t.jobs key with
-        | None -> dispatch_remote t  (* cancellation raced the scheduler *)
-        | Some job ->
-          let g = send_grant t job shard c in
-          maybe_duplicate t job shard c g;
-          dispatch_remote t))
+    | Some (key, shard) ->
+      (match (Hashtbl.find_opt t.jobs key, remote) with
+      | Some ({ env = Some env; _ } as job), None ->
+        t.local_busy <- t.local_busy + 1;
+        Pool.submit t.pool (fun ~worker_id ~zeal ~cove ->
+            (* a drain finishes only the shards already running *)
+            if stopping t then None
+            else
+              Some
+                ( job,
+                  shard,
+                  Orchestrator.exec_shard ~env ~worker_id ~zeal ~cove shard ))
+      | Some ({ env = Some _; _ } as job), Some c ->
+        maybe_duplicate t job shard c (send_grant t job shard c)
+      | _ -> () (* the job settled after this shard was queued *));
+      dispatch t
 
-let reap_leases t now =
-  match Lease.expired t.leases ~now with
-  | [] -> ()
-  | gone ->
-    List.iter (fun g -> reassign t ~reason:"lease.expired" g) gone;
-    dispatch_remote t
+(* A local slot's result frees the slot, which is refilled before the
+   result merges, so the executor does not wait out the merge and its
+   checkpoint write. The shard merges unless its task started while
+   stopping. *)
+let absorb_local t r =
+  t.local_busy <- t.local_busy - 1;
+  dispatch t;
+  Option.iter (fun (job, shard, outcome) -> merge_result job shard outcome) r
+
+let rec take_local t =
+  Option.iter (fun r -> absorb_local t r; take_local t) (Pool.try_take t.pool)
 
 (* Handshake and idle deadlines: a connection that never sends a valid
    request is dropped after [handshake_timeout]; one that goes quiet after
@@ -656,7 +593,7 @@ let pause t id =
       (Printf.sprintf "job %S is %s, not running" id
          (Protocol.job_state_to_string job.state))
   | Some job ->
-    Mutex.protect t.lock (fun () -> Scheduler.set_runnable t.sched ~key:id false);
+    Scheduler.set_runnable t.sched ~key:id false;
     set_state job Protocol.Paused;
     Protocol.ok [ ("job", Json.String id) ]
 
@@ -700,9 +637,7 @@ let revive t id =
 let resume_job t id =
   match Hashtbl.find_opt t.jobs id with
   | Some job when job.state = Protocol.Paused ->
-    Mutex.protect t.lock (fun () ->
-        Scheduler.set_runnable t.sched ~key:id true;
-        Condition.broadcast t.work);
+    Scheduler.set_runnable t.sched ~key:id true;
     set_state job Protocol.Running;
     Protocol.ok [ ("job", Json.String id) ]
   | Some job ->
@@ -719,14 +654,14 @@ let cancel t id =
       (Printf.sprintf "job %S already %s" id
          (Protocol.job_state_to_string job.state))
   | Some job ->
-    Mutex.protect t.lock (fun () -> Scheduler.remove t.sched ~key:id);
+    Scheduler.remove t.sched ~key:id;
     (* revoke outstanding leases: any result still in flight arrives stale *)
     List.iter
       (fun (g : Lease.grant) -> release_slot t g.Lease.worker)
       (Lease.drop_job t.leases ~job:id);
     set_state job Protocol.Cancelled;
     Telemetry.flush job.tel;
-    retire t job;
+    retire job;
     Protocol.ok [ ("job", Json.String id) ]
 
 let watch t c id from =
@@ -822,8 +757,7 @@ let handle_request t c = function
       c.worker <- Some { w_slots = slots; w_inflight = 0 };
       Log.info (fun m -> m "worker pool conn#%d joined (%d slots)" c.id slots);
       conn_send_json c
-        (Protocol.ok [ ("worker", Json.Int c.id); ("slots", Json.Int slots) ]);
-      dispatch_remote t)
+        (Protocol.ok [ ("worker", Json.Int c.id); ("slots", Json.Int slots) ]))
   | Protocol.Worker_heartbeat { leases } -> (
     match c.worker with
     | None -> conn_send_json c (Protocol.error "not a registered worker pool")
@@ -862,17 +796,11 @@ let handle_request t c = function
           Log.warn (fun m -> m "malformed result for lease %d: %s" lease msg);
           requeue_shard t g
         | Ok oc -> (
-          (* absorb the queued local results first, then check this one and
-             absorb it in the same step on the merge owner, so the registry
-             the check saw is the one absorb meets *)
-          drain_results t;
+          (* check this result and absorb it in the same step on the merge
+             owner, so the registry the check saw is the one absorb meets *)
           match Hashtbl.find_opt t.jobs g.Lease.job with
-          | None -> dispatch_remote t
-          | Some job when Protocol.job_state_terminal job.state ->
-            (* the job settled while the lease was out: the result is stale *)
-            dispatch_remote t
-          | Some job -> (
-            match Merge.check (Option.get job.merge) g.Lease.shard oc with
+          | Some ({ merge = Some merge; _ } as job) -> (
+            match Merge.check merge g.Lease.shard oc with
             | Error msg ->
               (* a result that does not fit its lease or its job forfeits
                  the shard too: nothing of it is forwarded, absorbed or
@@ -887,13 +815,12 @@ let handle_request t c = function
                   ("shard", Json.Int g.Lease.shard.Shard.index);
                   ("worker", Json.Int g.Lease.worker);
                 ];
-              merge_result t job g.Lease.shard oc;
-              dispatch_remote t)))))
+              merge_result job g.Lease.shard oc)
+          | _ -> () (* the job settled while the lease was out: stale *)))))
   | Protocol.Shutdown ->
     Log.info (fun m -> m "shutdown requested; draining");
     conn_send_json c (Protocol.ok [ ("draining", Json.Bool true) ]);
-    Atomic.set t.drain true;
-    Mutex.protect t.lock (fun () -> Condition.broadcast t.work)
+    Atomic.set t.drain true
 
 let process_line t c line =
   if String.trim line <> "" then (
@@ -976,24 +903,15 @@ let prune_conns t =
         List.iter
           (reassign t ~reason:"lease.worker_lost")
           (Lease.drop_worker t.leases ~worker:c.id)))
-    closed;
-  if closed <> [] then dispatch_remote t
+    closed
 
 let create cfg =
-  let pipe_r, pipe_w = Unix.pipe () in
-  Unix.set_nonblock pipe_r;
-  Unix.set_nonblock pipe_w;
   {
     cfg;
     sched = Scheduler.create ();
-    envs = Hashtbl.create 16;
-    lock = Mutex.create ();
-    work = Condition.create ();
+    pool = Pool.create ~slots:cfg.pool;
+    local_busy = 0;
     drain = Atomic.make false;
-    results = Queue.create ();
-    rlock = Mutex.create ();
-    pipe_r;
-    pipe_w;
     jobs = Hashtbl.create 16;
     order = [];
     conns = [];
@@ -1037,7 +955,6 @@ let rec run cfg =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
   Engine.prewarm ();
-  let t = create cfg in
   match bind_tcp cfg with
   | Error msg ->
     Log.err (fun m -> m "%s" msg);
@@ -1062,14 +979,11 @@ let rec run cfg =
     let listeners =
       listen_fd :: (match tcp with Some (fd, _, _) -> [ fd ] | None -> [])
     in
-    (* pool 0 is legitimate: a coordinator-only daemon whose shards all run
-       on remote worker pools *)
-    let workers =
-      List.init cfg.pool (fun wid -> Domain.spawn (worker t wid))
-    in
+    let t = create cfg in
+    let ready = Pool.ready_fd t.pool in
     let rec loop () =
       if not (stopping t) then (
-        let reads = listeners @ (t.pipe_r :: List.map (fun c -> c.fd) t.conns) in
+        let reads = listeners @ (ready :: List.map (fun c -> c.fd) t.conns) in
         let writes =
           t.conns
           |> List.filter (fun c -> c.out <> "")
@@ -1078,8 +992,7 @@ let rec run cfg =
         (match Unix.select reads writes [] 0.25 with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         | readable, writable, _ ->
-          if List.mem t.pipe_r readable then drain_pipe t;
-          drain_results t;
+          take_local t;
           List.iter
             (fun c -> if List.mem c.fd writable then try_flush c)
             t.conns;
@@ -1091,18 +1004,18 @@ let rec run cfg =
             listeners);
         let now = Unix.gettimeofday () in
         reap_conns t now;
-        reap_leases t now;
+        List.iter (reassign t ~reason:"lease.expired") (Lease.expired t.leases ~now);
         prune_conns t;
-        dispatch_remote t;
+        dispatch t;
         loop ())
     in
     loop ();
-    finish t ~workers ~listeners ~port_file ~tcp
+    finish t ~listeners ~port_file ~tcp
 
-and finish t ~workers ~listeners ~port_file ~tcp =
+and finish t ~listeners ~port_file ~tcp =
   (* Graceful drain — same contract whether the trigger was SIGTERM
-     ({!Orchestrator.Stop}) or a Shutdown request: local workers finish the
-     shard they are executing and exit, every in-flight local result merges
+     ({!Orchestrator.Stop}) or a Shutdown request: local slots finish the
+     shard they are executing and start no other, every local result merges
      and checkpoints, and every live campaign lands paused with a resumable
      checkpoint on disk. Remote pools are told to drain; their in-flight
      shards are simply forfeited — the checkpoint records them as not done,
@@ -1112,10 +1025,7 @@ and finish t ~workers ~listeners ~port_file ~tcp =
       if c.worker <> None && not c.closed then
         conn_send_json c (Protocol.worker_msg_codec.enc Protocol.Drain))
     t.conns;
-  Mutex.protect t.lock (fun () -> Condition.broadcast t.work);
-  List.iter Domain.join workers;
-  drain_pipe t;
-  drain_results t;
+  List.iter (absorb_local t) (Pool.close t.pool);
   List.iter
     (fun id ->
       match Hashtbl.find_opt t.jobs id with
@@ -1141,7 +1051,5 @@ and finish t ~workers ~listeners ~port_file ~tcp =
   (match tcp with
   | Some _ -> ( try Sys.remove port_file with Sys_error _ -> ())
   | None -> ());
-  (try Unix.close t.pipe_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.pipe_w with Unix.Unix_error _ -> ());
   Log.info (fun m -> m "server drained; exiting");
   0

@@ -1,5 +1,5 @@
 (** The campaign server: a persistent daemon multiplexing many concurrent
-    fuzzing campaigns over one shared worker-domain pool and any number of
+    fuzzing campaigns over one shared pool of local slots and any number of
     remote worker pools connected over TCP.
 
     Architecture — the same pieces {!Orchestrator.run} assembles for one
@@ -8,12 +8,13 @@
     - One {e main domain} owns everything: the accept/select loop (Unix
       socket, plus an optional TCP listener carrying the identical
       protocol), every job's {!Orchestrator.Merge.t} (single-owner merge,
-      exactly as in the standalone orchestrator), the job table, the lease
-      table, and all subscriber fan-out. Workers wake it through a
-      self-pipe after pushing results.
-    - A fixed pool of {e local worker domains} (possibly zero) pulls
-      [(job, shard)] pairs from one {!Scheduler} (fair round-robin with
-      per-job quotas) and executes them with {!Orchestrator.exec_shard}.
+      exactly as in the standalone orchestrator), the job table, the
+      {!Scheduler} (fair round-robin with per-job quotas), the lease table,
+      and all subscriber fan-out.
+    - One dispatch step on that domain fills free slots from the scheduler:
+      first the [pool] {e local slots} of an {!Orchestrator.Pool}, whose
+      executors run {!Orchestrator.exec_shard} and wake the select loop,
+      then the remote pools.
     - {e Remote worker pools} ([once4all worker --connect HOST:PORT])
       register over the same protocol and are granted shards under
       heartbeat-deadlined {!Lease}s; a missed heartbeat or dropped
@@ -36,7 +37,7 @@
     deadline (watch subscribers exempt), is dropped with a typed error.
 
     Shutdown: SIGTERM (via {!Orchestrator.Stop}, installed by the CLI) or a
-    protocol [Shutdown] request both drain gracefully — local workers
+    protocol [Shutdown] request both drain gracefully — local slots
     finish their in-flight shard, every result merges and checkpoints,
     remote pools are sent [Drain] (their in-flight shards are forfeited;
     the checkpoint re-runs them on revive), and every live job is left
@@ -47,8 +48,8 @@ type config = {
   socket_path : string;  (** Unix-domain socket to listen on *)
   state_dir : string;  (** per-job state root, created if missing *)
   pool : int;
-      (** local worker domains shared by all campaigns (>= 0; 0 means
-          every shard runs on remote worker pools) *)
+      (** local slots (executor domains) shared by all campaigns (>= 0; 0
+          means every shard runs on remote worker pools) *)
   tcp : string option;
       (** optional TCP listener spec, ["PORT"] or ["HOST:PORT"]; port 0
           binds an ephemeral port, recorded in [state_dir/tcp.port] *)

@@ -1,7 +1,7 @@
 module Shard = Orchestrator.Shard
 
 (* Fair round-robin over jobs with per-job quotas. Plain data, no locking —
-   the daemon guards one instance with its pool mutex, and the tests drive
+   only the daemon's main domain touches its instance, and the tests drive
    one directly.
 
    A *round* gives every runnable job up to [quota] shard dispatches; within

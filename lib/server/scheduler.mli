@@ -1,7 +1,7 @@
 (** Fair round-robin shard scheduling across concurrent campaigns.
 
-    Plain mutable data with no internal locking: the daemon guards one
-    instance behind its pool mutex; tests drive one directly.
+    Plain mutable data with no internal locking: only the daemon's main
+    domain touches its instance; tests drive one directly.
 
     A {e round} gives every runnable job up to its [quota] shard dispatches.
     Within a round, picks rotate job-to-job, so jobs with equal quotas

@@ -15,11 +15,12 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    coordinator would have executed itself; the network moves work, never
    results' content.
 
-   Threading: the main thread owns the socket — reads grants, sends
-   heartbeats — and [slots] executor domains pull grants off a local queue
-   and push results back through a writer lock. Heartbeats therefore keep
-   flowing while every slot is busy crunching, which is what lets a shard
-   legitimately outlive the lease timeout. *)
+   Threading: the main thread owns the connection — it reads grants, writes
+   heartbeats and result lines, and waits in [select] on the socket and on
+   the pool's ready descriptor. [slots] executors of an Orchestrator.Pool
+   build envs, run shards and encode their result lines. Heartbeats
+   therefore keep flowing while every slot is busy crunching, which is what
+   lets a shard legitimately outlive the lease timeout. *)
 
 type config = {
   addr : Addr.t;
@@ -33,36 +34,33 @@ type config = {
 
 let default_heartbeat_interval = Daemon.default_lease_timeout /. 3.
 
-type task = { lease : int; job : string; spec : Jobspec.t; shard : Shard.t }
-
 type state = {
   cfg : config;
   client : Client.t;
-  wlock : Mutex.t;  (* guards writes to the shared connection *)
-  elock : Mutex.t;  (* guards [envs]; held across a build, so heartbeats
-                       (under [qlock]) never stall on env construction *)
-  qlock : Mutex.t;  (* guards everything below *)
-  qcond : Condition.t;
-  queue : task Queue.t;
-  inflight : (int, unit) Hashtbl.t;  (* lease ids being executed *)
+  pool : (int * string option) Orchestrator.Pool.t;
+      (* a lease and its result line; [None] when its task skipped the shard *)
+  elock : Mutex.t;  (* guards [envs]; executors build them *)
   envs : (string, Orchestrator.exec_env) Hashtbl.t;
+  mutable leases : int list;  (* granted, result not yet taken *)
   mutable sent : int;  (* results delivered, for [quit_after] *)
   mutable draining : bool;  (* coordinator said Drain: finish and exit *)
-  mutable dead : bool;  (* connection lost or quit_after tripped *)
+  mutable abrupt : bool;  (* the exit is abnormal: exit 1 *)
+  dead : bool Atomic.t;  (* the connection is over; tasks skip their shard *)
 }
 
-let push_line st line =
-  Mutex.protect st.wlock (fun () ->
-      match Client.send_line st.client line with
-      | Ok () -> ()
-      | Error msg ->
-        Log.warn (fun m -> m "send failed: %s" msg);
-        Mutex.protect st.qlock (fun () ->
-            st.dead <- true;
-            Condition.broadcast st.qcond))
+(* The connection is over. After Drain that is the expected end (the
+   coordinator has already forfeited any lease still out); before it, the
+   exit is abrupt. *)
+let hang_up st why =
+  if not st.draining then (
+    Log.warn (fun m -> m "%s" why);
+    st.abrupt <- true);
+  Atomic.set st.dead true
 
-let push_request st req =
-  push_line st (Json.to_string (Protocol.request_codec.enc req))
+let send_line st line =
+  match Client.send_line st.client line with
+  | Ok () -> ()
+  | Error msg -> hang_up st ("send failed: " ^ msg)
 
 (* The coordinator's framer drops a connection whose line exceeds the frame
    cap, which would strand the lease until the job hangs. An outcome too
@@ -90,73 +88,43 @@ let result_line ~lease (shard : Shard.t) outcome =
 
 (* one env per job: preparing a campaign runs Algorithm 1, so it happens
    once, not per granted shard *)
-let env_for st (task : task) =
+let env_for st ~job spec =
   Mutex.protect st.elock (fun () ->
-      match Hashtbl.find_opt st.envs task.job with
+      match Hashtbl.find_opt st.envs job with
       | Some env -> env
       | None ->
-        let env = Jobspec.env task.spec (Jobspec.prepare task.spec) in
-        Hashtbl.replace st.envs task.job env;
+        let env = Jobspec.env spec (Jobspec.prepare spec) in
+        Hashtbl.replace st.envs job env;
         env)
 
-let executor st slot () =
-  Printexc.record_backtrace (Printexc.backtrace_status ());
-  let zeal = Engine.zeal () and cove = Engine.cove () in
-  let claim () =
-    Mutex.protect st.qlock (fun () ->
-        let rec go () =
-          if st.dead then None
-          else
-            match Queue.take_opt st.queue with
-            | Some task ->
-              Hashtbl.replace st.inflight task.lease ();
-              Some task
-            | None ->
-              if st.draining then None
-              else (
-                Condition.wait st.qcond st.qlock;
-                go ())
-        in
-        go ())
-  in
-  let rec loop () =
-    match claim () with
-    | None -> ()
-    | Some task ->
-      let env = env_for st task in
-      let outcome =
-        Orchestrator.exec_shard ~env ~worker_id:slot ~zeal ~cove task.shard
-      in
-      let quit =
-        Mutex.protect st.qlock (fun () ->
-            Hashtbl.remove st.inflight task.lease;
-            match st.cfg.quit_after with
-            | Some n when st.sent >= n ->
-              (* die with the lease unsettled: the coordinator sees the
-                 connection drop and reassigns the shard — the scenario the
-                 byte-identity tests kill workers to produce *)
-              st.dead <- true;
-              Condition.broadcast st.qcond;
-              true
-            | _ ->
-              st.sent <- st.sent + 1;
-              false)
-      in
-      if quit then ()
-      else (
-        push_line st (result_line ~lease:task.lease task.shard outcome);
-        Mutex.protect st.qlock (fun () -> Condition.broadcast st.qcond);
-        loop ())
-  in
-  loop ()
+let execute st ~lease ~job ~spec shard ~worker_id ~zeal ~cove =
+  if Atomic.get st.dead then (lease, None)
+  else
+    let env = env_for st ~job spec in
+    let outcome = Orchestrator.exec_shard ~env ~worker_id ~zeal ~cove shard in
+    (lease, Some (result_line ~lease shard outcome))
+
+let deliver st (lease, line) =
+  st.leases <- List.filter (( <> ) lease) st.leases;
+  match line with
+  | Some line when not (Atomic.get st.dead) -> (
+    match st.cfg.quit_after with
+    | Some n when st.sent >= n ->
+      (* die with the lease unsettled: the coordinator sees the connection
+         drop and reassigns the shard — the scenario the byte-identity
+         tests kill workers to produce *)
+      st.abrupt <- true;
+      Atomic.set st.dead true
+    | _ ->
+      st.sent <- st.sent + 1;
+      send_line st line)
+  | Some _ | None -> ()
 
 let heartbeat st =
-  let leases =
-    Mutex.protect st.qlock (fun () ->
-        Hashtbl.fold (fun l () acc -> l :: acc) st.inflight []
-        @ Queue.fold (fun acc t -> t.lease :: acc) [] st.queue)
-  in
-  push_request st (Protocol.Worker_heartbeat { leases = List.sort compare leases })
+  send_line st
+    (Json.to_string
+       (Protocol.request_codec.enc
+          (Protocol.Worker_heartbeat { leases = List.sort compare st.leases })))
 
 let handle_line st line =
   match Json.parse line with
@@ -166,60 +134,49 @@ let handle_line st line =
     | Ok (Protocol.Grant { lease; job; grant_attempt = _; shard; spec }) ->
       Log.info (fun m ->
           m "granted lease %d: job %s shard %d" lease job shard.Shard.index);
-      Mutex.protect st.qlock (fun () ->
-          Queue.push { lease; job; spec; shard } st.queue;
-          Condition.broadcast st.qcond)
+      st.leases <- lease :: st.leases;
+      Orchestrator.Pool.submit st.pool (execute st ~lease ~job ~spec shard)
     | Ok Protocol.Drain ->
       Log.info (fun m -> m "coordinator draining; finishing in-flight shards");
-      Mutex.protect st.qlock (fun () ->
-          st.draining <- true;
-          Condition.broadcast st.qcond)
+      st.draining <- true
     | Error _ -> (
       (* not a coordinator push: a late reply (ok) or an error report *)
       match Protocol.reply_error json with
-      | Some msg ->
-        Log.warn (fun m -> m "coordinator error: %s" msg);
-        Mutex.protect st.qlock (fun () ->
-            st.dead <- true;
-            Condition.broadcast st.qcond)
+      | Some msg -> hang_up st ("coordinator error: " ^ msg)
       | None -> ()))
 
-let finished st =
-  Mutex.protect st.qlock (fun () ->
-      st.dead
-      || (st.draining && Queue.is_empty st.queue && Hashtbl.length st.inflight = 0))
+let finished st = Atomic.get st.dead || (st.draining && st.leases = [])
 
-(* main-thread socket loop: grants in, heartbeats out, on a select timer so
-   heartbeats flow even when nothing is arriving *)
+(* main-thread loop: grants in; results and heartbeats out, on a select
+   timer so heartbeats flow even when nothing is arriving *)
 let socket_loop st fd =
   let fr = Framing.create () in
   let buf = Bytes.create 4096 in
+  let ready = Orchestrator.Pool.ready_fd st.pool in
   let last_beat = ref (Unix.gettimeofday ()) in
+  let rec take_results () =
+    Option.iter
+      (fun r -> deliver st r; take_results ())
+      (Orchestrator.Pool.try_take st.pool)
+  in
   let rec loop () =
-    if finished st then ()
-    else (
+    if not (finished st) then (
       let tick = Float.max 0.05 (st.cfg.heartbeat_interval /. 4.) in
-      (match Unix.select [ fd ] [] [] tick with
+      (match Unix.select [ fd; ready ] [] [] tick with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | [], _, _ -> ()
-      | _ -> (
+      | readable, _, _ when List.mem fd readable -> (
         match Unix.read fd buf 0 (Bytes.length buf) with
         | exception
             Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
           -> ()
         | exception Unix.Unix_error _ | 0 ->
-          Log.warn (fun m -> m "connection to coordinator lost");
-          Mutex.protect st.qlock (fun () ->
-              st.dead <- true;
-              Condition.broadcast st.qcond)
+          hang_up st "connection to coordinator lost"
         | n -> (
           match Framing.feed fr (Bytes.sub_string buf 0 n) with
           | Ok lines -> List.iter (handle_line st) lines
-          | Error err ->
-            Log.err (fun m -> m "%s" (Framing.error_to_string err));
-            Mutex.protect st.qlock (fun () ->
-                st.dead <- true;
-                Condition.broadcast st.qcond))));
+          | Error err -> hang_up st (Framing.error_to_string err)))
+      | _ -> ());
+      take_results ();
       let now = Unix.gettimeofday () in
       if now -. !last_beat >= st.cfg.heartbeat_interval then (
         last_beat := now;
@@ -233,6 +190,10 @@ let run cfg =
     prerr_endline "once4all: worker --slots must be >= 1";
     2)
   else (
+    (* a coordinator that hangs up mid-write must surface as EPIPE, not kill
+       the worker *)
+    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+     with Invalid_argument _ | Sys_error _ -> ());
     Engine.prewarm ();
     match Client.connect ~timeout:cfg.connect_timeout cfg.addr with
     | Error msg ->
@@ -255,28 +216,20 @@ let run cfg =
           {
             cfg;
             client;
-            wlock = Mutex.create ();
+            pool = Orchestrator.Pool.create ~slots:cfg.slots;
             elock = Mutex.create ();
-            qlock = Mutex.create ();
-            qcond = Condition.create ();
-            queue = Queue.create ();
-            inflight = Hashtbl.create 16;
             envs = Hashtbl.create 4;
+            leases = [];
             sent = 0;
             draining = false;
-            dead = false;
+            abrupt = false;
+            dead = Atomic.make false;
           }
         in
-        let fd = Client.fd client in
-        let executors =
-          List.init cfg.slots (fun slot -> Domain.spawn (executor st slot))
-        in
-        socket_loop st fd;
-        Mutex.protect st.qlock (fun () -> Condition.broadcast st.qcond);
-        List.iter Domain.join executors;
-        let abrupt = Mutex.protect st.qlock (fun () -> st.dead) in
+        socket_loop st (Client.fd client);
+        ignore (Orchestrator.Pool.close st.pool);
         Client.close client;
-        if abrupt then (
+        if st.abrupt then (
           Log.warn (fun m -> m "worker exiting abruptly (%d results sent)" st.sent);
           1)
         else (

@@ -1,18 +1,18 @@
 (** A remote worker pool: the executing half of the distributed campaign
     fabric ([once4all worker --connect HOST:PORT]).
 
-    Connects to a coordinator, registers [slots] executor domains, and runs
-    granted shards with the exact pipeline the coordinator's local pool
-    uses — {!Jobspec.prepare} and {!Jobspec.env} from the granted spec,
-    then {!Orchestrator.exec_shard} — so a shard executed remotely is
-    bit-for-bit the shard the coordinator would have executed itself.
-    Results stream back as they finish; heartbeats carry the in-flight lease
-    ids on a timer owned by the socket thread, so a shard may legitimately
-    take longer than the lease timeout without forfeiting it. *)
+    Connects to a coordinator, registers [slots], and runs granted shards on
+    an {!Orchestrator.Pool} with the pipeline the coordinator's local slots
+    use — {!Jobspec.prepare} and {!Jobspec.env} from the granted spec, then
+    {!Orchestrator.exec_shard} — so a shard executed remotely is bit-for-bit
+    the shard the coordinator would have executed itself. The socket thread
+    alone reads and writes the connection: results stream back as they
+    finish, and heartbeats carry the held lease ids on its timer, so a shard
+    may take longer than the lease timeout without forfeiting it. *)
 
 type config = {
   addr : Addr.t;  (** coordinator endpoint *)
-  slots : int;  (** executor domains (>= 1) *)
+  slots : int;  (** executors (>= 1) *)
   connect_timeout : float;
       (** total retry budget for the initial connect, seconds *)
   heartbeat_interval : float;
@@ -34,6 +34,7 @@ val result_line :
     smaller [--shard-size]), so the job fails instead of hanging. *)
 
 val run : config -> int
-(** Run until the coordinator sends [Drain] (exit 0, after delivering every
-    in-flight result) or the connection is lost / [quit_after] trips
-    (exit 1). Exit 2 on bad configuration. *)
+(** Run until the coordinator sends [Drain] (exit 0, once every in-flight
+    result is delivered or the coordinator hangs up) or the connection is
+    lost before it / [quit_after] trips (exit 1). Exit 2 on bad
+    configuration. *)

@@ -276,13 +276,13 @@ let lease_events lines =
 (* what `once4all fuzz --jobs 1` would print for this spec; with a
    [checkpoint_path] it also writes the checkpoint a served job writes,
    whose artifact flags record the live telemetry every served job has *)
-let standalone_text ?checkpoint_path (spec : Jobspec.t) =
+let standalone_text ?checkpoint_path ?trace_dir (spec : Jobspec.t) =
   let { Jobspec.generators; seeds } = Jobspec.prepare spec in
   let r =
     Orchestrator.run ~jobs:1 ~shard_size:spec.Jobspec.shard_size
       ~config:(Jobspec.config spec) ~extra:(Jobspec.extra spec)
       ?chaos:(Jobspec.chaos spec) ?health:(Jobspec.health spec)
-      ?checkpoint_path
+      ?checkpoint_path ?trace_dir
       ?telemetry:
         (Option.map (fun _ -> O4a_telemetry.Telemetry.create ()) checkpoint_path)
       ~seed:(Jobspec.fuzz_seed spec) ~budget:spec.Jobspec.budget ~generators
@@ -290,7 +290,7 @@ let standalone_text ?checkpoint_path (spec : Jobspec.t) =
   in
   Render.header ~generators:(List.length generators)
     ~seeds:(List.length seeds) ~budget:spec.Jobspec.budget
-  ^ Render.finish ~chaos:(Jobspec.chaos spec) r
+  ^ Render.finish ?trace_dir ~chaos:(Jobspec.chaos spec) r
 
 let dist_cfg ~dir =
   {
@@ -436,6 +436,102 @@ let test_dist_chaos_net () =
   Client.close c;
   check_int "worker drains" 0 (Domain.join w);
   check_int "daemon drains and exits 0" 0 (Domain.join daemon)
+
+(* the lines of a report, less the "wrote N repro bundles to DIR" line that
+   names where its trace tree went *)
+let without_paths report =
+  String.split_on_char '\n' report
+  |> List.filter (fun l -> not (String.starts_with ~prefix:"wrote " l))
+
+(* relative path -> file contents, for every regular file under [root] *)
+let dir_contents root =
+  let rec go rel =
+    let path = Filename.concat root rel in
+    if Sys.is_directory path then
+      Sys.readdir path |> Array.to_list |> List.sort compare
+      |> List.concat_map (fun f -> go (Filename.concat rel f))
+    else [ (rel, read_file path) ]
+  in
+  go Filename.current_dir_name
+
+(* One job on a coordinator with a local slot and a remote one-slot pool:
+   the one dispatch step feeds both venues, and the report and trace tree
+   are still the standalone run's. *)
+let test_local_and_remote_slots () =
+  let dir = temp_dir () in
+  let cfg = { (dist_cfg ~dir) with Daemon.pool = 1 } in
+  let daemon = Domain.spawn (fun () -> Daemon.run cfg) in
+  let port = wait_port (Filename.concat cfg.Daemon.state_dir "tcp.port") in
+  let w = Domain.spawn (fun () -> Worker.run (worker_cfg ~port ~slots:1 ())) in
+  let c = connect_tcp port in
+  let spec =
+    {
+      (Jobspec.default ~name:"mixed") with
+      Jobspec.seed = 7;
+      budget = 400;
+      shard_size = 10;
+      trace = true;
+    }
+  in
+  let id = submit_exn c spec in
+  check_bool "job completes on both venues" true (wait_done c id = Protocol.Done);
+  let job_dir = Filename.concat cfg.Daemon.state_dir id in
+  let trace_dir = Filename.concat dir "standalone_trace" in
+  Alcotest.(check (list string))
+    "report equals the standalone run's"
+    (without_paths (standalone_text ~trace_dir spec))
+    (without_paths (read_file (Filename.concat job_dir "report.txt")));
+  check_bool "trace tree equals the standalone run's" true
+    (dir_contents trace_dir = dir_contents (Filename.concat job_dir "trace"));
+  let c2 = connect_tcp port in
+  let remote =
+    List.length
+      (List.filter (( = ) "lease.completed") (lease_events (backlog_lines c2 id)))
+  in
+  Client.close c2;
+  check_bool
+    (Printf.sprintf "both venues ran shards (%d of 40 remote)" remote)
+    true
+    (remote > 0 && remote < 40);
+  let _ = request_exn c Protocol.Shutdown in
+  Client.close c;
+  check_int "worker drains" 0 (Domain.join w);
+  check_int "daemon drains and exits 0" 0 (Domain.join daemon)
+
+(* A coordinator that grants one shard, then at once sends Drain and hangs
+   up, as a coordinator's shutdown does to a worker still running a
+   duplicate lease. After Drain a lost connection is the expected end: the
+   worker exits 0, and does not die of SIGPIPE writing its stale result. *)
+let test_drain_then_hang_up () =
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 1;
+  let port =
+    match Unix.getsockname lfd with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  let w = Domain.spawn (fun () -> Worker.run (worker_cfg ~port ~slots:1 ())) in
+  let fd, _ = Unix.accept lfd in
+  Unix.close lfd;
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  let send json =
+    output_string oc (Json.to_string json);
+    output_char oc '\n';
+    flush oc
+  in
+  send Protocol.hello;
+  (match Result.bind (Json.parse (input_line ic)) Protocol.request_codec.dec with
+  | Ok (Protocol.Worker_register { slots }) -> check_int "registers" 1 slots
+  | _ -> Alcotest.fail "the worker did not register");
+  let spec =
+    { (Jobspec.default ~name:"drained") with Jobspec.seed = 3; budget = 10; shard_size = 10 }
+  in
+  send
+    (Protocol.worker_msg_codec.enc
+       (Protocol.Grant
+          { lease = 1; job = "drained"; grant_attempt = 0; shard = shard 0; spec }));
+  send (Protocol.worker_msg_codec.enc Protocol.Drain);
+  close_out oc;
+  check_int "the drained worker exits 0" 0 (Domain.join w)
 
 (* ------------------------- untrusted results ------------------------- *)
 
@@ -637,6 +733,10 @@ let () =
             test_dist_worker_killed_mid_lease;
           Alcotest.test_case "network chaos invariance" `Slow
             test_dist_chaos_net;
+          Alcotest.test_case "one job on local and remote slots" `Slow
+            test_local_and_remote_slots;
+          Alcotest.test_case "hang-up after Drain exits 0" `Slow
+            test_drain_then_hang_up;
         ] );
       ( "untrusted",
         [

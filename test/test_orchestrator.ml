@@ -587,6 +587,99 @@ let test_parallel_map () =
     | _ -> false
     | exception Failure _ -> true)
 
+(* ------------------------- executor pool ------------------------- *)
+
+module Pool = Orchestrator.Pool
+
+let task f ~worker_id ~zeal:_ ~cove:_ = f worker_id
+
+let test_pool_inline () =
+  let pool = Pool.create ~slots:0 in
+  let ran = ref [] in
+  List.iter
+    (fun i ->
+      Pool.submit pool
+        (task (fun w ->
+             ran := i :: !ran;
+             (i, w, Domain.self ()))))
+    [ 0; 1; 2; 3; 4 ];
+  check_bool "nothing runs before take" true (!ran = []);
+  let taken = List.init 5 (fun _ -> Pool.take pool) in
+  check_bool "FIFO order" true
+    (List.map (fun (i, _, _) -> i) taken = [ 0; 1; 2; 3; 4 ]);
+  check_bool "worker 0, on the caller's domain" true
+    (List.for_all (fun (_, w, d) -> w = 0 && d = Domain.self ()) taken);
+  check_bool "close leaves nothing" true (Pool.close pool = [])
+
+let test_pool_slots () =
+  let slots = 3 and n = 40 in
+  let pool = Pool.create ~slots in
+  for i = 0 to n - 1 do
+    Pool.submit pool (task (fun w -> (i, w, Domain.self ())))
+  done;
+  let taken = List.init n (fun _ -> Pool.take pool) in
+  check_bool "every result taken exactly once" true
+    (List.sort compare (List.map (fun (i, _, _) -> i) taken) = List.init n Fun.id);
+  check_bool "worker ids in [0, slots)" true
+    (List.for_all (fun (_, w, _) -> w >= 0 && w < slots) taken);
+  check_bool "run off the caller's domain" true
+    (List.for_all (fun (_, _, d) -> d <> Domain.self ()) taken);
+  check_bool "nothing left to take" true (Pool.try_take pool = None);
+  check_bool "close leaves nothing" true (Pool.close pool = [])
+
+let test_pool_try_take () =
+  let pool = Pool.create ~slots:0 in
+  let ran = ref false in
+  Pool.submit pool
+    (task (fun _ ->
+         ran := true;
+         7));
+  check_bool "nothing is ready" true (Pool.try_take pool = None);
+  check_bool "the task did not run" false !ran;
+  check_int "take runs it" 7 (Pool.take pool);
+  ignore (Pool.close pool)
+
+let test_pool_close () =
+  let pool = Pool.create ~slots:0 in
+  List.iter (fun i -> Pool.submit pool (task (fun _ -> i))) [ 1; 2; 3 ];
+  check_bool "inline: the queue runs in order" true (Pool.close pool = [ 1; 2; 3 ]);
+  let pool = Pool.create ~slots:2 in
+  for i = 0 to 19 do
+    Pool.submit pool
+      (task (fun _ ->
+           Unix.sleepf 0.002;
+           i))
+  done;
+  let first = List.init 3 (fun _ -> Pool.take pool) in
+  let rest = Pool.close pool in
+  check_bool "executors: every task ran, its result taken once" true
+    (List.sort compare (first @ rest) = List.init 20 Fun.id)
+
+let test_pool_ready_fd () =
+  let pool = Pool.create ~slots:1 in
+  let fd = Pool.ready_fd pool in
+  let readable timeout =
+    match Unix.select [ fd ] [] [] timeout with [], _, _ -> false | _ -> true
+  in
+  check_bool "an idle pool is not readable" false (readable 0.);
+  let gate = Atomic.make false in
+  let held i =
+    task (fun _ ->
+        while not (Atomic.get gate) do
+          Unix.sleepf 0.001
+        done;
+        i)
+  in
+  Pool.submit pool (held 1);
+  Pool.submit pool (held 2);
+  check_bool "not readable while the tasks run" false (readable 0.05);
+  Atomic.set gate true;
+  check_bool "readable once a result is queued" true (readable 10.);
+  check_int "take the first" 1 (Pool.take pool);
+  check_int "take the second" 2 (Pool.take pool);
+  check_bool "not readable once all are taken" false (readable 0.);
+  ignore (Pool.close pool)
+
 let () =
   Alcotest.run "orchestrator"
     [
@@ -637,5 +730,18 @@ let () =
           Alcotest.test_case "telemetry merge" `Slow test_telemetry_merge;
           Alcotest.test_case "ledger isolation" `Quick test_ledger_isolation;
           Alcotest.test_case "parallel map" `Quick test_parallel_map;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "0 slots: take runs inline, in order" `Quick
+            test_pool_inline;
+          Alcotest.test_case "n slots: each result taken once" `Quick
+            test_pool_slots;
+          Alcotest.test_case "try_take never runs a task" `Quick
+            test_pool_try_take;
+          Alcotest.test_case "close runs every queued task" `Quick
+            test_pool_close;
+          Alcotest.test_case "ready_fd tracks ready results"
+            `Quick test_pool_ready_fd;
         ] );
     ]

@@ -397,6 +397,47 @@ let test_client_connect_diagnostics () =
   | Ok _ -> Alcotest.fail "connected to a dead socket"
   | Error msg -> check_bool "stale-socket diagnostic" true (contains msg "stale")
 
+(* A client's two channels share one descriptor. Closing it more than once
+   can close a descriptor another domain was just given, so here one domain
+   connects and closes clients while another opens pipes and checks both
+   ends are still open. *)
+let test_client_close_once () =
+  let dir = temp_dir () in
+  let socket = Filename.concat dir "s.sock" in
+  let cfg = default_cfg ~socket ~state_dir:(Filename.concat dir "state") ~pool:0 in
+  let daemon = Domain.spawn (fun () -> Daemon.run cfg) in
+  Client.close (connect_retry ~socket 300);
+  let stop = Atomic.make false in
+  let checker =
+    Domain.spawn (fun () ->
+        let ebadf = ref 0 in
+        let check f =
+          try f () with Unix.Unix_error (Unix.EBADF, _, _) -> incr ebadf
+        in
+        while not (Atomic.get stop) do
+          let r, w = Unix.pipe () in
+          check (fun () -> ignore (Unix.fstat r));
+          check (fun () -> ignore (Unix.fstat w));
+          check (fun () -> Unix.close r);
+          check (fun () -> Unix.close w)
+        done;
+        !ebadf)
+  in
+  let failed = ref 0 in
+  for _ = 1 to 2000 do
+    match Client.connect (Addr.Unix_path socket) with
+    | Ok c -> Client.close c
+    | Error _ -> incr failed
+  done;
+  Atomic.set stop true;
+  let ebadf = Domain.join checker in
+  let c = connect_retry ~socket 300 in
+  let _ = request_exn c Protocol.Shutdown in
+  Client.close c;
+  check_int "connects that failed" 0 !failed;
+  check_int "EBADF on another domain's pipes" 0 ebadf;
+  check_int "daemon drains and exits 0" 0 (Domain.join daemon)
+
 (* ------------------------- inbound robustness ------------------------- *)
 
 (* a raw connection that speaks whatever bytes we want — for exercising the
@@ -685,6 +726,8 @@ let () =
         [
           Alcotest.test_case "connect diagnostics" `Quick
             test_client_connect_diagnostics;
+          Alcotest.test_case "close releases its fd once" `Slow
+            test_client_close_once;
         ] );
       ( "robustness",
         [

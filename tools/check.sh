@@ -355,6 +355,32 @@ diff "$dstate/d-chaos/report.txt" "$out/net1.log" || {
 wait "$wpid" || { echo "FAIL: remote worker exited nonzero on drain"; exit 1; }
 wait "$dpid" || { echo "FAIL: coordinator exited nonzero"; cat "$out/dserve.log"; exit 1; }
 
+echo "== Distributed fabric: shutdown with a chaos-duplicated lease out, worker exits 0 =="
+# --chaos net duplicates leases, so shutdown can reach a worker that is still
+# running a duplicate: after Drain the lost connection is the expected end,
+# and writing the stale result must not kill the worker (SIGPIPE, exit 141)
+for k in 2 3 4; do
+  kstate="$out/drain-$k"
+  "$cli" serve --socket "$out/drain-$k.sock" --state-dir "$kstate" --pool 0 \
+    --tcp 127.0.0.1:0 > "$out/kserve.log" 2>&1 &
+  kpid=$!
+  for _ in $(seq 1 100); do [ -s "$kstate/tcp.port" ] && break; sleep 0.1; done
+  kaddr="127.0.0.1:$(cat "$kstate/tcp.port")"
+  "$cli" worker --connect "$kaddr" --slots 2 --connect-timeout 10 \
+    > "$out/kworker.log" 2>&1 &
+  kwpid=$!
+  "$cli" submit --connect "$kaddr" --connect-timeout 10 --name k-drain --seed 7 \
+    --budget 400 --shard-size 100 --chaos net --chaos-seed "$k" > /dev/null
+  "$cli" watch --connect "$kaddr" k-drain > /dev/null
+  "$cli" shutdown --connect "$kaddr" > /dev/null
+  wait "$kwpid" || {
+    echo "FAIL: remote worker exited nonzero on drain (chaos seed $k)"
+    cat "$out/kworker.log"; exit 1; }
+  wait "$kpid" || {
+    echo "FAIL: coordinator exited nonzero (chaos seed $k)"; cat "$out/kserve.log"
+    exit 1; }
+done
+
 echo "== Checkpoint info: typed diagnostics, exit 2 on unreadable files =="
 if "$cli" checkpoint info "$out/does-not-exist.json" 2> "$out/ci.log"; then
   echo "FAIL: checkpoint info on a missing file exited 0"; exit 1
