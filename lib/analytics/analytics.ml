@@ -59,33 +59,45 @@ let add_yield a b =
     y_parse_ok = a.y_parse_ok + b.y_parse_ok;
     y_findings = a.y_findings + b.y_findings }
 
-let merge a b =
-  let stbl = Hashtbl.create 31 in
-  let absorb_sample s =
+(* The merged state keyed by bucket and by yield key, so absorbing one
+   shard's export costs the size of that export, not of the campaign. *)
+module Buckets = Map.Make (Int)
+
+module Ykeys = Map.Make (struct
+  type t = string * string * string
+
+  let compare = compare
+end)
+
+type acc = { a_samples : sample Buckets.t; a_yield : yield_row Ykeys.t }
+
+let acc_empty = { a_samples = Buckets.empty; a_yield = Ykeys.empty }
+
+let add acc t =
+  let add_sample_to m s =
     let s = canon_sample s in
-    match Hashtbl.find_opt stbl s.bucket with
-    | None -> Hashtbl.replace stbl s.bucket s
-    | Some prev -> Hashtbl.replace stbl s.bucket (add_sample prev s)
+    Buckets.update s.bucket
+      (function None -> Some s | Some prev -> Some (add_sample prev s))
+      m
   in
-  List.iter absorb_sample a.samples;
-  List.iter absorb_sample b.samples;
-  let samples =
-    Hashtbl.fold (fun _ s acc -> s :: acc) stbl []
-    |> List.sort (fun x y -> compare x.bucket y.bucket)
+  let add_yield_to m r =
+    Ykeys.update (ykey r)
+      (function None -> Some r | Some prev -> Some (add_yield prev r))
+      m
   in
-  let ytbl = Hashtbl.create 31 in
-  let absorb_yield r =
-    match Hashtbl.find_opt ytbl (ykey r) with
-    | None -> Hashtbl.replace ytbl (ykey r) r
-    | Some prev -> Hashtbl.replace ytbl (ykey r) (add_yield prev r)
-  in
-  List.iter absorb_yield a.yield;
-  List.iter absorb_yield b.yield;
-  let yield =
-    Hashtbl.fold (fun _ r acc -> r :: acc) ytbl []
-    |> List.sort (fun x y -> compare (ykey x) (ykey y))
-  in
-  { samples; yield }
+  {
+    a_samples = List.fold_left add_sample_to acc.a_samples t.samples;
+    a_yield = List.fold_left add_yield_to acc.a_yield t.yield;
+  }
+
+let of_acc acc =
+  {
+    samples = List.map snd (Buckets.bindings acc.a_samples);
+    yield = List.map snd (Ykeys.bindings acc.a_yield);
+  }
+
+let sample acc bucket = Buckets.find_opt bucket acc.a_samples
+let merge a b = of_acc (add (add acc_empty a) b)
 
 let total_tests t = List.fold_left (fun acc s -> acc + s.tests) 0 t.samples
 let total_findings t =
@@ -220,6 +232,55 @@ let plateaus ?(window = default_window) t =
       find "coverage" (fun p -> p.p_cum_cov);
       find "clusters" (fun p -> p.p_cum_clusters);
     ]
+
+(* The same detection fed one settled sample at a time: it hashes each
+   sample's points once, and keeps only the last [window] cumulative values
+   of each curve. *)
+type curve = {
+  c_name : string;
+  c_seen : (string, unit) Hashtbl.t;
+  c_ring : int array;  (** cumulative value [i] sits at [i mod window] *)
+  mutable c_found : bool;
+}
+
+type tracker = { window : int; mutable fed : int; curves : curve list }
+
+let tracker ~window =
+  if window <= 0 then invalid_arg "Analytics.tracker: window must be > 0";
+  let curve c_name =
+    { c_name; c_seen = Hashtbl.create 256; c_ring = Array.make window 0;
+      c_found = false }
+  in
+  { window; fed = 0; curves = [ curve "coverage"; curve "clusters" ] }
+
+let advance tr samples =
+  let found = ref [] in
+  let feed s =
+    let i = tr.fed in
+    List.iter2
+      (fun c keys ->
+        List.iter (fun k -> Hashtbl.replace c.c_seen k ()) keys;
+        let v = Hashtbl.length c.c_seen and slot = i mod tr.window in
+        if (not c.c_found) && i >= tr.window && c.c_ring.(slot) = v then (
+          c.c_found <- true;
+          found :=
+            {
+              pl_series = c.c_name;
+              pl_bucket = s.bucket;
+              pl_tick = s.first_tick + s.ticks;
+              pl_window = tr.window;
+              pl_value = v;
+            }
+            :: !found);
+        c.c_ring.(slot) <- v)
+      tr.curves [ s.cov_points; s.clusters ];
+    tr.fed <- i + 1
+  in
+  List.iter feed samples;
+  (* [plateaus]' order, whichever sample completed each *)
+  List.filter_map
+    (fun c -> List.find_opt (fun p -> p.pl_series = c.c_name) !found)
+    tr.curves
 
 (* ----------------------------- rendering --------------------------- *)
 

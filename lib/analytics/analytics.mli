@@ -57,6 +57,26 @@ val merge : t -> t -> t
     (counters sum, point/cluster sets union); yield rows unify by key
     (counters sum). Output is canonical: sorted, deduplicated. *)
 
+(** {1 Incremental merge}
+
+    What a long-lived merge owner keeps instead of a merged {!t}: samples
+    keyed by bucket and yield rows by key, so that {!add} costs the size
+    of what it adds, not of what was merged before. [merge a b] is
+    [of_acc (add (add acc_empty a) b)]. *)
+
+type acc
+
+val acc_empty : acc
+
+val add : acc -> t -> acc
+(** Merge [t] in, canonicalising each of its samples once. *)
+
+val of_acc : acc -> t
+(** The canonical merged series, in time linear in its size. *)
+
+val sample : acc -> int -> sample option
+(** The merged sample of one bucket. *)
+
 val total_tests : t -> int
 val total_findings : t -> int
 
@@ -110,6 +130,19 @@ val plateaus : ?window:int -> t -> plateau list
     event incrementally as the contiguous merged prefix grows, in an order
     independent of shard completion order. At most one plateau per
     series. *)
+
+type tracker
+(** {!plateaus}, incrementally: a mutable detector fed the samples of a
+    growing series in bucket order. It hashes each sample's points once. *)
+
+val tracker : window:int -> tracker
+
+val advance : tracker -> sample list -> plateau list
+(** Feed the next samples of the series, in bucket order. Returns the
+    plateaus they complete, in {!plateaus}' order (coverage, then
+    clusters). However a series is split into successive [advance] calls,
+    each plateau {!plateaus} reports for it is returned once, by the first
+    call whose samples exhibit it. *)
 
 val plateau_event_name : string
 (** ["analytics.plateau"] — the typed telemetry event the orchestrator

@@ -40,13 +40,23 @@ type t = {
   artifacts : artifacts;
 }
 
+type merged_shard = {
+  m_result : shard_result;
+  m_coverage : (string * int) list;
+  m_health : O4a_health.Health.entry list;
+  m_analytics : O4a_analytics.Analytics.t;
+}
+
+type entry = Completed of merged_shard | Quarantined of quarantine
+
 (* version 2 added the quarantine list; version 3 added the merged health
    ledger and the per-finding oracle mode; version 4 the analytics series
-   and the observability-artifact flags. Older files still load: version 1
-   gets an empty quarantine, versions 1-2 an empty health ledger and
-   Differential findings, versions 1-3 an empty analytics series and
-   all-false artifact flags. *)
-let version = 4
+   and the observability-artifact flags; version 5 the journal entries
+   after the first line. Older files still load: version 1 gets an empty
+   quarantine, versions 1-2 an empty health ledger and Differential
+   findings, versions 1-3 an empty analytics series and all-false artifact
+   flags. *)
+let version = 5
 let min_version = 1
 
 (* ------------------------------------------------------------------ *)
@@ -199,6 +209,34 @@ let codec =
                 t.artifacts)
          |> finish)))
 
+(* a journal line: the header's own members, for one shard *)
+let entry_codec =
+  let completed =
+    C.(
+      obj (fun m_result m_coverage m_health m_analytics ->
+          { m_result; m_coverage; m_health; m_analytics })
+      |> mem "completed" shard_result_codec (fun m -> m.m_result)
+      |> mem "coverage" (assoc int) (fun m -> m.m_coverage)
+      |> mem "health" (list O4a_health.Health.entry_codec) (fun m -> m.m_health)
+      |> mem "analytics" O4a_analytics.Analytics.codec (fun m -> m.m_analytics)
+      |> finish)
+  in
+  let quarantined =
+    C.(obj Fun.id |> mem "quarantined" quarantine_codec Fun.id |> finish)
+  in
+  C.context "checkpoint entry"
+    {
+      C.enc =
+        (function
+        | Completed m -> completed.enc m
+        | Quarantined q -> quarantined.enc q);
+      dec =
+        (fun json ->
+          match Json.member "quarantined" json with
+          | Some _ -> Result.map (fun q -> Quarantined q) (quarantined.dec json)
+          | None -> Result.map (fun m -> Completed m) (completed.dec json));
+    }
+
 let matches ~path ~seed ~budget ~shard_size t =
   if t.seed = seed && t.budget = budget && t.shard_size = shard_size then Ok ()
   else
@@ -212,11 +250,14 @@ let remaining base plan =
   match base with
   | None -> plan
   | Some t ->
-    let settled =
-      List.map (fun r -> r.shard) t.completed
-      @ List.map (fun q -> q.q_shard) t.quarantined
+    let size =
+      List.fold_left (fun n (s : Shard.t) -> max n (s.Shard.index + 1)) 0 plan
     in
-    List.filter (fun (s : Shard.t) -> not (List.mem s.Shard.index settled)) plan
+    let settled = Array.make size false in
+    let settle i = if i >= 0 && i < size then settled.(i) <- true in
+    List.iter (fun r -> settle r.shard) t.completed;
+    List.iter (fun q -> settle q.q_shard) t.quarantined;
+    List.filter (fun (s : Shard.t) -> not settled.(s.Shard.index)) plan
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)
@@ -248,22 +289,131 @@ let load_error_to_string ~path = function
       path reason offset
   | Invalid msg -> Printf.sprintf "checkpoint %s is not usable: %s" path msg
 
+(* one line of the file, which starts at byte [offset], without its
+   newline *)
+let decode_line dec ~offset line =
+  match Json.parse_located line with
+  | Error (o, reason) -> Error (Corrupt { offset = offset + o; reason })
+  | Ok json -> Result.map_error (fun msg -> Invalid msg) (dec json)
+
+let append ~path ~tear entry =
+  let line = Json.to_string (entry_codec.enc entry) ^ "\n" in
+  let written =
+    if tear then String.sub line 0 (max 1 (String.length line / 2)) else line
+  in
+  match
+    let offset =
+      Out_channel.with_open_gen
+        [ Open_wronly; Open_append; Open_creat; Open_binary ]
+        0o644 path
+        (fun oc ->
+          let offset = Int64.to_int (Out_channel.length oc) in
+          Out_channel.output_string oc written;
+          offset)
+    in
+    (* read back what landed after [offset]: one whole line that decodes,
+       or the append is undone *)
+    let back =
+      In_channel.with_open_bin path (fun ic ->
+          In_channel.seek ic (Int64.of_int offset);
+          In_channel.input_all ic)
+    in
+    let verified =
+      match String.index_opt back '\n' with
+      | Some i when i = String.length back - 1 ->
+        Result.map ignore
+          (decode_line entry_codec.dec ~offset (String.sub back 0 i))
+      | _ ->
+        Error
+          (Corrupt
+             { offset = offset + String.length back;
+               reason = "the appended line did not land whole" })
+    in
+    if Result.is_error verified then Unix.truncate path offset;
+    verified
+  with
+  | verified -> verified
+  | exception Sys_error msg -> Error (Io msg)
+  | exception Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e))
+
+(* What the entries add to the header, merged as [Orchestrator.Merge.absorb]
+   merges them. Coverage sums by identity without registering points:
+   [Orchestrator.run] loads its base before [Engine.prewarm], and
+   registration order assigns point ids. *)
+let fold_entries header entries =
+  let module Keys = Map.Make (String) in
+  let add_counts m l =
+    List.fold_left
+      (fun m (k, n) -> Keys.update k (fun c -> Some (n + Option.value c ~default:0)) m)
+      m l
+  in
+  let cp, coverage, analytics =
+    List.fold_left
+      (fun (cp, coverage, analytics) -> function
+        | Completed m ->
+          ( { cp with
+              completed = m.m_result :: cp.completed;
+              health = O4a_health.Health.merge cp.health m.m_health },
+            add_counts coverage m.m_coverage,
+            O4a_analytics.Analytics.add analytics m.m_analytics )
+        | Quarantined q ->
+          ({ cp with quarantined = q :: cp.quarantined }, coverage, analytics))
+      ( header,
+        add_counts Keys.empty header.coverage,
+        O4a_analytics.Analytics.(add acc_empty header.analytics) )
+      entries
+  in
+  validate
+    { cp with
+      completed = sorted (fun r -> r.shard) cp.completed;
+      quarantined = sorted (fun q -> q.q_shard) cp.quarantined;
+      coverage = Keys.bindings coverage;
+      analytics = O4a_analytics.Analytics.of_acc analytics }
+
 type info = { i_version : int; i_checkpoint : t }
 
 let inspect ~path =
-  match In_channel.with_open_text path In_channel.input_all with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error (Io msg)
   | contents -> (
-    match Json.parse_located contents with
-    | Error (offset, reason) -> Error (Corrupt { offset; reason })
-    | Ok json -> (
-      match codec.dec json with
-      | Ok t ->
-        (* the codec validated the version's presence and range already *)
-        let i_version =
-          Result.value (C.field "version" C.int json) ~default:version
-        in
-        Ok { i_version; i_checkpoint = t }
-      | Error msg -> Error (Invalid msg)))
+    let ( let* ) = Result.bind in
+    let len = String.length contents in
+    let line_end from =
+      Option.value (String.index_from_opt contents from '\n') ~default:len
+    in
+    let header_end = line_end 0 in
+    let* i_version, header =
+      decode_line
+        (fun json ->
+          (* the codec checks the version's presence and range *)
+          Result.map
+            (fun t ->
+              (Result.value (C.field "version" C.int json) ~default:version, t))
+            (codec.dec json))
+        ~offset:0
+        (String.sub contents 0 header_end)
+    in
+    (* every later line is one entry; a last line without its newline is
+       an append a crash cut short, so its shard simply runs again *)
+    let rec entries from acc =
+      let stop = if from >= len then len else line_end from in
+      if stop = len then Ok (List.rev acc)
+      else
+        let line = String.sub contents from (stop - from) in
+        if String.trim line = "" then entries (stop + 1) acc
+        else
+          let* e = decode_line entry_codec.dec ~offset:from line in
+          entries (stop + 1) (e :: acc)
+    in
+    let* journal = entries (header_end + 1) [] in
+    let* i_checkpoint =
+      match journal with
+      | [] -> Ok header
+      | _ ->
+        Result.map_error
+          (fun msg -> Invalid ("checkpoint: " ^ msg))
+          (fold_entries header journal)
+    in
+    Ok { i_version; i_checkpoint })
 
 let load ~path = Result.map (fun i -> i.i_checkpoint) (inspect ~path)

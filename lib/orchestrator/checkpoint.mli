@@ -6,7 +6,13 @@
     the results of every completed shard, and the coverage merged from those
     shards. {!Orchestrator.run} refuses to resume from a checkpoint whose
     provenance differs from the requested campaign, because the remaining
-    shards would then not line up with the completed ones. *)
+    shards would then not line up with the completed ones.
+
+    On disk a checkpoint is a journal (format version 5): its first line is
+    the full state ({!save}), and each later line is one {!entry}, what one
+    merged or quarantined shard added ({!append}). {!load} folds the entries
+    into the first line's state; saving the full state again compacts the
+    file back to one line. Files of versions 1-4 are one line. *)
 
 type shard_result = {
   shard : int;
@@ -61,11 +67,24 @@ type t = {
 }
 
 val codec : t O4a_telemetry.Json.Codec.t
-(** Writes format version 4 and reads versions 1-4: members a later version
-    added decode to the defaults documented on {!t} when absent. Decoding
-    also checks the shard lists against the checkpoint's own plan: [budget]
-    and [shard_size] must be positive, and every completed or quarantined
-    index must lie in the plan and appear once across both lists. *)
+(** The full state, a journal's first line. Writes format version 5 and
+    reads versions 1-5: members a later version added decode to the
+    defaults documented on {!t} when absent. Decoding also checks the shard
+    lists against the checkpoint's own plan: [budget] and [shard_size] must
+    be positive, and every completed or quarantined index must lie in the
+    plan and appear once across both lists. *)
+
+(** What a merged shard adds to the state: its result and its coverage,
+    health and analytics exports. *)
+type merged_shard = {
+  m_result : shard_result;
+  m_coverage : (string * int) list;
+  m_health : O4a_health.Health.entry list;
+  m_analytics : O4a_analytics.Analytics.t;
+}
+
+(** One journal line. A shard that failed outright writes none. *)
+type entry = Completed of merged_shard | Quarantined of quarantine
 
 val matches :
   path:string -> seed:int -> budget:int -> shard_size:int -> t ->
@@ -84,13 +103,14 @@ val shard_result_codec : shard_result O4a_telemetry.Json.Codec.t
     checkpoint persists, so the two can never drift. *)
 
 val save : path:string -> t -> unit
-(** Atomic: writes [path ^ ".tmp"] then renames over [path], so an interrupt
-    mid-write never corrupts the previous checkpoint. *)
+(** Writes the full state as a one-line file, replacing whatever journal
+    [path] held. Atomic: writes [path ^ ".tmp"] then renames over [path], so
+    an interrupt mid-write never corrupts the previous checkpoint. *)
 
-(** Why a checkpoint file could not be loaded. [Corrupt] means the bytes are
-    not one well-formed JSON document — the classic torn/truncated write —
-    and names the byte offset where parsing gave up; [Invalid] means the JSON
-    is well-formed but not a checkpoint this version understands. *)
+(** Why a checkpoint file could not be loaded. [Corrupt] means a line of
+    the file is not well-formed JSON — the classic torn/truncated write —
+    and names the file's byte offset where parsing gave up; [Invalid] means
+    the JSON is well-formed but not a checkpoint this version understands. *)
 type load_error =
   | Io of string
   | Corrupt of { offset : int; reason : string }
@@ -100,7 +120,24 @@ val load_error_to_string : path:string -> load_error -> string
 (** One clean printable diagnostic (may span two lines for [Corrupt], where
     it also suggests a remedy). *)
 
+val append : path:string -> tear:bool -> entry -> (unit, load_error) result
+(** Appends [entry] to the journal at [path] as one line, then reads the
+    file back from the offset the line started at and decodes it: the cost
+    is one shard's, however long the journal. On [Error] the file is
+    truncated back to that offset, so it loads as before the call.
+    [~tear:true] writes only the first half of the line: the chaos
+    harness's torn write, which the read-back always rejects. *)
+
 val load : path:string -> (t, load_error) result
+(** Decodes the first line, then folds each entry into it in file order
+    with the merges {!Orchestrator.Merge.absorb} uses: results and
+    quarantines are added, coverage counts summed by identity, health and
+    analytics merged. The result is validated like a one-line file, and
+    lists its completed and quarantined shards by index. A last line
+    without its newline, an append that a crash cut short, is dropped: its
+    shard runs again on resume. A torn first line, or a terminated line that
+    does not parse, is [Corrupt] at its file offset; a line that parses but
+    does not decode is [Invalid]. *)
 
 type info = {
   i_version : int;

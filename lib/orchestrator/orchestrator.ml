@@ -328,16 +328,29 @@ module Merge = struct
     mutable quarantined : Checkpoint.quarantine list;
     mutable health : Health.entry list;
     mutable profile : Profile.t;
-    mutable analytics : Analytics.t;
+    mutable analytics : Analytics.acc;
     (* plateau detection state: [accounted.(i)] is true once shard [i] is
        merged or quarantined (or came in via the base checkpoint), [settled]
-       is the length of the contiguous accounted prefix. Detection only ever
-       runs over samples inside that prefix, so the event stream is a pure
-       function of merged content — independent of shard completion order
-       and therefore of [--jobs]. *)
+       is the length of the contiguous accounted prefix, and [tracker] has
+       been fed that prefix's samples. Detection only ever sees samples
+       inside the prefix, so the event stream is a pure function of merged
+       content — independent of shard completion order and therefore of
+       [--jobs]. *)
     accounted : bool array;
     mutable settled : int;
-    mutable plateau_emitted : string list;  (* series names already announced *)
+    tracker : Analytics.tracker;
+    (* running totals behind [notify_progress]: completed and quarantined
+       shards, merged tests and findings, and the distinct coverage points
+       and planned ticks of every merged analytics sample *)
+    mutable n_completed : int;
+    mutable n_quarantined : int;
+    mutable tests_done : int;
+    mutable findings_done : int;
+    sample_cov : (string, unit) Hashtbl.t;
+    mutable sample_ticks : int;
+    (* [None] until this merge writes the full state to [checkpoint_path],
+       then the number of entries appended to it since *)
+    mutable journal : int option;
     mutable promoted_by_shard : (int * Trace.promoted list) list;
     mutable errors : (int * string) list;
     mutable shard_retries : int;
@@ -345,6 +358,20 @@ module Merge = struct
     mutable processed : int;
     t_start : float;
   }
+
+  let count_result t (r : Checkpoint.shard_result) =
+    t.tests_done <- t.tests_done + r.Checkpoint.tests;
+    t.findings_done <- t.findings_done + List.length r.Checkpoint.findings
+
+  (* each bucket merges once, so its planned ticks are counted once *)
+  let count_samples t (a : Analytics.t) =
+    List.iter
+      (fun (s : Analytics.sample) ->
+        t.sample_ticks <- t.sample_ticks + s.Analytics.ticks;
+        List.iter
+          (fun k -> Hashtbl.replace t.sample_cov k ())
+          s.Analytics.cov_points)
+      a.Analytics.samples
 
   let create ~env ~tel ?checkpoint_path ?base ?on_progress ~jobs ~budget
       ~shard_size ~extra () =
@@ -370,7 +397,7 @@ module Merge = struct
     (match base with
     | Some cp -> Coverage.merge_into ~into:ledger cp.Checkpoint.coverage
     | None -> ());
-    let analytics =
+    let base_analytics =
       match base with
       | Some cp -> cp.Checkpoint.analytics
       | None -> Analytics.empty
@@ -391,48 +418,56 @@ module Merge = struct
       incr settled
     done;
     (* plateaus already visible in the resumed prefix were announced by the
-       run that wrote the checkpoint; re-detect silently so a resumed
+       run that wrote the checkpoint; feed that prefix silently so a resumed
        campaign only emits events for plateaus it discovers itself *)
-    let prefix_plateaus =
-      Analytics.plateaus
-        { analytics with
-          Analytics.samples =
-            List.filter
-              (fun (s : Analytics.sample) -> s.Analytics.bucket < !settled)
-              analytics.Analytics.samples }
+    let tracker = Analytics.tracker ~window:Analytics.default_window in
+    ignore
+      (Analytics.advance tracker
+         (List.filter
+            (fun (s : Analytics.sample) -> s.Analytics.bucket < !settled)
+            base_analytics.Analytics.samples));
+    let t =
+      {
+        env;
+        tel;
+        checkpoint_path;
+        on_progress;
+        budget;
+        shard_size;
+        extra;
+        plan_total = List.length plan;
+        base_completed = List.length base_completed;
+        ledger;
+        completed = base_completed;
+        quarantined = base_quarantined;
+        health = (match base with Some cp -> cp.Checkpoint.health | None -> []);
+        profile = Profile.empty;
+        analytics = Analytics.add Analytics.acc_empty base_analytics;
+        accounted;
+        settled = !settled;
+        tracker;
+        n_completed = List.length base_completed;
+        n_quarantined = List.length base_quarantined;
+        tests_done = 0;
+        findings_done = 0;
+        sample_cov = Hashtbl.create 1024;
+        sample_ticks = 0;
+        journal = None;
+        promoted_by_shard = [];
+        errors = [];
+        shard_retries = 0;
+        faults_injected = 0;
+        processed = 0;
+        t_start = Unix.gettimeofday ();
+      }
     in
-    {
-      env;
-      tel;
-      checkpoint_path;
-      on_progress;
-      budget;
-      shard_size;
-      extra;
-      plan_total = List.length plan;
-      base_completed = List.length base_completed;
-      ledger;
-      completed = base_completed;
-      quarantined = base_quarantined;
-      health = (match base with Some cp -> cp.Checkpoint.health | None -> []);
-      profile = Profile.empty;
-      analytics;
-      accounted;
-      settled = !settled;
-      plateau_emitted =
-        List.map (fun (p : Analytics.plateau) -> p.Analytics.pl_series)
-          prefix_plateaus;
-      promoted_by_shard = [];
-      errors = [];
-      shard_retries = 0;
-      faults_injected = 0;
-      processed = 0;
-      t_start = Unix.gettimeofday ();
-    }
+    List.iter (count_result t) base_completed;
+    count_samples t base_analytics;
+    t
 
   let processed t = t.processed
   let failed t = t.errors <> []
-  let analytics_snapshot t = t.analytics
+  let analytics_snapshot t = Analytics.of_acc t.analytics
 
   (* merge-time progress snapshot for the HUD callback: a pure function of
      already-merged state, so observing it cannot perturb the campaign *)
@@ -440,35 +475,24 @@ module Merge = struct
     match t.on_progress with
     | None -> ()
     | Some f ->
-      let sum g = List.fold_left (fun acc r -> acc + g r) 0 t.completed in
       f
         {
-          Hud.shards_done = List.length t.completed + List.length t.quarantined;
+          Hud.shards_done = t.n_completed + t.n_quarantined;
           shards_total = t.plan_total;
-          ticks_done =
-            sum (fun (r : Checkpoint.shard_result) -> r.Checkpoint.tests);
+          ticks_done = t.tests_done;
           budget = t.budget;
-          findings =
-            sum (fun (r : Checkpoint.shard_result) ->
-                List.length r.Checkpoint.findings);
+          findings = t.findings_done;
           coverage_points = List.length (Coverage.export t.ledger);
           cov_rate =
-            (* derived from the analytics series — [None] (rendered as "–")
+            (* from the merged analytics samples — [None] (rendered as "–")
                until the first sample merges, instead of a stale 0.0 *)
-            (let pts = Analytics.series t.analytics in
-             let ticks =
-               List.fold_left
-                 (fun acc (p : Analytics.point) -> acc + p.Analytics.p_ticks)
-                 0 pts
-             in
-             match List.rev pts with
-             | last :: _ when ticks > 0 ->
+            (if t.sample_ticks > 0 then
                Some
                  (1000.
-                 *. float_of_int last.Analytics.p_cum_cov
-                 /. float_of_int ticks)
-             | _ -> None);
-          quarantined = List.length t.quarantined;
+                 *. float_of_int (Hashtbl.length t.sample_cov)
+                 /. float_of_int t.sample_ticks)
+             else None);
+          quarantined = t.n_quarantined;
           breaker_trips =
             List.fold_left
               (fun acc (e : Health.entry) -> acc + e.Health.opened)
@@ -486,7 +510,7 @@ module Merge = struct
       quarantined = t.quarantined;
       coverage = Coverage.export t.ledger;
       health = t.health;
-      analytics = t.analytics;
+      analytics = Analytics.of_acc t.analytics;
       artifacts =
         {
           Checkpoint.a_telemetry = t.env.env_tel_enabled;
@@ -495,28 +519,28 @@ module Merge = struct
         };
     }
 
-  (* plain save, bypassing the chaos tear site — used for the write-before-
-     any-shard-runs checkpoint, so a signal that lands in the campaign's
-     first seconds still leaves a resumable file behind (the tear site is
-     keyed to merged shards, and nothing has merged yet) *)
+  (* The full state, atomically, as a one-line file: before any shard runs
+     (so a signal that lands in the campaign's first seconds still leaves a
+     resumable file behind), on drain, and to compact the journal. It
+     bypasses the chaos tear site, which is keyed to merged shards. *)
   let checkpoint_now t =
     match t.checkpoint_path with
     | None -> ()
-    | Some path -> Checkpoint.save ~path (current_checkpoint t)
+    | Some path ->
+      Checkpoint.save ~path (current_checkpoint t);
+      t.journal <- Some 0
 
-  (* Supervised save: the Checkpoint_corrupt site tears the write on the
-     merge domain (a truncated raw dump instead of the atomic
-     write-then-rename), then the verify step detects the corruption through
-     the same [Checkpoint.load] path [resume] uses and rewrites cleanly —
-     bounded by the same retry budget as shard faults, and
-     per-(shard, attempt) deterministic, so the injected count is identical
-     at any --jobs N. *)
-  let save_checkpoint t ~after_shard =
+  (* Supervised append of one shard's entry: the Checkpoint_corrupt site
+     tears it (half the line), the read-back verify detects that and the
+     append is undone and made again — bounded by the same retry budget as
+     shard faults, and per-(shard, attempt) deterministic, so the injected
+     count is identical at any --jobs N. *)
+  let journal_append t ~after_shard entry =
     match t.checkpoint_path with
     | None -> ()
     | Some path ->
-      let cp = current_checkpoint t in
-      let rec attempt_save attempt =
+      if t.journal = None then checkpoint_now t;
+      let rec attempt_append attempt =
         let tear =
           attempt < Faults.max_retries
           && (match t.env.env_chaos with
@@ -527,31 +551,26 @@ module Merge = struct
                <> None)
         in
         if tear then (
-          let s = Json.to_string (Checkpoint.codec.enc cp) in
-          let cut = max 1 (String.length s / 2) in
-          Out_channel.with_open_bin path (fun oc ->
-              output_string oc (String.sub s 0 cut));
           t.faults_injected <- t.faults_injected + 1;
           Telemetry.emit t.tel "fault.injected"
             [
               ("site", Json.String (Faults.site_name Faults.Checkpoint_corrupt));
               ("shard", Json.Int after_shard);
               ("attempt", Json.Int attempt);
-            ])
-        else Checkpoint.save ~path cp;
-        match Checkpoint.load ~path with
-        | Ok _ -> ()
+            ]);
+        match Checkpoint.append ~path ~tear entry with
+        | Ok () -> t.journal <- Option.map succ t.journal
         | Error err when tear && attempt < Faults.max_retries ->
           Log.debug (fun m ->
-              m "checkpoint write torn by chaos (%s), rewriting"
+              m "checkpoint append torn by chaos (%s), appending again"
                 (Checkpoint.load_error_to_string ~path err));
-          attempt_save (attempt + 1)
+          attempt_append (attempt + 1)
         | Error err ->
           failwith
             (Printf.sprintf "checkpoint verify failed after save: %s"
                (Checkpoint.load_error_to_string ~path err))
       in
-      attempt_save 0
+      attempt_append 0
 
   let emit_attempt_faults t shard_idx logs =
     List.iter
@@ -586,8 +605,8 @@ module Merge = struct
             ]))
       logs
 
-  (* Advance the settled cursor past newly accounted shards, then run
-     plateau detection over the settled prefix. Detection is positional and
+  (* Advance the settled cursor past newly accounted shards and feed the
+     samples it passes to the plateau tracker. Detection is positional and
      monotone (see {!Analytics.plateaus}), so the first plateau a prefix
      exhibits is the one the full series reports — emitting here is safe and
      happens exactly once per series, at a point determined by shard
@@ -595,35 +614,30 @@ module Merge = struct
   let settle_and_detect t shard_idx =
     if shard_idx < Array.length t.accounted then
       t.accounted.(shard_idx) <- true;
+    let fresh = ref [] in
     while
       t.settled < Array.length t.accounted && t.accounted.(t.settled)
     do
+      Option.iter
+        (fun s -> fresh := s :: !fresh)
+        (Analytics.sample t.analytics t.settled);
       t.settled <- t.settled + 1
     done;
-    let prefix =
-      { t.analytics with
-        Analytics.samples =
-          List.filter
-            (fun (s : Analytics.sample) -> s.Analytics.bucket < t.settled)
-            t.analytics.Analytics.samples }
-    in
     List.iter
       (fun (pl : Analytics.plateau) ->
-        if not (List.mem pl.Analytics.pl_series t.plateau_emitted) then (
-          t.plateau_emitted <- pl.Analytics.pl_series :: t.plateau_emitted;
-          Telemetry.emit t.tel Analytics.plateau_event_name
-            [
-              ("series", Json.String pl.Analytics.pl_series);
-              ("bucket", Json.Int pl.Analytics.pl_bucket);
-              ("tick", Json.Int pl.Analytics.pl_tick);
-              ("window", Json.Int pl.Analytics.pl_window);
-              ("value", Json.Int pl.Analytics.pl_value);
-            ];
-          Log.info (fun m ->
-              m "%s plateaued at tick %d (%d after %d-shard window)"
-                pl.Analytics.pl_series pl.Analytics.pl_tick
-                pl.Analytics.pl_value pl.Analytics.pl_window)))
-      (Analytics.plateaus prefix)
+        Telemetry.emit t.tel Analytics.plateau_event_name
+          [
+            ("series", Json.String pl.Analytics.pl_series);
+            ("bucket", Json.Int pl.Analytics.pl_bucket);
+            ("tick", Json.Int pl.Analytics.pl_tick);
+            ("window", Json.Int pl.Analytics.pl_window);
+            ("value", Json.Int pl.Analytics.pl_value);
+          ];
+        Log.info (fun m ->
+            m "%s plateaued at tick %d (%d after %d-shard window)"
+              pl.Analytics.pl_series pl.Analytics.pl_tick
+              pl.Analytics.pl_value pl.Analytics.pl_window))
+      (Analytics.advance t.tracker (List.rev !fresh))
 
   let absorb t shard outcome =
     t.processed <- t.processed + 1;
@@ -635,6 +649,7 @@ module Merge = struct
       emit_retries t shard_idx logs ~quarantining:true;
       let q = quarantine_of_logs shard logs in
       t.quarantined <- q :: t.quarantined;
+      t.n_quarantined <- t.n_quarantined + 1;
       Telemetry.emit t.tel "shard.quarantined"
         [
           ("shard", Json.Int shard_idx);
@@ -646,7 +661,7 @@ module Merge = struct
           );
         ];
       settle_and_detect t shard_idx;
-      save_checkpoint t ~after_shard:shard_idx;
+      journal_append t ~after_shard:shard_idx (Checkpoint.Quarantined q);
       Log.warn (fun m ->
           m "shard %d quarantined after %d attempts (sites: %s)" shard_idx
             q.Checkpoint.q_attempts
@@ -672,16 +687,25 @@ module Merge = struct
       Coverage.merge_into ~into:t.ledger payload.cov_export;
       t.health <- Health.merge t.health payload.health_export;
       t.profile <- Profile.merge t.profile payload.profile_export;
-      t.analytics <- Analytics.merge t.analytics payload.analytics_export;
+      t.analytics <- Analytics.add t.analytics payload.analytics_export;
       t.completed <- payload.sr :: t.completed;
+      t.n_completed <- t.n_completed + 1;
+      count_result t payload.sr;
+      count_samples t payload.analytics_export;
       if payload.promoted <> [] then
         t.promoted_by_shard <-
           (shard_idx, payload.promoted) :: t.promoted_by_shard;
       settle_and_detect t shard_idx;
-      save_checkpoint t ~after_shard:shard_idx;
+      journal_append t ~after_shard:shard_idx
+        (Checkpoint.Completed
+           {
+             Checkpoint.m_result = payload.sr;
+             m_coverage = payload.cov_export;
+             m_health = payload.health_export;
+             m_analytics = payload.analytics_export;
+           });
       Log.debug (fun m ->
-          m "shard %d merged (%d/%d done)" shard_idx (List.length t.completed)
-            t.plan_total));
+          m "shard %d merged (%d/%d done)" shard_idx t.n_completed t.plan_total));
     notify_progress t
 
   let check t (shard : Shard.t) = function
@@ -697,6 +721,8 @@ module Merge = struct
     | Quarantined _ | Failed _ -> Ok ()
 
   let finalize ?trace_dir ~interrupted ~stopped t =
+    (* compaction: fold the journal back into one canonical document *)
+    if Option.value t.journal ~default:0 > 0 then checkpoint_now t;
     (match List.sort compare t.errors with
     | (idx, msg) :: _ ->
       failwith (Printf.sprintf "Orchestrator.run: shard %d failed: %s" idx msg)
@@ -758,6 +784,7 @@ module Merge = struct
           compare a.Checkpoint.q_shard b.Checkpoint.q_shard)
         t.quarantined
     in
+    let analytics = Analytics.of_acc t.analytics in
     Telemetry.emit t.tel "campaign.end"
       (Fuzz.stats_fields stats
       @
@@ -787,8 +814,8 @@ module Merge = struct
       faults_injected = t.faults_injected;
       health = t.health;
       profile = t.profile;
-      analytics = t.analytics;
-      plateaus = Analytics.plateaus t.analytics;
+      analytics;
+      plateaus = Analytics.plateaus analytics;
       stopped;
     }
 end

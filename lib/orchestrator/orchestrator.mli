@@ -191,9 +191,11 @@ module Merge : sig
       fold its counters/coverage/health/profile/analytics, record
       quarantines, run plateau detection over the contiguous settled shard
       prefix (emitting ["analytics.plateau"] at most once per series, at a
-      point independent of completion order), then checkpoint (chaos may
-      tear the write — it is verified and retried) and fire the progress
-      callback. Owner domain only. *)
+      point independent of completion order), then append the shard's
+      {!Checkpoint.entry} to the checkpoint journal (chaos may tear the
+      append — it is verified and retried) and fire the progress callback.
+      Its cost is the shard's, not the campaign's. Raises [Failure] when
+      the append cannot be verified. Owner domain only. *)
 
   val check : t -> Shard.t -> shard_outcome -> (unit, string) result
   (** Vet an outcome from outside the process (a remote worker's result)
@@ -220,15 +222,18 @@ module Merge : sig
       it once before any shard executes so HUDs render an initial frame. *)
 
   val checkpoint_now : t -> unit
-  (** Plain checkpoint write, bypassing chaos supervision — for the
-      before-any-shard-runs save and for server-side pause. *)
+  (** Write the full state as a one-line checkpoint, bypassing chaos
+      supervision — for the before-any-shard-runs save and for server-side
+      pause. It compacts the journal, including one loaded for [base]. *)
 
   val finalize :
     ?trace_dir:string -> interrupted:bool -> stopped:bool -> t -> report
-  (** Canonicalize (findings, promoted traces, and quarantines re-sorted by
-      shard index), write repro bundles under [trace_dir], emit
-      [campaign.end], and build the report. Raises [Failure] describing the
-      first failed shard if any worker failure was absorbed. *)
+  (** Compact the checkpoint journal if entries were appended since the
+      last full write, canonicalize (findings, promoted traces, and
+      quarantines re-sorted by shard index), write repro bundles under
+      [trace_dir], emit [campaign.end], and build the report. Raises
+      [Failure] describing the first failed shard if any worker failure was
+      absorbed. *)
 end
 
 val run :

@@ -25,13 +25,24 @@ let dedup ?(eq = ( = )) xs =
   go [] xs
 
 let group_by key xs =
-  let add groups x =
-    let k = key x in
-    match List.assoc_opt k groups with
-    | Some _ -> List.map (fun (k', m) -> if k' = k then (k', x :: m) else (k', m)) groups
-    | None -> groups @ [ (k, [ x ]) ]
+  (* members accumulate reversed in a table indexed by key; [order] keeps
+     the groups reversed in first-appearance order *)
+  let groups = Hashtbl.create 16 in
+  let order =
+    List.fold_left
+      (fun order x ->
+        let k = key x in
+        match Hashtbl.find_opt groups k with
+        | Some members ->
+          members := x :: !members;
+          order
+        | None ->
+          let members = ref [ x ] in
+          Hashtbl.add groups k members;
+          (k, members) :: order)
+      [] xs
   in
-  List.fold_left add [] xs |> List.map (fun (k, m) -> (k, List.rev m))
+  List.rev_map (fun (k, members) -> (k, List.rev !members)) order
 
 let count_by key xs = group_by key xs |> List.map (fun (k, m) -> (k, List.length m))
 

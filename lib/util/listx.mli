@@ -15,7 +15,9 @@ val dedup : ?eq:('a -> 'a -> bool) -> 'a list -> 'a list
 (** Stable deduplication, keeping the first occurrence. *)
 
 val group_by : ('a -> 'k) -> 'a list -> ('k * 'a list) list
-(** Groups by key; group order follows first appearance, members keep order. *)
+(** Groups by key; group order follows first appearance, members keep order.
+    Linear in the list: groups are indexed by a [Hashtbl], so keys compare
+    structurally. *)
 
 val count_by : ('a -> 'k) -> 'a list -> ('k * int) list
 

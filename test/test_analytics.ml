@@ -128,6 +128,83 @@ let test_no_plateau_while_growing () =
        { flat_tail with Analytics.samples = [ mk ~bucket:0 () ] }
     = [])
 
+(* ------------------------- incremental tracker ------------------------- *)
+
+(* A campaign as the merge owner sees it: [window], one optional sample per
+   shard ([None]: quarantined, so no sample), and the order shards complete
+   in. Points come from small alphabets, so the curves flatten. *)
+let gen_settling =
+  let open QCheck.Gen in
+  let names prefix bound n =
+    list_size (int_bound n) (map (Printf.sprintf "%s%d" prefix) (int_bound bound))
+  in
+  let* window = int_range 1 4 in
+  let* n = int_range 0 16 in
+  let* samples =
+    flatten_l
+      (List.init n (fun bucket ->
+           let* present = frequencyl [ (5, true); (1, false) ] in
+           let* cov = names "p" 6 2 in
+           let* cl = names "k" 3 1 in
+           return (if present then Some (mk ~bucket ~cov ~cl ()) else None)))
+  in
+  let* order = shuffle_l (List.init n Fun.id) in
+  return (window, Array.of_list samples, order)
+
+let print_settling (window, samples, order) =
+  let sample = function
+    | None -> "-"
+    | Some (s : Analytics.sample) ->
+      Printf.sprintf "{%s|%s}"
+        (String.concat "," s.Analytics.cov_points)
+        (String.concat "," s.Analytics.clusters)
+  in
+  Printf.sprintf "window %d, samples %s, order %s" window
+    (String.concat " " (Array.to_list (Array.map sample samples)))
+    (String.concat " " (List.map string_of_int order))
+
+(* the merge owner's loop: each completion settles a prefix; the tracker is
+   fed the samples it settled and must return what [plateaus] of that
+   prefix shows and was not announced before, in [plateaus]' order *)
+let prop_tracker_matches_plateaus =
+  QCheck.Test.make ~name:"tracker = settled plateaus"
+    ~count:1000
+    (QCheck.make ~print:print_settling gen_settling)
+    (fun (window, samples, order) ->
+      let n = Array.length samples in
+      let accounted = Array.make n false in
+      let settled = ref 0 and announced = ref [] in
+      let tracker = Analytics.tracker ~window in
+      List.for_all
+        (fun i ->
+          accounted.(i) <- true;
+          let fresh = ref [] in
+          while !settled < n && accounted.(!settled) do
+            Option.iter (fun s -> fresh := s :: !fresh) samples.(!settled);
+            incr settled
+          done;
+          let got = Analytics.advance tracker (List.rev !fresh) in
+          let prefix =
+            {
+              Analytics.samples =
+                List.filter_map Fun.id
+                  (Array.to_list (Array.sub samples 0 !settled));
+              yield = [];
+            }
+          in
+          let expected =
+            List.filter
+              (fun (p : Analytics.plateau) ->
+                not (List.mem p.Analytics.pl_series !announced))
+              (Analytics.plateaus ~window prefix)
+          in
+          announced :=
+            List.map (fun (p : Analytics.plateau) -> p.Analytics.pl_series)
+              expected
+            @ !announced;
+          got = expected)
+        order)
+
 (* ------------------------- rendering smoke ------------------------- *)
 
 let test_sparkline () =
@@ -229,6 +306,72 @@ let test_plateau_events_deterministic () =
   check_bool "events match the final plateau set" true
     (List.sort compare ev1 = List.sort compare final)
 
+(* The merge owner itself, fed hand-made outcomes whose coverage stops
+   growing after bucket 1 and which find no clusters (window 4: clusters
+   plateau at bucket 4, coverage at bucket 5). Each plateau is announced
+   once, by the absorb that settles the prefix exhibiting it. *)
+let test_merge_announces_plateaus () =
+  let n = 8 in
+  let plan = Array.of_list (Orchestrator.Shard.plan ~budget:(10 * n) ~shard_size:10) in
+  let outcome i =
+    let cov = [ Printf.sprintf "p%d" (min i 1) ] in
+    Orchestrator.Merged
+      ( {
+          Orchestrator.sr =
+            { Checkpoint.shard = i; tests = 10; parse_ok = 10; solved = 10;
+              bytes_total = 0; findings = [] };
+          events = [];
+          metric_entries = [];
+          cov_export = [];
+          promoted = [];
+          health_export = [];
+          profile_export = O4a_profile.Profile.empty;
+          analytics_export =
+            { Analytics.samples = [ mk ~bucket:i ~cov () ]; yield = [] };
+        },
+        [],
+        [] )
+  in
+  (* the plateau series announced by each absorb, and the final plateaus *)
+  let announce order =
+    let sink = Sink.memory () in
+    let tel = Telemetry.create ~sink () in
+    let env = Orchestrator.make_env ~seed:1 ~generators:[] ~seeds:[] () in
+    let merge =
+      Orchestrator.Merge.create ~env ~tel ~jobs:2 ~budget:(10 * n)
+        ~shard_size:10 ~extra:[] ()
+    in
+    let seen = ref 0 in
+    let per_absorb =
+      List.map
+        (fun i ->
+          Orchestrator.Merge.absorb merge plan.(i) (outcome i);
+          let events = plateau_events sink in
+          let fresh = List.filteri (fun j _ -> j >= !seen) events in
+          seen := List.length events;
+          List.map (fun fields -> List.assoc "series" fields) fresh)
+        order
+    in
+    let r = Orchestrator.Merge.finalize ~interrupted:false ~stopped:false merge in
+    (per_absorb, plateau_events sink, r.Orchestrator.plateaus)
+  in
+  let in_order, ev_in_order, final = announce (List.init n Fun.id) in
+  let s name = Json.String name in
+  check_bool "in order: clusters at shard 4, coverage at shard 5" true
+    (in_order = [ []; []; []; []; [ s "clusters" ]; [ s "coverage" ]; []; [] ]);
+  let reversed, ev_reversed, _ = announce (List.rev (List.init n Fun.id)) in
+  check_bool "reversed: both at the last absorb, coverage first" true
+    (reversed
+    = [ []; []; []; []; []; []; []; [ s "coverage"; s "clusters" ] ]);
+  check_bool "the same events either way" true
+    (List.sort compare ev_in_order = List.sort compare ev_reversed);
+  check_bool "the final plateaus, each announced once" true
+    (List.map
+       (fun (pl : Analytics.plateau) -> (pl.Analytics.pl_series, pl.Analytics.pl_bucket))
+       final
+    = [ ("coverage", 5); ("clusters", 4) ]
+    && List.length ev_reversed = List.length final)
+
 let test_checkpoint_carries_analytics () =
   let path = Filename.temp_file "o4a_analytics" ".json" in
   Fun.protect
@@ -319,6 +462,8 @@ let () =
           Alcotest.test_case "no plateau while growing" `Quick
             test_no_plateau_while_growing;
         ] );
+      ( "incremental",
+        [ QCheck_alcotest.to_alcotest prop_tracker_matches_plateaus ] );
       ( "rendering",
         [
           Alcotest.test_case "sparkline" `Quick test_sparkline;
@@ -330,6 +475,8 @@ let () =
           Alcotest.test_case "jobs 1 = jobs 4" `Slow test_jobs_invariance;
           Alcotest.test_case "plateau events deterministic" `Slow
             test_plateau_events_deterministic;
+          Alcotest.test_case "merge announces plateaus" `Quick
+            test_merge_announces_plateaus;
           Alcotest.test_case "checkpoint carries analytics" `Slow
             test_checkpoint_carries_analytics;
           Alcotest.test_case "resume preserves series" `Slow

@@ -1,9 +1,11 @@
 (* Format fixtures: files written by an earlier build of the project, kept
    under fixtures/, pin every persisted and wire format byte for byte. A v4
    checkpoint (and a quarantined one), a repro bundle, three wire outcomes
-   and a job spec must re-encode to their exact bytes; the v1-v3
-   checkpoints, derived by hand from the v4 one, must decode to the
-   documented defaults for the members their version lacked. A failure here
+   and a job spec must re-encode to their exact bytes (the checkpoints at
+   version 5, the version this build writes); the v1-v3 checkpoints,
+   derived by hand from the v4 one, must decode to the documented defaults
+   for the members their version lacked, and the v5 journal must fold to
+   the v4 checkpoint. A failure here
    means a codec drifted, so files on disk and peers on the wire would no
    longer interoperate. The last group mutates the same files to check that
    no decoder at a trust boundary raises. *)
@@ -40,7 +42,16 @@ let load_checkpoint name =
   | Ok info -> info
   | Error e -> Alcotest.fail (Checkpoint.load_error_to_string ~path e)
 
-(* through the file API, as resume reads and every merge writes it *)
+(* a v4 file's bytes as this build writes them: version 5 *)
+let as_v5 s =
+  let v4 = {|{"version":4,|} in
+  let n = String.length v4 in
+  if String.length s >= n && String.sub s 0 n = v4 then
+    {|{"version":5,|} ^ String.sub s n (String.length s - n)
+  else s
+
+(* through the file API, as resume reads and compaction writes it: the
+   same bytes, at the version this build writes *)
 let test_checkpoint_file name () =
   let cp = (load_checkpoint name).Checkpoint.i_checkpoint in
   let path = Filename.temp_file "o4a_fixture" ".json" in
@@ -48,8 +59,19 @@ let test_checkpoint_file name () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Checkpoint.save ~path cp;
-      check_string (name ^ " saves byte for byte") (read (fixture name))
+      check_string (name ^ " saves byte for byte") (as_v5 (read (fixture name)))
         (read path))
+
+(* the v5 journal is the v4 fixture's campaign before compaction: a header
+   written before any shard ran, then one entry per merged shard *)
+let test_journal () =
+  let v4 = (load_checkpoint "checkpoint_v4.json").Checkpoint.i_checkpoint in
+  let info = load_checkpoint "checkpoint_v5.json" in
+  check_int "checkpoint_v5.json version" 5 info.Checkpoint.i_version;
+  check_int "a header and two entries" 3
+    (List.length (String.split_on_char '\n' (String.trim (read (fixture "checkpoint_v5.json")))));
+  check_bool "the journal folds to the v4 checkpoint" true
+    (info.Checkpoint.i_checkpoint = v4)
 
 (* what each older version decodes to, relative to the v4 original *)
 let test_older_versions () =
@@ -259,7 +281,8 @@ let decoder_props =
     never_raises ~name:"Checkpoint.inspect" ~count:500 ~mutate:mutate_json
       (fixtures
          [ "checkpoint_v1.json"; "checkpoint_v2.json"; "checkpoint_v3.json";
-           "checkpoint_v4.json"; "checkpoint_quarantine.json" ])
+           "checkpoint_v4.json"; "checkpoint_v5.json";
+           "checkpoint_quarantine.json" ])
       (fun input ->
         let path = Lazy.force mutant_file in
         Out_channel.with_open_bin path (fun oc -> output_string oc input);
@@ -286,6 +309,7 @@ let () =
           Alcotest.test_case "quarantine checkpoint" `Quick
             (test_checkpoint_file "checkpoint_quarantine.json");
           Alcotest.test_case "v1-v3 checkpoints" `Quick test_older_versions;
+          Alcotest.test_case "v5 journal" `Quick test_journal;
           Alcotest.test_case "bundle" `Quick test_bundle;
           Alcotest.test_case "wire traced" `Quick
             (reencodes Wire.outcome_codec "wire_traced.json");

@@ -486,7 +486,177 @@ let test_checkpoint_remaining () =
   (* completed 0-1, quarantined 2 *)
   Alcotest.(check (list int)) "completed and quarantined shards skipped"
     [ 3; 4 ]
-    (indices (Some (sample_checkpoint ())))
+    (indices (Some (sample_checkpoint ())));
+  Alcotest.(check (list int)) "in the plan's own order" [ 4; 3 ]
+    (List.map
+       (fun s -> s.Shard.index)
+       (Checkpoint.remaining (Some (sample_checkpoint ())) (List.rev plan)))
+
+(* ------------------------- journal ------------------------- *)
+
+module Faults = O4a_faults.Faults
+module Merge = Orchestrator.Merge
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let with_temp_file f =
+  let path = Filename.temp_file "o4a_journal" ".json" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () -> f path)
+
+(* the file's newline-terminated lines *)
+let journal_lines path =
+  match List.rev (String.split_on_char '\n' (read_file path)) with
+  | "" :: rest -> List.rev rest
+  | _ -> Alcotest.fail "checkpoint does not end with a newline"
+
+let load_ok path =
+  match Checkpoint.load ~path with
+  | Ok cp -> cp
+  | Error e -> Alcotest.fail (Checkpoint.load_error_to_string ~path e)
+
+(* A merge driven by hand over the 50-tick plan of 10-tick shards, left
+   uncompacted: shards absorbed in [order], as a --jobs 2 run may complete
+   them; [quarantine] shards come back quarantined *)
+let journal_merge ?chaos ?(quarantine = []) ~path order =
+  let env =
+    Orchestrator.make_env ?chaos ~seed:91 ~generators:(generators ())
+      ~seeds:(Lazy.force seed_pool) ()
+  in
+  let plan = Array.of_list (Shard.plan ~budget:50 ~shard_size:10) in
+  Solver.Engine.prewarm ();
+  let merge =
+    Merge.create ~env ~tel:Telemetry.disabled ~checkpoint_path:path ~jobs:2
+      ~budget:50 ~shard_size:10 ~extra:[] ()
+  in
+  Merge.checkpoint_now merge;
+  let zeal = Solver.Engine.zeal () and cove = Solver.Engine.cove () in
+  List.iter
+    (fun i ->
+      let outcome =
+        if List.mem i quarantine then
+          Orchestrator.Quarantined
+            [ { Orchestrator.attempt = 0; fired = [ Faults.Worker_death ] } ]
+        else Orchestrator.exec_shard ~env ~worker_id:0 ~zeal ~cove plan.(i)
+      in
+      Merge.absorb merge plan.(i) outcome)
+    order;
+  merge
+
+let test_journal_folds_like_merge () =
+  with_temp_file (fun path ->
+      let merge = journal_merge ~quarantine:[ 2 ] ~path [ 3; 0; 2; 4; 1 ] in
+      check_int "a header, then one entry per absorbed shard" 6
+        (List.length (journal_lines path));
+      let journal = load_ok path in
+      check_bool "journal analytics = the merge's" true
+        (journal.Checkpoint.analytics = Merge.analytics_snapshot merge);
+      let r = Merge.finalize ~interrupted:false ~stopped:false merge in
+      check_int "finalize compacts to one line" 1
+        (List.length (journal_lines path));
+      check_bool "journal = its compaction" true (journal = load_ok path);
+      (* the rest of the merge's state, as its report shows it *)
+      check_bool "completed in shard order" true
+        (List.map (fun r -> r.Checkpoint.shard) journal.Checkpoint.completed
+        = [ 0; 1; 3; 4 ]);
+      check_bool "findings" true
+        (List.concat_map
+           (fun r -> r.Checkpoint.findings)
+           journal.Checkpoint.completed
+        = r.Orchestrator.stats.Fuzz.findings);
+      check_bool "quarantine" true
+        (journal.Checkpoint.quarantined = r.Orchestrator.quarantined);
+      check_bool "coverage" true
+        (journal.Checkpoint.coverage = r.Orchestrator.coverage);
+      check_bool "health" true
+        (journal.Checkpoint.health = r.Orchestrator.health);
+      check_bool "analytics" true
+        (journal.Checkpoint.analytics = r.Orchestrator.analytics))
+
+(* a header and the entries of shards 1 and 0, in that order *)
+let two_entry_journal path =
+  ignore (journal_merge ~path [ 1; 0 ]);
+  match journal_lines path with
+  | [ header; e1; e0 ] -> (header, e1, e0)
+  | lines -> Alcotest.failf "expected 3 lines, got %d" (List.length lines)
+
+let test_journal_torn_tail () =
+  with_temp_file (fun path ->
+      let header, e1, e0 = two_entry_journal path in
+      let prefix = header ^ "\n" ^ e1 ^ "\n" in
+      write_file path prefix;
+      let expected = load_ok path in
+      check_bool "the prefix holds shard 1 only" true
+        (List.map (fun r -> r.Checkpoint.shard) expected.Checkpoint.completed
+        = [ 1 ]);
+      (* a crash mid-append: the last line lacks its newline *)
+      List.iter
+        (fun cut ->
+          write_file path (prefix ^ String.sub e0 0 cut);
+          check_bool
+            (Printf.sprintf "cut at %d loads as the prefix" cut)
+            true
+            (load_ok path = expected))
+        [ 1; String.length e0 / 2; String.length e0 ])
+
+let test_journal_damage () =
+  with_temp_file (fun path ->
+      let header, e1, e0 = two_entry_journal path in
+      let prefix = header ^ "\n" ^ e1 ^ "\n" in
+      let garbage = "{garbage" in
+      write_file path (prefix ^ garbage ^ "\n" ^ e0 ^ "\n");
+      let within =
+        match Json.parse_located garbage with
+        | Error (o, _) -> o
+        | Ok _ -> Alcotest.fail "garbage parsed"
+      in
+      (match Checkpoint.load ~path with
+      | Error (Checkpoint.Corrupt { offset; _ }) ->
+        check_int "file-absolute offset" (String.length prefix + within) offset
+      | Ok _ -> Alcotest.fail "a garbage line loaded"
+      | Error e ->
+        Alcotest.fail
+          ("expected Corrupt, got: " ^ Checkpoint.load_error_to_string ~path e));
+      (* a line that parses but is no entry *)
+      write_file path (prefix ^ {|{"completed":3}|} ^ "\n");
+      check_bool "an undecodable line is Invalid" true
+        (match Checkpoint.load ~path with
+        | Error (Checkpoint.Invalid _) -> true
+        | _ -> false);
+      (* an entry for a shard the header already lists *)
+      write_file path (prefix ^ e1 ^ "\n");
+      check_bool "a shard merged twice is Invalid" true
+        (Checkpoint.load ~path
+        = Error
+            (Checkpoint.Invalid
+               {|checkpoint: field "completed": shard 1 is listed twice|})))
+
+let test_journal_chaos_tear () =
+  (* rate 1.0: every append is torn on each attempt but the last *)
+  let chaos = Faults.plan ~rate:1.0 ~chaos_seed:3 Faults.Io in
+  with_temp_file (fun path ->
+      ignore (journal_merge ~chaos ~path [ 1; 0 ]);
+      check_int "torn appends were undone and made again" 3
+        (List.length (journal_lines path));
+      check_int "both shards load" 2
+        (List.length (load_ok path).Checkpoint.completed);
+      let full = run ~jobs:1 ~chaos ~budget:100 ~shard_size:20 () in
+      let partial =
+        run ~jobs:2 ~chaos ~checkpoint_path:path ~stop_after:2 ~budget:100
+          ~shard_size:20 ()
+      in
+      check_int "each merged shard's append torn until its last attempt"
+        (2 * Faults.max_retries) partial.Orchestrator.faults_injected;
+      let resumed =
+        run ~jobs:2 ~chaos ~checkpoint_path:path ~resume:true ~budget:100
+          ~shard_size:20 ()
+      in
+      check_bool "resume lands on the jobs-1 report" true
+        (report_key resumed = report_key full))
 
 (* ------------------------- kill / resume ------------------------- *)
 
@@ -716,6 +886,15 @@ let () =
             test_checkpoint_matches;
           Alcotest.test_case "remaining shards" `Quick
             test_checkpoint_remaining;
+        ] );
+      ( "journal",
+        [
+          Alcotest.test_case "folds like the merge" `Slow
+            test_journal_folds_like_merge;
+          Alcotest.test_case "torn tail dropped" `Slow test_journal_torn_tail;
+          Alcotest.test_case "damage is typed" `Slow test_journal_damage;
+          Alcotest.test_case "chaos tear rewritten" `Slow
+            test_journal_chaos_tear;
         ] );
       ( "resume",
         [

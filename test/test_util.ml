@@ -136,7 +136,14 @@ let test_group_by () =
   let groups = Listx.group_by (fun n -> n mod 2) [ 1; 2; 3; 4; 5 ] in
   check_bool "odd group" true (List.assoc 1 groups = [ 1; 3; 5 ]);
   check_bool "even group" true (List.assoc 0 groups = [ 2; 4 ]);
-  check_bool "first-appearance order" true (List.map fst groups = [ 1; 0 ])
+  check_bool "first-appearance order" true (List.map fst groups = [ 1; 0 ]);
+  (* keys interleaved: groups in order of first appearance, members in
+     list order *)
+  let words = [ "b1"; "a1"; "c1"; "a2"; "b2"; "c2"; "b3"; "a3" ] in
+  check_bool "interleaved keys" true
+    (Listx.group_by (fun w -> w.[0]) words
+    = [ ('b', [ "b1"; "b2"; "b3" ]); ('a', [ "a1"; "a2"; "a3" ]);
+        ('c', [ "c1"; "c2" ]) ])
 
 let test_count_by () =
   check_bool "counts" true

@@ -80,6 +80,37 @@ grep -v '^resumed ' "$out/fixture_resumed.log" | diff "$out/fixture_full.log" - 
   echo "uninterrupted run; a commit that declares a semantic change must"
   echo "regenerate test/fixtures/ (see test/fixtures/README.md)"; exit 1; }
 
+echo "== Format fixture: a v5 journal resumes identically =="
+# test/fixtures/checkpoint_v5.json is the same cut as checkpoint_v4.json,
+# left uncompacted: a header and one entry per merged shard
+cp test/fixtures/checkpoint_v5.json "$out/fixture_v5_cp.json"
+dune exec bin/once4all_cli.exe -- resume --checkpoint "$out/fixture_v5_cp.json" \
+  > "$out/fixture_v5_resumed.log"
+grep -v '^resumed ' "$out/fixture_v5_resumed.log" | diff "$out/fixture_full.log" - || {
+  echo "FAIL: the v5 fixture journal resumes to a different report than an"
+  echo "uninterrupted run"; exit 1; }
+
+echo "== Checkpoint journal: SIGKILL mid-campaign resumes identically =="
+dune exec bin/once4all_cli.exe -- fuzz --budget 400 --shard-size 10 --jobs 2 \
+  > "$out/j_full.log"
+_build/default/bin/once4all_cli.exe fuzz --budget 400 --shard-size 10 --jobs 2 \
+  --checkpoint "$out/jcp.json" > /dev/null &
+jpid=$!
+# a header and at least four appended entries, then no chance to compact
+while kill -0 "$jpid" 2>/dev/null \
+  && [ "$(cat "$out/jcp.json" 2>/dev/null | wc -l)" -lt 5 ]; do
+  sleep 0.02
+done
+kill -KILL "$jpid" 2>/dev/null || true
+wait "$jpid" 2>/dev/null || true
+[ "$(wc -l < "$out/jcp.json")" -ge 5 ] || {
+  echo "FAIL: the campaign finished before SIGKILL landed on its journal"; exit 1; }
+dune exec bin/once4all_cli.exe -- resume --checkpoint "$out/jcp.json" --jobs 2 \
+  > "$out/j_resumed.log"
+grep -v '^resumed ' "$out/j_resumed.log" | diff "$out/j_full.log" - || {
+  echo "FAIL: resume of a SIGKILLed journal differs from the uninterrupted run"
+  exit 1; }
+
 echo "== Chaos determinism: --chaos all --jobs 4 reproduces --jobs 1 =="
 dune exec bin/once4all_cli.exe -- fuzz --budget 400 --shard-size 100 --jobs 1 \
   --chaos all --chaos-seed 5 --trace-dir "$out/c1" > "$out/chaos1.log"
