@@ -163,6 +163,11 @@ let export ledger =
          if c > 0 then Some (p.identity, c) else None)
   |> List.sort compare
 
+(* only registered points are ever bumped, and counts never go negative,
+   so this is the length of [export] without filtering or sorting *)
+let hit_points ledger =
+  Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 ledger.counts
+
 (* Re-create a point from its identity key (used when a checkpoint written by
    an earlier process is merged before the engines re-registered the point).
    Chaining is not restored: exported counts are already materialized. *)

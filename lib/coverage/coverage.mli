@@ -74,6 +74,10 @@ val export : ledger -> (string * int) list
     identity strings are the ones the registry built when each point was
     registered, shared by every export rather than formatted afresh. *)
 
+val hit_points : ledger -> int
+(** How many points have a non-zero count: [List.length (export l)], counted
+    over the ledger's slots without building the export. *)
+
 val merge_into : into:ledger -> (string * int) list -> unit
 (** Add exported counts into [into]. Identities unknown to the registry are
     re-registered from their key (metadata is encoded in the identity), so a

@@ -113,13 +113,8 @@ let initial_generator ~client theory =
     min 0.95 (difficulty *. profile.Llm_sim.Profile.flaw_scale)
   in
   let runtime_flaws = List.filter (fun _ -> Rng.chance frng flaw_p) (flaw_pool theory) in
-  {
-    Generator.theory;
-    defects = !defects;
-    runtime_flaws;
-    version = 0;
-    profile_name = profile.Llm_sim.Profile.name;
-  }
+  Generator.make ~theory ~defects:!defects ~runtime_flaws ~version:0
+    ~profile_name:profile.Llm_sim.Profile.name
 
 let validate_one ~solvers source =
   let rec try_solvers errors = function
@@ -189,14 +184,14 @@ let repair ~client gen categories iteration =
       | pool -> [ Rng.choose rng pool ])
     else []
   in
-  {
-    gen with
-    Generator.runtime_flaws =
-      O4a_util.Listx.dedup
-        (List.filter fix_runtime gen.Generator.runtime_flaws @ regression);
-    defects = List.filter fix_defect gen.Generator.defects;
-    version = iteration;
-  }
+  (* the runtime flaws' draws come before the defects': the order fixes
+     which repairs succeed *)
+  let runtime_flaws =
+    O4a_util.Listx.dedup (List.filter fix_runtime gen.Generator.runtime_flaws @ regression)
+  in
+  let defects = List.filter fix_defect gen.Generator.defects in
+  Generator.make ~theory:gen.Generator.theory ~defects ~runtime_flaws ~version:iteration
+    ~profile_name:gen.Generator.profile_name
 
 let self_correct ?(max_iter = max_iter) ~client ~solvers gen =
   let tel = Telemetry.global () in

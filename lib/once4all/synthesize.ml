@@ -2,6 +2,7 @@ open Smtlib
 module Rng = O4a_util.Rng
 module Generator = Gensynth.Generator
 module Trace = O4a_trace.Trace
+module Names = Set.Make (String)
 
 (* the adapt stage is deep inside hole-filling, far from any [?telemetry]
    parameter, so it reads the ambient handle *)
@@ -45,10 +46,10 @@ let rename_clashes ~taken term decls =
   (* suffix generated names that clash with seed symbols *)
   List.fold_left
     (fun (term, decls, taken) (name, _sort) ->
-      if List.mem name taken then (
+      if Names.mem name taken then (
         let rec fresh i =
           let candidate = Printf.sprintf "%s_g%d" name i in
-          if List.mem candidate taken then fresh (i + 1) else candidate
+          if Names.mem candidate taken then fresh (i + 1) else candidate
         in
         let name' = fresh 0 in
         let term = Term.rename_var ~old_name:name ~new_name:name' term in
@@ -62,11 +63,10 @@ let rename_clashes ~taken term decls =
               | c -> c)
             decls
         in
-        (term, decls, name' :: taken))
-      else (term, decls, name :: taken))
+        (term, decls, Names.add name' taken))
+      else (term, decls, Names.add name taken))
     (term, decls, taken)
     (decl_vars decls)
-  |> fun (term, decls, taken) -> (term, decls, taken)
 
 let generate_fill ~rng ~swap_prob ~seed_vars ~taken generator =
   match Generator.generate generator ~rng with
@@ -106,36 +106,40 @@ let substitute_raw source fills =
   let marker = "<placeholder>" in
   let buf = Buffer.create (String.length source) in
   let n = String.length source and m = String.length marker in
-  let rec go i idx =
+  let rec marker_at i k = k = m || (source.[i + k] = marker.[k] && marker_at i (k + 1)) in
+  let rec go i fills =
     if i >= n then ()
-    else if i + m <= n && String.sub source i m = marker then (
-      (match List.nth_opt fills idx with
-      | Some (Raw { text; _ }) -> Buffer.add_string buf text
-      | Some (Ast _) | None -> Buffer.add_string buf "true");
-      go (i + m) (idx + 1))
+    else if i + m <= n && marker_at i 0 then (
+      let text, rest =
+        match fills with
+        | Raw { text; _ } :: rest -> (text, rest)
+        | Ast _ :: rest -> ("true", rest)
+        | [] -> ("true", [])
+      in
+      Buffer.add_string buf text;
+      go (i + m) rest)
     else (
       Buffer.add_char buf source.[i];
-      go (i + 1) idx)
+      go (i + 1) fills)
   in
-  go 0 0;
+  go 0 fills;
   Buffer.contents buf
 
 let assemble ~skeleton ~fills =
   let theories_spliced = O4a_util.Listx.dedup (List.map fst fills) in
   let fill_terms = List.map snd fills in
-  (* splice AST fills; leave raw fills as placeholders for the text pass *)
-  let counter = ref (-1) in
+  (* splice AST fills, consumed in placeholder order; leave raw fills as
+     placeholders for the text pass *)
+  let pending = ref fill_terms in
   let script_with_ast =
     Script.map_assertions
       (fun assertion ->
         Term.map_bottom_up
           (fun node ->
-            match node with
-            | Term.Placeholder _ ->
-              incr counter;
-              (match List.nth_opt fill_terms !counter with
-              | Some (Ast { term; _ }) -> term
-              | Some (Raw _) | None -> node)
+            match (node, !pending) with
+            | Term.Placeholder _, fill :: rest -> (
+              pending := rest;
+              match fill with Ast { term; _ } -> term | Raw _ -> node)
             | _ -> node)
           assertion)
       skeleton
@@ -171,7 +175,7 @@ let assemble ~skeleton ~fills =
 
 let fill ?(swap_prob = 0.55) ~rng ~generators ~skeleton ~holes () =
   let seed_vars = Script.declared_consts skeleton in
-  let taken = Script.symbol_names skeleton in
+  let taken = Names.of_list (Script.symbol_names skeleton) in
   let fills_rev, _ =
     List.fold_left
       (fun (fills, taken) hole ->
@@ -222,7 +226,7 @@ let fallback_term_of_sort sort =
 
 let fill_typed ?(swap_prob = 0.55) ~rng ~generators ~skeleton ~hole_sorts () =
   let seed_vars = Script.declared_consts skeleton in
-  let taken = Script.symbol_names skeleton in
+  let taken = Names.of_list (Script.symbol_names skeleton) in
   let fills_rev, _ =
     List.fold_left
       (fun (fills, taken) (hole, sort) ->

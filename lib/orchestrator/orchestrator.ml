@@ -482,7 +482,7 @@ module Merge = struct
           ticks_done = t.tests_done;
           budget = t.budget;
           findings = t.findings_done;
-          coverage_points = List.length (Coverage.export t.ledger);
+          coverage_points = Coverage.hit_points t.ledger;
           cov_rate =
             (* from the merged analytics samples — [None] (rendered as "–")
                until the first sample merges, instead of a stale 0.0 *)

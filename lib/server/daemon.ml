@@ -240,14 +240,20 @@ let fresh_id t name =
 
 (* A terminal job keeps what [jobs], [watch] and [metrics] read: its view
    counters, its backlog file and its checkpoint. Its merge state, its env
-   and its backlog channel go. *)
-let retire job =
+   and its backlog channel go, and every remote worker pool is told to drop
+   its env of the job too. *)
+let retire t job =
   job.merge <- None;
   job.env <- None;
   Option.iter close_out job.backlog;
-  job.backlog <- None
+  job.backlog <- None;
+  List.iter
+    (fun c ->
+      if c.worker <> None && not c.closed then
+        conn_send_json c (Protocol.worker_msg_codec.enc (Protocol.Retire job.id)))
+    t.conns
 
-let finish_job job =
+let finish_job t job =
   let merge = Option.get job.merge in
   let trace_dir =
     if job.spec.Jobspec.trace then Some (Filename.concat job.dir "trace")
@@ -266,7 +272,7 @@ let finish_job job =
       (job.header ^ Render.finish ?trace_dir ~chaos:job.chaos report);
     set_state job Protocol.Done);
   Telemetry.flush job.tel;
-  retire job
+  retire t job
 
 (* Build and register a job from its spec (and, when resuming, the loaded
    checkpoint), then hand its remaining shards to the shared scheduler. The
@@ -339,14 +345,14 @@ let start_job t ~id ~dir ~spec ~base =
     Scheduler.add t.sched ~key:id ~quota:spec.Jobspec.quota remaining)
   else (
     Merge.notify_progress merge;
-    finish_job job);
+    finish_job t job);
   job
 
 (* ------------------------------------------------------------------ *)
 (* Result merging (main domain = single owner for every job's merge)    *)
 (* ------------------------------------------------------------------ *)
 
-let merge_result job shard outcome =
+let merge_result t job shard outcome =
   (* a cancelled job's in-flight shards complete but merge nowhere *)
   if not (Protocol.job_state_terminal job.state) then (
     let merge = Option.get job.merge in
@@ -355,8 +361,8 @@ let merge_result job shard outcome =
       (* checkpoint verify-after-save is the only raiser here *)
       set_state job (Protocol.Failed msg);
       Telemetry.flush job.tel;
-      retire job
-    | () -> if Merge.processed merge >= job.total then finish_job job)
+      retire t job
+    | () -> if Merge.processed merge >= job.total then finish_job t job)
 
 (* ------------------------------------------------------------------ *)
 (* Remote worker pools: leases, dispatch, reassignment                 *)
@@ -516,7 +522,7 @@ let rec dispatch t =
 let absorb_local t r =
   t.local_busy <- t.local_busy - 1;
   dispatch t;
-  Option.iter (fun (job, shard, outcome) -> merge_result job shard outcome) r
+  Option.iter (fun (job, shard, outcome) -> merge_result t job shard outcome) r
 
 let rec take_local t =
   Option.iter (fun r -> absorb_local t r; take_local t) (Pool.try_take t.pool)
@@ -661,7 +667,7 @@ let cancel t id =
       (Lease.drop_job t.leases ~job:id);
     set_state job Protocol.Cancelled;
     Telemetry.flush job.tel;
-    retire job;
+    retire t job;
     Protocol.ok [ ("job", Json.String id) ]
 
 let watch t c id from =
@@ -815,7 +821,7 @@ let handle_request t c = function
                   ("shard", Json.Int g.Lease.shard.Shard.index);
                   ("worker", Json.Int g.Lease.worker);
                 ];
-              merge_result job g.Lease.shard oc)
+              merge_result t job g.Lease.shard oc)
           | _ -> () (* the job settled while the lease was out: stale *)))))
   | Protocol.Shutdown ->
     Log.info (fun m -> m "shutdown requested; draining");

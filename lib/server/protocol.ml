@@ -237,6 +237,7 @@ type worker_msg =
       spec : Jobspec.t;
     }
   | Drain
+  | Retire of string
 
 let worker_msg_to_json = function
   | Grant { lease; job; grant_attempt; shard; spec } ->
@@ -250,12 +251,16 @@ let worker_msg_to_json = function
         ("spec", Jobspec.codec.enc spec);
       ]
   | Drain -> Json.Obj [ ("msg", Json.String "drain") ]
+  | Retire job -> Json.Obj [ ("msg", Json.String "retire"); ("job", Json.String job) ]
 
 let worker_msg_of_json json =
   let open C in
   let* kind = field "msg" string json in
   match kind with
   | "drain" -> Ok Drain
+  | "retire" ->
+    let* job = field "job" string json in
+    Ok (Retire job)
   | "grant" ->
     let* lease = field "lease" int json in
     let* job = field "job" string json in

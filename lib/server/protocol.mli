@@ -124,6 +124,9 @@ type worker_msg =
               generators/seeds/fault plan as the coordinator's own pool *)
     }
   | Drain  (** finish in-flight shards, send their results, disconnect *)
+  | Retire of string
+      (** the job reached a terminal state: drop its campaign env. A worker
+          that never ran the job ignores it *)
 
 val worker_msg_codec : worker_msg O4a_telemetry.Json.Codec.t
 (** Tagged by ["msg"]; a grant's absent ["attempt"] decodes as 0. *)

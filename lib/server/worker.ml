@@ -39,8 +39,9 @@ type state = {
   client : Client.t;
   pool : (int * string option) Orchestrator.Pool.t;
       (* a lease and its result line; [None] when its task skipped the shard *)
-  elock : Mutex.t;  (* guards [envs]; executors build them *)
-  envs : (string, Orchestrator.exec_env) Hashtbl.t;
+  elock : Mutex.t;  (* guards the cells in [envs]; executors fill them *)
+  envs : (string, Orchestrator.exec_env option ref) Hashtbl.t;
+      (* by job, granted and not yet retired; socket thread only *)
   mutable leases : int list;  (* granted, result not yet taken *)
   mutable sent : int;  (* results delivered, for [quit_after] *)
   mutable draining : bool;  (* coordinator said Drain: finish and exit *)
@@ -87,20 +88,32 @@ let result_line ~lease (shard : Shard.t) outcome =
             shard.Shard.index (String.length full) cap)))
 
 (* one env per job: preparing a campaign runs Algorithm 1, so it happens
-   once, not per granted shard *)
-let env_for st ~job spec =
+   once per job, not per granted shard. The socket thread files a job's env
+   cell at its first grant and drops it when the coordinator retires the
+   job, so a worker holds the envs of live jobs only, however many it has
+   served. A task keeps its job's cell: a stale lease that runs after the
+   Retire builds its env into a cell no later grant sees *)
+let env_cell st job =
+  match Hashtbl.find_opt st.envs job with
+  | Some cell -> cell
+  | None ->
+    let cell = ref None in
+    Hashtbl.replace st.envs job cell;
+    cell
+
+let env_of st ~spec cell =
   Mutex.protect st.elock (fun () ->
-      match Hashtbl.find_opt st.envs job with
+      match !cell with
       | Some env -> env
       | None ->
         let env = Jobspec.env spec (Jobspec.prepare spec) in
-        Hashtbl.replace st.envs job env;
+        cell := Some env;
         env)
 
-let execute st ~lease ~job ~spec shard ~worker_id ~zeal ~cove =
+let execute st ~lease ~cell ~spec shard ~worker_id ~zeal ~cove =
   if Atomic.get st.dead then (lease, None)
   else
-    let env = env_for st ~job spec in
+    let env = env_of st ~spec cell in
     let outcome = Orchestrator.exec_shard ~env ~worker_id ~zeal ~cove shard in
     (lease, Some (result_line ~lease shard outcome))
 
@@ -135,7 +148,11 @@ let handle_line st line =
       Log.info (fun m ->
           m "granted lease %d: job %s shard %d" lease job shard.Shard.index);
       st.leases <- lease :: st.leases;
-      Orchestrator.Pool.submit st.pool (execute st ~lease ~job ~spec shard)
+      Orchestrator.Pool.submit st.pool
+        (execute st ~lease ~cell:(env_cell st job) ~spec shard)
+    | Ok (Protocol.Retire job) ->
+      Log.info (fun m -> m "job %s retired; dropping its env" job);
+      Hashtbl.remove st.envs job
     | Ok Protocol.Drain ->
       Log.info (fun m -> m "coordinator draining; finishing in-flight shards");
       st.draining <- true

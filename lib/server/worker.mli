@@ -8,7 +8,10 @@
     the shard the coordinator would have executed itself. The socket thread
     alone reads and writes the connection: results stream back as they
     finish, and heartbeats carry the held lease ids on its timer, so a shard
-    may take longer than the lease timeout without forfeiting it. *)
+    may take longer than the lease timeout without forfeiting it. A job's
+    env is built once, at its first shard, and dropped when the coordinator
+    sends [Retire] for the job, so the worker holds the envs of live jobs
+    only. *)
 
 type config = {
   addr : Addr.t;  (** coordinator endpoint *)

@@ -498,6 +498,41 @@ let test_local_and_remote_slots () =
   check_int "worker drains" 0 (Domain.join w);
   check_int "daemon drains and exits 0" 0 (Domain.join daemon)
 
+(* Three jobs at once through one remote one-slot worker: the scheduler
+   interleaves their shards, so the worker holds three live jobs' envs
+   behind one slot, and every report is still its standalone run's. *)
+let test_more_jobs_than_slots () =
+  let dir = temp_dir () in
+  let cfg = dist_cfg ~dir in
+  let daemon = Domain.spawn (fun () -> Daemon.run cfg) in
+  let port = wait_port (Filename.concat cfg.Daemon.state_dir "tcp.port") in
+  let w = Domain.spawn (fun () -> Worker.run (worker_cfg ~port ~slots:1 ())) in
+  let c = connect_tcp port in
+  let specs =
+    List.map
+      (fun seed ->
+        {
+          (Jobspec.default ~name:(Printf.sprintf "crowd%d" seed)) with
+          Jobspec.seed;
+          budget = 120;
+          shard_size = 20;
+        })
+      [ 3; 5; 7 ]
+  in
+  let ids = List.map (submit_exn c) specs in
+  List.iter2
+    (fun spec id ->
+      check_bool "job completes" true (wait_done c id = Protocol.Done);
+      check_string
+        (spec.Jobspec.name ^ " report byte-identical to standalone --jobs 1")
+        (standalone_text spec)
+        (read_file (Filename.concat (Filename.concat cfg.Daemon.state_dir id) "report.txt")))
+    specs ids;
+  let _ = request_exn c Protocol.Shutdown in
+  Client.close c;
+  check_int "worker drains" 0 (Domain.join w);
+  check_int "daemon drains and exits 0" 0 (Domain.join daemon)
+
 (* A coordinator that grants one shard, then at once sends Drain and hangs
    up, as a coordinator's shutdown does to a worker still running a
    duplicate lease. After Drain a lost connection is the expected end: the
@@ -533,13 +568,75 @@ let test_drain_then_hang_up () =
   close_out oc;
   check_int "the drained worker exits 0" 0 (Domain.join w)
 
+(* A coordinator that grants a job's shard, retires the job, then grants
+   its other shard, as a stale lease can arrive after its job ended. The
+   worker dropped the job's env at the Retire and rebuilds it from the
+   granted spec: both results must be the ones the job's own env gives. *)
+let test_retire_then_grant () =
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 1;
+  let port =
+    match Unix.getsockname lfd with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  let w = Domain.spawn (fun () -> Worker.run (worker_cfg ~port ~slots:1 ())) in
+  let fd, _ = Unix.accept lfd in
+  Unix.close lfd;
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  let send msg =
+    output_string oc (Json.to_string (Protocol.worker_msg_codec.enc msg));
+    output_char oc '\n';
+    flush oc
+  in
+  output_string oc (Json.to_string Protocol.hello ^ "\n");
+  flush oc;
+  let spec =
+    { (Jobspec.default ~name:"retired") with Jobspec.seed = 3; budget = 20; shard_size = 10 }
+  in
+  let env = Jobspec.env spec (Jobspec.prepare spec) in
+  let zeal = Solver.Engine.zeal () and cove = Solver.Engine.cove () in
+  (* a result line's shard record, the part a checkpoint keeps; its
+     telemetry events and metrics carry wall-clock times *)
+  let untimed_line line =
+    let member k j = Option.bind j (Json.member k) in
+    match
+      Json.parse line |> Result.to_option |> member "outcome" |> member "payload"
+      |> member "sr"
+    with
+    | Some sr -> Json.to_string sr
+    | None -> Alcotest.failf "result line without a shard record: %s" line
+  in
+  let expected lease i =
+    untimed_line
+      (Worker.result_line ~lease (shard i)
+         (Orchestrator.exec_shard ~env ~worker_id:0 ~zeal ~cove (shard i)))
+  in
+  (* the next result line; registration and heartbeats are skipped *)
+  let rec result () =
+    let line = input_line ic in
+    match Result.bind (Json.parse line) Protocol.request_codec.dec with
+    | Ok (Protocol.Worker_result _) -> untimed_line line
+    | _ -> result ()
+  in
+  let grant lease i =
+    send (Protocol.Grant { lease; job = "retired"; grant_attempt = 0; shard = shard i; spec });
+    check_string (Printf.sprintf "shard %d's result" i) (expected lease i) (result ())
+  in
+  grant 1 0;
+  send (Protocol.Retire "retired");
+  grant 2 1;
+  send Protocol.Drain;
+  close_out oc;
+  check_int "the worker drains" 0 (Domain.join w)
+
 (* ------------------------- untrusted results ------------------------- *)
 
 (* A hand-driven one-slot pool over TCP. It answers the [n]th grant it
    receives with the result line [answer n ~lease shard] builds, and after
    answering [answers] grants asks the coordinator for its job list: the
    reply proves every result line before it was processed. Then it hangs
-   up, forfeiting whatever it was granted meanwhile. *)
+   up, forfeiting whatever it was granted meanwhile, and returns the jobs
+   the coordinator retired on its connection. *)
 let scripted_worker ~port ~answers ~answer =
   let c = connect_tcp port in
   (match Client.send c (Protocol.Worker_register { slots = 1 }) with
@@ -571,9 +668,14 @@ let scripted_worker ~port ~answers ~answer =
               next_line ()
             | Error _ -> None)))
   in
+  let retired = ref [] in
   let parse line =
     match Json.parse line with
-    | Ok json -> json
+    | Ok json ->
+      (match Protocol.worker_msg_codec.dec json with
+      | Ok (Protocol.Retire job) -> retired := job :: !retired
+      | Ok (Protocol.Grant _ | Protocol.Drain) | Error _ -> ());
+      json
     | Error msg -> Alcotest.failf "unparseable line from coordinator: %s" msg
   in
   let rec serve n =
@@ -587,7 +689,7 @@ let scripted_worker ~port ~answers ~answer =
           | Ok () -> ()
           | Error msg -> Alcotest.failf "scripted worker cannot send: %s" msg);
           serve (n + 1)
-        | Ok Protocol.Drain | Error _ -> serve n)
+        | Ok (Protocol.Drain | Protocol.Retire _) | Error _ -> serve n)
   in
   serve 0;
   ignore (Client.send c Protocol.Jobs);
@@ -597,7 +699,8 @@ let scripted_worker ~port ~answers ~answer =
     | Some json -> if Json.member "jobs" json = None then synced ()
   in
   synced ();
-  Client.close c
+  Client.close c;
+  List.rev !retired
 
 (* Run a budget-20, two-shard job on a coordinator without local workers.
    The scripted pool answers shard 0 correctly and shard 1 with [corrupt]
@@ -645,7 +748,7 @@ let remote_result_rejected ~name ~corrupt =
   in
   let c = connect_tcp port in
   let id = submit_exn c spec in
-  Domain.join scripted;
+  check_bool "a job still running is not retired" true (Domain.join scripted = []);
   (match Atomic.get died with
   | Some e -> Alcotest.failf "the daemon died on a bad remote result: %s" e
   | None -> ());
@@ -676,6 +779,32 @@ let remote_result_rejected ~name ~corrupt =
   let _ = request_exn c Protocol.Shutdown in
   Client.close c;
   check_int "worker drains" 0 (Domain.join w);
+  check_int "daemon drains and exits 0" 0 (Domain.join daemon)
+
+(* A scripted pool runs a whole two-shard job. Its last result finishes
+   the job, so the coordinator retires the job on the pool's connection
+   before it answers the pool's job list. *)
+let test_finished_job_retired () =
+  let dir = temp_dir () in
+  let cfg = dist_cfg ~dir in
+  let daemon = Domain.spawn (fun () -> Daemon.run cfg) in
+  let port = wait_port (Filename.concat cfg.Daemon.state_dir "tcp.port") in
+  let spec =
+    { (Jobspec.default ~name:"finished") with Jobspec.seed = 3; budget = 20; shard_size = 10 }
+  in
+  let env = Jobspec.env spec (Jobspec.prepare spec) in
+  let zeal = Solver.Engine.zeal () and cove = Solver.Engine.cove () in
+  let answer _ ~lease sh =
+    Worker.result_line ~lease sh (Orchestrator.exec_shard ~env ~worker_id:0 ~zeal ~cove sh)
+  in
+  let scripted = Domain.spawn (fun () -> scripted_worker ~port ~answers:2 ~answer) in
+  let c = connect_tcp port in
+  let id = submit_exn c spec in
+  let retired = Domain.join scripted in
+  check_bool "the job completes" true (wait_done c id = Protocol.Done);
+  check_bool "the pool was told to retire the job" true (retired = [ id ]);
+  let _ = request_exn c Protocol.Shutdown in
+  Client.close c;
   check_int "daemon drains and exits 0" 0 (Domain.join daemon)
 
 (* shard 0's outcome, sent for shard 1's lease: merged, it listed shard 0
@@ -735,8 +864,12 @@ let () =
             test_dist_chaos_net;
           Alcotest.test_case "one job on local and remote slots" `Slow
             test_local_and_remote_slots;
+          Alcotest.test_case "more jobs than slots on one remote worker" `Slow
+            test_more_jobs_than_slots;
           Alcotest.test_case "hang-up after Drain exits 0" `Slow
             test_drain_then_hang_up;
+          Alcotest.test_case "a grant after Retire rebuilds the env" `Slow
+            test_retire_then_grant;
         ] );
       ( "untrusted",
         [
@@ -744,5 +877,7 @@ let () =
             test_result_for_another_shard;
           Alcotest.test_case "clashing metrics are requeued" `Slow
             test_result_with_clashing_metrics;
+          Alcotest.test_case "a finished job is retired at its pool" `Slow
+            test_finished_job_retired;
         ] );
     ]

@@ -142,6 +142,10 @@ let test_generate_of_sort_unsupported () =
 
 (* ------------------------- Defect application ------------------------- *)
 
+(* [Generator.perfect theory] with defects or runtime flaws *)
+let flawed ?(defects = []) ?(runtime_flaws = []) theory =
+  Generator.make ~theory ~defects ~runtime_flaws ~version:0 ~profile_name:"perfect"
+
 let test_hallucination_defect () =
   let theory = Theory.find Theory.Seq in
   let base = Generator.effective_cfg (Generator.perfect theory) in
@@ -160,12 +164,10 @@ let test_hallucination_defect () =
     | None -> Alcotest.fail "no seq production"
   in
   let gen =
-    {
-      (Generator.perfect theory) with
-      Generator.defects =
+    flawed theory
+      ~defects:
         [ Flaw.Hallucinate
-            { lhs = "seq"; alt_idx = rev_idx; from_op = "seq.rev"; to_op = "seq.reverse" } ];
-    }
+            { lhs = "seq"; alt_idx = rev_idx; from_op = "seq.rev"; to_op = "seq.reverse" } ]
   in
   let cfg = Generator.effective_cfg gen in
   let text = Cfg.to_string cfg in
@@ -191,12 +193,7 @@ let test_arity_break_defect () =
       |> Option.get
     | None -> Alcotest.fail "no int production"
   in
-  let gen =
-    {
-      (Generator.perfect theory) with
-      Generator.defects = [ Flaw.Arity_break { lhs = "int"; alt_idx = abs_idx } ];
-    }
-  in
+  let gen = flawed theory ~defects:[ Flaw.Arity_break { lhs = "int"; alt_idx = abs_idx } ] in
   let cfg = Generator.effective_cfg gen in
   let p = Option.get (Cfg.find cfg "int") in
   let broken = List.nth p.Cfg.alternatives abs_idx in
@@ -207,12 +204,7 @@ let test_drop_alt_defect () =
   let theory = Theory.find Theory.Core in
   let base = Generator.effective_cfg (Generator.perfect theory) in
   let n_before = List.length (Option.get (Cfg.find base "bool")).Cfg.alternatives in
-  let gen =
-    {
-      (Generator.perfect theory) with
-      Generator.defects = [ Flaw.Drop_alt { lhs = "bool"; alt_idx = 2 } ];
-    }
-  in
+  let gen = flawed theory ~defects:[ Flaw.Drop_alt { lhs = "bool"; alt_idx = 2 } ] in
   let n_after =
     List.length (Option.get (Cfg.find (Generator.effective_cfg gen) "bool")).Cfg.alternatives
   in
@@ -220,18 +212,14 @@ let test_drop_alt_defect () =
 
 let test_unit_join_defect () =
   let theory = Theory.find Theory.Sets in
-  let gen =
-    { (Generator.perfect theory) with Generator.defects = [ Flaw.Unit_join ] }
-  in
+  let gen = flawed theory ~defects:[ Flaw.Unit_join ] in
   let cfg = Generator.effective_cfg gen in
   check_bool "urel production added" true (Cfg.find cfg "urel" <> None);
   check_bool "grammar still validates" true (Cfg.validate cfg = Ok ())
 
 let test_flawed_generator_produces_invalid () =
   let theory = Theory.find Theory.Bitvectors in
-  let gen =
-    { (Generator.perfect theory) with Generator.runtime_flaws = [ Flaw.Width_mismatch ] }
-  in
+  let gen = flawed theory ~runtime_flaws:[ Flaw.Width_mismatch ] in
   let rng = O4a_util.Rng.create 21 in
   let invalid = ref 0 in
   for _ = 1 to 40 do
@@ -250,12 +238,62 @@ let test_is_clean () =
   let theory = Theory.find Theory.Core in
   check_bool "perfect is clean" true (Generator.is_clean (Generator.perfect theory));
   check_bool "omissions stay clean" true
-    (Generator.is_clean
-       { (Generator.perfect theory) with
-         Generator.defects = [ Flaw.Drop_alt { lhs = "bool"; alt_idx = 0 } ] });
+    (Generator.is_clean (flawed theory ~defects:[ Flaw.Drop_alt { lhs = "bool"; alt_idx = 0 } ]));
   check_bool "runtime flaw is dirty" false
-    (Generator.is_clean
-       { (Generator.perfect theory) with Generator.runtime_flaws = [ Flaw.Bad_int_literal ] })
+    (Generator.is_clean (flawed theory ~runtime_flaws:[ Flaw.Bad_int_literal ]))
+
+(* ------------------------- Emissions across builds ------------------------- *)
+
+(* fixtures/generator_emissions.txt, written by the build before generators
+   compiled their grammars: the CLI-default campaign's generators
+   ([Campaign.prepare ~seed:42], gpt4), [emissions_per_generator] [generate]
+   emissions each, then one [generate_of_sort] emission per supported sort,
+   all from one RNG per generator *)
+let emissions_per_generator = 8
+
+let fixture_sorts =
+  let open Smtlib.Sort in
+  [ Bool; Int; Real; String_sort; Reglan; Bitvec 2; Bitvec 3; Bitvec 4;
+    Finite_field 3; Finite_field 5; Finite_field 7; Seq Int; Set Int;
+    Set (Tuple [ Int; Int ]); Bag Int; Array (Int, Int); Datatype "Lst" ]
+
+let add_emission buf (e : Generator.emitted) =
+  List.iter (Printf.bprintf buf "  decl %s\n") e.Generator.decls;
+  Printf.bprintf buf "  term %s\n" e.Generator.term
+
+let emissions_text () =
+  let prepared = Once4all.Campaign.prepare ~seed:42 () in
+  let buf = Buffer.create 65536 in
+  List.iteri
+    (fun i (gen : Generator.t) ->
+      Printf.bprintf buf "generator %s v%d\n" gen.Generator.theory.Theory.key
+        gen.Generator.version;
+      let rng = O4a_util.Rng.create i in
+      for k = 1 to emissions_per_generator do
+        match Generator.generate gen ~rng with
+        | e ->
+          Printf.bprintf buf " generate %d\n" k;
+          add_emission buf e
+        | exception Failure msg -> Printf.bprintf buf " generate %d failed: %s\n" k msg
+      done;
+      List.iter
+        (fun sort ->
+          if Generator.supports_sort gen sort then (
+            let name = Smtlib.Sort.to_string sort in
+            match Generator.generate_of_sort gen ~rng sort with
+            | Some e ->
+              Printf.bprintf buf " of_sort %s\n" name;
+              add_emission buf e
+            | None -> Printf.bprintf buf " of_sort %s: none\n" name))
+        fixture_sorts)
+    prepared.Once4all.Campaign.generators;
+  Buffer.contents buf
+
+let test_emissions_match_fixture () =
+  let expected =
+    In_channel.with_open_bin "fixtures/generator_emissions.txt" In_channel.input_all
+  in
+  Alcotest.(check string) "generator_emissions.txt" expected (emissions_text ())
 
 (* ------------------------- Synthesis (Algorithm 1) ------------------------- *)
 
@@ -342,6 +380,8 @@ let () =
           Alcotest.test_case "flawed output rejected" `Quick
             test_flawed_generator_produces_invalid;
           Alcotest.test_case "is_clean" `Quick test_is_clean;
+          Alcotest.test_case "emissions match the fixture" `Quick
+            test_emissions_match_fixture;
         ] );
       ( "synthesis",
         [

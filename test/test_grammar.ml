@@ -103,7 +103,7 @@ let const_hook name = "<" ^ name ^ ">"
 let test_generation_terminates_and_matches () =
   let rng = O4a_util.Rng.create 5 in
   for _ = 1 to 200 do
-    match Generate.sentence ~cfg:parsed ~hook:const_hook ~rng "bool" with
+    match Generate.run (Generate.compile parsed) ~hook:const_hook ~rng "bool" with
     | Ok s ->
       check_bool "derivable text" true
         (s = "true" || s = "<hook>"
@@ -115,7 +115,7 @@ let test_generation_depth_budget () =
   let rng = O4a_util.Rng.create 5 in
   (* budget 1 cannot expand the recursive alternative *)
   for _ = 1 to 50 do
-    match Generate.sentence ~max_depth:1 ~cfg:parsed ~hook:const_hook ~rng "bool" with
+    match Generate.run ~max_depth:1 (Generate.compile parsed) ~hook:const_hook ~rng "bool" with
     | Ok s -> check_bool "leaf only" true (s = "true" || s = "<hook>")
     | Error msg -> Alcotest.failf "budget generation failed: %s" msg
   done
@@ -123,13 +123,13 @@ let test_generation_depth_budget () =
 let test_generation_unknown_start () =
   let rng = O4a_util.Rng.create 5 in
   check_bool "unknown start" true
-    (Result.is_error (Generate.sentence ~cfg:parsed ~hook:const_hook ~rng "nope"))
+    (Result.is_error (Generate.run (Generate.compile parsed) ~hook:const_hook ~rng "nope"))
 
 let test_generation_reaches_all_alternatives () =
   let rng = O4a_util.Rng.create 17 in
   let seen_not = ref false and seen_hook = ref false and seen_true = ref false in
   for _ = 1 to 300 do
-    match Generate.sentence ~cfg:parsed ~hook:const_hook ~rng "bool" with
+    match Generate.run (Generate.compile parsed) ~hook:const_hook ~rng "bool" with
     | Ok s ->
       if s = "true" then seen_true := true;
       if s = "<hook>" then seen_hook := true;
@@ -142,7 +142,11 @@ let test_generation_reaches_all_alternatives () =
 
 let test_sentences_batch () =
   let rng = O4a_util.Rng.create 23 in
-  let out = Generate.sentences ~cfg:parsed ~hook:const_hook ~rng ~count:25 "bool" in
+  let c = Generate.compile parsed in
+  let out =
+    List.filter_map Result.to_option
+      (List.init 25 (fun _ -> Generate.run c ~hook:const_hook ~rng "bool"))
+  in
   check_int "all produced" 25 (List.length out)
 
 let generation_props =
@@ -155,9 +159,81 @@ let generation_props =
           Ebnf.parse_exn (Theories.Theory.ground_truth_cfg theory.Theories.Theory.id)
         in
         let rng = O4a_util.Rng.create seed in
-        match Generate.sentence ~cfg ~hook:const_hook ~rng cfg.Cfg.start with
+        match Generate.run (Generate.compile cfg) ~hook:const_hook ~rng cfg.Cfg.start with
         | Ok s -> String.length s > 0
         | Error _ -> false);
+  ]
+
+(* ------------------------- Compiled vs list walk ------------------------- *)
+
+(* One derivation's observable behaviour: its result (or the hook's
+   exception), the hook calls in order, and the RNG state after it. The hook
+   draws from the same RNG, as the generators' hooks do, so a draw out of
+   order anywhere shows. *)
+let observe ~seed derive =
+  let rng = O4a_util.Rng.create seed in
+  let calls = ref [] in
+  let hook h =
+    calls := h :: !calls;
+    if h = "boom" then failwith "hook boom raised"
+    else Printf.sprintf "<%s%d>" h (O4a_util.Rng.int rng 3)
+  in
+  let result = match derive ~hook ~rng with r -> Ok r | exception Failure m -> Error m in
+  (result, List.rev !calls, O4a_util.Rng.bits64 rng)
+
+let agrees ~seed ~max_depth cfg start =
+  observe ~seed (fun ~hook ~rng -> Reference.Derive.sentence ~max_depth ~cfg ~hook ~rng start)
+  = observe ~seed (fun ~hook ~rng ->
+        Generate.run ~max_depth (Generate.compile cfg) ~hook ~rng start)
+
+(* small grammars over a..d that may repeat a name, reference the undefined
+   "z", hold empty or unproductive productions, or call the raising hook *)
+let random_cfg =
+  let open QCheck.Gen in
+  let name = map (fun i -> String.make 1 (Char.chr (97 + i))) (int_bound 3) in
+  let symbol =
+    frequency
+      [
+        (3, map (fun i -> Cfg.Lit (string_of_int i)) (int_bound 9));
+        (1, map (fun h -> Cfg.Hook h) (oneofl [ "h"; "k"; "boom" ]));
+        (3, map (fun n -> Cfg.Ref n) name);
+        (1, return (Cfg.Ref "z"));
+      ]
+  in
+  let production =
+    map2
+      (fun lhs alternatives -> { Cfg.lhs; alternatives })
+      name
+      (list_size (int_bound 3) (list_size (int_bound 3) symbol))
+  in
+  map2
+    (fun start productions -> { Cfg.start; productions })
+    (frequency [ (5, name); (1, return "z") ])
+    (list_size (int_range 1 5) production)
+
+let prepared = lazy (Once4all.Campaign.prepare ~seed:42 ()).Once4all.Campaign.generators
+
+let differential_props =
+  [
+    QCheck.Test.make ~name:"compiled = list walk: random grammars" ~count:1000
+      QCheck.(
+        triple (make ~print:Cfg.to_string random_cfg) small_int (int_range 0 10))
+      (fun (cfg, seed, max_depth) -> agrees ~seed ~max_depth cfg cfg.Cfg.start);
+    QCheck.Test.make
+      ~name:"compiled = list walk: theory grammars, with and without defects" ~count:60
+      QCheck.(triple bool small_int (int_range 0 10))
+      (fun (defects, seed, max_depth) ->
+        List.for_all
+          (fun gen ->
+            let cfg =
+              Gensynth.Generator.effective_cfg
+                (if defects then gen
+                 else Gensynth.Generator.perfect gen.Gensynth.Generator.theory)
+            in
+            List.for_all
+              (fun start -> agrees ~seed ~max_depth cfg start)
+              (Cfg.nonterminals cfg))
+          (Lazy.force prepared));
   ]
 
 let () =
@@ -191,4 +267,5 @@ let () =
           Alcotest.test_case "batch" `Quick test_sentences_batch;
         ]
         @ List.map QCheck_alcotest.to_alcotest generation_props );
+      ("compiled", List.map QCheck_alcotest.to_alcotest differential_props);
     ]

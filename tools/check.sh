@@ -412,6 +412,35 @@ for k in 2 3 4; do
     exit 1; }
 done
 
+echo "== Distributed fabric: more jobs than slots on one remote worker =="
+# three jobs at once on one --slots 1 worker: the scheduler interleaves
+# their shards, so the worker holds three live jobs' envs behind one slot,
+# and every report must still be standalone fuzz's
+mstate="$out/many-state"
+"$cli" serve --socket "$out/many.sock" --state-dir "$mstate" --pool 0 \
+  --tcp 127.0.0.1:0 > "$out/mserve.log" 2>&1 &
+mpid=$!
+for _ in $(seq 1 100); do [ -s "$mstate/tcp.port" ] && break; sleep 0.1; done
+maddr="127.0.0.1:$(cat "$mstate/tcp.port")"
+"$cli" worker --connect "$maddr" --slots 1 --connect-timeout 10 \
+  > "$out/mworker.log" 2>&1 &
+mwpid=$!
+for s in 3 5 7; do
+  "$cli" submit --connect "$maddr" --connect-timeout 10 --name "m-$s" --seed "$s" \
+    --budget 300 --shard-size 50 > /dev/null
+done
+for s in 3 5 7; do
+  "$cli" watch --connect "$maddr" "m-$s" > /dev/null
+  "$cli" fuzz --seed "$s" --budget 300 --shard-size 50 > "$out/m-$s.log"
+  diff "$mstate/m-$s/report.txt" "$out/m-$s.log" || {
+    echo "FAIL: job m-$s beside two others on a one-slot worker differs from standalone fuzz"
+    exit 1; }
+done
+"$cli" shutdown --connect "$maddr" > /dev/null
+wait "$mwpid" || {
+  echo "FAIL: one-slot worker exited nonzero on drain"; cat "$out/mworker.log"; exit 1; }
+wait "$mpid" || { echo "FAIL: coordinator exited nonzero"; cat "$out/mserve.log"; exit 1; }
+
 echo "== Checkpoint info: typed diagnostics, exit 2 on unreadable files =="
 if "$cli" checkpoint info "$out/does-not-exist.json" 2> "$out/ci.log"; then
   echo "FAIL: checkpoint info on a missing file exited 0"; exit 1
