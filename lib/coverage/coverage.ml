@@ -112,14 +112,15 @@ type snapshot = {
   funcs_hit : int;
 }
 
-let snapshot ?ledger solver =
-  let l = resolve ledger in
+(* totals over the registered points of [solver]; [hit p] says whether
+   [p] counts as hit *)
+let tally solver hit =
   let init = { lines_total = 0; lines_hit = 0; funcs_total = 0; funcs_hit = 0 } in
   List.fold_left
     (fun acc p ->
       if p.solver <> solver then acc
       else (
-        let hit = count_in l p > 0 in
+        let hit = hit p in
         match p.kind with
         | Line ->
           {
@@ -134,6 +135,10 @@ let snapshot ?ledger solver =
             funcs_hit = (acc.funcs_hit + if hit then 1 else 0);
           }))
     init (points ())
+
+let snapshot ?ledger solver =
+  let l = resolve ledger in
+  tally solver (fun p -> count_in l p > 0)
 
 let pct hit total = if total = 0 then 0. else 100. *. float_of_int hit /. float_of_int total
 
@@ -153,7 +158,7 @@ let hit_point_labels ?ledger solver =
   |> List.sort compare
 
 (* ------------------------------------------------------------------ *)
-(* Export / merge — the deterministic cross-shard combination step     *)
+(* Exports — what a shard hands the merge owner                       *)
 (* ------------------------------------------------------------------ *)
 
 let export ledger =
@@ -163,33 +168,13 @@ let export ledger =
          if c > 0 then Some (p.identity, c) else None)
   |> List.sort compare
 
-(* only registered points are ever bumped, and counts never go negative,
-   so this is the length of [export] without filtering or sorting *)
-let hit_points ledger =
-  Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 ledger.counts
+let snapshot_of_export entries solver =
+  let hit = Hashtbl.create (List.length entries) in
+  List.iter (fun (key, count) -> if count > 0 then Hashtbl.replace hit key ()) entries;
+  tally solver (fun p -> Hashtbl.mem hit p.identity)
 
-(* Re-create a point from its identity key (used when a checkpoint written by
-   an earlier process is merged before the engines re-registered the point).
-   Chaining is not restored: exported counts are already materialized. *)
-let register_identity key =
-  match String.split_on_char '|' key with
-  | [ s; file; func; k; label ] -> (
-    match (tag_of_string s, k) with
-    | Some solver, ("l" | "f") ->
-      let kind = if k = "l" then Line else Function in
-      Some (register ~solver ~file ~func ~kind label)
-    | _ -> None)
-  | _ -> None
-
-let merge_into ~into entries =
-  List.iter
-    (fun (key, count) ->
-      let p =
-        match Mutex.protect reg_mutex (fun () -> Hashtbl.find_opt registry key) with
-        | Some p -> Some p
-        | None -> register_identity key
-      in
-      match p with
-      | Some p when count > 0 -> bump into p count
-      | _ -> ())
-    entries
+let unregistered entries =
+  Mutex.protect reg_mutex (fun () ->
+      List.find_map
+        (fun (key, _) -> if Hashtbl.mem registry key then None else Some key)
+        entries)

@@ -12,10 +12,11 @@
     constructed from any domain. Hit {e counts} live in {!ledger} buffers.
     Every domain has an ambient ledger (initially the shared global one);
     a parallel worker installs a private ledger with {!with_ledger}, runs its
-    shard in isolation, then the owner of the merge stage folds the worker's
-    {!export} into a campaign ledger with {!merge_into}. Because merging sums
-    counts keyed by stable point identities, the merged result is independent
-    of worker count and completion order. *)
+    shard in isolation, and hands its {!export} to the merge owner, which
+    sums exports by identity string outside this module
+    ([Orchestrator.Checkpoint.add]). Because the sum is keyed by stable
+    point identities, the merged result is independent of worker count and
+    completion order, and merging registers no point. *)
 
 type solver_tag = Zeal | Cove
 
@@ -74,15 +75,10 @@ val export : ledger -> (string * int) list
     identity strings are the ones the registry built when each point was
     registered, shared by every export rather than formatted afresh. *)
 
-val hit_points : ledger -> int
-(** How many points have a non-zero count: [List.length (export l)], counted
-    over the ledger's slots without building the export. *)
-
-val merge_into : into:ledger -> (string * int) list -> unit
-(** Add exported counts into [into]. Identities unknown to the registry are
-    re-registered from their key (metadata is encoded in the identity), so a
-    resumed process restores coverage even before the engines rebuild their
-    tables. Merging is commutative and associative. *)
+val unregistered : (string * int) list -> string option
+(** The first identity of an export that the registry does not hold, if
+    any — how a merge owner vets coverage from outside the process. Takes
+    the registry lock once for the whole export. *)
 
 (** {1 Snapshots and reporting} *)
 
@@ -95,6 +91,11 @@ type snapshot = {
 
 val snapshot : ?ledger:ledger -> solver_tag -> snapshot
 (** Current totals for one solver; [ledger] defaults to the ambient one. *)
+
+val snapshot_of_export : (string * int) list -> solver_tag -> snapshot
+(** Totals for one solver over an export: the registered points of that
+    solver, hit when the export gives their identity a positive count.
+    Identities the registry does not hold count nowhere. *)
 
 val line_pct : snapshot -> float
 val func_pct : snapshot -> float

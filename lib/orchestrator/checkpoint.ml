@@ -141,9 +141,103 @@ let version_codec =
 
 let sorted key l = List.sort (fun a b -> compare (key a) (key b)) l
 
+(* ------------------------------------------------------------------ *)
+(* The campaign state                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Health = O4a_health.Health
+module Analytics = O4a_analytics.Analytics
+
+(* fields named apart from [t]'s, whose unqualified labels code below
+   still uses *)
+type state = {
+  s_header : t;
+  s_shards : int;
+  s_listed : (int, string) Hashtbl.t;
+  mutable s_completed : shard_result list;
+  mutable s_quarantined : quarantine list;
+  s_coverage : (string, int) Hashtbl.t;
+  mutable s_health : Health.entry list;
+  mutable s_analytics : Analytics.acc;
+  mutable s_tests : int;
+  mutable s_findings : int;
+}
+
+(* [f] over [l], up to the first error *)
+let each f l = List.fold_left (fun acc x -> Result.bind acc (fun () -> f x)) (Ok ()) l
+
 (* A checkpoint must agree with its own shard plan: resume skips every
    listed shard and sums the listed results, so an index outside the plan
    or listed twice would report ticks the campaign never ran. *)
+let settle s field i =
+  let fail fmt =
+    Printf.ksprintf
+      (fun why -> Error (Printf.sprintf "field %S: shard %d %s" field i why))
+      fmt
+  in
+  if i < 0 || i >= s.s_shards then fail "is outside the plan's %d shards" s.s_shards
+  else
+    match Hashtbl.find_opt s.s_listed i with
+    | Some first when first = field -> fail "is listed twice"
+    | Some first -> fail "is already listed in %S" first
+    | None -> Ok (Hashtbl.add s.s_listed i field)
+
+(* sum counts by identity; a count that is not positive adds nothing *)
+let add_coverage s =
+  List.iter (fun (k, n) ->
+      if n > 0 then
+        Hashtbl.replace s.s_coverage k
+          (n + Option.value (Hashtbl.find_opt s.s_coverage k) ~default:0))
+
+let add_result s r =
+  s.s_completed <- r :: s.s_completed;
+  s.s_tests <- s.s_tests + r.tests;
+  s.s_findings <- s.s_findings + List.length r.findings
+
+let add s = function
+  | Completed m ->
+    Result.map
+      (fun () ->
+        add_result s m.m_result;
+        add_coverage s m.m_coverage;
+        s.s_health <- Health.merge s.s_health m.m_health;
+        s.s_analytics <- Analytics.add s.s_analytics m.m_analytics)
+      (settle s "completed" m.m_result.shard)
+  | Quarantined q ->
+    Result.map
+      (fun () -> s.s_quarantined <- q :: s.s_quarantined)
+      (settle s "quarantined" q.q_shard)
+
+let start t =
+  let s =
+    (* the header keeps no list: [current] replaces them all *)
+    { s_header =
+        { t with completed = []; quarantined = []; coverage = []; health = [];
+                 analytics = Analytics.empty };
+      s_listed = Hashtbl.create 16;
+      s_shards =
+        (if t.budget < 1 || t.shard_size < 1 then 0
+         else ((t.budget - 1) / t.shard_size) + 1);
+      s_completed = []; s_quarantined = t.quarantined;
+      s_coverage = Hashtbl.create 1024; s_health = t.health;
+      s_analytics = Analytics.(add acc_empty t.analytics);
+      s_tests = 0; s_findings = 0 }
+  in
+  List.iter (add_result s) t.completed;
+  add_coverage s t.coverage;
+  Result.map (fun () -> s)
+    (Result.bind (each (fun r -> settle s "completed" r.shard) t.completed)
+       (fun () -> each (fun q -> settle s "quarantined" q.q_shard) t.quarantined))
+
+let current s =
+  { s.s_header with
+    completed = sorted (fun r -> r.shard) s.s_completed;
+    quarantined = sorted (fun q -> q.q_shard) s.s_quarantined;
+    coverage =
+      List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) s.s_coverage []);
+    health = s.s_health;
+    analytics = Analytics.of_acc s.s_analytics }
+
 let validate t =
   let ( let* ) = Result.bind in
   let positive field v =
@@ -152,33 +246,7 @@ let validate t =
   in
   let* () = positive "budget" t.budget in
   let* () = positive "shard_size" t.shard_size in
-  let shards = ((t.budget - 1) / t.shard_size) + 1 in
-  let listed = Hashtbl.create 16 in
-  let place field i =
-    let fail fmt =
-      Printf.ksprintf
-        (fun why -> Error (Printf.sprintf "field %S: shard %d %s" field i why))
-        fmt
-    in
-    if i < 0 || i >= shards then fail "is outside the plan's %d shards" shards
-    else
-      match Hashtbl.find_opt listed i with
-      | Some first when first = field -> fail "is listed twice"
-      | Some first -> fail "is already listed in %S" first
-      | None ->
-        Hashtbl.add listed i field;
-        Ok ()
-  in
-  let place_all field =
-    List.fold_left
-      (fun acc i -> Result.bind acc (fun () -> place field i))
-      (Ok ())
-  in
-  let* () = place_all "completed" (List.map (fun r -> r.shard) t.completed) in
-  let* () =
-    place_all "quarantined" (List.map (fun q -> q.q_shard) t.quarantined)
-  in
-  Ok t
+  Result.map (fun _ -> t) (start t)
 
 (* members added after version 1 are [opt_mem]s whose defaults are the
    ones [version] above lists *)
@@ -247,17 +315,11 @@ let matches ~path ~seed ~budget ~shard_size t =
          path t.seed t.budget t.shard_size seed budget shard_size)
 
 let remaining base plan =
-  match base with
+  match Option.map start base with
   | None -> plan
-  | Some t ->
-    let size =
-      List.fold_left (fun n (s : Shard.t) -> max n (s.Shard.index + 1)) 0 plan
-    in
-    let settled = Array.make size false in
-    let settle i = if i >= 0 && i < size then settled.(i) <- true in
-    List.iter (fun r -> settle r.shard) t.completed;
-    List.iter (fun q -> settle q.q_shard) t.quarantined;
-    List.filter (fun (s : Shard.t) -> not settled.(s.Shard.index)) plan
+  | Some (Error msg) -> invalid_arg ("Checkpoint.remaining: " ^ msg)
+  | Some (Ok s) ->
+    List.filter (fun (sh : Shard.t) -> not (Hashtbl.mem s.s_listed sh.Shard.index)) plan
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)
@@ -336,40 +398,6 @@ let append ~path ~tear entry =
   | exception Sys_error msg -> Error (Io msg)
   | exception Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e))
 
-(* What the entries add to the header, merged as [Orchestrator.Merge.absorb]
-   merges them. Coverage sums by identity without registering points:
-   [Orchestrator.run] loads its base before [Engine.prewarm], and
-   registration order assigns point ids. *)
-let fold_entries header entries =
-  let module Keys = Map.Make (String) in
-  let add_counts m l =
-    List.fold_left
-      (fun m (k, n) -> Keys.update k (fun c -> Some (n + Option.value c ~default:0)) m)
-      m l
-  in
-  let cp, coverage, analytics =
-    List.fold_left
-      (fun (cp, coverage, analytics) -> function
-        | Completed m ->
-          ( { cp with
-              completed = m.m_result :: cp.completed;
-              health = O4a_health.Health.merge cp.health m.m_health },
-            add_counts coverage m.m_coverage,
-            O4a_analytics.Analytics.add analytics m.m_analytics )
-        | Quarantined q ->
-          ({ cp with quarantined = q :: cp.quarantined }, coverage, analytics))
-      ( header,
-        add_counts Keys.empty header.coverage,
-        O4a_analytics.Analytics.(add acc_empty header.analytics) )
-      entries
-  in
-  validate
-    { cp with
-      completed = sorted (fun r -> r.shard) cp.completed;
-      quarantined = sorted (fun q -> q.q_shard) cp.quarantined;
-      coverage = Keys.bindings coverage;
-      analytics = O4a_analytics.Analytics.of_acc analytics }
-
 type info = { i_version : int; i_checkpoint : t }
 
 let inspect ~path =
@@ -412,7 +440,9 @@ let inspect ~path =
       | _ ->
         Result.map_error
           (fun msg -> Invalid ("checkpoint: " ^ msg))
-          (fold_entries header journal)
+          (let* s = start header in
+           let* () = each (add s) journal in
+           Ok (current s))
     in
     Ok { i_version; i_checkpoint })
 

@@ -10,9 +10,11 @@
 
     On disk a checkpoint is a journal (format version 5): its first line is
     the full state ({!save}), and each later line is one {!entry}, what one
-    merged or quarantined shard added ({!append}). {!load} folds the entries
-    into the first line's state; saving the full state again compacts the
-    file back to one line. Files of versions 1-4 are one line. *)
+    merged or quarantined shard added ({!append}). Saving the full state
+    again compacts the file back to one line. Files of versions 1-4 are one
+    line. One fold, {!add} on a {!state}, extends the state both for the
+    merge owner and for {!load}, so a loaded journal equals the live state
+    that wrote it. *)
 
 type shard_result = {
   shard : int;
@@ -95,7 +97,43 @@ val matches :
 
 val remaining : t option -> Shard.t list -> Shard.t list
 (** The shards of a plan that the checkpoint (if any) leaves to run: those
-    neither completed nor quarantined, in plan order. *)
+    neither completed nor quarantined, in plan order. Raises
+    [Invalid_argument] on lists that {!start} refuses. *)
+
+(** {1 The campaign state} *)
+
+(** A checkpoint extended one shard at a time; single-owner, and read-only
+    outside this module. Coverage sums by identity string: no point is
+    registered in {!O4a_coverage.Coverage}'s registry. *)
+type state = private {
+  s_header : t;  (** provenance and artifacts; its lists are empty *)
+  s_shards : int;  (** in the plan *)
+  s_listed : (int, string) Hashtbl.t;
+      (** each settled shard, to the field listing it: sized by the shards
+          listed, not by the plan *)
+  mutable s_completed : shard_result list;  (** in no particular order *)
+  mutable s_quarantined : quarantine list;
+  s_coverage : (string, int) Hashtbl.t;  (** identity -> summed count > 0 *)
+  mutable s_health : O4a_health.Health.entry list;
+  mutable s_analytics : O4a_analytics.Analytics.acc;
+  mutable s_tests : int;  (** of the completed shards *)
+  mutable s_findings : int;
+}
+
+val start : t -> (state, string) result
+(** The checkpoint as a state, or {!codec}'s message for a shard listed
+    outside the plan or twice. *)
+
+val add : state -> entry -> (unit, string) result
+(** Fold one entry in: results and quarantines are listed, coverage counts
+    summed (a count below 1 adds nothing), health and analytics merged. A
+    shard outside the plan or already listed is refused with {!codec}'s
+    message (e.g. [field "completed": shard 1 is listed twice]) and changes
+    nothing. *)
+
+val current : state -> t
+(** The canonical checkpoint (shards by index, coverage by identity), in
+    time linear in the state: for full writes and reports, not per shard. *)
 
 val shard_result_codec : shard_result O4a_telemetry.Json.Codec.t
 (** The per-shard codec on its own: the distributed campaign fabric ships a
@@ -129,15 +167,13 @@ val append : path:string -> tear:bool -> entry -> (unit, load_error) result
     harness's torn write, which the read-back always rejects. *)
 
 val load : path:string -> (t, load_error) result
-(** Decodes the first line, then folds each entry into it in file order
-    with the merges {!Orchestrator.Merge.absorb} uses: results and
-    quarantines are added, coverage counts summed by identity, health and
-    analytics merged. The result is validated like a one-line file, and
-    lists its completed and quarantined shards by index. A last line
-    without its newline, an append that a crash cut short, is dropped: its
-    shard runs again on resume. A torn first line, or a terminated line that
-    does not parse, is [Corrupt] at its file offset; a line that parses but
-    does not decode is [Invalid]. *)
+(** Decodes the first line; when entries follow, {!add}s each in file
+    order to the state {!start}ed from it and returns its {!current}. A
+    last line without its newline, an append that a crash cut short, is
+    dropped: its shard runs again on resume. A torn first line, or a
+    terminated line that does not parse, is [Corrupt] at its file offset; a
+    line that parses but does not decode, or an entry {!add} refuses, is
+    [Invalid]. *)
 
 type info = {
   i_version : int;

@@ -112,14 +112,11 @@ let make_env ?(config = Fuzz.default_config) ?(tel_enabled = false)
   }
 
 type shard_payload = {
-  sr : Checkpoint.shard_result;
+  merged : Checkpoint.merged_shard;
   events : Event.t list;
   metric_entries : Metrics.entry list;
-  cov_export : (string * int) list;
   promoted : Trace.promoted list;
-  health_export : Health.entry list;
   profile_export : Profile.t;
-  analytics_export : Analytics.t;
 }
 
 let run_one_shard ~env ~worker_id ~zeal ~cove shard =
@@ -176,36 +173,41 @@ let run_one_shard ~env ~worker_id ~zeal ~cove shard =
                           ~generators:env.env_generators ~seeds:env.env_seeds
                           ~zeal ~cove ~budget:shard.Shard.ticks)))))
   in
+  let coverage = Coverage.export ledger in
   {
-    sr =
+    merged =
       {
-        Checkpoint.shard = shard.Shard.index;
-        tests = stats.Fuzz.tests;
-        parse_ok = stats.Fuzz.parse_ok;
-        solved = stats.Fuzz.solved;
-        bytes_total = stats.Fuzz.bytes_total;
-        findings = stats.Fuzz.findings;
+        Checkpoint.m_result =
+          {
+            Checkpoint.shard = shard.Shard.index;
+            tests = stats.Fuzz.tests;
+            parse_ok = stats.Fuzz.parse_ok;
+            solved = stats.Fuzz.solved;
+            bytes_total = stats.Fuzz.bytes_total;
+            findings = stats.Fuzz.findings;
+          };
+        m_coverage = coverage;
+        m_health = Health.export hledger;
+        m_analytics =
+          Analytics.export aledger ~bucket:shard.Shard.index
+            ~first_tick:shard.Shard.first_tick ~ticks:shard.Shard.ticks
+            ~tests:stats.Fuzz.tests ~parse_ok:stats.Fuzz.parse_ok
+            ~solved:stats.Fuzz.solved
+            ~findings:(List.length stats.Fuzz.findings)
+            ~cov_points:(List.map fst coverage)
+            ~clusters:
+              (stats.Fuzz.findings
+              |> List.map (fun (f : Dedup.found) ->
+                     Dedup.signature_to_string
+                       (Dedup.signature f.Dedup.finding))
+              |> List.sort_uniq compare);
       };
     events =
       (if env.env_tel_enabled then Sink.events (Telemetry.sink wtel) else []);
     metric_entries =
       (if env.env_tel_enabled then Telemetry.snapshot wtel else []);
-    cov_export = Coverage.export ledger;
     promoted = Trace.Recorder.promoted recorder;
-    health_export = Health.export hledger;
     profile_export = Profile.export pledger;
-    analytics_export =
-      Analytics.export aledger ~bucket:shard.Shard.index
-        ~first_tick:shard.Shard.first_tick ~ticks:shard.Shard.ticks
-        ~tests:stats.Fuzz.tests ~parse_ok:stats.Fuzz.parse_ok
-        ~solved:stats.Fuzz.solved
-        ~findings:(List.length stats.Fuzz.findings)
-        ~cov_points:(List.map fst (Coverage.export ledger))
-        ~clusters:
-          (stats.Fuzz.findings
-          |> List.map (fun (f : Dedup.found) ->
-                 Dedup.signature_to_string (Dedup.signature f.Dedup.finding))
-          |> List.sort_uniq compare);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -305,47 +307,31 @@ let exec_shard ~env ~worker_id ~zeal ~cove shard =
 (* The merge sink                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-campaign merge accumulator with a single owner: whichever domain
-   created it is the only one that may call [absorb]/[finalize]. Worker
-   payloads arrive in completion order; everything merged here is commutative
-   (counters, coverage) or re-canonicalized at [finalize] (findings sorted by
-   shard index), so the final report does not depend on that order — which is
-   what lets the server interleave many campaigns on one pool and still land
-   every one of them on its standalone report. *)
+(* Per-campaign merge owner: whichever domain created it is the only one
+   that may call [absorb]/[finalize]. Worker payloads arrive in completion
+   order; the persisted state is a [Checkpoint.state], whose fold is
+   commutative (counters, coverage, health, analytics) or re-canonicalized
+   by shard index, so the final report does not depend on that order —
+   which is what lets the server interleave many campaigns on one pool and
+   still land every one of them on its standalone report. *)
 module Merge = struct
   type t = {
     env : exec_env;
     tel : Telemetry.t;
     checkpoint_path : string option;
     on_progress : (Hud.progress -> unit) option;
-    budget : int;
-    shard_size : int;
-    extra : (string * string) list;
-    plan_total : int;
-    base_completed : int;
-    ledger : Coverage.ledger;
-    mutable completed : Checkpoint.shard_result list;
-    mutable quarantined : Checkpoint.quarantine list;
-    mutable health : Health.entry list;
+    resumed : int;  (* completed shards taken from the base checkpoint *)
+    state : Checkpoint.state;
     mutable profile : Profile.t;
-    mutable analytics : Analytics.acc;
-    (* plateau detection state: [accounted.(i)] is true once shard [i] is
-       merged or quarantined (or came in via the base checkpoint), [settled]
-       is the length of the contiguous accounted prefix, and [tracker] has
-       been fed that prefix's samples. Detection only ever sees samples
-       inside the prefix, so the event stream is a pure function of merged
-       content — independent of shard completion order and therefore of
-       [--jobs]. *)
-    accounted : bool array;
+    (* plateau detection: [settled] is the length of the contiguous prefix
+       of shards the state lists, and [tracker] has been fed that prefix's
+       samples. Detection only ever sees samples inside the prefix, so the
+       event stream is a pure function of merged content — independent of
+       shard completion order and therefore of [--jobs]. *)
     mutable settled : int;
     tracker : Analytics.tracker;
-    (* running totals behind [notify_progress]: completed and quarantined
-       shards, merged tests and findings, and the distinct coverage points
-       and planned ticks of every merged analytics sample *)
-    mutable n_completed : int;
-    mutable n_quarantined : int;
-    mutable tests_done : int;
-    mutable findings_done : int;
+    (* the distinct coverage points and planned ticks of every merged
+       analytics sample, behind the progress HUD's coverage rate *)
     sample_cov : (string, unit) Hashtbl.t;
     mutable sample_ticks : int;
     (* [None] until this merge writes the full state to [checkpoint_path],
@@ -359,10 +345,6 @@ module Merge = struct
     t_start : float;
   }
 
-  let count_result t (r : Checkpoint.shard_result) =
-    t.tests_done <- t.tests_done + r.Checkpoint.tests;
-    t.findings_done <- t.findings_done + List.length r.Checkpoint.findings
-
   (* each bucket merges once, so its planned ticks are counted once *)
   let count_samples t (a : Analytics.t) =
     List.iter
@@ -373,15 +355,46 @@ module Merge = struct
           s.Analytics.cov_points)
       a.Analytics.samples
 
+  (* Advance the settled cursor past shards the state lists and feed the
+     samples it passes to the plateau tracker. Detection is positional and
+     monotone (see {!Analytics.plateaus}), so the first plateau a prefix
+     exhibits is the one the full series reports — announcing what this
+     returns is safe and happens exactly once per series, at a point
+     determined by shard *indices*, not completion order. *)
+  let advance_prefix t =
+    let fresh = ref [] in
+    while
+      t.settled < t.state.Checkpoint.s_shards
+      && Hashtbl.mem t.state.Checkpoint.s_listed t.settled
+    do
+      Option.iter
+        (fun s -> fresh := s :: !fresh)
+        (Analytics.sample t.state.Checkpoint.s_analytics t.settled);
+      t.settled <- t.settled + 1
+    done;
+    Analytics.advance t.tracker (List.rev !fresh)
+
   let create ~env ~tel ?checkpoint_path ?base ?on_progress ~jobs ~budget
       ~shard_size ~extra () =
-    let plan = Shard.plan ~budget ~shard_size in
-    let base_completed =
-      match base with Some cp -> cp.Checkpoint.completed | None -> []
+    let artifacts =
+      { Checkpoint.a_telemetry = env.env_tel_enabled; a_trace = env.env_tracing;
+        a_analytics = true }
     in
-    let base_quarantined =
-      match base with Some cp -> cp.Checkpoint.quarantined | None -> []
+    let fresh =
+      { Checkpoint.seed = 0; budget; shard_size; extra; completed = [];
+        quarantined = []; coverage = []; health = [];
+        analytics = Analytics.empty; artifacts }
     in
+    let header =
+      { (Option.value base ~default:fresh) with
+        Checkpoint.seed = env.env_seed; budget; shard_size; extra; artifacts }
+    in
+    let state =
+      match Checkpoint.start header with
+      | Ok state -> state
+      | Error msg -> invalid_arg ("Merge.create: " ^ msg)
+    in
+    let resumed = List.length header.Checkpoint.completed in
     Telemetry.emit tel "campaign.start"
       [
         ("budget", Json.Int budget);
@@ -390,66 +403,20 @@ module Merge = struct
         ("skeletons", Json.Bool env.env_config.Fuzz.use_skeletons);
         ("jobs", Json.Int jobs);
         ("shard_size", Json.Int shard_size);
-        ("shards", Json.Int (List.length plan));
-        ("resumed_shards", Json.Int (List.length base_completed));
+        ("shards", Json.Int state.Checkpoint.s_shards);
+        ("resumed_shards", Json.Int resumed);
       ];
-    let ledger = Coverage.make_ledger () in
-    (match base with
-    | Some cp -> Coverage.merge_into ~into:ledger cp.Checkpoint.coverage
-    | None -> ());
-    let base_analytics =
-      match base with
-      | Some cp -> cp.Checkpoint.analytics
-      | None -> Analytics.empty
-    in
-    let accounted = Array.make (List.length plan) false in
-    List.iter
-      (fun (r : Checkpoint.shard_result) ->
-        if r.Checkpoint.shard < Array.length accounted then
-          accounted.(r.Checkpoint.shard) <- true)
-      base_completed;
-    List.iter
-      (fun (q : Checkpoint.quarantine) ->
-        if q.Checkpoint.q_shard < Array.length accounted then
-          accounted.(q.Checkpoint.q_shard) <- true)
-      base_quarantined;
-    let settled = ref 0 in
-    while !settled < Array.length accounted && accounted.(!settled) do
-      incr settled
-    done;
-    (* plateaus already visible in the resumed prefix were announced by the
-       run that wrote the checkpoint; feed that prefix silently so a resumed
-       campaign only emits events for plateaus it discovers itself *)
-    let tracker = Analytics.tracker ~window:Analytics.default_window in
-    ignore
-      (Analytics.advance tracker
-         (List.filter
-            (fun (s : Analytics.sample) -> s.Analytics.bucket < !settled)
-            base_analytics.Analytics.samples));
     let t =
       {
         env;
         tel;
         checkpoint_path;
         on_progress;
-        budget;
-        shard_size;
-        extra;
-        plan_total = List.length plan;
-        base_completed = List.length base_completed;
-        ledger;
-        completed = base_completed;
-        quarantined = base_quarantined;
-        health = (match base with Some cp -> cp.Checkpoint.health | None -> []);
+        resumed;
+        state;
         profile = Profile.empty;
-        analytics = Analytics.add Analytics.acc_empty base_analytics;
-        accounted;
-        settled = !settled;
-        tracker;
-        n_completed = List.length base_completed;
-        n_quarantined = List.length base_quarantined;
-        tests_done = 0;
-        findings_done = 0;
+        settled = 0;
+        tracker = Analytics.tracker ~window:Analytics.default_window;
         sample_cov = Hashtbl.create 1024;
         sample_ticks = 0;
         journal = None;
@@ -461,13 +428,16 @@ module Merge = struct
         t_start = Unix.gettimeofday ();
       }
     in
-    List.iter (count_result t) base_completed;
-    count_samples t base_analytics;
+    count_samples t header.Checkpoint.analytics;
+    (* plateaus already visible in the resumed prefix were announced by the
+       run that wrote the checkpoint; feed that prefix silently so a resumed
+       campaign only emits events for plateaus it discovers itself *)
+    ignore (advance_prefix t);
     t
 
   let processed t = t.processed
   let failed t = t.errors <> []
-  let analytics_snapshot t = Analytics.of_acc t.analytics
+  let analytics_snapshot t = Analytics.of_acc t.state.Checkpoint.s_analytics
 
   (* merge-time progress snapshot for the HUD callback: a pure function of
      already-merged state, so observing it cannot perturb the campaign *)
@@ -475,14 +445,15 @@ module Merge = struct
     match t.on_progress with
     | None -> ()
     | Some f ->
+      let st = t.state in
       f
         {
-          Hud.shards_done = t.n_completed + t.n_quarantined;
-          shards_total = t.plan_total;
-          ticks_done = t.tests_done;
-          budget = t.budget;
-          findings = t.findings_done;
-          coverage_points = Coverage.hit_points t.ledger;
+          Hud.shards_done = Hashtbl.length st.Checkpoint.s_listed;
+          shards_total = st.Checkpoint.s_shards;
+          ticks_done = st.Checkpoint.s_tests;
+          budget = st.Checkpoint.s_header.Checkpoint.budget;
+          findings = st.Checkpoint.s_findings;
+          coverage_points = Hashtbl.length st.Checkpoint.s_coverage;
           cov_rate =
             (* from the merged analytics samples — [None] (rendered as "–")
                until the first sample merges, instead of a stale 0.0 *)
@@ -492,43 +463,28 @@ module Merge = struct
                  *. float_of_int (Hashtbl.length t.sample_cov)
                  /. float_of_int t.sample_ticks)
              else None);
-          quarantined = t.n_quarantined;
+          quarantined = List.length st.Checkpoint.s_quarantined;
           breaker_trips =
             List.fold_left
               (fun acc (e : Health.entry) -> acc + e.Health.opened)
-              0 t.health;
+              0 st.Checkpoint.s_health;
           elapsed_s = Unix.gettimeofday () -. t.t_start;
         }
 
-  let current_checkpoint t =
-    {
-      Checkpoint.seed = t.env.env_seed;
-      budget = t.budget;
-      shard_size = t.shard_size;
-      extra = t.extra;
-      completed = t.completed;
-      quarantined = t.quarantined;
-      coverage = Coverage.export t.ledger;
-      health = t.health;
-      analytics = Analytics.of_acc t.analytics;
-      artifacts =
-        {
-          Checkpoint.a_telemetry = t.env.env_tel_enabled;
-          a_trace = t.env.env_tracing;
-          a_analytics = true;
-        };
-    }
-
-  (* The full state, atomically, as a one-line file: before any shard runs
-     (so a signal that lands in the campaign's first seconds still leaves a
-     resumable file behind), on drain, and to compact the journal. It
-     bypasses the chaos tear site, which is keyed to merged shards. *)
-  let checkpoint_now t =
+  (* [cp], the state's current checkpoint, atomically, as a one-line file *)
+  let write_full t cp =
     match t.checkpoint_path with
     | None -> ()
     | Some path ->
-      Checkpoint.save ~path (current_checkpoint t);
+      Checkpoint.save ~path cp;
       t.journal <- Some 0
+
+  (* The full state: before any shard runs (so a signal that lands in the
+     campaign's first seconds still leaves a resumable file behind), on
+     drain, and to compact the journal. It bypasses the chaos tear site,
+     which is keyed to merged shards. *)
+  let checkpoint_now t =
+    if t.checkpoint_path <> None then write_full t (Checkpoint.current t.state)
 
   (* Supervised append of one shard's entry: the Checkpoint_corrupt site
      tears it (half the line), the read-back verify detects that and the
@@ -536,10 +492,12 @@ module Merge = struct
      shard faults, and per-(shard, attempt) deterministic, so the injected
      count is identical at any --jobs N. *)
   let journal_append t ~after_shard entry =
-    match t.checkpoint_path with
-    | None -> ()
-    | Some path ->
-      if t.journal = None then checkpoint_now t;
+    match (t.checkpoint_path, t.journal) with
+    | None, _ -> ()
+    | Some _, None ->
+      (* nothing written yet: the full state already holds the entry *)
+      checkpoint_now t
+    | Some path, Some _ ->
       let rec attempt_append attempt =
         let tear =
           attempt < Faults.max_retries
@@ -605,24 +563,7 @@ module Merge = struct
             ]))
       logs
 
-  (* Advance the settled cursor past newly accounted shards and feed the
-     samples it passes to the plateau tracker. Detection is positional and
-     monotone (see {!Analytics.plateaus}), so the first plateau a prefix
-     exhibits is the one the full series reports — emitting here is safe and
-     happens exactly once per series, at a point determined by shard
-     *indices*, not completion order. *)
-  let settle_and_detect t shard_idx =
-    if shard_idx < Array.length t.accounted then
-      t.accounted.(shard_idx) <- true;
-    let fresh = ref [] in
-    while
-      t.settled < Array.length t.accounted && t.accounted.(t.settled)
-    do
-      Option.iter
-        (fun s -> fresh := s :: !fresh)
-        (Analytics.sample t.analytics t.settled);
-      t.settled <- t.settled + 1
-    done;
+  let announce_plateaus t =
     List.iter
       (fun (pl : Analytics.plateau) ->
         Telemetry.emit t.tel Analytics.plateau_event_name
@@ -637,19 +578,25 @@ module Merge = struct
             m "%s plateaued at tick %d (%d after %d-shard window)"
               pl.Analytics.pl_series pl.Analytics.pl_tick
               pl.Analytics.pl_value pl.Analytics.pl_window))
-      (Analytics.advance t.tracker (List.rev !fresh))
+      (advance_prefix t)
+
+  (* fold one shard into the state before anything of its outcome is
+     forwarded or written: a shard the state already lists is refused *)
+  let settle t entry =
+    match Checkpoint.add t.state entry with
+    | Ok () -> ()
+    | Error msg -> failwith ("Merge.absorb: " ^ msg)
 
   let absorb t shard outcome =
-    t.processed <- t.processed + 1;
-    (match (shard, outcome) with
-    | shard, Failed msg -> t.errors <- (shard.Shard.index, msg) :: t.errors
-    | shard, Quarantined logs ->
-      let shard_idx = shard.Shard.index in
+    let shard_idx = shard.Shard.index in
+    (match outcome with
+    | Failed msg -> t.errors <- (shard_idx, msg) :: t.errors
+    | Quarantined logs ->
+      let q = quarantine_of_logs shard logs in
+      let entry = Checkpoint.Quarantined q in
+      settle t entry;
       emit_attempt_faults t shard_idx logs;
       emit_retries t shard_idx logs ~quarantining:true;
-      let q = quarantine_of_logs shard logs in
-      t.quarantined <- q :: t.quarantined;
-      t.n_quarantined <- t.n_quarantined + 1;
       Telemetry.emit t.tel "shard.quarantined"
         [
           ("shard", Json.Int shard_idx);
@@ -660,14 +607,15 @@ module Merge = struct
             Json.List (List.map (fun s -> Json.String s) q.Checkpoint.q_sites)
           );
         ];
-      settle_and_detect t shard_idx;
-      journal_append t ~after_shard:shard_idx (Checkpoint.Quarantined q);
+      announce_plateaus t;
+      journal_append t ~after_shard:shard_idx entry;
       Log.warn (fun m ->
           m "shard %d quarantined after %d attempts (sites: %s)" shard_idx
             q.Checkpoint.q_attempts
             (String.concat " " q.Checkpoint.q_sites))
-    | shard, Merged (payload, logs, merged_fired) ->
-      let shard_idx = shard.Shard.index in
+    | Merged (payload, logs, merged_fired) ->
+      let entry = Checkpoint.Completed payload.merged in
+      settle t entry;
       (* the merged attempt's own non-tainting faults (sick-solver hangs)
          count as injected too; its attempt index is one past the tainted
          attempts that preceded it *)
@@ -684,57 +632,58 @@ module Merge = struct
                (e.Event.fields @ [ ("shard", Json.Int shard_idx) ])))
         payload.events;
       Telemetry.absorb_metrics t.tel payload.metric_entries;
-      Coverage.merge_into ~into:t.ledger payload.cov_export;
-      t.health <- Health.merge t.health payload.health_export;
       t.profile <- Profile.merge t.profile payload.profile_export;
-      t.analytics <- Analytics.add t.analytics payload.analytics_export;
-      t.completed <- payload.sr :: t.completed;
-      t.n_completed <- t.n_completed + 1;
-      count_result t payload.sr;
-      count_samples t payload.analytics_export;
+      count_samples t payload.merged.Checkpoint.m_analytics;
       if payload.promoted <> [] then
         t.promoted_by_shard <-
           (shard_idx, payload.promoted) :: t.promoted_by_shard;
-      settle_and_detect t shard_idx;
-      journal_append t ~after_shard:shard_idx
-        (Checkpoint.Completed
-           {
-             Checkpoint.m_result = payload.sr;
-             m_coverage = payload.cov_export;
-             m_health = payload.health_export;
-             m_analytics = payload.analytics_export;
-           });
+      announce_plateaus t;
+      journal_append t ~after_shard:shard_idx entry;
       Log.debug (fun m ->
-          m "shard %d merged (%d/%d done)" shard_idx t.n_completed t.plan_total));
+          m "shard %d merged (%d/%d done)" shard_idx
+            (List.length t.state.Checkpoint.s_completed)
+            t.state.Checkpoint.s_shards));
+    t.processed <- t.processed + 1;
     notify_progress t
 
-  let check t (shard : Shard.t) = function
+  let check t (shard : Shard.t) outcome =
+    let index = shard.Shard.index in
+    match outcome with
     | Merged (p, _, _) ->
-      let index = shard.Shard.index in
+      let m = p.merged in
       let buckets =
         List.map (fun (s : Analytics.sample) -> s.Analytics.bucket)
-          p.analytics_export.Analytics.samples
+          m.Checkpoint.m_analytics.Analytics.samples
       in
-      if List.exists (( <> ) index) (p.sr.Checkpoint.shard :: buckets) then
-        Error (Printf.sprintf "the result does not describe shard %d" index)
-      else Metrics.fits (Telemetry.metrics t.tel) p.metric_entries
+      if
+        List.exists (( <> ) index)
+          (m.Checkpoint.m_result.Checkpoint.shard :: buckets)
+      then Error (Printf.sprintf "the result does not describe shard %d" index)
+      else if List.exists (fun (_, n) -> n <= 0) m.Checkpoint.m_coverage then
+        Error "the result's coverage has a count that is not positive"
+      else (
+        match Coverage.unregistered m.Checkpoint.m_coverage with
+        | Some id ->
+          Error (Printf.sprintf "the result's coverage names no point here: %S" id)
+        | None -> Metrics.fits (Telemetry.metrics t.tel) p.metric_entries)
+    | Quarantined _ when t.env.env_chaos = None ->
+      (* only injected faults quarantine a shard *)
+      Error
+        (Printf.sprintf "shard %d was quarantined, but the job injects no faults"
+           index)
     | Quarantined _ | Failed _ -> Ok ()
 
   let finalize ?trace_dir ~interrupted ~stopped t =
-    (* compaction: fold the journal back into one canonical document *)
-    if Option.value t.journal ~default:0 > 0 then checkpoint_now t;
+    let cp = Checkpoint.current t.state in
+    (* compaction: the journal back into one canonical document *)
+    if Option.value t.journal ~default:0 > 0 then write_full t cp;
     (match List.sort compare t.errors with
     | (idx, msg) :: _ ->
       failwith (Printf.sprintf "Orchestrator.run: shard %d failed: %s" idx msg)
     | [] -> ());
     (* canonical order: shard index, i.e. campaign tick order — the merged
        finding stream a sequential run over the same plan would produce *)
-    let all_results =
-      List.sort
-        (fun (a : Checkpoint.shard_result) b ->
-          compare a.Checkpoint.shard b.Checkpoint.shard)
-        t.completed
-    in
+    let all_results = cp.Checkpoint.completed in
     let findings =
       List.concat_map
         (fun (r : Checkpoint.shard_result) -> r.Checkpoint.findings)
@@ -778,13 +727,8 @@ module Merge = struct
         List.length promoted
     in
     (* canonical quarantine order, like the findings: shard index *)
-    let quarantined =
-      List.sort
-        (fun (a : Checkpoint.quarantine) b ->
-          compare a.Checkpoint.q_shard b.Checkpoint.q_shard)
-        t.quarantined
-    in
-    let analytics = Analytics.of_acc t.analytics in
+    let quarantined = cp.Checkpoint.quarantined in
+    let analytics = cp.Checkpoint.analytics in
     Telemetry.emit t.tel "campaign.end"
       (Fuzz.stats_fields stats
       @
@@ -793,26 +737,27 @@ module Merge = struct
     Log.info (fun m ->
         m "campaign merged: %d shards (%d resumed, %d quarantined), %d tests, \
            %d findings, %d distinct bugs"
-          (List.length all_results) t.base_completed (List.length quarantined)
+          (List.length all_results) t.resumed (List.length quarantined)
           stats.Fuzz.tests (List.length findings)
           (List.length found_bug_ids));
+    let coverage = cp.Checkpoint.coverage in
     {
       stats;
       clusters;
       found_bug_ids;
-      coverage = Coverage.export t.ledger;
-      coverage_zeal = Coverage.snapshot ~ledger:t.ledger Coverage.Zeal;
-      coverage_cove = Coverage.snapshot ~ledger:t.ledger Coverage.Cove;
-      shards_total = t.plan_total;
+      coverage;
+      coverage_zeal = Coverage.snapshot_of_export coverage Coverage.Zeal;
+      coverage_cove = Coverage.snapshot_of_export coverage Coverage.Cove;
+      shards_total = t.state.Checkpoint.s_shards;
       shards_run = t.processed - List.length t.errors;
-      shards_resumed = t.base_completed;
+      shards_resumed = t.resumed;
       interrupted;
       promoted;
       bundles_written;
       quarantined;
       shard_retries = t.shard_retries;
       faults_injected = t.faults_injected;
-      health = t.health;
+      health = cp.Checkpoint.health;
       profile = t.profile;
       analytics;
       plateaus = Analytics.plateaus analytics;
@@ -857,8 +802,8 @@ let run ?(jobs = 1) ?(shard_size = default_shard_size)
     | None -> remaining
   in
   let interrupted = List.length to_run < List.length remaining in
-  (* populate the coverage point tables before any worker races to use them,
-     and so that checkpoint merges resolve ids against a full registry *)
+  (* populate the coverage point tables before any worker races to use
+     them, and so that the report's percentages count every point *)
   Engine.prewarm ();
   (* yield attribution labels rows with the generator profile; the CLI
      records it in the provenance extras, which resume restores — so the

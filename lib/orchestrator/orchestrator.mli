@@ -119,16 +119,14 @@ val make_env :
 
 (** Everything one clean shard execution hands the merge owner. Concrete so
     the campaign server's wire layer can ship it between hosts — a remote
-    worker's payload must absorb exactly like a local one. *)
+    worker's payload must absorb exactly like a local one. [merged] is the
+    journal entry {!Merge.absorb} folds into the state and appends. *)
 type shard_payload = {
-  sr : Checkpoint.shard_result;
+  merged : Checkpoint.merged_shard;
   events : O4a_telemetry.Event.t list;
   metric_entries : O4a_telemetry.Metrics.entry list;
-  cov_export : (string * int) list;
   promoted : O4a_trace.Trace.promoted list;
-  health_export : O4a_health.Health.entry list;
   profile_export : O4a_profile.Profile.t;
-  analytics_export : O4a_analytics.Analytics.t;
 }
 
 type attempt_log = { attempt : int; fired : O4a_faults.Faults.site list }
@@ -162,10 +160,9 @@ val exec_shard :
 
 (** The per-campaign merge accumulator: single-owner, order-independent.
     Whichever domain creates a [Merge.t] is the only one that may touch it;
-    worker outcomes arrive in completion order, and everything absorbed is
-    either commutative (counters, coverage, health) or re-canonicalized by
-    shard index in {!Merge.finalize}, so the report never depends on
-    interleaving. *)
+    worker outcomes arrive in completion order, and its persisted state, a
+    {!Checkpoint.state}, folds them commutatively or re-canonicalizes by
+    shard index, so the report never depends on interleaving. *)
 module Merge : sig
   type t
 
@@ -182,28 +179,30 @@ module Merge : sig
     unit ->
     t
   (** Emits the [campaign.start] event (call {!Solver.Engine.prewarm}
-      first). [base] seeds the accumulator with a resumed checkpoint's
-      completed/quarantined shards and coverage; [jobs] is provenance for
-      the start event only. *)
+      first). The state starts from [base], a resumed checkpoint
+      ([Invalid_argument] if {!Checkpoint.start} refuses it); [jobs] is
+      provenance for the start event only. *)
 
   val absorb : t -> Shard.t -> shard_outcome -> unit
-  (** Merge one outcome: forward its worker events (tagged with the shard),
-      fold its counters/coverage/health/profile/analytics, record
-      quarantines, run plateau detection over the contiguous settled shard
-      prefix (emitting ["analytics.plateau"] at most once per series, at a
-      point independent of completion order), then append the shard's
-      {!Checkpoint.entry} to the checkpoint journal (chaos may tear the
-      append — it is verified and retried) and fire the progress callback.
-      Its cost is the shard's, not the campaign's. Raises [Failure] when
-      the append cannot be verified. Owner domain only. *)
+  (** Merge one outcome: {!Checkpoint.add} its entry, forward its worker
+      events (tagged with the shard), fold its metrics and profile, run
+      plateau detection over the contiguous settled shard prefix (emitting
+      ["analytics.plateau"] at most once per series, at a point independent
+      of completion order), then append the same entry to the checkpoint
+      journal (chaos may tear the append — it is verified and retried) and
+      fire the progress callback. Its cost is the shard's, not the
+      campaign's. Raises [Failure] when the state already lists the shard
+      (before anything is forwarded or appended) or the append cannot be
+      verified. Owner domain only. *)
 
   val check : t -> Shard.t -> shard_outcome -> (unit, string) result
   (** Vet an outcome from outside the process (a remote worker's result)
       before absorbing it for [shard]: a [Merged] payload's shard result
-      and analytics buckets must name [shard], and its metric entries must
-      fit the campaign's registry ({!O4a_telemetry.Metrics.fits}). Changes
-      nothing; {!absorb} does not raise on an outcome that passes. Owner
-      domain only. *)
+      and analytics buckets must name [shard], its coverage must hold
+      positive counts of registered points, and its metric entries must fit
+      the campaign's registry ({!O4a_telemetry.Metrics.fits}); a
+      [Quarantined] one needs a chaos plan. Changes nothing. Owner domain
+      only. *)
 
   val analytics_snapshot : t -> O4a_analytics.Analytics.t
   (** The series merged so far — the live [metrics] exposition reads this

@@ -10,23 +10,24 @@ module O = Orchestrator
    and can never drift from the formats it reuses. *)
 
 let payload_codec =
+  let module Cp = O.Checkpoint in
   C.(
     obj
-      (fun sr events metric_entries cov_export promoted health_export
-           profile_export analytics_export ->
-        { O.sr; events; metric_entries; cov_export; promoted; health_export;
-          profile_export; analytics_export })
-    |> mem "sr" O.Checkpoint.shard_result_codec (fun p -> p.O.sr)
+      (fun m_result events metric_entries m_coverage promoted m_health
+           profile_export m_analytics ->
+        { O.merged = { Cp.m_result; m_coverage; m_health; m_analytics };
+          events; metric_entries; promoted; profile_export })
+    |> mem "sr" Cp.shard_result_codec (fun p -> p.O.merged.Cp.m_result)
     |> mem "events" (list O4a_telemetry.Event.codec) (fun p -> p.O.events)
     |> mem "metrics" (list O4a_telemetry.Metrics.entry_codec) (fun p ->
            p.O.metric_entries)
-    |> mem "coverage" (assoc int) (fun p -> p.O.cov_export)
+    |> mem "coverage" (assoc int) (fun p -> p.O.merged.Cp.m_coverage)
     |> mem "promoted" (list O4a_trace.Trace.promoted_codec) (fun p -> p.O.promoted)
     |> mem "health" (list O4a_health.Health.entry_codec) (fun p ->
-           p.O.health_export)
+           p.O.merged.Cp.m_health)
     |> mem "profile" O4a_profile.Profile.codec (fun p -> p.O.profile_export)
     |> mem "analytics" O4a_analytics.Analytics.codec (fun p ->
-           p.O.analytics_export)
+           p.O.merged.Cp.m_analytics)
     |> finish)
 
 let sites =

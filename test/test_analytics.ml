@@ -278,16 +278,20 @@ let plateau_events sink =
     (Sink.events sink)
 
 let test_plateau_events_deterministic () =
-  (* 15 narrow shards so the coverage curve has room to flatten; the emitted
-     event stream must not depend on shard completion order *)
+  (* 60 narrow shards so both curves flatten (clusters by tick 110,
+     coverage by tick 250); the emitted event stream must not depend on
+     shard completion order *)
   let observe jobs =
     let sink = Sink.memory () in
     let tel = Telemetry.create ~sink () in
-    let r = run ~jobs ~telemetry:tel ~shard_size:20 () in
+    let r = run ~jobs ~telemetry:tel ~shard_size:5 () in
     (plateau_events sink, r)
   in
   let ev1, r1 = observe 1 in
   let ev4, _ = observe 4 in
+  check_bool "both series announced" true
+    (List.sort compare (List.map (List.assoc "series") ev1)
+    = [ Json.String "clusters"; Json.String "coverage" ]);
   check_bool "event streams identical across jobs" true (ev1 = ev4);
   (* every emitted event is the plateau the final series reports, and every
      final plateau was announced exactly once *)
@@ -317,17 +321,20 @@ let test_merge_announces_plateaus () =
     let cov = [ Printf.sprintf "p%d" (min i 1) ] in
     Orchestrator.Merged
       ( {
-          Orchestrator.sr =
-            { Checkpoint.shard = i; tests = 10; parse_ok = 10; solved = 10;
-              bytes_total = 0; findings = [] };
+          Orchestrator.merged =
+            {
+              Checkpoint.m_result =
+                { Checkpoint.shard = i; tests = 10; parse_ok = 10; solved = 10;
+                  bytes_total = 0; findings = [] };
+              m_coverage = [];
+              m_health = [];
+              m_analytics =
+                { Analytics.samples = [ mk ~bucket:i ~cov () ]; yield = [] };
+            };
           events = [];
           metric_entries = [];
-          cov_export = [];
           promoted = [];
-          health_export = [];
           profile_export = O4a_profile.Profile.empty;
-          analytics_export =
-            { Analytics.samples = [ mk ~bucket:i ~cov () ]; yield = [] };
         },
         [],
         [] )

@@ -112,27 +112,6 @@ let test_cold_files_never_hit () =
   in
   check_bool "cold code untouched" true (cold = [])
 
-(* the progress HUD counts points with [hit_points]; it must read what the
-   sorted export's length did *)
-let test_hit_points_counts_export () =
-  let l = Coverage.make_ledger () in
-  let same what = check_int what (List.length (Coverage.export l)) (Coverage.hit_points l) in
-  same "empty ledger";
-  check_int "empty is zero" 0 (Coverage.hit_points l);
-  let zeal = Solver.Engine.zeal () and cove = Solver.Engine.cove () in
-  Coverage.with_ledger l (fun () ->
-      ignore (Solver.Runner.run_source zeal "(declare-fun x () Int)\n(assert (< x 2))\n(check-sat)");
-      ignore (Solver.Runner.run_source cove "(declare-fun a () (Set Int))\n(assert (set.member 1 a))\n(check-sat)"));
-  same "after two queries";
-  (* a point registered after the ledger was made, hit twice, and one merged
-     in from an export *)
-  let f = fresh_func () in
-  let p = Coverage.register ~solver:Coverage.Zeal ~file:"late.cpp" ~func:f ~kind:Coverage.Line "1" in
-  Coverage.with_ledger l (fun () -> Coverage.hit p; Coverage.hit p);
-  Coverage.merge_into ~into:l [ (Printf.sprintf "cove|merged.cpp|%s|l|2" f, 3) ];
-  same "after late and merged points";
-  check_bool "counts something" true (Coverage.hit_points l > 2)
-
 let () =
   Alcotest.run "coverage"
     [
@@ -146,8 +125,6 @@ let () =
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "hit labels" `Quick test_hit_point_labels;
           Alcotest.test_case "totals grow" `Quick test_totals_grow_with_registration;
-          Alcotest.test_case "hit_points counts the export" `Quick
-            test_hit_points_counts_export;
         ] );
       ( "integration",
         [

@@ -415,7 +415,10 @@ let test_oracle_null_campaign () =
   let zeal = Solver.Engine.pure Coverage.Zeal and cove = Solver.Engine.pure Coverage.Cove in
   match Orchestrator.exec_shard ~env ~worker_id:0 ~zeal ~cove shard with
   | Orchestrator.Merged (payload, _, _) ->
-    let findings = payload.Orchestrator.sr.Orchestrator.Checkpoint.findings in
+    let findings =
+      payload.Orchestrator.merged.Orchestrator.Checkpoint.m_result
+        .Orchestrator.Checkpoint.findings
+    in
     List.iter
       (fun (f : Dedup.found) ->
         Printf.printf "false finding from %s: %s\n" f.Dedup.finding.Oracle.solver_name

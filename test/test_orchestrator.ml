@@ -454,6 +454,28 @@ let test_checkpoint_rejects_empty_plan () =
     {|checkpoint: field "budget": must be >= 1, got 0|}
     (decode_edited (fun cp -> { cp with Checkpoint.budget = 0 }))
 
+(* the settled set is sparse: a plan of any size costs only the shards it
+   lists, so no budget makes decoding allocate per planned shard *)
+let test_checkpoint_huge_plan () =
+  List.iter
+    (fun (budget, shard_size) ->
+      let json =
+        Checkpoint.codec.enc { (sample_checkpoint ()) with Checkpoint.budget; shard_size }
+      in
+      let before = Gc.allocated_bytes () in
+      let decoded = Checkpoint.codec.dec json in
+      let allocated = Gc.allocated_bytes () -. before in
+      check_bool (Printf.sprintf "budget %d decodes" budget) true (Result.is_ok decoded);
+      check_bool
+        (Printf.sprintf "budget %d: %.0f bytes allocated" budget allocated)
+        true (allocated < 1e6);
+      Alcotest.(check (list int)) "its unlisted shards remain" [ 3; 4 ]
+        (List.map
+           (fun s -> s.Shard.index)
+           (Checkpoint.remaining (Result.to_option decoded)
+              (Shard.plan ~budget:300 ~shard_size:60))))
+    [ (max_int, 60); (100_000_000, 1) ]
+
 let test_checkpoint_matches () =
   let cp = sample_checkpoint () in
   let matches (seed, budget, shard_size) =
@@ -547,35 +569,223 @@ let journal_merge ?chaos ?(quarantine = []) ~path order =
     order;
   merge
 
-let test_journal_folds_like_merge () =
+(* The small plan's shards, each executed once: an outcome is a pure
+   function of (env, shard), so every merge below may absorb them in any
+   order. *)
+let small_env =
+  lazy
+    (Orchestrator.make_env ~seed:91 ~generators:(generators ())
+       ~seeds:(Lazy.force seed_pool) ())
+
+let small_plan = Array.of_list (Shard.plan ~budget:50 ~shard_size:10)
+
+let small_outcomes =
+  lazy
+    (Solver.Engine.prewarm ();
+     let env = Lazy.force small_env in
+     let zeal = Solver.Engine.zeal () and cove = Solver.Engine.cove () in
+     Array.map
+       (fun s -> Orchestrator.exec_shard ~env ~worker_id:0 ~zeal ~cove s)
+       small_plan)
+
+let small_merge ?base ?checkpoint_path () =
+  Merge.create ~env:(Lazy.force small_env) ~tel:Telemetry.disabled ?base
+    ?checkpoint_path ~jobs:2 ~budget:50 ~shard_size:10 ~extra:[] ()
+
+let quarantined =
+  Orchestrator.Quarantined
+    [ { Orchestrator.attempt = 0; fired = [ Faults.Worker_death ] } ]
+
+(* what absorbing outcome [i] adds to the state, as the journal records it *)
+let small_entry ~quarantine i =
+  let s = small_plan.(i) in
+  if List.mem i quarantine then
+    Checkpoint.Quarantined
+      { Checkpoint.q_shard = i; q_first_tick = s.Shard.first_tick;
+        q_ticks = s.Shard.ticks; q_attempts = 1;
+        q_sites = [ Faults.site_name Faults.Worker_death ] }
+  else
+    match (Lazy.force small_outcomes).(i) with
+    | Orchestrator.Merged (p, _, _) -> Checkpoint.Completed p.Orchestrator.merged
+    | _ -> Alcotest.fail "a small-plan shard did not merge"
+
+(* Any completion order, any quarantines, any cut: the uncompacted journal
+   loads to the state folded from what was absorbed, to what finalize
+   compacts, and to the report's merged state. *)
+let prop_journal_folds_like_merge =
+  let gen =
+    QCheck.Gen.(
+      let* order = shuffle_l (List.init (Array.length small_plan) Fun.id) in
+      let* quarantine = list_size (int_bound 3) (int_bound 4) in
+      let* cut = int_range 0 (Array.length small_plan) in
+      return (O4a_util.Listx.take cut order, List.sort_uniq compare quarantine))
+  in
+  let print (absorbed, quarantine) =
+    let ints l = String.concat "," (List.map string_of_int l) in
+    Printf.sprintf "absorbed [%s], quarantined [%s]" (ints absorbed) (ints quarantine)
+  in
+  QCheck.Test.make ~name:"folds like the merge" ~count:25 (QCheck.make ~print gen)
+    (fun (absorbed, quarantine) ->
+      with_temp_file (fun path ->
+          let outcomes = Lazy.force small_outcomes in
+          let merge = small_merge ~checkpoint_path:path () in
+          Merge.checkpoint_now merge;
+          let header = load_ok path in
+          List.iter
+            (fun i ->
+              Merge.absorb merge small_plan.(i)
+                (if List.mem i quarantine then quarantined else outcomes.(i)))
+            absorbed;
+          check_int "a header, then one entry per absorbed shard"
+            (1 + List.length absorbed) (List.length (journal_lines path));
+          let journal = load_ok path in
+          let folded =
+            match Checkpoint.start header with
+            | Error e -> Alcotest.fail e
+            | Ok state ->
+              List.iter
+                (fun i ->
+                  match Checkpoint.add state (small_entry ~quarantine i) with
+                  | Ok () -> ()
+                  | Error e -> Alcotest.fail e)
+                absorbed;
+              Checkpoint.current state
+          in
+          check_bool "journal = the state folded from what was absorbed" true
+            (journal = folded);
+          check_bool "journal analytics = the merge's" true
+            (journal.Checkpoint.analytics = Merge.analytics_snapshot merge);
+          let r = Merge.finalize ~interrupted:true ~stopped:false merge in
+          check_int "finalize compacts to one line" 1
+            (List.length (journal_lines path));
+          check_bool "journal = its compaction" true (journal = load_ok path);
+          (* the rest of the merge's state, as its report shows it *)
+          check_bool "completed in shard order" true
+            (List.map (fun r -> r.Checkpoint.shard) journal.Checkpoint.completed
+            = List.filter
+                (fun i -> List.mem i absorbed && not (List.mem i quarantine))
+                (List.init (Array.length small_plan) Fun.id));
+          check_bool "findings" true
+            (List.concat_map
+               (fun r -> r.Checkpoint.findings)
+               journal.Checkpoint.completed
+            = r.Orchestrator.stats.Fuzz.findings);
+          check_bool "quarantine" true
+            (journal.Checkpoint.quarantined = r.Orchestrator.quarantined);
+          check_bool "coverage" true
+            (journal.Checkpoint.coverage = r.Orchestrator.coverage);
+          check_bool "health" true
+            (journal.Checkpoint.health = r.Orchestrator.health);
+          check_bool "analytics" true
+            (journal.Checkpoint.analytics = r.Orchestrator.analytics);
+          true))
+
+(* a second outcome for a shard the state lists is refused whole: absorb
+   raises naming the shard, and nothing reaches the journal *)
+let test_merge_refuses_duplicates () =
   with_temp_file (fun path ->
-      let merge = journal_merge ~quarantine:[ 2 ] ~path [ 3; 0; 2; 4; 1 ] in
-      check_int "a header, then one entry per absorbed shard" 6
-        (List.length (journal_lines path));
-      let journal = load_ok path in
-      check_bool "journal analytics = the merge's" true
-        (journal.Checkpoint.analytics = Merge.analytics_snapshot merge);
-      let r = Merge.finalize ~interrupted:false ~stopped:false merge in
-      check_int "finalize compacts to one line" 1
-        (List.length (journal_lines path));
-      check_bool "journal = its compaction" true (journal = load_ok path);
-      (* the rest of the merge's state, as its report shows it *)
-      check_bool "completed in shard order" true
-        (List.map (fun r -> r.Checkpoint.shard) journal.Checkpoint.completed
-        = [ 0; 1; 3; 4 ]);
-      check_bool "findings" true
-        (List.concat_map
-           (fun r -> r.Checkpoint.findings)
-           journal.Checkpoint.completed
-        = r.Orchestrator.stats.Fuzz.findings);
-      check_bool "quarantine" true
-        (journal.Checkpoint.quarantined = r.Orchestrator.quarantined);
-      check_bool "coverage" true
-        (journal.Checkpoint.coverage = r.Orchestrator.coverage);
-      check_bool "health" true
-        (journal.Checkpoint.health = r.Orchestrator.health);
-      check_bool "analytics" true
-        (journal.Checkpoint.analytics = r.Orchestrator.analytics))
+      let outcomes = Lazy.force small_outcomes in
+      let merge = small_merge ~checkpoint_path:path () in
+      Merge.checkpoint_now merge;
+      Merge.absorb merge small_plan.(1) outcomes.(1);
+      let lines = journal_lines path in
+      List.iter
+        (fun (what, outcome, expected) ->
+          match Merge.absorb merge small_plan.(1) outcome with
+          | () -> Alcotest.failf "%s for shard 1 was absorbed" what
+          | exception Failure msg ->
+            Alcotest.(check string) (what ^ " names the shard") expected msg)
+        [
+          ( "a merged outcome", outcomes.(1),
+            {|Merge.absorb: field "completed": shard 1 is listed twice|} );
+          ( "a quarantine", quarantined,
+            {|Merge.absorb: field "quarantined": shard 1 is already listed in "completed"|}
+          );
+        ];
+      check_bool "nothing appended" true (journal_lines path = lines);
+      check_int "one shard processed" 1 (Merge.processed merge);
+      check_int "the journal loads with shard 1 once" 1
+        (List.length (load_ok path).Checkpoint.completed))
+
+(* merging sums coverage by identity and registers nothing: an identity no
+   engine registers stays in the report's coverage, outside its
+   percentages *)
+let test_merge_registers_nothing () =
+  let gone = "zeal|gone.ml|f|l|0" in
+  let outcomes = Lazy.force small_outcomes in
+  let totals () =
+    (Coverage.total_points Coverage.Zeal, Coverage.total_points Coverage.Cove)
+  in
+  let before = totals () in
+  let base =
+    {
+      Checkpoint.seed = 91;
+      budget = 50;
+      shard_size = 10;
+      extra = [];
+      completed = [];
+      quarantined = [];
+      coverage = [ (gone, 3) ];
+      health = [];
+      analytics = O4a_analytics.Analytics.empty;
+      artifacts = Checkpoint.no_artifacts;
+    }
+  in
+  let merge = small_merge ~base () in
+  Merge.absorb merge small_plan.(0) outcomes.(0);
+  let r = Merge.finalize ~interrupted:true ~stopped:false merge in
+  check_bool "no point registered" true (totals () = before);
+  Alcotest.(check (option int)) "the identity stays in the coverage" (Some 3)
+    (List.assoc_opt gone r.Orchestrator.coverage);
+  check_bool "the percentages count registered points only" true
+    (r.Orchestrator.coverage_zeal
+    = Coverage.snapshot_of_export
+        (List.remove_assoc gone r.Orchestrator.coverage)
+        Coverage.Zeal)
+
+(* a remote result is vetted past its decoder: a quarantine from a job
+   that injects no faults, a coverage count that is not positive, and an
+   identity this process never registered are refused *)
+let test_check_vets_remote_results () =
+  let outcomes = Lazy.force small_outcomes in
+  let merge = small_merge () in
+  let shard = small_plan.(0) in
+  let check what expected outcome =
+    Alcotest.(check (result unit string)) what expected (Merge.check merge shard outcome)
+  in
+  let with_coverage f =
+    match outcomes.(0) with
+    | Orchestrator.Merged (p, logs, fired) ->
+      let m = p.Orchestrator.merged in
+      Orchestrator.Merged
+        ( { p with
+            Orchestrator.merged =
+              { m with Checkpoint.m_coverage = f m.Checkpoint.m_coverage } },
+          logs,
+          fired )
+    | _ -> Alcotest.fail "shard 0 did not merge"
+  in
+  check "a clean result" (Ok ()) outcomes.(0);
+  check "a quarantine without chaos"
+    (Error "shard 0 was quarantined, but the job injects no faults")
+    quarantined;
+  check "a zero count"
+    (Error "the result's coverage has a count that is not positive")
+    (with_coverage (function (k, _) :: rest -> (k, 0) :: rest | [] -> [ ("x", 0) ]));
+  check "an unregistered identity"
+    (Error {|the result's coverage names no point here: "zeal|gone.ml|f|l|0"|})
+    (with_coverage (fun c -> c @ [ ("zeal|gone.ml|f|l|0", 1) ]));
+  let chaos_env =
+    Orchestrator.make_env
+      ~chaos:(Faults.plan ~rate:0.5 ~chaos_seed:1 Faults.Workers)
+      ~seed:91 ~generators:(generators ()) ~seeds:(Lazy.force seed_pool) ()
+  in
+  let chaos_merge =
+    Merge.create ~env:chaos_env ~tel:Telemetry.disabled ~jobs:1 ~budget:50
+      ~shard_size:10 ~extra:[] ()
+  in
+  Alcotest.(check (result unit string)) "a quarantine under chaos" (Ok ())
+    (Merge.check chaos_merge shard quarantined)
 
 (* a header and the entries of shards 1 and 0, in that order *)
 let two_entry_journal path =
@@ -882,6 +1092,8 @@ let () =
             test_checkpoint_rejects_shard_outside_plan;
           Alcotest.test_case "rejects empty plan" `Quick
             test_checkpoint_rejects_empty_plan;
+          Alcotest.test_case "huge plan decodes sparsely" `Quick
+            test_checkpoint_huge_plan;
           Alcotest.test_case "matches provenance" `Quick
             test_checkpoint_matches;
           Alcotest.test_case "remaining shards" `Quick
@@ -889,8 +1101,13 @@ let () =
         ] );
       ( "journal",
         [
-          Alcotest.test_case "folds like the merge" `Slow
-            test_journal_folds_like_merge;
+          QCheck_alcotest.to_alcotest prop_journal_folds_like_merge;
+          Alcotest.test_case "a shard absorbed twice is refused" `Slow
+            test_merge_refuses_duplicates;
+          Alcotest.test_case "merging registers no point" `Slow
+            test_merge_registers_nothing;
+          Alcotest.test_case "check vets remote results" `Slow
+            test_check_vets_remote_results;
           Alcotest.test_case "torn tail dropped" `Slow test_journal_torn_tail;
           Alcotest.test_case "damage is typed" `Slow test_journal_damage;
           Alcotest.test_case "chaos tear rewritten" `Slow

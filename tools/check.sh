@@ -58,6 +58,14 @@ echo "== Bundle replay: each bundle's searches, compiled = tree-walking evaluato
 # order and bounds at the campaign's 60,000 steps; names the bundle that differs
 dune exec test/replay/replay_bundles.exe -- "$out/t1"
 
+echo "== Substrate: pure engines find nothing =="
+# one 2,000-tick shard of the default campaign per seed on bug-free solvers;
+# any finding is a false positive of the substrate (~3 s per seed)
+for seed in 7 11; do
+  dune exec test/null/null_campaign.exe -- "$seed" 2000 || {
+    echo "FAIL: bug-free solvers reported findings at seed $seed"; exit 1; }
+done
+
 echo "== Checkpoint/resume: stop after 2 shards, resume, same report =="
 dune exec bin/once4all_cli.exe -- fuzz --budget 400 --shard-size 100 --jobs 1 \
   --checkpoint "$out/cp.json" --stop-after 2 > /dev/null
