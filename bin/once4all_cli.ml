@@ -128,7 +128,7 @@ let make_hud () =
    which is what makes server-run campaigns byte-identical to standalone
    ones. *)
 let run_sharded_campaign ~tel ~telemetry_path ~(spec : Jobspec.t)
-    ~show_formulas ~progress ~jobs ~checkpoint_path ~resume ~stop_after
+    ~show_formulas ~progress ~jobs ~checkpoint_path ~base ~stop_after
     ~trace_dir =
   Telemetry.set_global tel;
   Orchestrator.Stop.install_handlers ();
@@ -149,7 +149,7 @@ let run_sharded_campaign ~tel ~telemetry_path ~(spec : Jobspec.t)
   in
   match
     Orchestrator.run ~jobs ~shard_size:spec.Jobspec.shard_size
-      ~config:(Jobspec.config spec) ~telemetry:tel ?checkpoint_path ~resume
+      ~config:(Jobspec.config spec) ~telemetry:tel ?checkpoint_path ?base
       ?stop_after ~extra:(Jobspec.extra spec) ?trace_dir ?chaos
       ?health:(Jobspec.health spec) ~profiling:progress ?on_progress
       ~seed:(Jobspec.fuzz_seed spec) ~budget:spec.Jobspec.budget ~generators
@@ -197,7 +197,7 @@ let fuzz spec show_formulas telemetry_path progress jobs checkpoint_path
       1
     | Ok tel ->
       run_sharded_campaign ~tel ~telemetry_path ~spec ~show_formulas ~progress
-        ~jobs ~checkpoint_path ~resume:false ~stop_after ~trace_dir)
+        ~jobs ~checkpoint_path ~base:None ~stop_after ~trace_dir)
 
 let resume checkpoint_path jobs show_formulas telemetry_path progress stop_after
     trace_dir verbose =
@@ -227,8 +227,8 @@ let resume checkpoint_path jobs show_formulas telemetry_path progress stop_after
         1
       | Ok tel ->
         run_sharded_campaign ~tel ~telemetry_path ~spec ~show_formulas
-          ~progress ~jobs ~checkpoint_path:(Some checkpoint_path) ~resume:true
-          ~stop_after ~trace_dir))
+          ~progress ~jobs ~checkpoint_path:(Some checkpoint_path)
+          ~base:(Some cp) ~stop_after ~trace_dir))
 
 (* Read a user-supplied path: a typed error instead of an uncaught Sys_error
    (a missing file, a directory), so stats/replay/reduce can print the

@@ -7,14 +7,14 @@ let state_name = function
   | Open -> "open"
   | Half_open -> "half_open"
 
-type config = { window : int; threshold : int; cooldown : int }
+type config = { window : int; threshold : int }
 
 (* The threshold is deliberately high: the simulated solvers time out or
    crash on 15-30% of queries when perfectly healthy, and those findings are
    the point of the campaign. Only a solver that is failing most of a window
    — the sick-solver signature — should trip. *)
 let default_config =
-  { window = 16; threshold = 12; cooldown = 16 }
+  { window = 16; threshold = 12 }
 
 type outcome_class = Good | Timeout | Error | Crash
 
@@ -54,8 +54,6 @@ let make_ledger config =
     invalid_arg "Health.make_ledger: window must be positive";
   if config.threshold <= 0 then
     invalid_arg "Health.make_ledger: threshold must be positive";
-  if config.cooldown <= 0 then
-    invalid_arg "Health.make_ledger: cooldown must be positive";
   { config; live = true; table = Hashtbl.create 16 }
 
 let disabled =
@@ -110,7 +108,7 @@ let admit l ~solver ~theory =
     | Open ->
       ks.since_open <- ks.since_open + 1;
       ks.suppressed <- ks.suppressed + 1;
-      if ks.since_open >= l.config.cooldown then (
+      if ks.since_open >= l.config.window then (
         ks.st <- Half_open;
         ks.probes <- ks.probes + 1;
         (Probe, Some Half_open))

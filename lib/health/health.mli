@@ -6,9 +6,9 @@
     sliding window of queries; when the bad-outcome count inside the window
     reaches a threshold the breaker for that (solver, theory) trips Open and
     the oracle degrades to single-solver + model-validation for that theory.
-    After a cooldown counted in suppressed queries the breaker moves to
-    Half_open and admits one probe query: a good probe re-closes the
-    breaker, a bad one re-opens it.
+    After a cooldown of one window's worth of suppressed queries the
+    breaker moves to Half_open and admits one probe query: a good probe
+    re-closes the breaker, a bad one re-opens it.
 
     Every transition is keyed to deterministic counters — the per-key query
     index and cumulative evaluator fuel — never wall-clock time, so breaker
@@ -24,9 +24,10 @@ val state_name : state -> string
 (** ["closed"], ["open"], ["half_open"] — used in telemetry events. *)
 
 type config = {
-  window : int;  (** sliding window length, in recorded queries per key *)
+  window : int;
+      (** sliding window length, in recorded queries per key; also the
+          suppressed queries while Open before a probe is admitted *)
   threshold : int;  (** bad outcomes within the window that trip the breaker *)
-  cooldown : int;  (** suppressed queries while Open before a probe is admitted *)
 }
 (** Timeouts and crashes count as bad outcomes; solver errors never do:
     ill-typed or unsupported inputs produce symmetric errors on {e healthy}
@@ -54,7 +55,7 @@ val enabled : ledger -> bool
 val admit : ledger -> solver:string -> theory:string -> decision * state option
 (** Consult the breaker before a query. The returned state is the new
     breaker state when this consult itself caused a transition
-    (Open → Half_open once the cooldown of suppressed queries elapses). *)
+    (Open → Half_open once [window] suppressed queries have elapsed). *)
 
 val record :
   ledger ->

@@ -68,38 +68,34 @@ let rename_clashes ~taken term decls =
     (term, decls, taken)
     (decl_vars decls)
 
-let generate_fill ~rng ~swap_prob ~seed_vars ~taken generator =
-  match Generator.generate generator ~rng with
-  | exception Failure _ -> (Raw { text = "true"; decl_lines = [] }, taken)
-  | emitted -> (
-    let datatypes =
-      if generator.Generator.theory.Theories.Theory.id = Theories.Theory.Datatypes then
-        [ "Lst" ]
-      else []
+(* One generator emission as a hole's fill: parsed, its names renamed
+   apart from [taken] and adapted to the seed's variables, or, when it does
+   not parse, its raw text spliced as is. *)
+let fill_of_emission ~rng ~swap_prob ~seed_vars ~taken ~datatypes
+    (emitted : Generator.emitted) =
+  match
+    ( Parser.parse_term ~datatypes emitted.Generator.term,
+      parse_decl_commands emitted.Generator.decls )
+  with
+  | Ok term, Some decls ->
+    let term, decls, taken = rename_clashes ~taken term decls in
+    let term_vars = decl_vars decls in
+    let term, remaining =
+      adapt_span (fun () -> Adapt.adapt ~rng ~swap_prob ~seed_vars ~term_vars term)
     in
-    match
-      ( Parser.parse_term ~datatypes emitted.Generator.term,
-        parse_decl_commands emitted.Generator.decls )
-    with
-    | Ok term, Some decls ->
-      let term, decls, taken = rename_clashes ~taken term decls in
-      let term_vars = decl_vars decls in
-      let term, remaining =
-        adapt_span (fun () -> Adapt.adapt ~rng ~swap_prob ~seed_vars ~term_vars term)
-      in
-      (* drop declarations of variables adapted away *)
-      let decls =
-        List.filter
-          (function
-            | Command.Declare_fun (n, [], _) | Command.Declare_const (n, _) ->
-              List.mem n remaining
-            | _ -> true)
-          decls
-      in
-      (Ast { term; decls }, taken)
-    | _, _ ->
-      (* ill-formed generator output: splice the raw text *)
-      (Raw { text = emitted.Generator.term; decl_lines = emitted.Generator.decls }, taken))
+    (* drop declarations of variables adapted away *)
+    let decls =
+      List.filter
+        (function
+          | Command.Declare_fun (n, [], _) | Command.Declare_const (n, _) ->
+            List.mem n remaining
+          | _ -> true)
+        decls
+    in
+    (Ast { term; decls }, taken)
+  | _, _ ->
+    (* ill-formed generator output: splice the raw text *)
+    (Raw { text = emitted.Generator.term; decl_lines = emitted.Generator.decls }, taken)
 
 let substitute_raw source fills =
   (* replace the i-th textual "<placeholder>" with the i-th raw text *)
@@ -180,7 +176,17 @@ let fill ?(swap_prob = 0.55) ~rng ~generators ~skeleton ~holes () =
     List.fold_left
       (fun (fills, taken) hole ->
         let generator = Rng.choose rng generators in
-        let fill, taken = generate_fill ~rng ~swap_prob ~seed_vars ~taken generator in
+        let fill, taken =
+          match Generator.generate generator ~rng with
+          | exception Failure _ -> (Raw { text = "true"; decl_lines = [] }, taken)
+          | emitted ->
+            let datatypes =
+              if generator.Generator.theory.Theories.Theory.id = Theories.Theory.Datatypes
+              then [ "Lst" ]
+              else []
+            in
+            fill_of_emission ~rng ~swap_prob ~seed_vars ~taken ~datatypes emitted
+        in
         let theory = generator.Generator.theory.Theories.Theory.key in
         note_fill ~hole ~theory ~sort:None fill;
         ((theory, fill) :: fills, taken))
@@ -190,35 +196,6 @@ let fill ?(swap_prob = 0.55) ~rng ~generators ~skeleton ~holes () =
   assemble ~skeleton ~fills:(List.rev fills_rev)
 
 (* ---------------- Mixed-sorts extension (paper 5.3) ---------------- *)
-
-let generate_fill_of_sort ~rng ~swap_prob ~seed_vars ~taken generator sort =
-  match Generator.generate_of_sort generator ~rng sort with
-  | None -> None
-  | Some emitted -> (
-    let datatypes =
-      if sort = Smtlib.Sort.Datatype "Lst" then [ "Lst" ] else []
-    in
-    match
-      ( Parser.parse_term ~datatypes emitted.Generator.term,
-        parse_decl_commands emitted.Generator.decls )
-    with
-    | Ok term, Some decls ->
-      let term, decls, taken = rename_clashes ~taken term decls in
-      let term_vars = decl_vars decls in
-      let term, remaining =
-        adapt_span (fun () -> Adapt.adapt ~rng ~swap_prob ~seed_vars ~term_vars term)
-      in
-      let decls =
-        List.filter
-          (function
-            | Command.Declare_fun (n, [], _) | Command.Declare_const (n, _) ->
-              List.mem n remaining
-            | _ -> true)
-          decls
-      in
-      Some (Ast { term; decls }, taken)
-    | _, _ ->
-      Some (Raw { text = emitted.Generator.term; decl_lines = emitted.Generator.decls }, taken))
 
 (* a last-resort constant of the requested sort when no generator covers it *)
 let fallback_term_of_sort sort =
@@ -243,8 +220,12 @@ let fill_typed ?(swap_prob = 0.55) ~rng ~generators ~skeleton ~hole_sorts () =
         | [] -> fallback ()
         | _ -> (
           let generator = Rng.choose rng candidates in
-          match generate_fill_of_sort ~rng ~swap_prob ~seed_vars ~taken generator sort with
-          | Some (fill, taken) ->
+          match Generator.generate_of_sort generator ~rng sort with
+          | Some emitted ->
+            let datatypes = if sort = Sort.Datatype "Lst" then [ "Lst" ] else [] in
+            let fill, taken =
+              fill_of_emission ~rng ~swap_prob ~seed_vars ~taken ~datatypes emitted
+            in
             let theory = generator.Generator.theory.Theories.Theory.key in
             note_fill ~hole ~theory ~sort:sort_str fill;
             ((theory, fill) :: fills, taken)

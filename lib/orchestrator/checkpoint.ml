@@ -169,18 +169,33 @@ let each f l = List.fold_left (fun acc x -> Result.bind acc (fun () -> f x)) (Ok
 (* A checkpoint must agree with its own shard plan: resume skips every
    listed shard and sums the listed results, so an index outside the plan
    or listed twice would report ticks the campaign never ran. *)
-let settle s field i =
+let settle ~shards listed field i =
   let fail fmt =
     Printf.ksprintf
       (fun why -> Error (Printf.sprintf "field %S: shard %d %s" field i why))
       fmt
   in
-  if i < 0 || i >= s.s_shards then fail "is outside the plan's %d shards" s.s_shards
+  if i < 0 || i >= shards then fail "is outside the plan's %d shards" shards
   else
-    match Hashtbl.find_opt s.s_listed i with
+    match Hashtbl.find_opt listed i with
     | Some first when first = field -> fail "is listed twice"
     | Some first -> fail "is already listed in %S" first
-    | None -> Ok (Hashtbl.add s.s_listed i field)
+    | None -> Ok (Hashtbl.add listed i field)
+
+(* the plan's shard count and the table of the shards [t] lists, completed
+   before quarantined; sized by the shards listed, not by the plan *)
+let settled t =
+  let shards =
+    if t.budget < 1 || t.shard_size < 1 then 0
+    else ((t.budget - 1) / t.shard_size) + 1
+  in
+  let listed = Hashtbl.create 16 in
+  Result.map
+    (fun () -> (shards, listed))
+    (Result.bind
+       (each (fun r -> settle ~shards listed "completed" r.shard) t.completed)
+       (fun () ->
+         each (fun q -> settle ~shards listed "quarantined" q.q_shard) t.quarantined))
 
 (* sum counts by identity; a count that is not positive adds nothing *)
 let add_coverage s =
@@ -202,32 +217,29 @@ let add s = function
         add_coverage s m.m_coverage;
         s.s_health <- Health.merge s.s_health m.m_health;
         s.s_analytics <- Analytics.add s.s_analytics m.m_analytics)
-      (settle s "completed" m.m_result.shard)
+      (settle ~shards:s.s_shards s.s_listed "completed" m.m_result.shard)
   | Quarantined q ->
     Result.map
       (fun () -> s.s_quarantined <- q :: s.s_quarantined)
-      (settle s "quarantined" q.q_shard)
+      (settle ~shards:s.s_shards s.s_listed "quarantined" q.q_shard)
 
 let start t =
-  let s =
-    (* the header keeps no list: [current] replaces them all *)
-    { s_header =
-        { t with completed = []; quarantined = []; coverage = []; health = [];
-                 analytics = Analytics.empty };
-      s_listed = Hashtbl.create 16;
-      s_shards =
-        (if t.budget < 1 || t.shard_size < 1 then 0
-         else ((t.budget - 1) / t.shard_size) + 1);
-      s_completed = []; s_quarantined = t.quarantined;
-      s_coverage = Hashtbl.create 1024; s_health = t.health;
-      s_analytics = Analytics.(add acc_empty t.analytics);
-      s_tests = 0; s_findings = 0 }
-  in
-  List.iter (add_result s) t.completed;
-  add_coverage s t.coverage;
-  Result.map (fun () -> s)
-    (Result.bind (each (fun r -> settle s "completed" r.shard) t.completed)
-       (fun () -> each (fun q -> settle s "quarantined" q.q_shard) t.quarantined))
+  Result.map
+    (fun (s_shards, s_listed) ->
+      let s =
+        (* the header keeps no list: [current] replaces them all *)
+        { s_header =
+            { t with completed = []; quarantined = []; coverage = []; health = [];
+                     analytics = Analytics.empty };
+          s_shards; s_listed; s_completed = []; s_quarantined = t.quarantined;
+          s_coverage = Hashtbl.create 1024; s_health = t.health;
+          s_analytics = Analytics.(add acc_empty t.analytics);
+          s_tests = 0; s_findings = 0 }
+      in
+      List.iter (add_result s) t.completed;
+      add_coverage s t.coverage;
+      s)
+    (settled t)
 
 let current s =
   { s.s_header with
@@ -246,7 +258,7 @@ let validate t =
   in
   let* () = positive "budget" t.budget in
   let* () = positive "shard_size" t.shard_size in
-  Result.map (fun _ -> t) (start t)
+  Result.map (fun _ -> t) (settled t)
 
 (* members added after version 1 are [opt_mem]s whose defaults are the
    ones [version] above lists *)
@@ -315,11 +327,11 @@ let matches ~path ~seed ~budget ~shard_size t =
          path t.seed t.budget t.shard_size seed budget shard_size)
 
 let remaining base plan =
-  match Option.map start base with
+  match Option.map settled base with
   | None -> plan
   | Some (Error msg) -> invalid_arg ("Checkpoint.remaining: " ^ msg)
-  | Some (Ok s) ->
-    List.filter (fun (sh : Shard.t) -> not (Hashtbl.mem s.s_listed sh.Shard.index)) plan
+  | Some (Ok (_, listed)) ->
+    List.filter (fun (sh : Shard.t) -> not (Hashtbl.mem listed sh.Shard.index)) plan
 
 (* ------------------------------------------------------------------ *)
 (* Files                                                               *)

@@ -74,7 +74,8 @@ val codec : t O4a_telemetry.Json.Codec.t
     defaults documented on {!t} when absent. Decoding also checks the shard
     lists against the checkpoint's own plan: [budget] and [shard_size] must
     be positive, and every completed or quarantined index must lie in the
-    plan and appear once across both lists. *)
+    plan and appear once across both lists. The check builds the table of
+    settled shards {!start} builds, and folds nothing. *)
 
 (** What a merged shard adds to the state: its result and its coverage,
     health and analytics exports. *)
@@ -97,7 +98,8 @@ val matches :
 
 val remaining : t option -> Shard.t list -> Shard.t list
 (** The shards of a plan that the checkpoint (if any) leaves to run: those
-    neither completed nor quarantined, in plan order. Raises
+    neither completed nor quarantined, in plan order. Like {!codec}, it
+    builds only the table of settled shards, not a {!state}. Raises
     [Invalid_argument] on lists that {!start} refuses. *)
 
 (** {1 The campaign state} *)
@@ -121,8 +123,10 @@ type state = private {
 }
 
 val start : t -> (state, string) result
-(** The checkpoint as a state, or {!codec}'s message for a shard listed
-    outside the plan or twice. *)
+(** The checkpoint as a state: the table of settled shards that {!codec}
+    checks, then its results and coverage folded in. [Error] carries
+    {!codec}'s message for a shard listed outside the plan or twice, and
+    folds nothing. *)
 
 val add : state -> entry -> (unit, string) result
 (** Fold one entry in: results and quarantines are listed, coverage counts

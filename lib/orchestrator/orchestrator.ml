@@ -330,10 +330,6 @@ module Merge = struct
        shard completion order and therefore of [--jobs]. *)
     mutable settled : int;
     tracker : Analytics.tracker;
-    (* the distinct coverage points and planned ticks of every merged
-       analytics sample, behind the progress HUD's coverage rate *)
-    sample_cov : (string, unit) Hashtbl.t;
-    mutable sample_ticks : int;
     (* [None] until this merge writes the full state to [checkpoint_path],
        then the number of entries appended to it since *)
     mutable journal : int option;
@@ -344,16 +340,6 @@ module Merge = struct
     mutable processed : int;
     t_start : float;
   }
-
-  (* each bucket merges once, so its planned ticks are counted once *)
-  let count_samples t (a : Analytics.t) =
-    List.iter
-      (fun (s : Analytics.sample) ->
-        t.sample_ticks <- t.sample_ticks + s.Analytics.ticks;
-        List.iter
-          (fun k -> Hashtbl.replace t.sample_cov k ())
-          s.Analytics.cov_points)
-      a.Analytics.samples
 
   (* Advance the settled cursor past shards the state lists and feed the
      samples it passes to the plateau tracker. Detection is positional and
@@ -417,8 +403,6 @@ module Merge = struct
         profile = Profile.empty;
         settled = 0;
         tracker = Analytics.tracker ~window:Analytics.default_window;
-        sample_cov = Hashtbl.create 1024;
-        sample_ticks = 0;
         journal = None;
         promoted_by_shard = [];
         errors = [];
@@ -428,7 +412,6 @@ module Merge = struct
         t_start = Unix.gettimeofday ();
       }
     in
-    count_samples t header.Checkpoint.analytics;
     (* plateaus already visible in the resumed prefix were announced by the
        run that wrote the checkpoint; feed that prefix silently so a resumed
        campaign only emits events for plateaus it discovers itself *)
@@ -455,13 +438,14 @@ module Merge = struct
           findings = st.Checkpoint.s_findings;
           coverage_points = Hashtbl.length st.Checkpoint.s_coverage;
           cov_rate =
-            (* from the merged analytics samples — [None] (rendered as "–")
-               until the first sample merges, instead of a stale 0.0 *)
-            (if t.sample_ticks > 0 then
+            (* coverage points per 1,000 ticks of the completed shards —
+               [None] (rendered as "–") until one completes, instead of a
+               stale 0.0 *)
+            (if st.Checkpoint.s_tests > 0 then
                Some
                  (1000.
-                 *. float_of_int (Hashtbl.length t.sample_cov)
-                 /. float_of_int t.sample_ticks)
+                 *. float_of_int (Hashtbl.length st.Checkpoint.s_coverage)
+                 /. float_of_int st.Checkpoint.s_tests)
              else None);
           quarantined = List.length st.Checkpoint.s_quarantined;
           breaker_trips =
@@ -633,7 +617,6 @@ module Merge = struct
         payload.events;
       Telemetry.absorb_metrics t.tel payload.metric_entries;
       t.profile <- Profile.merge t.profile payload.profile_export;
-      count_samples t payload.merged.Checkpoint.m_analytics;
       if payload.promoted <> [] then
         t.promoted_by_shard <-
           (shard_idx, payload.promoted) :: t.promoted_by_shard;
@@ -771,26 +754,19 @@ end
 
 let default_shard_size = 250
 
-let load_base ~resume ~checkpoint_path ~seed ~budget ~shard_size =
-  if not resume then None
-  else (
-    match checkpoint_path with
-    | None -> invalid_arg "Orchestrator.run: resume requires a checkpoint path"
-    | Some path -> (
-      match Checkpoint.load ~path with
-      | Error err -> failwith (Checkpoint.load_error_to_string ~path err)
-      | Ok cp -> (
-        match Checkpoint.matches ~path ~seed ~budget ~shard_size cp with
-        | Error msg -> failwith msg
-        | Ok () -> Some cp)))
-
 let run ?(jobs = 1) ?(shard_size = default_shard_size)
-    ?(config = Fuzz.default_config) ?telemetry ?checkpoint_path
-    ?(resume = false) ?stop_after ?(extra = []) ?trace_dir ?chaos ?health
-    ?(profiling = false) ?on_progress ~seed ~budget ~generators ~seeds () =
+    ?(config = Fuzz.default_config) ?telemetry ?checkpoint_path ?base
+    ?stop_after ?(extra = []) ?trace_dir ?chaos ?health ?(profiling = false)
+    ?on_progress ~seed ~budget ~generators ~seeds () =
   if jobs < 1 then invalid_arg "Orchestrator.run: jobs must be >= 1";
+  Option.iter
+    (fun cp ->
+      let path = Option.value checkpoint_path ~default:"the base checkpoint" in
+      match Checkpoint.matches ~path ~seed ~budget ~shard_size cp with
+      | Error msg -> failwith msg
+      | Ok () -> ())
+    base;
   let tel = match telemetry with Some t -> t | None -> Telemetry.global () in
-  let base = load_base ~resume ~checkpoint_path ~seed ~budget ~shard_size in
   let extra =
     match base with Some cp when extra = [] -> cp.Checkpoint.extra | _ -> extra
   in

@@ -13,8 +13,9 @@
     [run ~jobs:n] returns the same report for every [n].
 
     After every merged shard the campaign can be checkpointed
-    ({!Checkpoint}); [run ~resume:true] skips the shards a checkpoint already
-    covers and lands on the same final report as an uninterrupted run.
+    ({!Checkpoint}); [run ~base], given the loaded checkpoint, skips the
+    shards it already covers and lands on the same final report as an
+    uninterrupted run.
 
     With a chaos [plan] ({!O4a_faults.Faults.plan}) the orchestrator also
     supervises deterministic fault injection: each shard attempt runs under a
@@ -241,7 +242,7 @@ val run :
   ?config:Once4all.Fuzz.config ->
   ?telemetry:O4a_telemetry.Telemetry.t ->
   ?checkpoint_path:string ->
-  ?resume:bool ->
+  ?base:Checkpoint.t ->
   ?stop_after:int ->
   ?extra:(string * string) list ->
   ?trace_dir:string ->
@@ -263,13 +264,17 @@ val run :
       the campaign's provenance — changing it changes the shard RNG streams,
       so it must match across resumes (and between runs being compared).
     - [checkpoint_path]: serialize progress here after every merged shard.
-    - [resume]: load [checkpoint_path] first and skip its completed shards.
-      Fails if the checkpoint's [(seed, budget, shard_size)] differ.
+    - [base]: a checkpoint the caller loaded ({!Checkpoint.load}), usually
+      from [checkpoint_path]: the campaign starts from its state and skips
+      its completed and quarantined shards. Fails with
+      {!Checkpoint.matches}'s message (naming [checkpoint_path] when given)
+      if its [(seed, budget, shard_size)] differ. With nothing left to run
+      and no entry appended, [checkpoint_path] is not rewritten.
     - [stop_after]: execute at most this many shards, then return (with
       [interrupted = true] if work remains) — the hook used to exercise the
       kill/resume path deterministically.
-    - [extra]: opaque provenance stored in the checkpoint (defaults to the
-      resumed checkpoint's own [extra] when resuming).
+    - [extra]: opaque provenance stored in the checkpoint (defaults to
+      [base]'s own [extra]).
     - [generators] are shared across workers: they are immutable after
       construction.
     - [trace_dir]: enable provenance tracing ({!O4a_trace.Trace}) and write a

@@ -89,8 +89,6 @@ let health t =
       {
         Health.window = t.breaker_window;
         threshold = t.breaker_threshold;
-        (* cooldown tracks the window, as the CLI's --breaker-window does *)
-        cooldown = t.breaker_window;
       }
 
 let config t =

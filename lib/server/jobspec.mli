@@ -45,8 +45,7 @@ val chaos : t -> O4a_faults.Faults.plan option
 (** The fault plan, [None] when the profile is ["off"] (or unknown). *)
 
 val health : t -> O4a_health.Health.config option
-(** The breaker config ([cooldown] tracks [breaker_window], as the CLI's
-    flag does), [None] when [breakers] is false. *)
+(** The breaker config, [None] when [breakers] is false. *)
 
 val config : t -> Once4all.Fuzz.config
 

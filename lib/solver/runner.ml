@@ -58,9 +58,6 @@ let observed tel engine f =
         "solver.decisions";
       Telemetry.incr tel ~labels:[ ("solver", solver) ]
         ~by:q.Engine.propagations "solver.propagations";
-      Telemetry.observe tel ~labels:[ ("solver", solver) ]
-        "solver.fuel_per_query"
-        (float_of_int q.Engine.steps);
       Telemetry.emit tel "oracle.verdict"
         [
           ("solver", Json.String solver);

@@ -1,6 +1,5 @@
 type cell =
   | C_counter of { mutable count : int }
-  | C_gauge of { mutable value : float }
   | C_hist of {
       bounds : float array;
       counts : int array;  (* length bounds + 1; last = overflow *)
@@ -12,12 +11,11 @@ type key = { k_name : string; k_labels : (string * string) list }
 
 (* The registry (cell lookup + creation) is mutex-guarded so workers on
    different domains may share one registry safely. Updates through a cell
-   HANDLE obtained from {!counter}/{!gauge}/{!histogram} are deliberately
+   HANDLE obtained from {!counter}/{!histogram} are deliberately
    unsynchronized: a handle is meant to have a single owner (one domain). *)
 type t = { cells : (key, cell) Hashtbl.t; lock : Mutex.t }
 
 type counter = cell
-type gauge = cell
 type histogram = cell
 
 let create () = { cells = Hashtbl.create 64; lock = Mutex.create () }
@@ -28,7 +26,6 @@ let key name labels = { k_name = name; k_labels = normalize_labels labels }
 
 let kind_name = function
   | C_counter _ -> "counter"
-  | C_gauge _ -> "gauge"
   | C_hist _ -> "histogram"
 
 let register_unlocked t name labels fresh check =
@@ -62,16 +59,6 @@ let add cell by =
 let inc cell = add cell 1
 
 let counter_value = function C_counter c -> c.count | _ -> assert false
-
-let gauge t ?(labels = []) name =
-  register t name labels
-    (fun () -> C_gauge { value = 0. })
-    (function C_gauge _ -> true | _ -> false)
-
-let set cell value =
-  match cell with C_gauge g -> g.value <- value | _ -> assert false
-
-let gauge_value = function C_gauge g -> g.value | _ -> assert false
 
 (* 1µs .. 10s in a 1-2.5-5 progression, in seconds *)
 let default_latency_bounds =
@@ -124,14 +111,6 @@ let counter_unlocked t labels name =
 let incr_named t ?(labels = []) ?(by = 1) name =
   Mutex.protect t.lock (fun () -> add (counter_unlocked t labels name) by)
 
-let set_named t ?(labels = []) name value =
-  Mutex.protect t.lock (fun () ->
-      set
-        (register_unlocked t name labels
-           (fun () -> C_gauge { value = 0. })
-           (function C_gauge _ -> true | _ -> false))
-        value)
-
 let observe_named t ?(labels = []) name x =
   Mutex.protect t.lock (fun () ->
       observe
@@ -159,7 +138,6 @@ type hist_snapshot = {
 
 type value =
   | Counter of int
-  | Gauge of float
   | Histogram of hist_snapshot
 
 type entry = { name : string; labels : (string * string) list; value : value }
@@ -171,7 +149,6 @@ let snapshot t =
       let value =
         match cell with
         | C_counter c -> Counter c.count
-        | C_gauge g -> Gauge g.value
         | C_hist h ->
           Histogram
             {
@@ -195,9 +172,9 @@ let get_counter t ?(labels = []) name =
       | _ -> 0)
 
 (* Fold a snapshot from another registry (e.g. a finished worker's) into [t]:
-   counters add, gauges take the absorbed value, histograms with identical
-   bounds add bucket-wise. Commutative for counters and histograms, so the
-   merged registry is independent of worker completion order. *)
+   counters add, histograms with identical bounds add bucket-wise. Both
+   commute, so the merged registry is independent of worker completion
+   order. *)
 let absorb t entries =
   Mutex.protect t.lock @@ fun () ->
   List.iter
@@ -206,12 +183,6 @@ let absorb t entries =
       | Counter n ->
         if n > 0 then
           add (counter_unlocked t e.labels e.name) n
-      | Gauge v ->
-        set
-          (register_unlocked t e.name e.labels
-             (fun () -> C_gauge { value = 0. })
-             (function C_gauge _ -> true | _ -> false))
-          v
       | Histogram h -> (
         let cell =
           register_unlocked t e.name e.labels
@@ -246,7 +217,6 @@ let fits t entries =
           Hashtbl.add shadow.cells k
             (match cell with
             | C_counter _ -> C_counter { count = 0 }
-            | C_gauge _ -> C_gauge { value = 0. }
             | C_hist h ->
               C_hist { h with counts = Array.map (fun _ -> 0) h.counts }))
         t.cells);
@@ -264,7 +234,6 @@ let entry_to_json e =
   let value =
     match e.value with
     | Counter n -> [ ("counter", Json.Int n) ]
-    | Gauge v -> [ ("gauge", Json.Float v) ]
     | Histogram h ->
       [
         ( "histogram",
@@ -291,7 +260,6 @@ let entry_codec =
     let value =
       match e.value with
       | Counter n -> ("counter", Json.Int n)
-      | Gauge v -> ("gauge", Json.Float v)
       | Histogram h -> ("histogram", hist.enc h)
     in
     Json.Obj
@@ -302,10 +270,9 @@ let entry_codec =
     let* name = field "name" string j in
     let* labels = field "labels" (assoc string) j in
     let* value =
-      match (Json.member "counter" j, Json.member "gauge" j) with
-      | Some _, _ -> Result.map (fun n -> Counter n) (field "counter" int j)
-      | None, Some _ -> Result.map (fun v -> Gauge v) (field "gauge" float j)
-      | None, None -> Result.map (fun h -> Histogram h) (field "histogram" hist j)
+      match Json.member "counter" j with
+      | Some _ -> Result.map (fun n -> Counter n) (field "counter" int j)
+      | None -> Result.map (fun h -> Histogram h) (field "histogram" hist j)
     in
     Ok { name; labels; value }
   in

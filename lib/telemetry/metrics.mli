@@ -1,8 +1,8 @@
-(** A process-local metrics registry: monotonic counters, gauges, and
-    fixed-bucket histograms, keyed by name + labels.
+(** A process-local metrics registry: monotonic counters and fixed-bucket
+    histograms, keyed by name + labels.
 
     Hot-path updates are O(1): either pre-register a cell once and update it
-    through its handle ({!counter} / {!gauge} / {!histogram}), or use the
+    through its handle ({!counter} / {!histogram}), or use the
     [*_named] conveniences, which cost one hashtable lookup. Registering the
     same name + labels twice returns the same cell; re-registering under a
     different metric kind raises [Invalid_argument].
@@ -17,7 +17,6 @@
 type t
 
 type counter
-type gauge
 type histogram
 
 val create : unit -> t
@@ -30,10 +29,6 @@ val add : counter -> int -> unit
 (** Negative increments raise [Invalid_argument]: counters are monotonic. *)
 
 val counter_value : counter -> int
-
-val gauge : t -> ?labels:(string * string) list -> string -> gauge
-val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val default_latency_bounds : float array
 (** Log-spaced 1–2.5–5 bucket upper bounds from 1 µs to 10 s, in seconds. *)
@@ -49,7 +44,6 @@ val observe : histogram -> float -> unit
 (** {1 Name-based conveniences (one lookup per call)} *)
 
 val incr_named : t -> ?labels:(string * string) list -> ?by:int -> string -> unit
-val set_named : t -> ?labels:(string * string) list -> string -> float -> unit
 val observe_named : t -> ?labels:(string * string) list -> string -> float -> unit
 
 (** {1 Snapshots} *)
@@ -63,7 +57,6 @@ type hist_snapshot = {
 
 type value =
   | Counter of int
-  | Gauge of float
   | Histogram of hist_snapshot
 
 type entry = { name : string; labels : (string * string) list; value : value }
@@ -75,11 +68,11 @@ val get_counter : t -> ?labels:(string * string) list -> string -> int
 (** 0 when the counter was never registered. *)
 
 val absorb : t -> entry list -> unit
-(** Fold a snapshot of another registry into this one: counters add, gauges
-    take the absorbed value, histograms add bucket-wise (absorbing a histogram
-    whose bounds differ from the resident cell's raises [Invalid_argument]).
-    Counter and histogram absorption commute, so merging worker snapshots in
-    completion order yields a deterministic result. *)
+(** Fold a snapshot of another registry into this one: counters add,
+    histograms add bucket-wise (absorbing a histogram whose bounds differ
+    from the resident cell's raises [Invalid_argument]). Both commute, so
+    merging worker snapshots in completion order yields a deterministic
+    result. *)
 
 val fits : t -> entry list -> (unit, string) result
 (** Whether {!absorb} would take these entries without raising — each keeps
@@ -93,10 +86,11 @@ val hist_quantile : hist_snapshot -> float -> float
     0. on an empty histogram. *)
 
 val entry_to_json : entry -> Json.t
-(** [{"name":…,"labels":{…},"counter":…}] /  [… "gauge":…] /
+(** [{"name":…,"labels":{…},"counter":…}] /
     [… "histogram":{"sum":…,"count":…}] — the wire form used by the final
     ["metrics"] event of a JSONL log. *)
 
 val entry_codec : entry Json.Codec.t
 (** Lossless, full histogram bounds and bucket counts included — the form a
-    remote shard's metrics cross the wire in. *)
+    remote shard's metrics cross the wire in. An entry with neither a
+    ["counter"] nor a ["histogram"] member does not decode. *)

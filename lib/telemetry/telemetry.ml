@@ -46,16 +46,10 @@ let emit t name fields =
 let forward t event = if t.enabled then Sink.emit t.sink event
 
 (* Counters stay unlabeled by the handle's base labels so that absorbing
-   several workers' registries sums them into one campaign total; gauges and
-   histograms carry the base labels so per-worker cells never collide. *)
+   several workers' registries sums them into one campaign total; a span's
+   histogram carries the base labels so per-worker cells never collide. *)
 let incr t ?(labels = []) ?(by = 1) name =
   if t.enabled then Metrics.incr_named t.metrics ~labels ~by name
-
-let set_gauge t ?(labels = []) name value =
-  if t.enabled then Metrics.set_named t.metrics ~labels:(labels @ t.labels) name value
-
-let observe t ?(labels = []) name x =
-  if t.enabled then Metrics.observe_named t.metrics ~labels:(labels @ t.labels) name x
 
 (* Span hooks are domain-local and independent of any handle, so a profiling
    layer can observe every span boundary on its domain — including spans taken

@@ -23,10 +23,10 @@ val create :
 (** A live handle. [sink] defaults to {!Sink.null} (metrics only); [clock]
     defaults to [Unix.gettimeofday] and supplies event timestamps and span
     durations. [labels] are {e base labels} stamped onto every emitted event
-    (as string fields), every span, every gauge and every histogram — but
-    {e not} onto counters, so absorbing several workers' registries sums
-    counters into campaign totals while latency cells stay per-worker. A
-    parallel worker's handle carries [("worker", id)] here. *)
+    (as string fields) and every span with its ["stage.duration"] histogram
+    cell — but {e not} onto counters, so absorbing several workers'
+    registries sums counters into campaign totals while latency cells stay
+    per-worker. A parallel worker's handle carries [("worker", id)] here. *)
 
 val monotonic_clock : unit -> unit -> float
 (** [monotonic_clock ()] builds a fresh wall-clock that never returns the
@@ -50,10 +50,6 @@ val forward : t -> Event.t -> unit
     into the campaign log. *)
 
 val incr : t -> ?labels:(string * string) list -> ?by:int -> string -> unit
-val set_gauge : t -> ?labels:(string * string) list -> string -> float -> unit
-
-val observe : t -> ?labels:(string * string) list -> string -> float -> unit
-(** Record one observation into a fixed-bucket histogram (latency bounds). *)
 
 val with_span : t -> ?labels:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [with_span t stage f] times [f], records the duration into the

@@ -23,9 +23,20 @@ let campaign = lazy (Campaign.prepare ~seed:3 ())
 let generators () = (Lazy.force campaign).Campaign.generators
 let seed_pool = lazy (O4a_util.Listx.take 25 (Seeds.Corpus.all ()))
 
-let run ?jobs ?telemetry ?checkpoint_path ?resume ?stop_after ?(budget = 300)
-    ?(shard_size = 60) () =
-  Orchestrator.run ?jobs ?telemetry ?checkpoint_path ?resume ?stop_after
+(* [~resume:true] resumes from the checkpoint at [checkpoint_path]: the
+   caller loads it and passes it to [Orchestrator.run] as its base *)
+let resume_base ~resume checkpoint_path =
+  match (resume, checkpoint_path) with
+  | false, _ | true, None -> None
+  | true, Some path -> (
+    match Checkpoint.load ~path with
+    | Ok cp -> Some cp
+    | Error e -> failwith (Checkpoint.load_error_to_string ~path e))
+
+let run ?jobs ?telemetry ?checkpoint_path ?(resume = false) ?stop_after
+    ?(budget = 300) ?(shard_size = 60) () =
+  Orchestrator.run ?jobs ?telemetry ?checkpoint_path
+    ?base:(resume_base ~resume checkpoint_path) ?stop_after
     ~shard_size ~seed:91 ~budget ~generators:(generators ())
     ~seeds:(Lazy.force seed_pool) ()
 

@@ -813,8 +813,8 @@ let test_result_for_another_shard () =
   remote_result_rejected ~name:"wrong-shard" ~corrupt:(fun ~good _ ->
       List.hd good)
 
-(* a result whose metrics turn the fuel histogram into a counter: absorbed,
-   it raised out of Metrics.absorb and took the whole daemon down *)
+(* a result whose metrics turn the stage-duration histograms into counters:
+   absorbed, it raised out of Metrics.absorb and took the whole daemon down *)
 let test_result_with_clashing_metrics () =
   remote_result_rejected ~name:"metric-clash" ~corrupt:(fun ~good:_ o ->
       match o with
@@ -822,7 +822,7 @@ let test_result_with_clashing_metrics () =
         let clash (e : O4a_telemetry.Metrics.entry) =
           match e.O4a_telemetry.Metrics.value with
           | O4a_telemetry.Metrics.Histogram _
-            when e.O4a_telemetry.Metrics.name = "solver.fuel_per_query" ->
+            when e.O4a_telemetry.Metrics.name = "stage.duration" ->
             { e with O4a_telemetry.Metrics.value = O4a_telemetry.Metrics.Counter 1 }
           | _ -> e
         in

@@ -130,8 +130,15 @@ let test_bug_tables_any_campaign () =
       ~cove:campaign.Once4all.Campaign.cove ()
   in
   let client = campaign.Once4all.Campaign.client in
-  let run ?checkpoint_path ?resume ?stop_after ~jobs () =
-    Orchestrator.run ~jobs ~shard_size:50 ?checkpoint_path ?resume ?stop_after
+  (* [~resume:true] loads the checkpoint and resumes from it *)
+  let run ?checkpoint_path ?(resume = false) ?stop_after ~jobs () =
+    let base =
+      match (resume, checkpoint_path) with
+      | false, _ | true, None -> None
+      | true, Some path ->
+        Some (Result.get_ok (Orchestrator.Checkpoint.load ~path))
+    in
+    Orchestrator.run ~jobs ~shard_size:50 ?checkpoint_path ?base ?stop_after
       ~seed:5 ~budget:200 ~generators:campaign.Once4all.Campaign.generators
       ~seeds ()
   in

@@ -152,9 +152,20 @@ let test_names_round_trip () =
 
 (* ------------------------- supervised campaigns ------------------------- *)
 
-let run ?jobs ?telemetry ?checkpoint_path ?resume ?stop_after ?trace_dir ?chaos
-    ?(budget = 120) ?(shard_size = 30) () =
-  Orchestrator.run ?jobs ?telemetry ?checkpoint_path ?resume ?stop_after
+(* [~resume:true] resumes from the checkpoint at [checkpoint_path]: the
+   caller loads it and passes it to [Orchestrator.run] as its base *)
+let resume_base ~resume checkpoint_path =
+  match (resume, checkpoint_path) with
+  | false, _ | true, None -> None
+  | true, Some path -> (
+    match Checkpoint.load ~path with
+    | Ok cp -> Some cp
+    | Error e -> failwith (Checkpoint.load_error_to_string ~path e))
+
+let run ?jobs ?telemetry ?checkpoint_path ?(resume = false) ?stop_after
+    ?trace_dir ?chaos ?(budget = 120) ?(shard_size = 30) () =
+  Orchestrator.run ?jobs ?telemetry ?checkpoint_path
+    ?base:(resume_base ~resume checkpoint_path) ?stop_after
     ?trace_dir ?chaos ~shard_size ~seed:7 ~budget ~generators:(generators ())
     ~seeds:(Lazy.force seed_pool) ()
 

@@ -113,6 +113,51 @@ let test_older_versions () =
         (info.Checkpoint.i_checkpoint = expected))
     [ (3, v3); (2, v2); (1, v1) ]
 
+(* Decoding checks a checkpoint's shard lists with the table of settled
+   shards alone, and [start] builds its state on the same table: over the
+   v4 fixture with random lists (indices listed twice, outside its 4-shard
+   plan, or in both lists) the codec, [start] and [remaining] accept the
+   same lists and refuse the rest with one message. The lists are sorted,
+   as the codec writes them. *)
+let prop_decode_refuses_what_start_refuses =
+  let v4 = lazy (load_checkpoint "checkpoint_v4.json").Checkpoint.i_checkpoint in
+  let indices =
+    QCheck.Gen.(map (List.sort compare) (list_size (int_bound 5) (int_range (-1) 4)))
+  in
+  let print (completed, quarantined) =
+    let ints l = String.concat "," (List.map string_of_int l) in
+    Printf.sprintf "completed [%s], quarantined [%s]" (ints completed) (ints quarantined)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"decode refuses as start does" ~count:500
+       (QCheck.make ~print (QCheck.Gen.pair indices indices))
+       (fun (completed, quarantined) ->
+         let v4 = Lazy.force v4 in
+         let result = List.hd v4.Checkpoint.completed in
+         let cp =
+           { v4 with
+             Checkpoint.completed =
+               List.map (fun shard -> { result with Checkpoint.shard }) completed;
+             quarantined =
+               List.map
+                 (fun q_shard ->
+                   { Checkpoint.q_shard; q_first_tick = 10 * q_shard; q_ticks = 10;
+                     q_attempts = 4; q_sites = [ "worker_death" ] })
+                 quarantined }
+         in
+         let started = Result.map ignore (Checkpoint.start cp) in
+         let decoded =
+           Checkpoint.codec.Json.Codec.dec (Checkpoint.codec.Json.Codec.enc cp)
+         in
+         let remaining =
+           match Checkpoint.remaining (Some cp) [] with
+           | _ -> Ok ()
+           | exception Invalid_argument msg -> Error msg
+         in
+         let prefixed p = Result.map_error (fun msg -> p ^ msg) started in
+         Result.map ignore decoded = prefixed "checkpoint: "
+         && remaining = prefixed "Checkpoint.remaining: "))
+
 let test_bundle () =
   let dir = fixture "bundle" in
   let id = "t000016-06a9914d" in
@@ -310,6 +355,7 @@ let () =
             (test_checkpoint_file "checkpoint_quarantine.json");
           Alcotest.test_case "v1-v3 checkpoints" `Quick test_older_versions;
           Alcotest.test_case "v5 journal" `Quick test_journal;
+          prop_decode_refuses_what_start_refuses;
           Alcotest.test_case "bundle" `Quick test_bundle;
           Alcotest.test_case "wire traced" `Quick
             (reencodes Wire.outcome_codec "wire_traced.json");

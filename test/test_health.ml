@@ -12,7 +12,7 @@ let check_int = Alcotest.(check int)
 
 (* small config so trips happen within a handful of queries *)
 let cfg =
-  { Health.window = 4; threshold = 2; cooldown = 3 }
+  { Health.window = 4; threshold = 2 }
 
 let record l ?(probe = false) ?(fuel = 10) c =
   Health.record l ~solver:"zeal" ~theory:"strings" ~probe ~fuel c
@@ -58,8 +58,8 @@ let trip l =
   ignore (record l Health.Crash)
 
 let cool l =
-  (* cooldown - 1 suppressed consults, then the one that flips to Half_open *)
-  for _ = 1 to cfg.Health.cooldown - 1 do
+  (* window - 1 suppressed consults, then the one that flips to Half_open *)
+  for _ = 1 to cfg.Health.window - 1 do
     match admit l with
     | Health.Suppress, None -> ()
     | _ -> Alcotest.fail "expected suppression during cooldown"
@@ -93,7 +93,7 @@ let test_probe_reopens () =
   check_int "opened counts trip + re-open" 2 e.Health.opened;
   check_int "one re-close" 1 e.Health.reclosed;
   check_int "two probes" 2 e.Health.probes;
-  check_int "suppressed counts both cooldowns" (2 * cfg.Health.cooldown)
+  check_int "suppressed counts both cooldowns" (2 * cfg.Health.window)
     e.Health.suppressed
 
 let test_keys_independent () =
@@ -169,7 +169,7 @@ let seed_pool = lazy (O4a_util.Listx.take 25 (Seeds.Corpus.all ()))
 let run ~jobs () =
   Orchestrator.run ~jobs
     ~chaos:(Faults.plan ~rate:1.0 Faults.Sick_solver)
-    ~health:{ Health.window = 4; threshold = 2; cooldown = 4 }
+    ~health:{ Health.window = 4; threshold = 2 }
     ~shard_size:60 ~seed:91 ~budget:300 ~generators:(generators ())
     ~seeds:(Lazy.force seed_pool) ()
 

@@ -327,7 +327,7 @@ let test_oracle_counts_skip_suppressed () =
   let module Health = O4a_health.Health in
   let source = "(declare-fun x () Int)(assert (= x 1))(check-sat)" in
   let ledger =
-    Health.make_ledger { Health.window = 4; threshold = 2; cooldown = 3 }
+    Health.make_ledger { Health.window = 4; threshold = 2 }
   in
   Health.using ledger (fun () ->
       let first = Oracle.test ~zeal:(zeal ()) ~cove:(cove ()) ~source () in

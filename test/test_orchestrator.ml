@@ -10,6 +10,7 @@ module Telemetry = O4a_telemetry.Telemetry
 module Sink = O4a_telemetry.Sink
 module Event = O4a_telemetry.Event
 module Json = O4a_telemetry.Json
+module Hud = O4a_profile.Hud
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -19,10 +20,22 @@ let campaign = lazy (Campaign.prepare ~seed:3 ())
 let generators () = (Lazy.force campaign).Campaign.generators
 let seed_pool = lazy (O4a_util.Listx.take 25 (Seeds.Corpus.all ()))
 
-let run ?jobs ?telemetry ?checkpoint_path ?resume ?stop_after ?trace_dir
-    ?chaos ?health ?(budget = 300) ?(shard_size = 60) () =
-  Orchestrator.run ?jobs ?telemetry ?checkpoint_path ?resume ?stop_after
-    ?trace_dir ?chaos ?health ~shard_size ~seed:91 ~budget
+(* [~resume:true] resumes from the checkpoint at [checkpoint_path]: the
+   caller loads it and passes it to [Orchestrator.run] as its base *)
+let resume_base ~resume checkpoint_path =
+  match (resume, checkpoint_path) with
+  | false, _ | true, None -> None
+  | true, Some path -> (
+    match Checkpoint.load ~path with
+    | Ok cp -> Some cp
+    | Error e -> failwith (Checkpoint.load_error_to_string ~path e))
+
+let run ?jobs ?telemetry ?checkpoint_path ?(resume = false) ?stop_after
+    ?trace_dir ?chaos ?health ?on_progress ?(budget = 300) ?(shard_size = 60)
+    () =
+  Orchestrator.run ?jobs ?telemetry ?checkpoint_path
+    ?base:(resume_base ~resume checkpoint_path) ?stop_after
+    ?trace_dir ?chaos ?health ?on_progress ~shard_size ~seed:91 ~budget
     ~generators:(generators ()) ~seeds:(Lazy.force seed_pool) ()
 
 let report_key (r : Orchestrator.report) =
@@ -916,10 +929,87 @@ let test_resume_rejects_mismatched_provenance () =
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
       ignore (run ~jobs:1 ~checkpoint_path:path ~stop_after:1 ());
-      check_bool "different budget refused" true
-        (match run ~budget:360 ~checkpoint_path:path ~resume:true () with
-        | _ -> false
-        | exception Failure _ -> true))
+      let refusal from =
+        Printf.sprintf
+          "cannot resume from %s: checkpoint is for seed 91 budget 300 \
+           shard-size 60, requested seed 91 budget 360 shard-size 60"
+          from
+      in
+      let refused what expected f =
+        match f () with
+        | (_ : Orchestrator.report) -> Alcotest.failf "%s: resumed" what
+        | exception Failure msg -> Alcotest.(check string) what expected msg
+      in
+      refused "different budget refused, naming the file" (refusal path)
+        (fun () -> run ~budget:360 ~checkpoint_path:path ~resume:true ());
+      refused "without a path, naming the base" (refusal "the base checkpoint")
+        (fun () ->
+          Orchestrator.run ~base:(load_ok path) ~shard_size:60 ~seed:91
+            ~budget:360 ~generators:(generators ())
+            ~seeds:(Lazy.force seed_pool) ()))
+
+(* a base with no checkpoint path: the run resumes from it, lands on the
+   uninterrupted report, and writes nothing *)
+let test_resume_base_without_path () =
+  with_temp_file (fun path ->
+      let full = run ~jobs:1 () in
+      ignore (run ~jobs:1 ~checkpoint_path:path ~stop_after:2 ());
+      let before = read_file path in
+      let resumed =
+        Orchestrator.run ~jobs:2 ~base:(load_ok path) ~shard_size:60 ~seed:91
+          ~budget:300 ~generators:(generators ())
+          ~seeds:(Lazy.force seed_pool) ()
+      in
+      check_int "resumed shards" 2 resumed.Orchestrator.shards_resumed;
+      check_int "remaining shards ran" 3 resumed.Orchestrator.shards_run;
+      check_bool "resume lands on the uninterrupted report" true
+        (report_key full = report_key resumed);
+      Alcotest.(check string) "the base's file is untouched" before
+        (read_file path))
+
+(* The HUD's coverage rate is the campaign state's: coverage points per
+   1,000 ticks of the completed shards, at every snapshot once one has
+   completed, and none before. Quarantined shards add to neither count. *)
+let test_progress_cov_rate () =
+  let snapshots f =
+    let snaps = ref [] in
+    let r = f (fun (p : Hud.progress) -> snaps := p :: !snaps) in
+    (r, List.rev !snaps)
+  in
+  let check_rates what snaps =
+    check_bool (what ^ ": a shard completed") true
+      (List.exists (fun (p : Hud.progress) -> p.Hud.ticks_done > 0) snaps);
+    List.iter
+      (fun (p : Hud.progress) ->
+        let expected =
+          if p.Hud.ticks_done = 0 then None
+          else
+            Some
+              (1000. *. float_of_int p.Hud.coverage_points
+              /. float_of_int p.Hud.ticks_done)
+        in
+        check_bool
+          (Printf.sprintf "%s: rate at %d ticks" what p.Hud.ticks_done)
+          true (p.Hud.cov_rate = expected))
+      snaps
+  in
+  let _, fresh = snapshots (fun on_progress -> run ~jobs:2 ~on_progress ()) in
+  check_rates "fresh" fresh;
+  with_temp_file (fun path ->
+      ignore (run ~jobs:1 ~checkpoint_path:path ~stop_after:2 ());
+      let _, resumed =
+        snapshots (fun on_progress ->
+            run ~jobs:2 ~checkpoint_path:path ~resume:true ~on_progress ())
+      in
+      check_int "resumed: the first snapshot counts the base" 120
+        (List.hd resumed).Hud.ticks_done;
+      check_rates "resumed" resumed);
+  let r, chaotic =
+    snapshots (fun on_progress ->
+        run ~jobs:2 ~chaos:(Faults.plan ~chaos_seed:3 Faults.All) ~on_progress ())
+  in
+  check_int "chaos: one shard quarantined" 1 (List.length r.Orchestrator.quarantined);
+  check_rates "chaos" chaotic
 
 (* ------------------------- telemetry merge ------------------------- *)
 
@@ -1120,6 +1210,10 @@ let () =
             test_graceful_stop_then_resume;
           Alcotest.test_case "provenance mismatch" `Slow
             test_resume_rejects_mismatched_provenance;
+          Alcotest.test_case "a base without a path" `Slow
+            test_resume_base_without_path;
+          Alcotest.test_case "progress coverage rate" `Slow
+            test_progress_cov_rate;
         ] );
       ( "merge",
         [

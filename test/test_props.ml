@@ -79,8 +79,6 @@ let rng_props =
 
 (* ------------------------- Metrics.absorb ------------------------- *)
 
-(* snapshots restricted to counters and histograms: gauge absorption is
-   last-write-wins by design and the parallel merge never absorbs gauges *)
 let hist_bounds = [| 0.001; 0.01; 0.1 |]
 
 let gen_snapshot =
@@ -134,7 +132,6 @@ let arb_snapshot =
            (fun (e : Metrics.entry) ->
              match e.Metrics.value with
              | Metrics.Counter n -> Printf.sprintf "%s=%d" e.Metrics.name n
-             | Metrics.Gauge v -> Printf.sprintf "%s=%g" e.Metrics.name v
              | Metrics.Histogram h -> Printf.sprintf "%s#%d" e.Metrics.name h.Metrics.count)
            entries))
     gen_snapshot

@@ -76,18 +76,10 @@ let test_labels_distinguish_cells () =
 let test_kind_mismatch_raises () =
   let m = Metrics.create () in
   ignore (Metrics.counter m "dual");
-  check_bool "re-register as gauge raises" true
-    (match Metrics.gauge m "dual" with
+  check_bool "re-register as histogram raises" true
+    (match Metrics.histogram m "dual" with
     | _ -> false
     | exception Invalid_argument _ -> true)
-
-let test_gauge_semantics () =
-  let m = Metrics.create () in
-  let g = Metrics.gauge m "depth" in
-  check_float "initial" 0. (Metrics.gauge_value g);
-  Metrics.set g 3.5;
-  Metrics.set g 1.25;
-  check_float "last write wins" 1.25 (Metrics.gauge_value g)
 
 let test_histogram_semantics () =
   let m = Metrics.create () in
@@ -115,7 +107,7 @@ let test_snapshot_sorted () =
   let m = Metrics.create () in
   Metrics.incr_named m "zz";
   Metrics.incr_named m "aa";
-  Metrics.set_named m "mm" 1.;
+  Metrics.observe_named m "mm" 1.;
   check_bool "sorted by name" true
     (List.map (fun e -> e.Metrics.name) (Metrics.snapshot m) = [ "aa"; "mm"; "zz" ])
 
@@ -125,7 +117,7 @@ let test_absorb_merges_worker_snapshots () =
   let worker tag n lat =
     let m = Metrics.create () in
     Metrics.incr_named m ~by:n "tests";
-    Metrics.set_named m ~labels:[ ("worker", tag) ] "progress" (float_of_int n);
+    Metrics.observe_named m ~labels:[ ("worker", tag) ] "progress" (float_of_int n);
     Metrics.observe_named m ~labels:[ ("stage", "solve") ] "stage.duration" lat;
     Metrics.snapshot m
   in
@@ -143,12 +135,15 @@ let test_absorb_merges_worker_snapshots () =
       0 (Metrics.snapshot campaign)
   in
   check_int "histograms add bucket-wise" 2 hist_count;
-  (* worker-labeled gauges land in distinct cells, no clobbering *)
-  check_bool "per-worker gauges kept" true
+  (* worker-labeled histograms land in distinct cells, no clobbering *)
+  check_bool "per-worker histograms kept" true
     (List.exists
        (fun e ->
          e.Metrics.name = "progress" && e.Metrics.labels = [ ("worker", "w1") ]
-         && e.Metrics.value = Metrics.Gauge 5.)
+         &&
+         match e.Metrics.value with
+         | Metrics.Histogram h -> h.Metrics.count = 1 && h.Metrics.sum = 5.
+         | Metrics.Counter _ -> false)
        (Metrics.snapshot campaign))
 
 let test_absorb_rejects_foreign_bounds () =
@@ -263,20 +258,23 @@ let test_base_labels_on_events_not_counters () =
       ~labels:[ ("worker", "w3") ] ()
   in
   Telemetry.incr t "fuzz.tests";
-  Telemetry.set_gauge t "depth" 1.;
+  Telemetry.with_span t "depth" ignore;
   Telemetry.emit t "ping" [];
   (* counters stay label-free so absorb can sum them into campaign totals *)
   check_int "counter unlabeled" 1 (Telemetry.counter_value t "fuzz.tests");
-  check_bool "gauge carries worker label" true
+  check_bool "histogram carries worker label" true
     (List.exists
        (fun e ->
-         e.Metrics.name = "depth" && List.mem_assoc "worker" e.Metrics.labels)
+         e.Metrics.name = "stage.duration"
+         && List.mem_assoc "worker" e.Metrics.labels)
        (Telemetry.snapshot t));
   match Sink.events sink with
-  | [ e ] ->
-    check_bool "event carries worker field" true
-      (Event.field "worker" e = Some (Json.String "w3"))
-  | _ -> Alcotest.fail "expected one event"
+  | [ span; e ] ->
+    check_bool "events carry worker field" true
+      (List.for_all
+         (fun e -> Event.field "worker" e = Some (Json.String "w3"))
+         [ span; e ])
+  | _ -> Alcotest.fail "expected a span and one event"
 
 (* ------------------------- JSONL round-trip ------------------------- *)
 
@@ -392,7 +390,6 @@ let () =
           Alcotest.test_case "counter" `Quick test_counter_semantics;
           Alcotest.test_case "labels" `Quick test_labels_distinguish_cells;
           Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch_raises;
-          Alcotest.test_case "gauge" `Quick test_gauge_semantics;
           Alcotest.test_case "histogram" `Quick test_histogram_semantics;
           Alcotest.test_case "bad bounds" `Quick test_histogram_bad_bounds;
           Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted;

@@ -74,6 +74,20 @@ dune exec bin/once4all_cli.exe -- resume --checkpoint "$out/cp.json" --jobs 2 \
 grep -v '^resumed ' "$out/resumed.log" | diff "$out/jobs1.log" - || {
   echo "FAIL: resumed report differs from the uninterrupted run"; exit 1; }
 
+echo "== Checkpoint/resume: a finished checkpoint resumes without running a shard =="
+# cp.json now holds all 4 shards: resuming it again runs nothing, reports
+# the same campaign, and leaves the file as it was
+cp "$out/cp.json" "$out/cp_finished.json"
+dune exec bin/once4all_cli.exe -- resume --checkpoint "$out/cp.json" \
+  > "$out/reresumed.log"
+grep -v '^resumed ' "$out/reresumed.log" | diff "$out/jobs1.log" - || {
+  echo "FAIL: a finished checkpoint resumes to a different report"; exit 1; }
+grep -q '^resumed 4 completed shards ' "$out/reresumed.log" || {
+  echo "FAIL: the finished checkpoint did not resume all 4 shards"
+  cat "$out/reresumed.log"; exit 1; }
+cmp "$out/cp_finished.json" "$out/cp.json" || {
+  echo "FAIL: resuming a finished checkpoint rewrote it"; exit 1; }
+
 echo "== Format fixture: a checkpoint from an earlier build resumes identically =="
 # test/fixtures/checkpoint_v4.json was written by an earlier build of this
 # repository (see test/fixtures/README.md): resuming a copy must land on the
