@@ -75,9 +75,10 @@ let () =
   (match Smtlib.Parser.parse_script formula with
   | Error _ -> ()
   | Ok script ->
+    let formula = Solver.Formula.of_script script in
     let crashes_at commit =
       let engine = Solver.Engine.make O4a_coverage.Coverage.Cove ~commit in
-      match Solver.Runner.run engine script with
+      match Solver.Runner.run engine formula with
       | Solver.Runner.R_crash _ -> true
       | _ -> false
     in

@@ -20,7 +20,7 @@ let () =
 (check-sat)|}
   in
   print_endline "-- solve with model --";
-  (match Solver.Runner.run cove script with
+  (match Solver.Runner.run cove (Solver.Formula.of_script script) with
   | Solver.Runner.R_sat model ->
     print_endline "sat";
     print_endline (Solver.Model.to_string script model);
@@ -130,7 +130,7 @@ let () =
   (* --- coverage instrumentation --- *)
   print_endline "\n-- coverage accounting --";
   O4a_coverage.Coverage.reset ();
-  ignore (Solver.Runner.run cove script);
+  ignore (Solver.Runner.run cove (Solver.Formula.of_script script));
   let snapshot = O4a_coverage.Coverage.snapshot O4a_coverage.Coverage.Cove in
   Printf.printf "  one query exercised %d/%d lines (%.1f%%), %d/%d functions (%.1f%%)\n"
     snapshot.O4a_coverage.Coverage.lines_hit snapshot.O4a_coverage.Coverage.lines_total

@@ -20,18 +20,19 @@ type result = {
 let solver_label = function Coverage.Zeal -> "zeal" | Coverage.Cove -> "cove"
 
 (* the bug-free reference verdict, memoized per script *)
-let reference_verdict ~max_steps pure_engine script =
-  match Runner.run ~max_steps pure_engine script with
+let reference_verdict ~max_steps pure_engine formula =
+  match Runner.run ~max_steps pure_engine formula with
   | Runner.R_sat _ -> Some `Sat
   | Runner.R_unsat -> Some `Unsat
   | _ -> None
 
 (* does this solver misbehave on the script at the given commit? *)
-let misbehaves ~max_steps tag script reference commit =
+let misbehaves ~max_steps tag formula reference commit =
   let engine = Engine.make tag ~commit in
+  let script = Solver.Formula.script formula in
   if not (Engine.supports_script engine script) then false
   else (
-    match Runner.run ~max_steps engine script with
+    match Runner.run ~max_steps engine formula with
     | Runner.R_crash _ -> true
     | Runner.R_sat model -> (
       match Solver.Model.check script model with
@@ -62,20 +63,21 @@ let run ?(seed = 77) ?(budget = 1200) ?(max_bisects = 40) ?(max_steps = 40_000)
       match Parser.parse_script source with
       | Error _ -> ()
       | Ok script ->
+        let formula = Solver.Formula.of_script script in
         List.iter
           (fun tag ->
             if List.length !candidates < max_bisects then (
-              let reference = reference_verdict ~max_steps (pure_for tag) script in
-              if misbehaves ~max_steps tag script reference (release_commit tag) then
-                candidates := (tag, script, reference) :: !candidates))
+              let reference = reference_verdict ~max_steps (pure_for tag) formula in
+              if misbehaves ~max_steps tag formula reference (release_commit tag) then
+                candidates := (tag, formula, reference) :: !candidates))
           [ Coverage.Zeal; Coverage.Cove ]
     done;
     let commits =
       List.filter_map
-        (fun (tag, script, reference) ->
+        (fun (tag, formula, reference) ->
           let history = Version.history_of tag in
           Version.bisect_fix ~known:(release_commit tag)
-            ~triggers:(fun c -> misbehaves ~max_steps tag script reference c)
+            ~triggers:(fun c -> misbehaves ~max_steps tag formula reference c)
             history
           |> Option.map (fun c -> (solver_label tag, c)))
         !candidates

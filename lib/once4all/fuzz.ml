@@ -265,7 +265,8 @@ let run_shard ~rng ~config ~telemetry:tel ~analytics ~shard_index ~first_tick
         one_mutation ~tel ~rng ~config ~generators:mutation_generators !current
       in
       let outcome =
-        Oracle.test ~max_steps:config.max_steps ~telemetry:tel ~zeal ~cove
+        Oracle.test ~max_steps:config.max_steps ~telemetry:tel
+          ?parsed:filled.Synthesize.parsed ~zeal ~cove
           ~source:filled.Synthesize.source ()
       in
       (match outcome.Oracle.finding with

@@ -3,6 +3,7 @@ module Coverage = O4a_coverage.Coverage
 module Engine = Solver.Engine
 module Runner = Solver.Runner
 module Bug_db = Solver.Bug_db
+module Formula = Solver.Formula
 module Telemetry = O4a_telemetry.Telemetry
 module Trace = O4a_trace.Trace
 module Health = O4a_health.Health
@@ -51,10 +52,10 @@ let primary_theory script =
   | [], t :: _ -> t
   | [], [] -> "core"
 
-let attribute engine script ~kind =
+let attribute engine formula ~kind =
   Bug_db.active ~solver:(Engine.tag engine) ~commit:(Engine.commit engine)
-  |> List.find_opt
-       (fun (b : Bug_db.spec) -> b.Bug_db.kind = kind && Bug_db.fires b script)
+  |> List.find_opt (fun (b : Bug_db.spec) ->
+         b.Bug_db.kind = kind && Bug_db.fires_index b (Formula.index formula))
   |> Option.map (fun (b : Bug_db.spec) -> b.Bug_db.id)
 
 (* the last release, built pure when [engine] is: a bug-free trunk paired
@@ -94,10 +95,13 @@ let model_verdict script model =
   | Solver.Model.Fails _ -> `Fails
   | Solver.Model.Check_unknown _ -> `Unknown
 
-let test ?(max_steps = 200_000) ?telemetry ~zeal ~cove ~source () =
+let test ?(max_steps = 200_000) ?telemetry ?parsed ~zeal ~cove ~source () =
   let tel = match telemetry with Some t -> t | None -> Telemetry.global () in
   Telemetry.with_span tel "oracle.compare" @@ fun () ->
-  match Telemetry.with_span tel "parse" (fun () -> Parser.parse_script source) with
+  let parse () =
+    match parsed with Some script -> Ok script | None -> Parser.parse_script source
+  in
+  match Telemetry.with_span tel "parse" parse with
   | Error e ->
     Telemetry.incr tel "oracle.parse_errors";
     if Trace.noting () then
@@ -110,6 +114,8 @@ let test ?(max_steps = 200_000) ?telemetry ~zeal ~cove ~source () =
       fuel = 0;
     }
   | Ok script ->
+    (* the one front end both engine runs and attribution share *)
+    let formula = Formula.of_script script in
     let theory = primary_theory script in
     let zeal_supports = Engine.supports_script zeal script in
     let engines =
@@ -170,7 +176,7 @@ let test ?(max_steps = 200_000) ?telemetry ~zeal ~cove ~source () =
     let runs =
       List.map
         (fun (e, d) ->
-          let r = Runner.run ~max_steps ~telemetry:tel e script in
+          let r = Runner.run ~max_steps ~telemetry:tel e formula in
           let steps = (Engine.last_query_stats e).Engine.steps in
           fuel := !fuel + steps;
           if Health.enabled ledger then (
@@ -224,7 +230,7 @@ let test ?(max_steps = 200_000) ?telemetry ~zeal ~cove ~source () =
         solver = Engine.tag engine;
         solver_name = Engine.name engine;
         signature;
-        bug_id = attribute engine script ~kind;
+        bug_id = attribute engine formula ~kind;
         theory;
         mode;
       }

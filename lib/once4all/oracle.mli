@@ -54,6 +54,7 @@ type outcome = {
 val test :
   ?max_steps:int ->
   ?telemetry:O4a_telemetry.Telemetry.t ->
+  ?parsed:Script.t ->
   zeal:Solver.Engine.t ->
   cove:Solver.Engine.t ->
   source:string ->
@@ -65,6 +66,15 @@ val test :
     ["solver.run"] spans, and each solver run emits an ["oracle.verdict"]
     event (see {!Solver.Runner.run}).
 
+    [parsed], when given, must be the script [Parser.parse_script source]
+    returns: the oracle then uses it instead of parsing [source] again (the
+    fuzz loop passes the parse {!Synthesize} already made). Without it the
+    oracle parses [source] itself, so a source that does not parse still
+    reads [[("parser", message)]] and counts in ["oracle.parse_errors"].
+    Either way the test builds one {!Solver.Formula} from the script and
+    hands it to every engine it runs and to {!attribute}, so the formula is
+    sort-checked and indexed once.
+
     When the ambient {!O4a_health.Health} ledger is live, every query first
     consults the per-(solver, theory) circuit breaker: suppressed solvers
     are skipped (degrading the oracle to single-solver + model-validation,
@@ -73,6 +83,7 @@ val test :
     Breaker transitions emit ["health.breaker"] events. *)
 
 val attribute :
-  Solver.Engine.t -> Script.t -> kind:Solver.Bug_db.kind -> string option
+  Solver.Engine.t -> Solver.Formula.t -> kind:Solver.Bug_db.kind -> string option
 (** Ground-truth attribution: the first active bug of [kind] in the engine
-    whose trigger matches the script. *)
+    that fires on the formula ({!Solver.Bug_db.fires_index} on its
+    index). *)

@@ -53,10 +53,12 @@ let observed_behavior ~zeal ~cove source =
   match Parser.parse_script source with
   | Error e -> [ ("parser", Parser.error_message e) ]
   | Ok script ->
+    let formula = Solver.Formula.of_script script in
     [ zeal; cove ]
     |> List.filter (fun e -> Engine.supports_script e script)
     |> List.map (fun e ->
-           (Engine.name e, Solver.Runner.result_to_string (Solver.Runner.run e script)))
+           ( Engine.name e,
+             Solver.Runner.result_to_string (Solver.Runner.run e formula) ))
 
 let of_cluster ?max_probes ~zeal ~cove (cluster : Dedup.cluster) =
   let spec = Option.bind cluster.Dedup.bug_id Bug_db.find in

@@ -518,16 +518,15 @@ let by_theory key =
 let filtered ~zeal ~cove () =
   List.filter
     (fun seed ->
-      let source = Printer.script seed in
       let outcome = ref true in
       (try
-         let zr = Solver.Runner.run ~max_steps:40_000 zeal seed in
-         let cr = Solver.Runner.run ~max_steps:40_000 cove seed in
+         let formula = Solver.Formula.of_script seed in
+         let zr = Solver.Runner.run ~max_steps:40_000 zeal formula in
+         let cr = Solver.Runner.run ~max_steps:40_000 cove formula in
          (match (zr, cr) with
          | Solver.Runner.R_crash _, _ | _, Solver.Runner.R_crash _ -> outcome := false
          | _ -> ())
        with _ -> ());
-      ignore source;
       !outcome)
     (all ())
 

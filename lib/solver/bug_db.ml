@@ -21,7 +21,7 @@ type spec = {
   pre_check : bool;
   historical : bool;
   rarity : int;
-  trigger : Script.t -> bool;
+  trigger : Trigger.t;
 }
 
 let zeal = O4a_coverage.Coverage.Zeal
@@ -383,26 +383,14 @@ let is_extension_theory_bug s = List.mem s.theory extension_keys
 (* Whether a formula actually triggers the bug: the structural predicate must
    match AND a deterministic "deep condition" must hold — real triggers depend
    on solver-internal state that a syntactic predicate over-approximates. The
-   rarity gate hashes the assertion bodies so the outcome is reproducible and
-   varies across mutants of the same shape. *)
-let script_op_set script =
-  List.fold_left
-    (fun acc assertion ->
-      Term.fold
-        (fun acc node ->
-          match node with
-          | Term.App (n, _) | Term.Indexed_app (n, _, _) | Term.Qual (n, _)
-          | Term.Qual_app (n, _, _) ->
-            if List.mem n acc then acc else n :: acc
-          | _ -> acc)
-        acc assertion)
-    [] (Script.assertions script)
-  |> List.sort compare
-
-let fires spec script =
-  spec.trigger script
+   rarity gate hashes the set of operators the assertions apply, so the
+   outcome is reproducible and varies across mutants of the same shape. *)
+let fires_index spec ix =
+  Trigger.holds spec.trigger ix
   && (spec.rarity <= 1
-     || Hashtbl.hash (spec.id, script_op_set script) mod spec.rarity = 0)
+     || Hashtbl.hash (spec.id, Trigger.op_set ix) mod spec.rarity = 0)
+
+let fires spec script = fires_index spec (Trigger.index script)
 
 let kind_to_string = function
   | Crash -> "crash"

@@ -12,12 +12,11 @@
       Figures 7 and 9 counts how many each fuzzer rediscovers, attributing
       formulas to bugs via correcting-commit bisection.
 
-    A bug's [trigger] is a structural predicate on the input script; when an
+    A bug's [trigger] is a structural predicate on the input script
+    ({!Trigger.t}, data evaluated against a per-formula index); when an
     active bug matches, the solver front end applies the bug's behavioral
     effect (crash with a stack signature, flipped verdict, or corrupted
     model). *)
-
-open Smtlib
 
 type kind = Crash | Soundness | Invalid_model
 
@@ -41,7 +40,7 @@ type spec = {
   historical : bool;
   rarity : int;  (** deep-condition gate: the bug fires on roughly 1/rarity of
                      structurally matching formulas (deterministic) *)
-  trigger : Script.t -> bool;
+  trigger : Trigger.t;
 }
 
 val campaign_bugs : spec list
@@ -54,9 +53,14 @@ val active : solver:O4a_coverage.Coverage.solver_tag -> commit:int -> spec list
 (** Bugs present at a commit: [introduced <= commit < fixed] (unfixed bugs are
     present from [introduced] onwards). *)
 
-val fires : spec -> Script.t -> bool
+val fires : spec -> Smtlib.Script.t -> bool
 (** Structural trigger AND the deterministic rarity gate — use this, not
-    [trigger], to decide whether a formula actually reaches the defect. *)
+    [trigger], to decide whether a formula actually reaches the defect.
+    [fires spec script] is [fires_index spec (Trigger.index script)]. *)
+
+val fires_index : spec -> Trigger.index -> bool
+(** {!fires} against an index already built, e.g. a {!Formula}'s: the
+    rarity gate hashes [(spec.id, Trigger.op_set index)]. *)
 
 val is_extension_theory_bug : spec -> bool
 (** Involves a newly added or solver-specific theory (the class of bugs the

@@ -360,8 +360,12 @@ let crash_of_bug t (bug : Bug_db.spec) =
       solver_name = name t;
     }
 
-let triggered t script pred =
-  List.filter (fun (b : Bug_db.spec) -> pred b && Bug_db.fires b script) t.bugs
+(* the active bugs [pred] selects whose trigger fires on the formula; the
+   formula's index is built on the first bug [pred] lets through *)
+let triggered t formula pred =
+  List.filter
+    (fun (b : Bug_db.spec) -> pred b && Bug_db.fires_index b (Formula.index formula))
+    t.bugs
 
 let corrupt_model t script (model : Model.t) =
   (* a real invalid-model bug hands back an assignment that does NOT satisfy
@@ -394,7 +398,8 @@ let corrupt_model t script (model : Model.t) =
   in
   Option.value falsifying ~default:model
 
-let solve_script_inner ?(max_steps = 200_000) t script =
+let solve_script_inner ?(max_steps = 200_000) t formula =
+  let script = Formula.script formula in
   List.iter (fun cmd -> t.cov (command_key cmd) 0 1) script;
   (* 1. unsupported features *)
   match unsupported_symbol t script with
@@ -403,18 +408,18 @@ let solve_script_inner ?(max_steps = 200_000) t script =
     Error (Printf.sprintf "unknown constant or function symbol '%s'" sym)
   | None -> (
     (* 2. pre-typecheck bug escapes (e.g. the nullary-join type-check hole) *)
-    match triggered t script (fun b -> b.Bug_db.pre_check && b.Bug_db.kind = Bug_db.Crash) with
+    match triggered t formula (fun b -> b.Bug_db.pre_check && b.Bug_db.kind = Bug_db.Crash) with
     | bug :: _ -> raise (crash_of_bug t bug)
     | [] -> (
       (* 3. sort checking *)
-      match Theories.Typecheck.check_script script with
+      match Formula.check formula with
       | Error msg ->
         t.cov "typecheck.error" 0 1;
         Error msg
       | Ok () -> (
         t.cov "typecheck.ok" 0 1;
         (* 4. remaining crash bugs *)
-        match triggered t script (fun b -> b.Bug_db.kind = Bug_db.Crash) with
+        match triggered t formula (fun b -> b.Bug_db.kind = Bug_db.Crash) with
         | bug :: _ -> raise (crash_of_bug t bug)
         | [] ->
           (* 5. rewriting *)
@@ -457,11 +462,11 @@ let solve_script_inner ?(max_steps = 200_000) t script =
           in
           (* 8. behavioral bugs *)
           let outcome =
-            match triggered t script (fun b -> b.Bug_db.kind = Bug_db.Soundness) with
+            match triggered t formula (fun b -> b.Bug_db.kind = Bug_db.Soundness) with
             | _ :: _ -> ( match outcome with Sat _ -> Unsat | other -> other)
             | [] -> outcome
           in
-          (match triggered t script (fun b -> b.Bug_db.kind = Bug_db.Invalid_model) with
+          (match triggered t formula (fun b -> b.Bug_db.kind = Bug_db.Invalid_model) with
           | _ :: _ -> (
             match outcome with
             | Sat model -> Sat (corrupt_model t script model)
@@ -470,7 +475,7 @@ let solve_script_inner ?(max_steps = 200_000) t script =
 
 type query_stats = { steps : int; decisions : int; propagations : int }
 
-let solve_script ?max_steps t script =
+let solve_script ?max_steps t formula =
   t.act.queries <- t.act.queries + 1;
   let base_decisions = t.act.decisions and base_propagations = t.act.propagations in
   t.steps_used := 0;
@@ -479,7 +484,7 @@ let solve_script ?max_steps t script =
     t.act.last_decisions <- t.act.decisions - base_decisions;
     t.act.last_propagations <- t.act.propagations - base_propagations
   in
-  Fun.protect ~finally:finish (fun () -> solve_script_inner ?max_steps t script)
+  Fun.protect ~finally:finish (fun () -> solve_script_inner ?max_steps t formula)
 
 let last_query_stats t =
   {
@@ -498,11 +503,12 @@ let parse_check t source =
     | Some sym ->
       Result.Error (Printf.sprintf "unknown constant or function symbol '%s'" sym)
     | None -> (
-      match Theories.Typecheck.check_script script with
+      let formula = Formula.of_script script in
+      match Formula.check formula with
       | Error msg ->
         (* an active type-check-escape bug masks the rejection: the buggy
            solver front end accepts the term (and would crash later) *)
-        if triggered t script (fun b -> b.Bug_db.pre_check) <> [] then
+        if triggered t formula (fun b -> b.Bug_db.pre_check) <> [] then
           Result.Ok script
         else Result.Error msg
       | Ok () -> Result.Ok script))
@@ -510,7 +516,7 @@ let parse_check t source =
 let solve_source ?max_steps t source =
   match Parser.parse_script source with
   | Error e -> Error (Parser.error_message e)
-  | Ok script -> solve_script ?max_steps t script
+  | Ok script -> solve_script ?max_steps t (Formula.of_script script)
 
 let supports_script t script =
   unsupported_symbol t script = None
@@ -563,7 +569,7 @@ let solve_incremental ?max_steps t script =
         let snapshot =
           prelude @ List.map (fun a -> Command.Assert a) assertions @ [ Command.Check_sat ]
         in
-        let outcome = solve_script ?max_steps t snapshot in
+        let outcome = solve_script ?max_steps t (Formula.of_script snapshot) in
         steps := { step_index = !check_index; step_outcome = outcome } :: !steps;
         incr check_index
       | _ -> ())
@@ -587,7 +593,7 @@ let unsat_core ?max_steps t script =
     insert [] non_assert
   in
   let is_unsat assertions =
-    match solve_script ?max_steps t (rebuild assertions) with
+    match solve_script ?max_steps t (Formula.of_script (rebuild assertions)) with
     | Unsat -> true
     | Sat _ | Resource_limit | Unknown _ | Error _ -> false
     | exception Crash _ -> false

@@ -62,8 +62,13 @@ val is_pure : t -> bool
 val supports_script : t -> Script.t -> bool
 (** Whether every theory used by the script is implemented by this solver. *)
 
-val solve_script : ?max_steps:int -> t -> Script.t -> outcome
-(** May raise {!Crash}. *)
+val solve_script : ?max_steps:int -> t -> Formula.t -> outcome
+(** Run the pipeline on a formula. Its sort check and trigger index come
+    from the {!Formula} value, so engines handed the same value (the
+    oracle's pair) compute them once between them; each run still hits
+    this engine's own [typecheck.ok]/[typecheck.error] coverage point.
+    One-shot callers wrap their script with {!Formula.of_script}. May raise
+    {!Crash}. *)
 
 (** {1 Per-query activity}
 
@@ -84,7 +89,8 @@ val solve_source : ?max_steps:int -> t -> string -> outcome
 
 val parse_check : t -> string -> (Script.t, string) result
 (** Front-end only: parse and sort-check without solving — what the
-    self-correction loop of Algorithm 1 uses to validate generated terms. *)
+    self-correction loop of Algorithm 1 uses to validate generated terms.
+    Each call parses and sort-checks its text itself. *)
 
 (** {1 Incremental solving and unsat cores} *)
 

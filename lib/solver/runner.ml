@@ -97,11 +97,11 @@ let injected_run ?max_steps solve =
     | exception Engine.Crash { signature; bug_id; _ } ->
       R_crash { signature; bug_id })
 
-let run ?max_steps ?telemetry engine script =
+let run ?max_steps ?telemetry engine formula =
   let tel = match telemetry with Some t -> t | None -> Telemetry.global () in
   observed tel engine (fun () ->
       injected_run ?max_steps (fun max_steps ->
-          Engine.solve_script ?max_steps engine script))
+          Engine.solve_script ?max_steps engine formula))
 
 let run_source ?max_steps ?telemetry engine source =
   let tel = match telemetry with Some t -> t | None -> Telemetry.global () in

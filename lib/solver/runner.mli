@@ -14,11 +14,14 @@ type result =
 
 val run :
   ?max_steps:int -> ?telemetry:O4a_telemetry.Telemetry.t -> Engine.t ->
-  Smtlib.Script.t -> result
-(** [telemetry] defaults to the ambient {!O4a_telemetry.Telemetry.global}
-    handle. When enabled, each run is wrapped in a ["solver.run"] span and
-    emits an ["oracle.verdict"] event carrying the verdict and the engine's
-    per-query fuel/decision/propagation counts. *)
+  Formula.t -> result
+(** Run {!Engine.solve_script} on the formula. Pass the same {!Formula}
+    value to every engine that runs one formula: they then share its sort
+    check and trigger index. [telemetry] defaults to the ambient
+    {!O4a_telemetry.Telemetry.global} handle. When enabled, each run is
+    wrapped in a ["solver.run"] span and emits an ["oracle.verdict"] event
+    carrying the verdict and the engine's per-query
+    fuel/decision/propagation counts. *)
 
 val run_source :
   ?max_steps:int -> ?telemetry:O4a_telemetry.Telemetry.t -> Engine.t ->

@@ -252,15 +252,22 @@ let check_script ?(allow_placeholders = false) script =
     | Command.Echo _ | Command.Exit ->
       Ok (env, seen_names)
   in
-  (* The env must see all declarations up to each command; rebuild it
-     incrementally from the script prefix. *)
-  let rec go prefix_rev remaining seen_names =
+  (* Each command sees every declaration up to and including its own: the
+     env grows by each command's declarations, appended in script order so
+     that [find_fun] still takes the first match. *)
+  let extend env cmd =
+    match (Script.declared_funs [ cmd ], Script.declared_datatypes [ cmd ]) with
+    | [], [] -> env
+    | funs, datatypes ->
+      { env with funs = env.funs @ funs; datatypes = env.datatypes @ datatypes }
+  in
+  let rec go env remaining seen_names =
     match remaining with
     | [] -> Ok ()
     | cmd :: rest -> (
-      let env = env_of_script (List.rev (cmd :: prefix_rev)) in
+      let env = extend env cmd in
       match check_cmd (env, seen_names) cmd with
-      | Ok (_, seen') -> go (cmd :: prefix_rev) rest seen'
+      | Ok (_, seen') -> go env rest seen'
       | Error e -> Error e)
   in
-  go [] script []
+  go (env_of_script []) script []

@@ -1,14 +1,24 @@
-(* Replay every repro bundle under a directory through both evaluators.
+(* Replay every repro bundle under a directory through both evaluators,
+   both trigger evaluations and both oracle front ends.
 
      dune exec test/replay/replay_bundles.exe -- DIR
 
-   For each formula.smt2 under DIR, and for each solver whose front end
-   would search it, runs [Solver.Search.solve] and the reference walk over
-   the tree-walking evaluator (test/reference) with that solver's rewrite
-   rules, enumeration order and propagated bounds, at the campaign's fuel
-   budget, and compares the outcome, the model, the fuel and every (key,
-   line) coverage count. Exits 1 naming the first bundle that differs, or
-   when DIR holds no bundle. *)
+   For each formula.smt2 under DIR:
+   - for each solver whose front end would search it, runs
+     [Solver.Search.solve] and the reference walk over the tree-walking
+     evaluator (test/reference) with that solver's rewrite rules,
+     enumeration order and propagated bounds, at the campaign's fuel
+     budget, and compares the outcome, the model, the fuel and every (key,
+     line) coverage count;
+   - for every spec in [Bug_db.all], compares the indexed trigger and
+     [Bug_db.fires] with the reference's per-predicate walks
+     (test/reference/trigger_walk.ml): bundles are the formulas where
+     triggers fire and rarity gates pass;
+   - runs [Oracle.test] on the text and again given its parse
+     ([?parsed]), on trunk engines at the campaign's fuel budget, and
+     compares the outcomes.
+   Exits 1 naming the first bundle that differs, or when DIR holds no
+   bundle. *)
 
 open Smtlib
 module Coverage = O4a_coverage.Coverage
@@ -16,6 +26,8 @@ module Domain = Solver.Domain
 module Propagate = Solver.Propagate
 module Rewrite = Solver.Rewrite
 module Search = Solver.Search
+module Bug_db = Solver.Bug_db
+module Oracle = Once4all.Oracle
 
 (* the campaign's budget per query (Fuzz.default_config) *)
 let max_steps = 60_000
@@ -67,13 +79,34 @@ let () =
   if bundles = [] then (
     Printf.eprintf "FAIL: no formula.smt2 under %s\n" dir;
     exit 1);
-  let searches = ref 0 in
+  let searches = ref 0 and fired = ref 0 in
+  let zeal = Solver.Engine.zeal () and cove = Solver.Engine.cove () in
+  let fail path fmt =
+    Printf.ksprintf
+      (fun why ->
+        Printf.eprintf "FAIL: %s: %s\n" path why;
+        exit 1)
+      fmt
+  in
   List.iter
     (fun path ->
       let source = In_channel.with_open_bin path In_channel.input_all in
       match Parser.parse_script source with
       | Error _ -> ()
       | Ok script ->
+        List.iter
+          (fun (spec : Bug_db.spec) ->
+            let walked = Reference.Trigger_walk.fires spec script in
+            if Bug_db.fires spec script <> walked then
+              fail path "%s fires %b on the index but %b on the reference walk"
+                spec.Bug_db.id (not walked) walked;
+            if walked then incr fired)
+          Bug_db.all;
+        let oracle ?parsed () =
+          Oracle.test ~max_steps ?parsed ~zeal ~cove ~source ()
+        in
+        if oracle () <> oracle ~parsed:script () then
+          fail path "the oracle given the parse differs from the oracle given the text";
         List.iter
           (fun tag ->
             match query tag script with
@@ -83,10 +116,12 @@ let () =
               match Reference.Walk.mismatch ~max_steps ~order ~bounds simplified with
               | None -> ()
               | Some why ->
-                Printf.eprintf "FAIL: %s: %s search differs from the reference walk (%s)\n"
-                  path (Coverage.tag_to_string tag) why;
-                exit 1))
+                fail path "%s search differs from the reference walk (%s)"
+                  (Coverage.tag_to_string tag) why))
           [ Coverage.Zeal; Coverage.Cove ])
     bundles;
-  Printf.printf "replayed %d bundles (%d searches) through both evaluators: identical (%.1f s)\n"
-    (List.length bundles) !searches (Unix.gettimeofday () -. t0)
+  Printf.printf
+    "replayed %d bundles (%d searches) through both evaluators, %d firing specs through \
+     both trigger evaluations and every formula through both oracle front ends: \
+     identical (%.1f s)\n"
+    (List.length bundles) !searches !fired (Unix.gettimeofday () -. t0)

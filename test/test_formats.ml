@@ -342,6 +342,16 @@ let decoder_props =
       ~mutate:mutate_text
       (lazy (List.map Smtlib.Printer.script corpus))
       Smtlib.Parser.parse_script;
+    (* what the oracle's one front end gets: the text [Synthesize.fill],
+       [fill_typed] and [direct] emit over a pinned stream, raw generator
+       residue included, as is and byte-mutated *)
+    never_raises ~name:"Parser.parse_script on synthesized text" ~count:2000
+      ~mutate:(fun st s -> if Random.State.int st 4 = 0 then s else mutate_text st s)
+      (lazy
+        (List.map
+           (fun (f : Once4all.Synthesize.filled) -> f.Once4all.Synthesize.source)
+           (Fuzz_stream.stream ~mutate:Fuzz_stream.any_synthesis ~seed:41 ~ticks:300 ())))
+      Smtlib.Parser.parse_script;
   ]
 
 let () =

@@ -315,11 +315,95 @@ let test_oracle_no_bug_on_clean_formula () =
     outcome.Oracle.fuel
 
 let test_oracle_parse_error () =
-  let outcome = Oracle.test ~zeal:(zeal ()) ~cove:(cove ()) ~source:"(assert" () in
+  let tel = O4a_telemetry.Telemetry.create () in
+  let source = "(assert" in
+  let outcome = Oracle.test ~telemetry:tel ~zeal:(zeal ()) ~cove:(cove ()) ~source () in
   check_bool "no finding" true (outcome.Oracle.finding = None);
   check_bool "not solved" true (not outcome.Oracle.solved);
   check_int "no consults" 0 outcome.Oracle.consults;
-  check_int "no fuel" 0 outcome.Oracle.fuel
+  check_int "no fuel" 0 outcome.Oracle.fuel;
+  let message =
+    match Parser.parse_script source with
+    | Error e -> Parser.error_message e
+    | Ok _ -> Alcotest.fail "the source parses"
+  in
+  check_bool "the parser's message" true
+    (outcome.Oracle.results = [ ("parser", message) ]);
+  check_int "counted as a parse error" 1
+    (O4a_telemetry.Telemetry.counter_value tel "oracle.parse_errors")
+
+(* The oracle given Synthesize's parse ([?parsed]) behaves as the oracle
+   given the text alone, over a pinned 300-tick stream in the campaign
+   config with breakers on: the same outcomes, breaker ledger and telemetry
+   events once timings are dropped (the "parse" span included). *)
+let test_oracle_parsed_as_text () =
+  let module Telemetry = O4a_telemetry.Telemetry in
+  let module Health = O4a_health.Health in
+  let stream = Fuzz_stream.stream ~seed:31 ~ticks:300 () in
+  let breakers = Option.get (O4a_server.Jobspec.health Fuzz_stream.spec) in
+  let pass ~reuse =
+    let sink = O4a_telemetry.Sink.memory () in
+    let tel = Telemetry.create ~sink () in
+    let ledger = Health.make_ledger breakers in
+    let zeal = Solver.Engine.zeal () and cove = Solver.Engine.cove () in
+    let outcomes =
+      Health.using ledger (fun () ->
+          List.map
+            (fun (f : Synthesize.filled) ->
+              let parsed = if reuse then f.Synthesize.parsed else None in
+              Oracle.test ~max_steps:Fuzz_stream.config.Fuzz.max_steps ~telemetry:tel
+                ?parsed ~zeal ~cove ~source:f.Synthesize.source ())
+            stream)
+    in
+    let events =
+      List.map
+        (fun (e : O4a_telemetry.Event.t) ->
+          (e.O4a_telemetry.Event.name, List.remove_assoc "dur_us" e.O4a_telemetry.Event.fields))
+        (O4a_telemetry.Sink.events sink)
+    in
+    (outcomes, events, Health.export ledger)
+  in
+  let text_outcomes, text_events, text_health = pass ~reuse:false in
+  let outcomes, events, health = pass ~reuse:true in
+  check_bool "some ticks parse" true
+    (List.exists (fun (f : Synthesize.filled) -> f.Synthesize.parsed <> None) stream);
+  check_bool "a breaker opened" true
+    (List.exists (fun e -> e.Health.opened > 0) text_health);
+  List.iteri
+    (fun i (a, b) ->
+      if a <> b then
+        Alcotest.failf "tick %d: the outcome given the parse differs from the text's" i)
+    (List.combine text_outcomes outcomes);
+  check_bool "same breaker ledger" true (text_health = health);
+  check_int "same number of events" (List.length text_events) (List.length events);
+  check_bool "same events" true (text_events = events)
+
+(* One formula value shared by both engines answers as a fresh value per
+   engine: the first engine's sort check and index serve the second. *)
+let test_oracle_shared_formula () =
+  let module Formula = Solver.Formula in
+  let module Runner = Solver.Runner in
+  let max_steps = Fuzz_stream.config.Fuzz.max_steps in
+  let run engine formula =
+    let r = Runner.run ~max_steps engine formula in
+    (r, (Solver.Engine.last_query_stats engine).Solver.Engine.steps)
+  in
+  let fresh = (Solver.Engine.zeal (), Solver.Engine.cove ()) in
+  let shared = (Solver.Engine.zeal (), Solver.Engine.cove ()) in
+  List.iter
+    (fun (f : Synthesize.filled) ->
+      match f.Synthesize.parsed with
+      | None -> ()
+      | Some script ->
+        let formula = Formula.of_script script in
+        let shared_runs = (run (fst shared) formula, run (snd shared) formula) in
+        let fresh_runs =
+          ( run (fst fresh) (Formula.of_script script),
+            run (snd fresh) (Formula.of_script script) )
+        in
+        if shared_runs <> fresh_runs then
+          Alcotest.failf "a shared formula answers differently:\n%s" f.Synthesize.source)
+    (Fuzz_stream.stream ~seed:37 ~ticks:200 ())
 
 (* an engine an open breaker suppresses is not a consult, and burns no
    fuel *)
@@ -396,7 +480,7 @@ let test_oracle_attribute () =
     parse_script_exn
       "(declare-fun s () String)(assert (= (str.from_code (str.to_code s)) s))(check-sat)"
   in
-  match Oracle.attribute (zeal ()) script ~kind:Bug_db.Crash with
+  match Oracle.attribute (zeal ()) (Solver.Formula.of_script script) ~kind:Bug_db.Crash with
   | Some _ | None -> () (* gated by rarity; just ensure no exception *)
 
 (* The null campaign: with bug-free solvers, a shard of the CLI's default
@@ -616,6 +700,10 @@ let () =
           Alcotest.test_case "suppressed solvers are not consults" `Quick
             test_oracle_counts_skip_suppressed;
           Alcotest.test_case "null campaign" `Slow test_oracle_null_campaign;
+          Alcotest.test_case "given the parse, as given the text" `Quick
+            test_oracle_parsed_as_text;
+          Alcotest.test_case "a shared formula, as fresh ones" `Quick
+            test_oracle_shared_formula;
         ] );
       ( "dedup",
         [

@@ -80,7 +80,7 @@ let test_filter_drops_crashers () =
     (fun seed ->
       List.iter
         (fun engine ->
-          match Solver.Runner.run ~max_steps:40_000 engine seed with
+          match Solver.Runner.run ~max_steps:40_000 engine (Solver.Formula.of_script seed) with
           | Solver.Runner.R_crash { bug_id; _ } ->
             Alcotest.failf "filtered seed still triggers %s:\n%s" bug_id
               (Printer.script seed)
@@ -94,7 +94,7 @@ let test_solvable_fraction () =
   let definite =
     List.filter
       (fun seed ->
-        match Solver.Runner.run ~max_steps:60_000 cove seed with
+        match Solver.Runner.run ~max_steps:60_000 cove (Solver.Formula.of_script seed) with
         | Solver.Runner.R_sat _ | Solver.Runner.R_unsat -> true
         | _ -> false)
       (Corpus.all ())

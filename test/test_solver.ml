@@ -8,6 +8,7 @@ module Search = Solver.Search
 module Model = Solver.Model
 module Engine = Solver.Engine
 module Runner = Solver.Runner
+module Formula = Solver.Formula
 module Bug_db = Solver.Bug_db
 module Version = Solver.Version
 module Coverage = O4a_coverage.Coverage
@@ -1129,7 +1130,8 @@ let test_bug_fires_gate () =
   List.iter
     (fun (s : Bug_db.spec) ->
       if Bug_db.fires s script then
-        check_bool (s.Bug_db.id ^ " trigger holds") true (s.Bug_db.trigger script))
+        check_bool (s.Bug_db.id ^ " trigger holds") true
+          (Solver.Trigger.holds s.Bug_db.trigger (Solver.Trigger.index script)))
     Bug_db.all
 
 (* ------------------------- Engine / Runner ------------------------- *)
@@ -1141,8 +1143,9 @@ let test_engine_basics () =
   check_bool "pure engine has no bugs" true
     (match
        Runner.run (Engine.pure Coverage.Zeal)
-         (parse_script_exn
-            "(declare-fun x () Int)(assert (exists ((f Int)) (= (mod x 0) f)))(check-sat)")
+         (Formula.of_script
+            (parse_script_exn
+               "(declare-fun x () Int)(assert (exists ((f Int)) (= (mod x 0) f)))(check-sat)"))
      with
     | Runner.R_crash _ -> false
     | _ -> true)
@@ -1282,7 +1285,8 @@ let test_propagate_preserves_verdicts () =
   List.iter
     (fun seed ->
       if Engine.supports_script zeal seed then (
-        match (Runner.run zeal seed, Runner.run cove seed) with
+        let formula = Formula.of_script seed in
+        match (Runner.run zeal formula, Runner.run cove formula) with
         | Runner.R_sat _, Runner.R_unsat | Runner.R_unsat, Runner.R_sat _ ->
           Alcotest.failf "propagation changed the verdict on:\n%s" (Printer.script seed)
         | _ -> ()))
@@ -1344,7 +1348,7 @@ let test_unsat_core_on_sat_input () =
 let test_model_eval_terms () =
   let src = "(declare-fun x () Int)\n(assert (= (+ x 1) 3))\n(check-sat)" in
   let script = parse_script_exn src in
-  match Runner.run (Engine.pure Coverage.Zeal) script with
+  match Runner.run (Engine.pure Coverage.Zeal) (Formula.of_script script) with
   | Runner.R_sat model ->
     let results =
       Model.eval_terms script model
@@ -1362,8 +1366,9 @@ let test_solvers_agree_when_pure () =
   List.iter
     (fun seed ->
       if Engine.supports_script zeal seed then (
-        let rz = Runner.run ~max_steps:60_000 zeal seed in
-        let rc = Runner.run ~max_steps:60_000 cove seed in
+        let formula = Formula.of_script seed in
+        let rz = Runner.run ~max_steps:60_000 zeal formula in
+        let rc = Runner.run ~max_steps:60_000 cove formula in
         match (rz, rc) with
         | Runner.R_sat _, Runner.R_unsat | Runner.R_unsat, Runner.R_sat _ ->
           Alcotest.failf "pure solvers disagree on:\n%s" (Printer.script seed)

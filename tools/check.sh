@@ -55,7 +55,9 @@ grep -q "expected signature reproduced" "$out/repro.log" || {
 
 echo "== Bundle replay: each bundle's searches, compiled = tree-walking evaluator =="
 # outcome, model, fuel and every coverage count under both solvers' rules,
-# order and bounds at the campaign's 60,000 steps; names the bundle that differs
+# order and bounds at the campaign's 60,000 steps; every spec's indexed
+# trigger and rarity gate = the per-predicate walks; the oracle given the
+# parse = the oracle given the text; names the bundle that differs
 dune exec test/replay/replay_bundles.exe -- "$out/t1"
 
 echo "== Substrate: pure engines find nothing =="
