@@ -16,8 +16,10 @@ exception Lex_error of string
     solver's parser error (used by the self-correction loop). *)
 
 val read_sexps : string -> sexp list
-(** Parse a whole input into top-level S-expressions.
-    Raises {!Lex_error} on malformed input (unbalanced parens, bad string
-    literal, stray characters). *)
+(** Parse a whole input into top-level S-expressions, in one pass over its
+    characters. Raises {!Lex_error} on malformed input (unbalanced parens,
+    bad string literal, stray characters). A lexical error anywhere in the
+    input wins over an unbalanced parenthesis: a stray [')'] is reported
+    only once the rest of the input lexes. *)
 
 val atom_to_string : atom -> string

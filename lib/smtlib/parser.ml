@@ -85,17 +85,16 @@ let is_ff_value name =
   && name.[1] = 'f'
   && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub name 2 (String.length name - 2))
 
-let placeholder_counter = ref 0
-
-let term_of_sexp ?(ctors = []) ~datatypes sexp =
+(* [holes] numbers placeholders left to right across one parse *)
+let term_with ~holes ?(ctors = []) ~datatypes sexp =
   let sort = sort_of_sexp ~datatypes in
   let rec term sexp =
     match sexp with
     | Lexer.Atom (Lexer.Sym "true") -> Term.tru
     | Lexer.Atom (Lexer.Sym "false") -> Term.fls
     | Lexer.Atom (Lexer.Sym "<placeholder>") ->
-      let n = !placeholder_counter in
-      incr placeholder_counter;
+      let n = !holes in
+      incr holes;
       Term.Placeholder n
     | Lexer.Atom (Lexer.Sym name) -> Term.Var name
     | Lexer.Atom (Lexer.Num n) -> Term.int (int_of_string n)
@@ -176,13 +175,15 @@ let term_of_sexp ?(ctors = []) ~datatypes sexp =
   and is_kw_atom = function Lexer.Kw _ -> true | _ -> false in
   term sexp
 
+let term_of_sexp ?ctors ~datatypes sexp = term_with ~holes:(ref 0) ?ctors ~datatypes sexp
+
 (* ------------------------------------------------------------------ *)
 (* Commands                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let command_of_sexp ?(ctors = []) ~datatypes sexp =
+let command_of_sexp ~holes ~ctors ~datatypes sexp =
   let sort = sort_of_sexp ~datatypes in
-  let term = term_of_sexp ~ctors ~datatypes in
+  let term = term_with ~holes ~ctors ~datatypes in
   match sexp with
   | Lexer.List [ Lexer.Atom (Lexer.Sym "set-logic"); Lexer.Atom (Lexer.Sym logic) ] ->
     Command.Set_logic logic
@@ -251,7 +252,6 @@ let command_of_sexp ?(ctors = []) ~datatypes sexp =
   | other -> fail "expected command, got '%s'" (sexp_brief other)
 
 let wrap f =
-  placeholder_counter := 0;
   match f () with
   | value -> Ok value
   | exception Failure msg -> Error { message = "parse error: " ^ msg }
@@ -260,10 +260,11 @@ let wrap f =
 let parse_script input =
   wrap (fun () ->
       let sexps = Lexer.read_sexps input in
+      let holes = ref 0 in
       let _, commands =
         List.fold_left
           (fun ((datatypes, ctors), acc) sexp ->
-            let cmd = command_of_sexp ~ctors ~datatypes sexp in
+            let cmd = command_of_sexp ~holes ~ctors ~datatypes sexp in
             let context' =
               match cmd with
               | Command.Declare_datatypes dts ->

@@ -25,4 +25,6 @@ val sort_of_sexp : datatypes:string list -> Lexer.sexp -> Sort.t
 val term_of_sexp :
   ?ctors:string list -> datatypes:string list -> Lexer.sexp -> Term.t
 (** Raises [Failure]. Placeholder symbols [<placeholder>] become numbered
-    {!Term.Placeholder} nodes in left-to-right order. *)
+    {!Term.Placeholder} nodes in left-to-right order, from 0 in each call;
+    {!parse_script} numbers them across the whole script. The parser keeps
+    no global state, so domains may parse concurrently. *)

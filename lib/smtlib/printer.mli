@@ -1,5 +1,11 @@
-(** Concrete SMT-LIB syntax output. [Parser.parse_script (Printer.script s)]
-    round-trips for every construct the parser supports. *)
+(** Concrete SMT-LIB syntax output, each call writing into one buffer.
+
+    [Parser.parse_script (Printer.script s)] gives back [s] for the scripts
+    the campaign parses and splices (the corpus seeds and synthesized
+    formulas; test_props pins it), with two exceptions: an application with
+    no arguments, parsed from [(f)], prints as [f] and parses back as a
+    variable, and a quoted symbol prints without its bars, so [|a b|] parses
+    back as two symbols. *)
 
 val index : Term.index -> string
 

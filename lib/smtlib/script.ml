@@ -135,7 +135,8 @@ let has_check_sat script = List.mem Command.Check_sat script
    full signature table. *)
 let theories_used script =
   let tags = ref [] in
-  let add tag = if not (List.mem tag !tags) then tags := tag :: !tags in
+  let rec seen tag = function [] -> false | t :: rest -> String.equal t tag || seen tag rest in
+  let add tag = if not (seen tag !tags) then tags := tag :: !tags in
   let rec tag_sort = function
     | Sort.Bool -> add "core"
     | Sort.Int -> add "ints"
@@ -163,17 +164,19 @@ let theories_used script =
     | Sort.Uninterpreted _ -> add "uf"
   in
   let tag_op name =
-    let has_prefix p = O4a_util.Strx.starts_with ~prefix:p name in
-    if has_prefix "bv" then add "bitvectors"
-    else if has_prefix "str." || has_prefix "re." then add "strings"
-    else if has_prefix "seq." then add "seq"
-    else if has_prefix "set." || has_prefix "rel." then add "sets"
-    else if has_prefix "bag." || has_prefix "table." then add "bags"
-    else if has_prefix "ff." then add "finite_fields"
-    else if List.mem name [ "select"; "store" ] then add "arrays"
-    else if List.mem name [ "div"; "mod"; "abs"; "divisible"; "to_real" ] then add "ints"
-    else if List.mem name [ "/"; "to_int"; "is_int" ] then add "reals"
-    else if List.mem name [ "+"; "-"; "*"; "<"; "<="; ">"; ">=" ] then add "arith"
+    match name with
+    | "select" | "store" -> add "arrays"
+    | "div" | "mod" | "abs" | "divisible" | "to_real" -> add "ints"
+    | "/" | "to_int" | "is_int" -> add "reals"
+    | "+" | "-" | "*" | "<" | "<=" | ">" | ">=" -> add "arith"
+    | _ ->
+      let has prefix = O4a_util.Strx.starts_with ~prefix name in
+      if has "bv" then add "bitvectors"
+      else if has "str." || has "re." then add "strings"
+      else if has "seq." then add "seq"
+      else if has "set." || has "rel." then add "sets"
+      else if has "bag." || has "table." then add "bags"
+      else if has "ff." then add "finite_fields"
   in
   let rec tag_term t =
     (match t with

@@ -40,7 +40,9 @@ val has_check_sat : t -> bool
 
 val theories_used : t -> string list
 (** Heuristic theory tags appearing in the script (by operator and sort
-    usage): e.g. ["ints"; "strings"; "sets"]. Used for bug triage grouping. *)
+    usage): e.g. ["ints"; "strings"; "sets"], in first-seen order
+    (declarations, then assertions). Used for bug triage grouping and, by
+    the oracle, for a finding's theory. *)
 
 val size : t -> int
 (** Total number of term nodes across assertions. *)

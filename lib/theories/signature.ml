@@ -283,38 +283,29 @@ let finite_fields name sorts =
     | _ -> err "the function 'ff.neg' expects one finite-field argument")
   | _ -> err "unknown finite-field operator '%s'" name
 
-let families =
-  [
-    ( (fun n ->
-        List.mem n
-          [ "not"; "and"; "or"; "xor"; "=>"; "="; "distinct"; "ite" ]),
-      core );
-    ( (fun n ->
-        List.mem n
-          [ "+"; "-"; "*"; "/"; "div"; "mod"; "abs"; "<"; "<="; ">"; ">="; "to_real";
-            "to_int"; "is_int" ]),
-      arith );
-    ((fun n -> O4a_util.Strx.starts_with ~prefix:"bv" n || n = "concat" || n = "ubv_to_int"), bitvec);
-    ( (fun n ->
-        O4a_util.Strx.starts_with ~prefix:"str." n || O4a_util.Strx.starts_with ~prefix:"re." n),
-      strings );
-    ((fun n -> n = "select" || n = "store"), arrays);
-    ((fun n -> O4a_util.Strx.starts_with ~prefix:"seq." n), seq);
-    ( (fun n ->
-        O4a_util.Strx.starts_with ~prefix:"set." n
-        || O4a_util.Strx.starts_with ~prefix:"rel." n
-        || n = "tuple"),
-      sets );
-    ((fun n -> O4a_util.Strx.starts_with ~prefix:"bag" n), bags);
-    ((fun n -> O4a_util.Strx.starts_with ~prefix:"ff." n), finite_fields);
-  ]
-
+(* The families in a fixed order: core, arithmetic, bit-vectors, strings
+   and regular expressions, arrays, sequences, sets and relations, bags
+   ([bag] itself is the constructor, hence no dot), finite fields. Matching
+   the exact names first keeps that order, because none of them starts with
+   the prefix of an earlier family. *)
 let app name sorts =
-  let rec try_families = function
-    | [] -> err "unknown constant or function symbol '%s'" name
-    | (matches, check) :: rest -> if matches name then check name sorts else try_families rest
-  in
-  try_families families
+  match name with
+  | "not" | "and" | "or" | "xor" | "=>" | "=" | "distinct" | "ite" -> core name sorts
+  | "+" | "-" | "*" | "/" | "div" | "mod" | "abs" | "<" | "<=" | ">" | ">=" | "to_real"
+  | "to_int" | "is_int" ->
+    arith name sorts
+  | "concat" | "ubv_to_int" -> bitvec name sorts
+  | "select" | "store" -> arrays name sorts
+  | "tuple" -> sets name sorts
+  | _ ->
+    let has prefix = O4a_util.Strx.starts_with ~prefix name in
+    if has "bv" then bitvec name sorts
+    else if has "str." || has "re." then strings name sorts
+    else if has "seq." then seq name sorts
+    else if has "set." || has "rel." then sets name sorts
+    else if has "bag" then bags name sorts
+    else if has "ff." then finite_fields name sorts
+    else err "unknown constant or function symbol '%s'" name
 
 let is_bv_value name =
   String.length name > 2

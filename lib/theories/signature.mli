@@ -10,7 +10,11 @@ open Smtlib
 
 val app : string -> Sort.t list -> (Sort.t, string) result
 (** Result sort of a plain application, or [Error message]. Unknown operator
-    names yield an error mentioning the symbol. *)
+    names yield an error mentioning the symbol. The name picks one family by
+    a [match] on the core and arithmetic names, then by prefix, in this
+    order: core; arithmetic; [bv*], [concat] and [ubv_to_int]; [str.*] and
+    [re.*]; [select] and [store]; [seq.*]; [set.*], [rel.*] and [tuple];
+    [bag*] ([bag] is the constructor); [ff.*]. *)
 
 val indexed : string -> Term.index list -> Sort.t list -> (Sort.t, string) result
 (** Indexed applications: [(_ extract i j)], [(_ divisible n)],

@@ -1,17 +1,22 @@
 open Smtlib
 
+module Names = Hashtbl.Make (String)
+
 type env = {
   vars : (string * Sort.t) list;  (** innermost bindings first *)
-  funs : Script.fun_decl list;
+  funs : Script.fun_decl list;  (** in declaration order, for [env_vars] *)
+  first : Script.fun_decl Names.t;  (** each name's first declaration *)
   datatypes : Command.datatype_decl list;
 }
 
+let declare_fun first (d : Script.fun_decl) =
+  if not (Names.mem first d.name) then Names.add first d.name d
+
 let env_of_script script =
-  {
-    vars = [];
-    funs = Script.declared_funs script;
-    datatypes = Script.declared_datatypes script;
-  }
+  let funs = Script.declared_funs script in
+  let first = Names.create 64 in
+  List.iter (declare_fun first) funs;
+  { vars = []; funs; first; datatypes = Script.declared_datatypes script }
 
 let env_vars env =
   env.vars
@@ -24,7 +29,7 @@ let add_var name sort env = { env with vars = (name, sort) :: env.vars }
 
 let err fmt = Printf.ksprintf (fun m -> Error m) fmt
 
-let find_fun env name = List.find_opt (fun (d : Script.fun_decl) -> d.name = name) env.funs
+let find_fun env name = Names.find_opt env.first name
 
 let find_ctor env name =
   List.find_map
@@ -206,68 +211,61 @@ let check_bool ?(allow_placeholders = false) env term =
   | Error e -> Error e
 
 let check_script ?(allow_placeholders = false) script =
-  let check_cmd (env, seen_names) cmd =
-    let declare names k =
-      match List.find_opt (fun n -> List.mem n seen_names) names with
-      | Some dup -> Error (Printf.sprintf "symbol '%s' is already declared" dup)
-      | None -> k (names @ seen_names)
+  (* Each command sees every declaration up to and including its own, the
+     first declaration of a name winning: [first] grows by each command's
+     declarations in script order. Nothing here reads [funs]. *)
+  let first = Names.create 64 and seen = Names.create 64 in
+  let check_cmd env cmd =
+    let declare names =
+      match List.find_opt (Names.mem seen) names with
+      | Some dup -> err "symbol '%s' is already declared" dup
+      | None ->
+        List.iter (fun n -> Names.replace seen n ()) names;
+        Ok ()
     in
     match cmd with
-    | Command.Declare_fun (name, _, _) | Command.Declare_const (name, _) ->
-      declare [ name ] (fun seen -> Ok (env, seen))
+    | Command.Declare_fun (name, _, _) | Command.Declare_const (name, _) -> declare [ name ]
     | Command.Define_fun (name, params, result_sort, body) ->
-      declare [ name ] (fun seen ->
+      Result.bind (declare [ name ]) (fun () ->
           let env' = List.fold_left (fun acc (n, s) -> add_var n s acc) env params in
           match infer ~allow_placeholders env' body with
-          | Ok s when Sort.equal s result_sort -> Ok (env, seen)
+          | Ok s when Sort.equal s result_sort -> Ok ()
           | Ok s ->
             err "define-fun '%s' body has sort %s but %s was declared" name
               (Sort.to_string s) (Sort.to_string result_sort)
           | Error e -> Error e)
     | Command.Declare_datatypes dts ->
-      let names =
-        List.concat_map
-          (fun (dt : Command.datatype_decl) ->
-            dt.dt_name
-            :: List.concat_map
-                 (fun (c : Command.constructor) ->
-                   c.ctor_name :: List.map fst c.selectors)
-                 dt.constructors)
-          dts
-      in
-      declare names (fun seen -> Ok (env, seen))
+      declare
+        (List.concat_map
+           (fun (dt : Command.datatype_decl) ->
+             dt.dt_name
+             :: List.concat_map
+                  (fun (c : Command.constructor) -> c.ctor_name :: List.map fst c.selectors)
+                  dt.constructors)
+           dts)
     | Command.Declare_sort (name, arity) ->
       if arity <> 0 then err "only arity-0 declared sorts are supported, '%s' has %d" name arity
-      else declare [ name ] (fun seen -> Ok (env, seen))
-    | Command.Assert body -> (
-      match check_bool ~allow_placeholders env body with
-      | Ok () -> Ok (env, seen_names)
-      | Error e -> Error e)
+      else declare [ name ]
+    | Command.Assert body -> check_bool ~allow_placeholders env body
     | Command.Get_value terms -> (
       match sequence_results (List.map (infer ~allow_placeholders env) terms) with
-      | Ok _ -> Ok (env, seen_names)
+      | Ok _ -> Ok ()
       | Error e -> Error e)
     | Command.Set_logic _ | Command.Set_option _ | Command.Set_info _
     | Command.Check_sat | Command.Get_model | Command.Push _ | Command.Pop _
     | Command.Echo _ | Command.Exit ->
-      Ok (env, seen_names)
+      Ok ()
   in
-  (* Each command sees every declaration up to and including its own: the
-     env grows by each command's declarations, appended in script order so
-     that [find_fun] still takes the first match. *)
   let extend env cmd =
-    match (Script.declared_funs [ cmd ], Script.declared_datatypes [ cmd ]) with
-    | [], [] -> env
-    | funs, datatypes ->
-      { env with funs = env.funs @ funs; datatypes = env.datatypes @ datatypes }
+    List.iter (declare_fun first) (Script.declared_funs [ cmd ]);
+    match Script.declared_datatypes [ cmd ] with
+    | [] -> env
+    | datatypes -> { env with datatypes = env.datatypes @ datatypes }
   in
-  let rec go env remaining seen_names =
-    match remaining with
+  let rec go env = function
     | [] -> Ok ()
     | cmd :: rest -> (
       let env = extend env cmd in
-      match check_cmd (env, seen_names) cmd with
-      | Ok (_, seen') -> go env rest seen'
-      | Error e -> Error e)
+      match check_cmd env cmd with Ok () -> go env rest | Error e -> Error e)
   in
-  go (env_of_script []) script []
+  go { vars = []; funs = []; first; datatypes = [] } script

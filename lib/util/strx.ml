@@ -1,6 +1,9 @@
-let starts_with ~prefix s =
-  let lp = String.length prefix in
-  String.length s >= lp && String.sub s 0 lp = prefix
+(* top-level, so that no call allocates a closure *)
+let rec matches_from prefix s i =
+  i = String.length prefix
+  || (String.unsafe_get s i = String.unsafe_get prefix i && matches_from prefix s (i + 1))
+
+let starts_with ~prefix s = String.length s >= String.length prefix && matches_from prefix s 0
 
 let contains_sub ~sub s =
   let ls = String.length s and lsub = String.length sub in

@@ -1,6 +1,8 @@
 (** String helpers. *)
 
 val starts_with : prefix:string -> string -> bool
+(** Compares in place, without a substring; true for the empty prefix. *)
+
 val contains_sub : sub:string -> string -> bool
 val split_lines : string -> string list
 val split_on : char -> string -> string list

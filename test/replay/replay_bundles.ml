@@ -1,5 +1,6 @@
 (* Replay every repro bundle under a directory through both evaluators,
-   both trigger evaluations and both oracle front ends.
+   both trigger evaluations, both oracle front ends and both SMT-LIB front
+   ends.
 
      dune exec test/replay/replay_bundles.exe -- DIR
 
@@ -16,7 +17,11 @@
      triggers fire and rarity gates pass;
    - runs [Oracle.test] on the text and again given its parse
      ([?parsed]), on trunk engines at the campaign's fuel budget, and
-     compares the outcomes.
+     compares the outcomes;
+   - compares the front end with the one it replaced
+     (test/reference/frontend.ml): the S-expressions [Lexer.read_sexps]
+     reads (or its error), [Printer.script] of the parse,
+     [Typecheck.check_script], and both trunk engines' [parse_check].
    Exits 1 naming the first bundle that differs, or when DIR holds no
    bundle. *)
 
@@ -28,6 +33,7 @@ module Rewrite = Solver.Rewrite
 module Search = Solver.Search
 module Bug_db = Solver.Bug_db
 module Oracle = Once4all.Oracle
+module Ref = Reference.Frontend
 
 (* the campaign's budget per query (Fuzz.default_config) *)
 let max_steps = 60_000
@@ -88,12 +94,27 @@ let () =
         exit 1)
       fmt
   in
+  let lexed read source =
+    match read source with sexps -> Ok sexps | exception Lexer.Lex_error m -> Error m
+  in
   List.iter
     (fun path ->
       let source = In_channel.with_open_bin path In_channel.input_all in
+      if lexed Lexer.read_sexps source <> lexed Ref.read_sexps source then
+        fail path "Lexer.read_sexps differs from the reference lexer";
+      List.iter
+        (fun engine ->
+          if Solver.Engine.parse_check engine source <> Ref.parse_check engine source then
+            fail path "%s's parse_check differs from the reference front end"
+              (Solver.Engine.name engine))
+        [ zeal; cove ];
       match Parser.parse_script source with
       | Error _ -> ()
       | Ok script ->
+        if Printer.script script <> Ref.script script then
+          fail path "Printer.script differs from the reference printer";
+        if Theories.Typecheck.check_script script <> Ref.check_script script then
+          fail path "check_script differs from the reference sort checker";
         List.iter
           (fun (spec : Bug_db.spec) ->
             let walked = Reference.Trigger_walk.fires spec script in
@@ -122,6 +143,6 @@ let () =
     bundles;
   Printf.printf
     "replayed %d bundles (%d searches) through both evaluators, %d firing specs through \
-     both trigger evaluations and every formula through both oracle front ends: \
-     identical (%.1f s)\n"
+     both trigger evaluations and every formula through both oracle front ends and \
+     both SMT-LIB front ends: identical (%.1f s)\n"
     (List.length bundles) !searches !fired (Unix.gettimeofday () -. t0)

@@ -121,6 +121,22 @@ let test_parse_placeholder () =
   let t = parse_term_exn "(or <placeholder> <placeholder>)" in
   check_bool "two holes numbered" true (Term.placeholders t = [ 0; 1 ])
 
+(* holes are numbered per parse, so two domains parsing at once both see
+   0, 1, 2 *)
+let test_placeholder_domains () =
+  let parse_many () =
+    let ok = ref true in
+    for _ = 1 to 10_000 do
+      match Parser.parse_script "(assert (or <placeholder> <placeholder> <placeholder>))" with
+      | Ok [ Command.Assert t ] -> if Term.placeholders t <> [ 0; 1; 2 ] then ok := false
+      | _ -> ok := false
+    done;
+    !ok
+  in
+  let other = Domain.spawn parse_many in
+  let here = parse_many () in
+  check_bool "holes 0, 1, 2 on both domains" true (Domain.join other && here)
+
 let test_parse_qualified () =
   (match parse_term_exn "(as seq.empty (Seq Int))" with
   | Term.Qual ("seq.empty", Sort.Seq Sort.Int) -> ()
@@ -428,6 +444,7 @@ let () =
           Alcotest.test_case "let" `Quick test_parse_let;
           Alcotest.test_case "annotation" `Quick test_parse_annotation;
           Alcotest.test_case "placeholder" `Quick test_parse_placeholder;
+          Alcotest.test_case "placeholders per parse" `Quick test_placeholder_domains;
           Alcotest.test_case "qualified" `Quick test_parse_qualified;
           Alcotest.test_case "match patterns" `Quick test_parse_match;
           Alcotest.test_case "match round trip" `Quick test_match_round_trip;

@@ -57,7 +57,9 @@ echo "== Bundle replay: each bundle's searches, compiled = tree-walking evaluato
 # outcome, model, fuel and every coverage count under both solvers' rules,
 # order and bounds at the campaign's 60,000 steps; every spec's indexed
 # trigger and rarity gate = the per-predicate walks; the oracle given the
-# parse = the oracle given the text; names the bundle that differs
+# parse = the oracle given the text; the lexed S-expressions, the printed
+# parse, the sort check and both trunk engines' parse_check = the front end
+# in test/reference/frontend.ml; names the bundle that differs
 dune exec test/replay/replay_bundles.exe -- "$out/t1"
 
 echo "== Substrate: pure engines find nothing =="
