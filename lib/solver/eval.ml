@@ -161,80 +161,103 @@ let to_signed width v =
   let half = 1 lsl (width - 1) in
   if v >= half then v - (1 lsl width) else v
 
-let rat = function
-  | Value.Int n -> (n, 1)
-  | Value.Real (p, q) -> (p, q)
-  | v -> fail "expected a numeric value, got %s" (Value.to_term_string v)
+let expected what v = fail "expected %s, got %s" what (Value.to_term_string v)
 
 let as_int = function
   | Value.Int n -> n
-  | v -> fail "expected Int, got %s" (Value.to_term_string v)
+  | v -> expected "Int" v
 
 let as_bool = function
   | Value.Bool b -> b
-  | v -> fail "expected Bool, got %s" (Value.to_term_string v)
+  | v -> expected "Bool" v
 
 let as_str = function
   | Value.Str s -> s
-  | v -> fail "expected String, got %s" (Value.to_term_string v)
+  | v -> expected "String" v
 
 let as_re = function
   | Value.Re r -> r
   | Value.Str s -> Regex.Lit s
-  | v -> fail "expected RegLan, got %s" (Value.to_term_string v)
+  | v -> expected "RegLan" v
 
-let as_bv = function
-  | Value.Bv { width; value } -> (width, value)
-  | v -> fail "expected BitVec, got %s" (Value.to_term_string v)
+(* The accessors of values with two parts read one part each, so that no
+   pair is built (there is no flambda to remove it). Reading either part of
+   a value of the wrong sort fails with the same text. *)
+let num = function
+  | Value.Int n -> n
+  | Value.Real (p, _) -> p
+  | v -> expected "a numeric value" v
 
-let as_ff = function
-  | Value.Ff { order; value } -> (order, value)
-  | v -> fail "expected FiniteField, got %s" (Value.to_term_string v)
+let den = function
+  | Value.Int _ -> 1
+  | Value.Real (_, q) -> q
+  | v -> expected "a numeric value" v
 
-let as_seq = function
-  | Value.Seq (elt, vs) -> (elt, vs)
-  | v -> fail "expected Seq, got %s" (Value.to_term_string v)
-
-let as_set = function
-  | Value.Set (elt, vs) -> (elt, vs)
-  | v -> fail "expected Set, got %s" (Value.to_term_string v)
-
-let as_bag = function
-  | Value.Bag (elt, vs) -> (elt, vs)
-  | v -> fail "expected Bag, got %s" (Value.to_term_string v)
+let bv_width = function Value.Bv { width; _ } -> width | v -> expected "BitVec" v
+let bv_value = function Value.Bv { value; _ } -> value | v -> expected "BitVec" v
+let ff_order = function Value.Ff { order; _ } -> order | v -> expected "FiniteField" v
+let ff_value = function Value.Ff { value; _ } -> value | v -> expected "FiniteField" v
+let seq_elems = function Value.Seq (_, vs) -> vs | v -> expected "Seq" v
+let set_elt = function Value.Set (elt, _) -> elt | v -> expected "Set" v
+let set_elems = function Value.Set (_, vs) -> vs | v -> expected "Set" v
+let bag_entries = function Value.Bag (_, vs) -> vs | v -> expected "Bag" v
 
 let vtrue = Value.Bool true
 let vfalse = Value.Bool false
 let vbool b = if b then vtrue else vfalse
+let unit_tuple = Value.Tuple []
 
 let all_numeric vs = List.for_all (function Value.Int _ -> true | _ -> false) vs
 
-let fold_arith cov name vs int_op rat_op =
+(* The numerator of p/q op p'/q'; the denominator is q * q' for all three. *)
+let add_num p q p' q' = (p * q') + (p' * q)
+let sub_num p q p' q' = (p * q') - (p' * q)
+let mul_num p _ p' _ = p * p'
+
+(* p/q op [v] op ... for each [v] of the list, left to right *)
+let rec fold_rat num_op p q = function
+  | [] -> Value.mk_real p q
+  | v :: rest ->
+    let p' = num v in
+    let q' = den v in
+    fold_rat num_op (num_op p q p' q') (q * q') rest
+
+let fold_arith cov name vs int_op num_op =
   cov ();
   match vs with
   | [] -> fail "'%s' applied to no arguments" name
   | first :: rest ->
     if all_numeric vs then
-      Value.Int (List.fold_left (fun acc v -> int_op acc (as_int v)) (as_int first) rest)
+      Value.of_int (List.fold_left (fun acc v -> int_op acc (as_int v)) (as_int first) rest)
     else (
-      let p, q =
-        List.fold_left (fun acc v -> rat_op acc (rat v)) (rat first) rest
-      in
-      Value.mk_real p q)
+      let p = num first in
+      fold_rat num_op p (den first) rest)
 
-let rat_add (p, q) (p', q') = ((p * q') + (p' * q), q * q')
-let rat_sub (p, q) (p', q') = ((p * q') - (p' * q), q * q')
-let rat_mul (p, q) (p', q') = (p * p', q * q')
-
-let rat_cmp (p, q) (p', q') = compare (p * q') (p' * q)
-
-let chain_compare cov vs cmp =
+(* [a] op [b], one of them not an Int *)
+let arith2 cov num_op a b =
   cov ();
-  let rec go = function
-    | a :: (b :: _ as rest) -> cmp (rat a) (rat b) && go rest
-    | _ -> true
-  in
-  Value.Bool (go vs)
+  let p = num a in
+  let q = den a in
+  let p' = num b in
+  let q' = den b in
+  Value.mk_real (num_op p q p' q') (q * q')
+
+(* The order of two numeric values. [b] is read first: the tree-walker
+   evaluated the right argument of its comparison first. *)
+let rat_compare a b =
+  let p' = num b in
+  let q' = den b in
+  let p = num a in
+  let q = den a in
+  compare (p * q') (p' * q)
+
+let rec chain test = function
+  | a :: (b :: _ as rest) -> test (rat_compare a b) && chain test rest
+  | _ -> true
+
+let chain_compare cov vs test =
+  cov ();
+  vbool (chain test vs)
 
 (* --- string helpers ------------------------------------------------ *)
 
@@ -302,11 +325,77 @@ let seq_replace xs pat rep =
   | i ->
     O4a_util.Listx.take i xs @ rep @ O4a_util.Listx.drop (i + List.length pat) xs
 
+(* --- collections in normal form (Value, "The normal form") ---------- *)
+
+(* The merge of two normal element lists. Of two equal elements the left
+   one stays, as in a stable sort of [xs @ ys] that keeps the first of each
+   run of equal elements. *)
+let rec union xs ys =
+  match (xs, ys) with
+  | [], l | l, [] -> l
+  | x :: xs', y :: ys' ->
+    let c = Value.compare x y in
+    if c < 0 then x :: union xs' ys else if c > 0 then y :: union xs ys' else x :: union xs' ys'
+
+let rec inter xs ys =
+  match (xs, ys) with
+  | [], _ | _, [] -> []
+  | x :: xs', y :: ys' ->
+    let c = Value.compare x y in
+    if c < 0 then inter xs' ys else if c > 0 then inter xs ys' else x :: inter xs' ys'
+
+let rec minus xs ys =
+  match (xs, ys) with
+  | [], _ -> []
+  | _, [] -> xs
+  | x :: xs', y :: ys' ->
+    let c = Value.compare x y in
+    if c < 0 then x :: minus xs' ys else if c > 0 then minus xs ys' else minus xs' ys'
+
+let rec mem v = function
+  | [] -> false
+  | x :: rest -> Value.equal v x || mem v rest
+
+(* The merge of two normal bags' entries, each key's count [combine]d from
+   its counts in the two (0 where absent). A shared key keeps the left
+   entry's key, and a count of 0 or less drops the key. *)
+let rec merge_bags combine xs ys =
+  match (xs, ys) with
+  | [], [] -> []
+  | ((x, m) as e) :: xs', [] -> keep e x (combine m 0) (merge_bags combine xs' [])
+  | [], ((y, n) as f) :: ys' -> keep f y (combine 0 n) (merge_bags combine [] ys')
+  | ((x, m) as e) :: xs', ((y, n) as f) :: ys' ->
+    let c = Value.compare x y in
+    if c < 0 then keep e x (combine m 0) (merge_bags combine xs' ys)
+    else if c > 0 then keep f y (combine 0 n) (merge_bags combine xs ys')
+    else keep e x (combine m n) (merge_bags combine xs' ys')
+
+(* [(v, k)] before [rest], as the entry [e] itself when it already says so *)
+and keep e v k rest = if k <= 0 then rest else if k = snd e then e :: rest else (v, k) :: rest
+
+let rec count v = function
+  | [] -> 0
+  | (v', n) :: rest -> if Value.equal v v' then n else count v rest
+
+let rec lookup i default = function
+  | [] -> default
+  | (k, v) :: rest -> if Value.equal k i then v else lookup i default rest
+
+let rec stored i = function
+  | [] -> false
+  | (k, _) :: rest -> Value.equal k i || stored i rest
+
+(* [(i, v)] in index order among entries that do not store [i] *)
+let rec insert_entry i v = function
+  | ((k, _) as e) :: rest when Value.compare k i < 0 -> e :: insert_entry i v rest
+  | entries -> (i, v) :: entries
+
 (* Numeric coercion for (=) and (distinct) across Int/Real. *)
 let coerced_equal a b =
   match (a, b) with
   | Value.Int n, Value.Real (p, q) | Value.Real (p, q), Value.Int n -> p = n * q
   | _ -> Value.equal a b
+
 
 let eval_const = function
   | Term.Bool_lit b -> Value.Bool b
@@ -339,6 +428,25 @@ let find_selector ctx name =
     ctx.datatypes
 
 let default_of ctx sort = Domain.default_value ~config:ctx.config ~datatypes:ctx.datatypes sort
+
+(* [f sort], kept for the last sort it was asked for. Each node that needs a
+   sort's default or universe keeps one: a node sees one element sort in a
+   well-sorted formula, and its code lives for one query. *)
+let memo_sort f =
+  let last = ref None in
+  fun sort ->
+    match !last with
+    | Some (s, v) when s = sort -> v
+    | _ ->
+      let v = f sort in
+      last := Some (sort, v);
+      v
+
+(* the sum of each field element times 2^i, for its index i, from [acc] and
+   [weight] = 2^i on *)
+let rec bitsum acc weight = function
+  | [] -> acc
+  | v :: rest -> bitsum (acc + (weight * ff_value v)) (weight * 2) rest
 
 (* --- operators ----------------------------------------------------- *)
 
@@ -393,11 +501,11 @@ let theory_op ctx name args =
   (* ---- core ---- *)
   | "not", [ _ ] -> Op1 (fun v -> cov (); vbool (not (as_bool v)))
   | "and", [ _; _ ] -> Op2 (fun a b -> cov (); vbool (as_bool a && as_bool b))
-  | "and", _ -> Opn (fun vs -> cov (); Value.Bool (List.for_all as_bool vs))
+  | "and", _ -> Opn (fun vs -> cov (); vbool (List.for_all as_bool vs))
   | "or", [ _; _ ] -> Op2 (fun a b -> cov (); vbool (as_bool a || as_bool b))
-  | "or", _ -> Opn (fun vs -> cov (); Value.Bool (List.exists as_bool vs))
+  | "or", _ -> Opn (fun vs -> cov (); vbool (List.exists as_bool vs))
   | "xor", _ ->
-    Opn (fun vs -> cov (); Value.Bool (List.fold_left (fun acc v -> acc <> as_bool v) false vs))
+    Opn (fun vs -> cov (); vbool (List.fold_left (fun acc v -> acc <> as_bool v) false vs))
   | "=>", [ _; _ ] -> Op2 (fun a b -> cov (); vbool ((not (as_bool a)) || as_bool b))
   | "=>", _ ->
     Opn
@@ -408,9 +516,10 @@ let theory_op ctx name args =
           | [ last ] -> as_bool last
           | v :: rest -> (not (as_bool v)) || go rest
         in
-        Value.Bool (go vs))
+        vbool (go vs))
   | "=", [ _; _ ] -> Op2 (fun a b -> cov (); vbool (coerced_equal a b))
-  | "=", _ :: _ -> Op1n (fun v rest -> cov (); Value.Bool (List.for_all (coerced_equal v) rest))
+  | "=", _ :: _ -> Op1n (fun v rest -> cov (); vbool (List.for_all (coerced_equal v) rest))
+  | "distinct", [ _; _ ] -> Op2 (fun a b -> cov (); vbool (not (coerced_equal a b)))
   | "distinct", _ ->
     Opn
       (fun vs ->
@@ -419,7 +528,7 @@ let theory_op ctx name args =
           | [] -> true
           | v :: rest -> List.for_all (fun v' -> not (coerced_equal v v')) rest && pairwise rest
         in
-        Value.Bool (pairwise vs))
+        vbool (pairwise vs))
   | "ite", [ _; _; _ ] -> Op3 (fun c a b -> cov (); if as_bool c then a else b)
   (* ---- arithmetic ---- *)
   | "-", [ _ ] ->
@@ -427,50 +536,62 @@ let theory_op ctx name args =
       (fun v ->
         cov ();
         match v with
-        | Value.Int n -> Value.Int (-n)
+        | Value.Int n -> Value.of_int (-n)
         | Value.Real (p, q) -> Value.mk_real (-p) q
         | _ -> fail "unary minus on non-numeric value")
   | "+", [ _; _ ] ->
     Op2
       (fun a b ->
         match (a, b) with
-        | Value.Int x, Value.Int y -> cov (); Value.Int (x + y)
-        | _ -> fold_arith cov name [ a; b ] ( + ) rat_add)
+        | Value.Int x, Value.Int y -> cov (); Value.of_int (x + y)
+        | _ -> arith2 cov add_num a b)
   | "-", [ _; _ ] ->
     Op2
       (fun a b ->
         match (a, b) with
-        | Value.Int x, Value.Int y -> cov (); Value.Int (x - y)
-        | _ -> fold_arith cov name [ a; b ] ( - ) rat_sub)
+        | Value.Int x, Value.Int y -> cov (); Value.of_int (x - y)
+        | _ -> arith2 cov sub_num a b)
   | "*", [ _; _ ] ->
     Op2
       (fun a b ->
         match (a, b) with
-        | Value.Int x, Value.Int y -> cov (); Value.Int (x * y)
-        | _ -> fold_arith cov name [ a; b ] ( * ) rat_mul)
-  | "+", _ -> Opn (fun vs -> fold_arith cov name vs ( + ) rat_add)
-  | "-", _ -> Opn (fun vs -> fold_arith cov name vs ( - ) rat_sub)
-  | "*", _ -> Opn (fun vs -> fold_arith cov name vs ( * ) rat_mul)
+        | Value.Int x, Value.Int y -> cov (); Value.of_int (x * y)
+        | _ -> arith2 cov mul_num a b)
+  | "+", _ -> Opn (fun vs -> fold_arith cov name vs ( + ) add_num)
+  | "-", _ -> Opn (fun vs -> fold_arith cov name vs ( - ) sub_num)
+  | "*", _ -> Opn (fun vs -> fold_arith cov name vs ( * ) mul_num)
+  | "/", [ _; _ ] ->
+    let edge = line1 () in
+    Op2
+      (fun a b ->
+        cov ();
+        let p = num a in
+        let q = den a in
+        let p' = num b in
+        let q' = den b in
+        if p' = 0 then (
+          edge ();
+          Value.mk_real 0 1 (* division by zero: fixed default 0 *))
+        else Value.mk_real (p * q') (q * p'))
   | "/", _ ->
     let edge = line1 () in
+    let rec go p q = function
+      | [] -> Value.mk_real p q
+      | v :: rest ->
+        let p' = num v in
+        let q' = den v in
+        if p' = 0 then (
+          edge ();
+          go 0 1 rest)
+        else go (p * q') (q * p') rest
+    in
     Opn
       (fun vs ->
         cov ();
-        let rec go acc = function
-          | [] -> acc
-          | v :: rest ->
-            let p', q' = rat v in
-            if p' = 0 then (
-              edge ();
-              go (0, 1) rest (* division by zero: fixed default 0 *))
-            else (
-              let p, q = acc in
-              go (p * q', q * p') rest)
-        in
         match vs with
         | first :: rest ->
-          let p, q = go (rat first) rest in
-          Value.mk_real p q
+          let p = num first in
+          go p (den first) rest
         | [] -> fail "'/' applied to no arguments")
   | "div", [ _; _ ] ->
     let edge = line1 () in
@@ -478,15 +599,15 @@ let theory_op ctx name args =
       (fun a b ->
         cov ();
         if as_int b = 0 then edge ();
-        Value.Int (ediv (as_int a) (as_int b)))
+        Value.of_int (ediv (as_int a) (as_int b)))
   | "mod", [ _; _ ] ->
     let edge = line1 () in
     Op2
       (fun a b ->
         cov ();
         if as_int b = 0 then edge ();
-        Value.Int (emod (as_int a) (as_int b)))
-  | "abs", [ _ ] -> Op1 (fun a -> cov (); Value.Int (abs (as_int a)))
+        Value.of_int (emod (as_int a) (as_int b)))
+  | "abs", [ _ ] -> Op1 (fun a -> cov (); Value.of_int (abs (as_int a)))
   | ("<" | "<=" | ">" | ">="), [ _; _ ] ->
     let int_cmp, rat_test =
       match name with
@@ -499,11 +620,13 @@ let theory_op ctx name args =
       (fun a b ->
         match (a, b) with
         | Value.Int x, Value.Int y -> cov (); vbool (int_cmp x y)
-        | _ -> chain_compare cov [ a; b ] (fun a b -> rat_test (rat_cmp a b)))
-  | "<", _ -> Opn (fun vs -> chain_compare cov vs (fun a b -> rat_cmp a b < 0))
-  | "<=", _ -> Opn (fun vs -> chain_compare cov vs (fun a b -> rat_cmp a b <= 0))
-  | ">", _ -> Opn (fun vs -> chain_compare cov vs (fun a b -> rat_cmp a b > 0))
-  | ">=", _ -> Opn (fun vs -> chain_compare cov vs (fun a b -> rat_cmp a b >= 0))
+        | _ ->
+          cov ();
+          vbool (rat_test (rat_compare a b)))
+  | "<", _ -> Opn (fun vs -> chain_compare cov vs (fun c -> c < 0))
+  | "<=", _ -> Opn (fun vs -> chain_compare cov vs (fun c -> c <= 0))
+  | ">", _ -> Opn (fun vs -> chain_compare cov vs (fun c -> c > 0))
+  | ">=", _ -> Opn (fun vs -> chain_compare cov vs (fun c -> c >= 0))
   | "to_real", [ _ ] ->
     Op1
       (fun a ->
@@ -514,32 +637,32 @@ let theory_op ctx name args =
     Op1
       (fun a ->
         cov ();
-        let p, q = rat a in
-        Value.Int (ediv p q))
+        let p = num a in
+        Value.of_int (ediv p (den a)))
   | "is_int", [ _ ] ->
     Op1
       (fun a ->
         cov ();
-        let p, q = rat a in
-        Value.Bool (emod p q = 0))
+        let p = num a in
+        vbool (emod p (den a) = 0))
   (* ---- bit-vectors ---- *)
   | "concat", [ _; _ ] ->
     Op2
       (fun a b ->
         cov ();
-        let wa, va = as_bv a and wb, vb = as_bv b in
+        let wa = bv_width a and va = bv_value a and wb = bv_width b and vb = bv_value b in
         Value.mk_bv ~width:(wa + wb) ((va lsl wb) lor vb))
   | "bvnot", [ _ ] ->
     Op1
       (fun a ->
         cov ();
-        let w, v = as_bv a in
+        let w = bv_width a and v = bv_value a in
         Value.mk_bv ~width:w (lnot v))
   | "bvneg", [ _ ] ->
     Op1
       (fun a ->
         cov ();
-        let w, v = as_bv a in
+        let w = bv_width a and v = bv_value a in
         Value.mk_bv ~width:w (-v))
   | ("bvand" | "bvor" | "bvxor" | "bvnand" | "bvnor" | "bvxnor"), _ :: _ ->
     let op a b =
@@ -551,24 +674,26 @@ let theory_op ctx name args =
       | "bvnor" -> lnot (a lor b)
       | _ -> lnot (a lxor b)
     in
+    let step acc v = op acc (bv_value v) in
     Op1n
       (fun first rest ->
         cov ();
-        let w, v0 = as_bv first in
-        Value.mk_bv ~width:w (List.fold_left (fun acc v -> op acc (snd (as_bv v))) v0 rest))
+        let w = bv_width first and v0 = bv_value first in
+        Value.mk_bv ~width:w (List.fold_left step v0 rest))
   | ("bvadd" | "bvsub" | "bvmul"), _ :: _ ->
     let op = match name with "bvadd" -> ( + ) | "bvsub" -> ( - ) | _ -> ( * ) in
+    let step acc v = op acc (bv_value v) in
     Op1n
       (fun first rest ->
         cov ();
-        let w, v0 = as_bv first in
-        Value.mk_bv ~width:w (List.fold_left (fun acc v -> op acc (snd (as_bv v))) v0 rest))
+        let w = bv_width first and v0 = bv_value first in
+        Value.mk_bv ~width:w (List.fold_left step v0 rest))
   | "bvudiv", [ _; _ ] ->
     let edge = line1 () in
     Op2
       (fun a b ->
         cov ();
-        let w, va = as_bv a and _, vb = as_bv b in
+        let w = bv_width a and va = bv_value a and vb = bv_value b in
         if vb = 0 then (
           edge ();
           Value.mk_bv ~width:w (-1) (* all ones *))
@@ -577,13 +702,13 @@ let theory_op ctx name args =
     Op2
       (fun a b ->
         cov ();
-        let w, va = as_bv a and _, vb = as_bv b in
+        let w = bv_width a and va = bv_value a and vb = bv_value b in
         if vb = 0 then Value.mk_bv ~width:w va else Value.mk_bv ~width:w (va mod vb))
   | "bvsdiv", [ _; _ ] ->
     Op2
       (fun a b ->
         cov ();
-        let w, va = as_bv a and _, vb = as_bv b in
+        let w = bv_width a and va = bv_value a and vb = bv_value b in
         let sa = to_signed w va and sb = to_signed w vb in
         if sb = 0 then Value.mk_bv ~width:w (if sa < 0 then 1 else -1)
         else Value.mk_bv ~width:w (sa / sb))
@@ -591,7 +716,7 @@ let theory_op ctx name args =
     Op2
       (fun a b ->
         cov ();
-        let w, va = as_bv a and _, vb = as_bv b in
+        let w = bv_width a and va = bv_value a and vb = bv_value b in
         let sa = to_signed w va and sb = to_signed w vb in
         if sb = 0 then Value.mk_bv ~width:w va
         else if name = "bvsrem" then Value.mk_bv ~width:w (sa mod sb)
@@ -603,26 +728,26 @@ let theory_op ctx name args =
     Op2
       (fun a b ->
         cov ();
-        let w, va = as_bv a and _, vb = as_bv b in
+        let w = bv_width a and va = bv_value a and vb = bv_value b in
         Value.mk_bv ~width:w (if vb >= w then 0 else va lsl vb))
   | "bvlshr", [ _; _ ] ->
     Op2
       (fun a b ->
         cov ();
-        let w, va = as_bv a and _, vb = as_bv b in
+        let w = bv_width a and va = bv_value a and vb = bv_value b in
         Value.mk_bv ~width:w (if vb >= w then 0 else va lsr vb))
   | "bvashr", [ _; _ ] ->
     Op2
       (fun a b ->
         cov ();
-        let w, va = as_bv a and _, vb = as_bv b in
+        let w = bv_width a and va = bv_value a and vb = bv_value b in
         let sa = to_signed w va in
         Value.mk_bv ~width:w (if vb >= w then if sa < 0 then -1 else 0 else sa asr vb))
   | ("bvult" | "bvule" | "bvugt" | "bvuge"), [ _; _ ] ->
     Op2
       (fun a b ->
         cov ();
-        let _, va = as_bv a and _, vb = as_bv b in
+        let va = bv_value a and vb = bv_value b in
         let r =
           match name with
           | "bvult" -> va < vb
@@ -630,12 +755,12 @@ let theory_op ctx name args =
           | "bvugt" -> va > vb
           | _ -> va >= vb
         in
-        Value.Bool r)
+        vbool r)
   | ("bvslt" | "bvsle" | "bvsgt" | "bvsge"), [ _; _ ] ->
     Op2
       (fun a b ->
         cov ();
-        let w, va = as_bv a and _, vb = as_bv b in
+        let w = bv_width a and va = bv_value a and vb = bv_value b in
         let sa = to_signed w va and sb = to_signed w vb in
         let r =
           match name with
@@ -644,29 +769,29 @@ let theory_op ctx name args =
           | "bvsgt" -> sa > sb
           | _ -> sa >= sb
         in
-        Value.Bool r)
+        vbool r)
   | "bvcomp", [ _; _ ] ->
     Op2 (fun a b -> cov (); Value.mk_bv ~width:1 (if Value.equal a b then 1 else 0))
-  | ("bv2nat" | "ubv_to_int"), [ _ ] -> Op1 (fun a -> cov (); Value.Int (snd (as_bv a)))
+  | ("bv2nat" | "ubv_to_int"), [ _ ] -> Op1 (fun a -> cov (); Value.of_int (bv_value a))
   (* ---- strings ---- *)
   | "str.++", _ -> Opn (fun vs -> cov (); Value.Str (String.concat "" (List.map as_str vs)))
-  | "str.len", [ _ ] -> Op1 (fun s -> cov (); Value.Int (String.length (as_str s)))
+  | "str.len", [ _ ] -> Op1 (fun s -> cov (); Value.of_int (String.length (as_str s)))
   | "str.at", [ _; _ ] -> Op2 (fun s i -> cov (); Value.Str (str_at (as_str s) (as_int i)))
   | "str.substr", [ _; _; _ ] ->
     Op3 (fun s i n -> cov (); Value.Str (str_substr (as_str s) (as_int i) (as_int n)))
   | "str.indexof", [ _; _; _ ] ->
-    Op3 (fun s sub from -> cov (); Value.Int (str_indexof (as_str s) (as_str sub) (as_int from)))
+    Op3 (fun s sub from -> cov (); Value.of_int (str_indexof (as_str s) (as_str sub) (as_int from)))
   | "str.contains", [ _; _ ] ->
-    Op2 (fun s sub -> cov (); Value.Bool (str_contains (as_str s) (as_str sub)))
+    Op2 (fun s sub -> cov (); vbool (str_contains (as_str s) (as_str sub)))
   | "str.prefixof", [ _; _ ] ->
-    Op2 (fun p s -> cov (); Value.Bool (O4a_util.Strx.starts_with ~prefix:(as_str p) (as_str s)))
+    Op2 (fun p s -> cov (); vbool (O4a_util.Strx.starts_with ~prefix:(as_str p) (as_str s)))
   | "str.suffixof", [ _; _ ] ->
     Op2
       (fun suffix s ->
         cov ();
         let suffix = as_str suffix and s = as_str s in
         let ls = String.length s and lf = String.length suffix in
-        Value.Bool (lf <= ls && String.sub s (ls - lf) lf = suffix))
+        vbool (lf <= ls && String.sub s (ls - lf) lf = suffix))
   | "str.replace", [ _; _; _ ] ->
     Op3
       (fun s pat rep ->
@@ -677,16 +802,16 @@ let theory_op ctx name args =
       (fun s pat rep ->
         cov ();
         Value.Str (str_replace ~all:true (as_str s) (as_str pat) (as_str rep)))
-  | "str.<", [ _; _ ] -> Op2 (fun a b -> cov (); Value.Bool (as_str a < as_str b))
-  | "str.<=", [ _; _ ] -> Op2 (fun a b -> cov (); Value.Bool (as_str a <= as_str b))
-  | "str.to_int", [ _ ] -> Op1 (fun s -> cov (); Value.Int (str_to_int (as_str s)))
+  | "str.<", [ _; _ ] -> Op2 (fun a b -> cov (); vbool (as_str a < as_str b))
+  | "str.<=", [ _; _ ] -> Op2 (fun a b -> cov (); vbool (as_str a <= as_str b))
+  | "str.to_int", [ _ ] -> Op1 (fun s -> cov (); Value.of_int (str_to_int (as_str s)))
   | "str.from_int", [ _ ] -> Op1 (fun n -> cov (); Value.Str (str_from_int (as_int n)))
   | "str.to_code", [ _ ] ->
     Op1
       (fun s ->
         cov ();
         let s = as_str s in
-        Value.Int (if String.length s = 1 then Char.code s.[0] else -1))
+        Value.of_int (if String.length s = 1 then Char.code s.[0] else -1))
   | "str.from_code", [ _ ] ->
     Op1
       (fun n ->
@@ -698,7 +823,7 @@ let theory_op ctx name args =
       (fun s ->
         cov ();
         let s = as_str s in
-        Value.Bool (String.length s = 1 && s.[0] >= '0' && s.[0] <= '9'))
+        vbool (String.length s = 1 && s.[0] >= '0' && s.[0] <= '9'))
   | "str.in_re", [ _; _ ] ->
     Op2
       (fun s r ->
@@ -745,10 +870,7 @@ let theory_op ctx name args =
       (fun a i ->
         cov ();
         match a with
-        | Value.Arr { default; entries; _ } -> (
-          match List.find_opt (fun (k, _) -> Value.equal k i) entries with
-          | Some (_, v) -> v
-          | None -> default)
+        | Value.Arr { default; entries; _ } -> lookup i default entries
         | v -> fail "select on non-array %s" (Value.to_term_string v))
   | "store", [ _; _; _ ] ->
     Op3
@@ -756,159 +878,176 @@ let theory_op ctx name args =
         cov ();
         match a with
         | Value.Arr ({ default; entries; _ } as arr) ->
-          let entries' = Value.normalize_entries (entries @ [ (i, v) ]) in
-          let entries' = List.filter (fun (_, v') -> not (Value.equal v' default)) entries' in
-          Value.Arr { arr with entries = entries' }
+          (* a stored index keeps its first write (a known defect, see
+             Value), and an entry never holds the default *)
+          if stored i entries || Value.equal v default then a
+          else Value.Arr { arr with entries = insert_entry i v entries }
         | v -> fail "store on non-array %s" (Value.to_term_string v))
   (* ---- sequences ---- *)
   | "seq.unit", [ _ ] -> Op1 (fun v -> cov (); Value.Seq (Value.sort_of v, [ v ]))
-  | "seq.++", _ :: _ ->
-    Opn
-      (fun vs ->
+  | "seq.++", [ _; _ ] ->
+    Op2
+      (fun a b ->
         cov ();
-        let elt, _ = as_seq (List.hd vs) in
-        Value.Seq (elt, List.concat_map (fun v -> snd (as_seq v)) vs))
-  | "seq.len", [ _ ] -> Op1 (fun s -> cov (); Value.Int (List.length (snd (as_seq s))))
+        match a with
+        | Value.Seq (elt, xs) -> Value.Seq (elt, xs @ seq_elems b)
+        | v -> expected "Seq" v)
+  | "seq.++", _ :: _ ->
+    Op1n
+      (fun first rest ->
+        cov ();
+        match first with
+        | Value.Seq (elt, xs) -> Value.Seq (elt, xs @ List.concat_map seq_elems rest)
+        | v -> expected "Seq" v)
+  | "seq.len", [ _ ] -> Op1 (fun s -> cov (); Value.of_int (List.length (seq_elems s)))
   | "seq.nth", [ _; _ ] ->
     let edge = line1 () in
+    let default = memo_sort (default_of ctx) in
     Op2
       (fun s i ->
         cov ();
-        let elt, xs = as_seq s in
-        let i = as_int i in
-        match if i < 0 then None else List.nth_opt xs i with
-        | Some v -> v
-        | None ->
-          edge ();
-          default_of ctx elt)
+        match s with
+        | Value.Seq (elt, xs) ->
+          let i = as_int i in
+          if i >= 0 && i < List.length xs then List.nth xs i
+          else (
+            edge ();
+            default elt)
+        | v -> expected "Seq" v)
   | "seq.extract", [ _; _; _ ] ->
     Op3
       (fun s i n ->
         cov ();
-        let elt, xs = as_seq s in
-        let i = as_int i and n = as_int n in
-        if i < 0 || i >= List.length xs || n <= 0 then Value.Seq (elt, [])
-        else Value.Seq (elt, O4a_util.Listx.take n (O4a_util.Listx.drop i xs)))
+        match s with
+        | Value.Seq (elt, xs) ->
+          let i = as_int i and n = as_int n in
+          if i < 0 || i >= List.length xs || n <= 0 then Value.Seq (elt, [])
+          else Value.Seq (elt, O4a_util.Listx.take n (O4a_util.Listx.drop i xs))
+        | v -> expected "Seq" v)
   | "seq.update", [ _; _; _ ] ->
     Op3
       (fun s i sub ->
         cov ();
-        let elt, xs = as_seq s in
-        let _, ys = as_seq sub in
-        let i = as_int i in
-        if i < 0 || i >= List.length xs then Value.Seq (elt, xs)
-        else (
-          let updated =
-            List.mapi
-              (fun j x ->
-                if j >= i && j - i < List.length ys then List.nth ys (j - i) else x)
-              xs
-          in
-          Value.Seq (elt, updated)))
+        match s with
+        | Value.Seq (elt, xs) ->
+          let ys = seq_elems sub in
+          let i = as_int i in
+          if i < 0 || i >= List.length xs then s
+          else (
+            let updated =
+              List.mapi
+                (fun j x ->
+                  if j >= i && j - i < List.length ys then List.nth ys (j - i) else x)
+                xs
+            in
+            Value.Seq (elt, updated))
+        | v -> expected "Seq" v)
   | "seq.at", [ _; _ ] ->
     Op2
       (fun s i ->
         cov ();
-        let elt, xs = as_seq s in
-        let i = as_int i in
-        match if i < 0 then None else List.nth_opt xs i with
-        | Some v -> Value.Seq (elt, [ v ])
-        | None -> Value.Seq (elt, []))
+        match s with
+        | Value.Seq (elt, xs) ->
+          let i = as_int i in
+          if i >= 0 && i < List.length xs then Value.Seq (elt, [ List.nth xs i ])
+          else Value.Seq (elt, [])
+        | v -> expected "Seq" v)
   | "seq.contains", [ _; _ ] ->
-    Op2 (fun s sub -> cov (); Value.Bool (seq_contains (snd (as_seq s)) (snd (as_seq sub))))
+    Op2
+      (fun s sub ->
+        cov ();
+        let ys = seq_elems sub in
+        vbool (seq_contains (seq_elems s) ys))
   | "seq.prefixof", [ _; _ ] ->
     Op2
       (fun p s ->
         cov ();
-        let _, xs = as_seq s and _, ps = as_seq p in
-        Value.Bool (O4a_util.Listx.take (List.length ps) xs = ps))
+        let xs = seq_elems s and ps = seq_elems p in
+        vbool (O4a_util.Listx.take (List.length ps) xs = ps))
   | "seq.suffixof", [ _; _ ] ->
     Op2
       (fun p s ->
         cov ();
-        let _, xs = as_seq s and _, ps = as_seq p in
-        Value.Bool (O4a_util.Listx.drop (List.length xs - List.length ps) xs = ps))
+        let xs = seq_elems s and ps = seq_elems p in
+        vbool (O4a_util.Listx.drop (List.length xs - List.length ps) xs = ps))
   | "seq.indexof", [ _; _; _ ] ->
     Op3
       (fun s sub from ->
         cov ();
-        Value.Int (seq_indexof (snd (as_seq s)) (snd (as_seq sub)) (as_int from)))
+        Value.of_int (seq_indexof (seq_elems s) (seq_elems sub) (as_int from)))
   | "seq.replace", [ _; _; _ ] ->
     Op3
       (fun s pat rep ->
         cov ();
-        let elt, xs = as_seq s in
-        Value.Seq (elt, seq_replace xs (snd (as_seq pat)) (snd (as_seq rep))))
+        match s with
+        | Value.Seq (elt, xs) -> Value.Seq (elt, seq_replace xs (seq_elems pat) (seq_elems rep))
+        | v -> expected "Seq" v)
   | "seq.rev", [ _ ] ->
     Op1
       (fun s ->
         cov ();
-        let elt, xs = as_seq s in
-        Value.Seq (elt, List.rev xs))
+        match s with
+        | Value.Seq (elt, xs) -> Value.Seq (elt, List.rev xs)
+        | v -> expected "Seq" v)
   (* ---- sets / relations ---- *)
-  | "set.singleton", [ _ ] -> Op1 (fun v -> cov (); Value.mk_set (Value.sort_of v) [ v ])
+  | "set.singleton", [ _ ] -> Op1 (fun v -> cov (); Value.Set (Value.sort_of v, [ v ]))
   | "set.insert", _ ->
     Opn
       (fun vs ->
         cov ();
-        let set = O4a_util.Listx.last vs in
-        let elems = O4a_util.Listx.init_segment vs in
-        let elt, existing = as_set set in
-        Value.mk_set elt (elems @ existing))
-  | "set.union", [ _; _ ] ->
+        match O4a_util.Listx.last vs with
+        | Value.Set (elt, existing) ->
+          let elems = Value.normal_elems (O4a_util.Listx.init_segment vs) in
+          Value.Set (elt, union elems existing)
+        | v -> expected "Set" v)
+  | ("set.union" | "set.inter" | "set.minus"), [ _; _ ] ->
+    let op = match name with "set.union" -> union | "set.inter" -> inter | _ -> minus in
     Op2
       (fun a b ->
         cov ();
-        let elt, xs = as_set a and _, ys = as_set b in
-        Value.mk_set elt (xs @ ys))
-  | "set.inter", [ _; _ ] ->
-    Op2
-      (fun a b ->
-        cov ();
-        let elt, xs = as_set a and _, ys = as_set b in
-        Value.mk_set elt (List.filter (fun x -> List.exists (Value.equal x) ys) xs))
-  | "set.minus", [ _; _ ] ->
-    Op2
-      (fun a b ->
-        cov ();
-        let elt, xs = as_set a and _, ys = as_set b in
-        Value.mk_set elt (List.filter (fun x -> not (List.exists (Value.equal x) ys)) xs))
-  | "set.member", [ _; _ ] ->
-    Op2 (fun v s -> cov (); Value.Bool (List.exists (Value.equal v) (snd (as_set s))))
+        match a with
+        | Value.Set (elt, xs) -> Value.Set (elt, op xs (set_elems b))
+        | v -> expected "Set" v)
+  | "set.member", [ _; _ ] -> Op2 (fun v s -> cov (); vbool (mem v (set_elems s)))
   | "set.subset", [ _; _ ] ->
     Op2
       (fun a b ->
         cov ();
-        let _, xs = as_set a and _, ys = as_set b in
-        Value.Bool (List.for_all (fun x -> List.exists (Value.equal x) ys) xs))
-  | "set.card", [ _ ] -> Op1 (fun s -> cov (); Value.Int (List.length (snd (as_set s))))
+        let xs = set_elems a and ys = set_elems b in
+        vbool (List.for_all (fun x -> mem x ys) xs))
+  | "set.card", [ _ ] -> Op1 (fun s -> cov (); Value.of_int (List.length (set_elems s)))
   | "set.complement", [ _ ] ->
+    let universe =
+      memo_sort (fun elt ->
+          Value.normal_elems (Domain.enumerate ~config:ctx.config ~datatypes:ctx.datatypes elt))
+    in
     Op1
       (fun s ->
         cov ();
-        let elt, xs = as_set s in
-        let universe = Domain.enumerate ~config:ctx.config ~datatypes:ctx.datatypes elt in
-        Value.mk_set elt (List.filter (fun v -> not (List.exists (Value.equal v) xs)) universe))
+        match s with
+        | Value.Set (elt, xs) -> Value.Set (elt, minus (universe elt) xs)
+        | v -> expected "Set" v)
   | "set.choose", [ _ ] ->
     let edge = line1 () in
+    let default = memo_sort (default_of ctx) in
     Op1
       (fun s ->
         cov ();
-        let elt, xs = as_set s in
-        match xs with
-        | v :: _ -> v
-        | [] ->
+        match s with
+        | Value.Set (_, v :: _) -> v
+        | Value.Set (elt, []) ->
           edge ();
-          default_of ctx elt)
-  | "set.is_empty", [ _ ] -> Op1 (fun s -> cov (); Value.Bool (snd (as_set s) = []))
+          default elt
+        | v -> expected "Set" v)
+  | "set.is_empty", [ _ ] -> Op1 (fun s -> cov (); vbool (set_elems s = []))
   | "set.is_singleton", [ _ ] ->
-    Op1 (fun s -> cov (); Value.Bool (List.length (snd (as_set s)) = 1))
+    Op1 (fun s -> cov (); vbool (List.length (set_elems s) = 1))
   | "tuple", _ -> Opn (fun vs -> cov (); Value.Tuple vs)
   | "rel.transpose", [ _ ] ->
     Op1
       (fun r ->
         cov ();
-        let elt, xs = as_set r in
+        let elt = set_elt r and xs = set_elems r in
         let flip = function
           | Value.Tuple t -> Value.Tuple (List.rev t)
           | v -> v
@@ -919,7 +1058,7 @@ let theory_op ctx name args =
     Op2
       (fun a b ->
         cov ();
-        let ea, xs = as_set a and eb, ys = as_set b in
+        let ea = set_elt a and xs = set_elems a and eb = set_elt b and ys = set_elems b in
         let elt =
           match (ea, eb) with
           | Sort.Tuple sa, Sort.Tuple sb -> Sort.Tuple (sa @ sb)
@@ -941,7 +1080,7 @@ let theory_op ctx name args =
     Op2
       (fun a b ->
         cov ();
-        let ea, xs = as_set a and eb, ys = as_set b in
+        let ea = set_elt a and xs = set_elems a and eb = set_elt b and ys = set_elems b in
         match (ea, eb) with
         | Sort.Tuple [], Sort.Tuple _ | Sort.Tuple _, Sort.Tuple [] ->
           fail "Join requires non-nullary relations"
@@ -963,93 +1102,83 @@ let theory_op ctx name args =
           Value.mk_set elt joined
         | _ -> fail "rel.join on non-relations")
   (* ---- bags ---- *)
-  | "bag", [ _; _ ] -> Op2 (fun v n -> cov (); Value.mk_bag (Value.sort_of v) [ (v, as_int n) ])
+  | "bag", [ _; _ ] ->
+    Op2
+      (fun v n ->
+        cov ();
+        let n = as_int n in
+        Value.Bag (Value.sort_of v, if n > 0 then [ (v, n) ] else []))
   | ( ( "bag.union_max" | "bag.union_disjoint" | "bag.inter_min" | "bag.difference_subtract"
       | "bag.difference_remove" ),
       [ _; _ ] ) ->
-    let combine cx cy =
+    let combine : int -> int -> int =
       match name with
-      | "bag.union_max" -> max cx cy
-      | "bag.union_disjoint" -> cx + cy
-      | "bag.inter_min" -> min cx cy
-      | "bag.difference_subtract" -> max 0 (cx - cy)
-      | _ -> if cy > 0 then 0 else cx
+      | "bag.union_max" -> max
+      | "bag.union_disjoint" -> ( + )
+      | "bag.inter_min" -> min
+      | "bag.difference_subtract" -> fun cx cy -> max 0 (cx - cy)
+      | _ -> fun cx cy -> if cy > 0 then 0 else cx
     in
     Op2
       (fun a b ->
         cov ();
-        let elt, xs = as_bag a and _, ys = as_bag b in
-        let count entries v =
-          match List.find_opt (fun (v', _) -> Value.equal v v') entries with
-          | Some (_, n) -> n
-          | None -> 0
-        in
-        let keys =
-          O4a_util.Listx.dedup ~eq:Value.equal (List.map fst xs @ List.map fst ys)
-        in
-        Value.mk_bag elt (List.map (fun k -> (k, combine (count xs k) (count ys k))) keys))
-  | "bag.count", [ _; _ ] ->
-    Op2
-      (fun v b ->
-        cov ();
-        let _, ys = as_bag b in
-        Value.Int
-          (match List.find_opt (fun (v', _) -> Value.equal v v') ys with
-          | Some (_, n) -> n
-          | None -> 0))
-  | "bag.member", [ _; _ ] ->
-    Op2
-      (fun v b ->
-        cov ();
-        Value.Bool (List.exists (fun (v', _) -> Value.equal v v') (snd (as_bag b))))
+        match a with
+        | Value.Bag (elt, xs) -> Value.Bag (elt, merge_bags combine xs (bag_entries b))
+        | v -> expected "Bag" v)
+  | "bag.count", [ _; _ ] -> Op2 (fun v b -> cov (); Value.of_int (count v (bag_entries b)))
+  | "bag.member", [ _; _ ] -> Op2 (fun v b -> cov (); vbool (count v (bag_entries b) > 0))
   | "bag.card", [ _ ] ->
-    Op1 (fun b -> cov (); Value.Int (O4a_util.Listx.sum (List.map snd (snd (as_bag b)))))
+    Op1
+      (fun b ->
+        cov ();
+        Value.of_int (List.fold_left (fun acc (_, n) -> acc + n) 0 (bag_entries b)))
   | "bag.setof", [ _ ] ->
     Op1
       (fun b ->
         cov ();
-        let elt, xs = as_bag b in
-        Value.mk_bag elt (List.map (fun (v, _) -> (v, 1)) xs))
+        match b with
+        | Value.Bag (elt, xs) ->
+          Value.Bag (elt, List.map (fun ((v, n) as e) -> if n = 1 then e else (v, 1)) xs)
+        | v -> expected "Bag" v)
   | "bag.subbag", [ _; _ ] ->
     Op2
       (fun a b ->
         cov ();
-        let _, xs = as_bag a and _, ys = as_bag b in
-        let count entries v =
-          match List.find_opt (fun (v', _) -> Value.equal v v') entries with
-          | Some (_, n) -> n
-          | None -> 0
-        in
-        Value.Bool (List.for_all (fun (v, n) -> n <= count ys v) xs))
+        let xs = bag_entries a and ys = bag_entries b in
+        vbool (List.for_all (fun (v, n) -> n <= count v ys) xs))
   | "bag.choose", [ _ ] ->
     let edge = line1 () in
+    let default = memo_sort (default_of ctx) in
     Op1
       (fun b ->
         cov ();
-        let elt, xs = as_bag b in
-        match xs with
-        | (v, _) :: _ -> v
-        | [] ->
+        match b with
+        | Value.Bag (_, (v, _) :: _) -> v
+        | Value.Bag (elt, []) ->
           edge ();
-          default_of ctx elt)
+          default elt
+        | v -> expected "Bag" v)
   (* ---- finite fields ---- *)
-  | "ff.add", _ :: _ ->
+  | ("ff.add" | "ff.mul"), [ _; _ ] ->
+    let op = if name = "ff.add" then ( + ) else ( * ) in
+    Op2
+      (fun a b ->
+        cov ();
+        let order = ff_order a and x = ff_value a in
+        Value.mk_ff ~order (op x (ff_value b)))
+  | ("ff.add" | "ff.mul"), _ :: _ ->
+    let op = if name = "ff.add" then ( + ) else ( * ) in
+    let step acc v = op acc (ff_value v) in
     Op1n
       (fun first rest ->
         cov ();
-        let order, v0 = as_ff first in
-        Value.mk_ff ~order (List.fold_left (fun acc v -> acc + snd (as_ff v)) v0 rest))
-  | "ff.mul", _ :: _ ->
-    Op1n
-      (fun first rest ->
-        cov ();
-        let order, v0 = as_ff first in
-        Value.mk_ff ~order (List.fold_left (fun acc v -> acc * snd (as_ff v)) v0 rest))
+        let order = ff_order first and v0 = ff_value first in
+        Value.mk_ff ~order (List.fold_left step v0 rest))
   | "ff.neg", [ _ ] ->
     Op1
       (fun v ->
         cov ();
-        let order, x = as_ff v in
+        let order = ff_order v and x = ff_value v in
         Value.mk_ff ~order (-x))
   | "ff.bitsum", _ ->
     Opn
@@ -1058,14 +1187,8 @@ let theory_op ctx name args =
         match vs with
         | [] -> fail "ff.bitsum applied to no arguments"
         | first :: _ ->
-          let order, _ = as_ff first in
-          let total =
-            List.fold_left
-              (fun (acc, weight) v -> (acc + (weight * snd (as_ff v)), weight * 2))
-              (0, 1) vs
-            |> fst
-          in
-          Value.mk_ff ~order total)
+          let order = ff_order first in
+          Value.mk_ff ~order (bitsum 0 1 vs))
   | _, _ ->
     Opn (fun vs -> fail "no evaluation rule for '%s' with %d arguments" name (List.length vs))
 
@@ -1089,36 +1212,36 @@ let indexed_op ctx name idxs args =
     Op1
       (fun bv ->
         cov ();
-        let _, v = as_bv bv in
+        let v = bv_value bv in
         let width = i - j + 1 in
         Value.mk_bv ~width (v lsr j))
   | "zero_extend", [ Term.Idx_num k ], [ _ ] ->
     Op1
       (fun bv ->
-        let w, v = as_bv bv in
+        let w = bv_width bv and v = bv_value bv in
         Value.mk_bv ~width:(w + k) v)
   | "sign_extend", [ Term.Idx_num k ], [ _ ] ->
     Op1
       (fun bv ->
-        let w, v = as_bv bv in
+        let w = bv_width bv and v = bv_value bv in
         let signed = to_signed w v in
         Value.mk_bv ~width:(w + k) signed)
   | "rotate_left", [ Term.Idx_num k ], [ _ ] ->
     Op1
       (fun bv ->
-        let w, v = as_bv bv in
+        let w = bv_width bv and v = bv_value bv in
         let k = k mod w in
         Value.mk_bv ~width:w ((v lsl k) lor (v lsr (w - k))))
   | "rotate_right", [ Term.Idx_num k ], [ _ ] ->
     Op1
       (fun bv ->
-        let w, v = as_bv bv in
+        let w = bv_width bv and v = bv_value bv in
         let k = k mod w in
         Value.mk_bv ~width:w ((v lsr k) lor (v lsl (w - k))))
   | "repeat", [ Term.Idx_num k ], [ _ ] ->
     Op1
       (fun bv ->
-        let w, v = as_bv bv in
+        let w = bv_width bv and v = bv_value bv in
         let rec go n acc = if n = 0 then acc else go (n - 1) ((acc lsl w) lor v) in
         Value.mk_bv ~width:(w * k) (go k 0))
   | "int2bv", [ Term.Idx_num w ], [ _ ] ->
@@ -1138,8 +1261,8 @@ let indexed_op ctx name idxs args =
         cov ();
         if n = 0 then (
           edge ();
-          Value.Bool (as_int v = 0))
-        else Value.Bool (emod (as_int v) n = 0))
+          vbool (as_int v = 0))
+        else vbool (emod (as_int v) n = 0))
   | "re.loop", [ Term.Idx_num i; Term.Idx_num j ], [ _ ] ->
     (* unrolled repetitions: clamp the indices so a synthesized loop with a
        huge bound cannot build a regex no derivative budget could chew
@@ -1170,7 +1293,7 @@ let indexed_op ctx name idxs args =
       (fun v ->
         cov ();
         match v with
-        | Value.Dt (_, c, _) -> Value.Bool (c = ctor)
+        | Value.Dt (_, c, _) -> vbool (c = ctor)
         | _ -> fail "tester applied to non-datatype value")
   | _, [ Term.Idx_num w ], [] when is_bv_numeral name ->
     Opn
@@ -1179,11 +1302,13 @@ let indexed_op ctx name idxs args =
         Value.mk_bv ~width:w n)
   | _ -> Opn (fun _ -> fail "cannot evaluate indexed identifier '(_ %s ...)'" name)
 
-(* Qualified identifiers, matched on (name, sort, arguments). *)
+(* Qualified identifiers, matched on (name, sort, arguments). A nullary one
+   builds its value once, at compile time. *)
 let qual_op ctx name sort args =
+  let constant v = Opn (fun _ -> v) in
   match (name, sort, args) with
-  | "seq.empty", Sort.Seq elt, [] -> Opn (fun _ -> Value.Seq (elt, []))
-  | "set.empty", Sort.Set elt, [] -> Opn (fun _ -> Value.Set (elt, []))
+  | "seq.empty", Sort.Seq elt, [] -> constant (Value.Seq (elt, []))
+  | "set.empty", Sort.Set elt, [] -> constant (Value.Set (elt, []))
   | "set.universe", Sort.Set elt, [] ->
     let i = point ctx "set.universe" 0 in
     let universe =
@@ -1194,15 +1319,15 @@ let qual_op ctx name sort args =
       (fun _ ->
         hit ctx.st i;
         universe ())
-  | "bag.empty", Sort.Bag elt, [] -> Opn (fun _ -> Value.Bag (elt, []))
-  | "tuple.unit", Sort.Tuple [], [] -> Opn (fun _ -> Value.Tuple [])
+  | "bag.empty", Sort.Bag elt, [] -> constant (Value.Bag (elt, []))
+  | "tuple.unit", Sort.Tuple [], [] -> constant unit_tuple
   | "const", Sort.Array (idx, elt), [ _ ] ->
     let i = point ctx "const-array" 0 in
     Op1
       (fun v ->
         hit ctx.st i;
         Value.Arr { idx; elt; default = v; entries = [] })
-  | _, Sort.Datatype dt, [] when find_ctor ctx name <> None -> Opn (fun _ -> Value.Dt (dt, name, []))
+  | _, Sort.Datatype dt, [] when find_ctor ctx name <> None -> constant (Value.Dt (dt, name, []))
   | _ ->
     Opn (fun _ -> fail "cannot evaluate qualified identifier '(as %s %s)'" name (Sort.to_string sort))
 
@@ -1280,7 +1405,7 @@ and compile_var ctx scope name =
           tick st;
           hit st i;
           v
-      | Some (Sort.Tuple []) -> fun () -> tick st; Value.Tuple []
+      | Some (Sort.Tuple []) -> fun () -> tick st; unit_tuple
       | Some _ | None -> (
         match find_ctor ctx name with
         | Some (dt, c) when c.Command.selectors = [] ->

@@ -21,26 +21,34 @@ let rec compare a b =
   | Bool x, Bool y -> Stdlib.compare x y
   | Int x, Int y -> Stdlib.compare x y
   | Real (p, q), Real (p', q') -> Stdlib.compare (p * q') (p' * q)
-  | Bv x, Bv y -> Stdlib.compare (x.width, x.value) (y.width, y.value)
+  | Bv x, Bv y -> compare_ints x.width x.value y.width y.value
   | Str x, Str y -> Stdlib.compare x y
-  | Ff x, Ff y -> Stdlib.compare (x.order, x.value) (y.order, y.value)
+  | Ff x, Ff y -> compare_ints x.order x.value y.order y.value
   | Seq (_, xs), Seq (_, ys) | Set (_, xs), Set (_, ys) -> compare_lists xs ys
   | Bag (_, xs), Bag (_, ys) ->
-    compare_lists (List.map fst xs) (List.map fst ys) |> fun c ->
-    if c <> 0 then c else Stdlib.compare (List.map snd xs) (List.map snd ys)
+    let c = compare_keys xs ys in
+    if c <> 0 then c else compare_counts xs ys
   | Arr x, Arr y ->
     let c = compare x.default y.default in
     if c <> 0 then c
-    else
-      compare_lists (List.map fst x.entries) (List.map fst y.entries) |> fun c ->
-      if c <> 0 then c else compare_lists (List.map snd x.entries) (List.map snd y.entries)
+    else (
+      let c = compare_keys x.entries y.entries in
+      if c <> 0 then c else compare_images x.entries y.entries)
   | Tuple xs, Tuple ys -> compare_lists xs ys
   | Dt (d, c, xs), Dt (d', c', ys) ->
-    let cc = Stdlib.compare (d, c) (d', c') in
+    let cc = String.compare d d' in
+    let cc = if cc <> 0 then cc else String.compare c c' in
     if cc <> 0 then cc else compare_lists xs ys
-  | Un (s, k), Un (s', k') -> Stdlib.compare (s, k) (s', k')
+  | Un (s, k), Un (s', k') ->
+    let c = String.compare s s' in
+    if c <> 0 then c else Stdlib.compare k k'
   | Re x, Re y -> Stdlib.compare (Regex.size x) (Regex.size y)
   | _ -> Stdlib.compare (tag a) (tag b)
+
+(* the order of the pairs (a, b) and (a', b') *)
+and compare_ints a b a' b' =
+  let c = Stdlib.compare a a' in
+  if c <> 0 then c else Stdlib.compare b b'
 
 and compare_lists xs ys =
   match (xs, ys) with
@@ -50,6 +58,32 @@ and compare_lists xs ys =
   | x :: xs', y :: ys' ->
     let c = compare x y in
     if c <> 0 then c else compare_lists xs' ys'
+
+(* A bag's or an array's entries: first by key, as lists; on equal keys
+   (hence equal lengths) by count or by image. *)
+and compare_keys : 'a. (t * 'a) list -> (t * 'a) list -> int =
+ fun xs ys ->
+  match (xs, ys) with
+  | [], [] -> 0
+  | [], _ -> -1
+  | _, [] -> 1
+  | (x, _) :: xs', (y, _) :: ys' ->
+    let c = compare x y in
+    if c <> 0 then c else compare_keys xs' ys'
+
+and compare_counts xs ys =
+  match (xs, ys) with
+  | (_, m) :: xs', (_, n) :: ys' ->
+    let c = Stdlib.compare m n in
+    if c <> 0 then c else compare_counts xs' ys'
+  | _ -> 0
+
+and compare_images xs ys =
+  match (xs, ys) with
+  | (_, v) :: xs', (_, w) :: ys' ->
+    let c = compare v w in
+    if c <> 0 then c else compare_images xs' ys'
+  | _ -> 0
 
 and tag = function
   | Bool _ -> 0
@@ -102,30 +136,49 @@ let mk_bv ~width value =
   let mask = if width >= 62 then max_int else (1 lsl width) - 1 in
   Bv { width; value = value land mask }
 
-let mk_set elt elems =
-  Set (elt, O4a_util.Listx.dedup ~eq:equal (List.sort compare elems))
+let small_ints = Array.init 512 (fun i -> Int (i - 256))
+
+let of_int n = if n >= -256 && n < 256 then Array.unsafe_get small_ints (n + 256) else Int n
+
+let rec increasing = function
+  | x :: (y :: _ as rest) -> compare x y < 0 && increasing rest
+  | _ -> true
+
+(* a sorted list without its repeats: the first of each run of equal
+   elements stays *)
+let rec first_of_runs = function
+  | [] -> []
+  | x :: rest -> x :: first_of_runs (skip_equal x rest)
+
+and skip_equal x = function
+  | y :: rest when compare x y = 0 -> skip_equal x rest
+  | rest -> rest
+
+let normal_elems elems =
+  if increasing elems then elems else first_of_runs (List.stable_sort compare elems)
+
+let mk_set elt elems = Set (elt, normal_elems elems)
+
+let rec normal_entries = function
+  | (x, m) :: ((y, _) :: _ as rest) -> m > 0 && compare x y < 0 && normal_entries rest
+  | [ (_, m) ] -> m > 0
+  | [] -> true
+
+(* entries sorted by key: each run of equal keys becomes its last key with
+   the run's total *)
+let rec total_runs = function
+  | [] -> []
+  | (x, m) :: rest -> total_run x m rest
+
+and total_run x m = function
+  | (y, n) :: rest when compare x y = 0 -> total_run y (m + n) rest
+  | rest -> (x, m) :: total_runs rest
 
 let mk_bag elt entries =
-  let merged =
-    List.fold_left
-      (fun acc (v, n) ->
-        if n <= 0 then acc
-        else (
-          match List.find_opt (fun (v', _) -> equal v v') acc with
-          | Some (_, m) -> (v, m + n) :: List.filter (fun (v', _) -> not (equal v v')) acc
-          | None -> (v, n) :: acc))
-      [] entries
-  in
-  Bag (elt, List.sort (fun (a, _) (b, _) -> compare a b) merged)
-
-let normalize_entries entries =
-  let deduped =
-    List.fold_left
-      (fun acc (k, v) -> (k, v) :: List.filter (fun (k', _) -> not (equal k k')) acc)
-      []
-      (List.rev entries)
-  in
-  List.sort (fun (a, _) (b, _) -> compare a b) deduped
+  if normal_entries entries then Bag (elt, entries)
+  else (
+    let positive = List.filter (fun (_, n) -> n > 0) entries in
+    Bag (elt, total_runs (List.stable_sort (fun (a, _) (b, _) -> compare a b) positive)))
 
 let rec to_term_string = function
   | Bool b -> string_of_bool b

@@ -21,6 +21,29 @@ type t =
   | Un of string * int  (** k-th element of an uninterpreted sort *)
   | Re of Regex.t  (** intermediate RegLan value *)
 
+(** {1 The normal form}
+
+    Every collection value the solvers build is in normal form, under
+    {!compare}:
+    - a [Set]'s elements are strictly increasing;
+    - a [Bag]'s keys are strictly increasing and every count is positive;
+    - an [Arr]'s entries are strictly increasing by index, and no entry's
+      value equals the default.
+
+    {!mk_set}, {!mk_bag}, {!Domain.enumerate} and the evaluator's operators
+    all produce it, and the operators rely on it: they merge and filter
+    their normal operands instead of sorting them again.
+
+    [compare] equates values that differ structurally (a [Re] compares by
+    size), so which of two equal values a collection keeps is visible only
+    to [=]. The rule is the one a stable
+    sort of the operands' concatenation followed by keeping the first of
+    each run of equal elements gives: the left operand's element, and for a
+    bag the left operand's key. [store] keeps an index that is already
+    stored: the first write wins. SMT-LIB's [store] overwrites, so that is
+    a known defect of the shared semantics, kept because fixing it moves
+    verdicts (ROADMAP item 10). *)
+
 val compare : t -> t -> int
 (** Total order used to normalize sets/bags; [Re] values compare by size. *)
 
@@ -42,11 +65,19 @@ val mk_ff : order:int -> int -> t
 val mk_bv : width:int -> int -> t
 (** Truncated to width. *)
 
+val of_int : int -> t
+(** [Int n]. Values in [-256, 255] come from one table built at start-up,
+    so computing them allocates nothing; the table is immutable and shared
+    by every domain. *)
+
+val normal_elems : t list -> t list
+(** The elements sorted and without repeats: the first of equal elements
+    stays. A list that is already strictly increasing is returned as is. *)
+
 val mk_set : Sort.t -> t list -> t
-(** Sorts and dedupes. *)
+(** [Set] of {!normal_elems}. *)
 
 val mk_bag : Sort.t -> (t * int) list -> t
-(** Merges duplicates, drops non-positive multiplicities, sorts. *)
-
-val normalize_entries : (t * t) list -> (t * t) list
-(** For arrays: last write wins, sorted by index. *)
+(** Drops non-positive multiplicities, sorts by key, and merges equal keys
+    into the last of them with the total count. Entries already in normal
+    form are returned as is. *)

@@ -323,7 +323,7 @@ and eval_qual ctx _env name sort args =
   | "set.empty", Sort.Set elt, [] -> Value.Set (elt, [])
   | "set.universe", Sort.Set elt, [] ->
     ctx.cov "set.universe" 0;
-    Value.mk_set elt (Domain.enumerate ~config:ctx.config ~datatypes:ctx.datatypes elt)
+    Normalize.mk_set elt (Domain.enumerate ~config:ctx.config ~datatypes:ctx.datatypes elt)
   | "bag.empty", Sort.Bag elt, [] -> Value.Bag (elt, [])
   | "tuple.unit", Sort.Tuple [], [] -> Value.Tuple []
   | "const", Sort.Array (idx, elt), [ v ] ->
@@ -747,7 +747,7 @@ and eval_theory_app ctx _env name vs =
     cov ();
     match a with
     | Value.Arr ({ default; entries; _ } as arr) ->
-      let entries' = Value.normalize_entries (entries @ [ (i, v) ]) in
+      let entries' = Normalize.normalize_entries (entries @ [ (i, v) ]) in
       let entries' = List.filter (fun (_, v') -> not (Value.equal v' default)) entries' in
       Value.Arr { arr with entries = entries' }
     | v -> fail "store on non-array %s" (Value.to_term_string v))
@@ -823,25 +823,25 @@ and eval_theory_app ctx _env name vs =
   (* ---- sets / relations ---- *)
   | "set.singleton", [ v ] ->
     cov ();
-    Value.mk_set (Value.sort_of v) [ v ]
+    Normalize.mk_set (Value.sort_of v) [ v ]
   | "set.insert", _ ->
     cov ();
     let set = O4a_util.Listx.last vs in
     let elems = O4a_util.Listx.init_segment vs in
     let elt, existing = as_set set in
-    Value.mk_set elt (elems @ existing)
+    Normalize.mk_set elt (elems @ existing)
   | "set.union", [ a; b ] ->
     cov ();
     let elt, xs = as_set a and _, ys = as_set b in
-    Value.mk_set elt (xs @ ys)
+    Normalize.mk_set elt (xs @ ys)
   | "set.inter", [ a; b ] ->
     cov ();
     let elt, xs = as_set a and _, ys = as_set b in
-    Value.mk_set elt (List.filter (fun x -> List.exists (Value.equal x) ys) xs)
+    Normalize.mk_set elt (List.filter (fun x -> List.exists (Value.equal x) ys) xs)
   | "set.minus", [ a; b ] ->
     cov ();
     let elt, xs = as_set a and _, ys = as_set b in
-    Value.mk_set elt (List.filter (fun x -> not (List.exists (Value.equal x) ys)) xs)
+    Normalize.mk_set elt (List.filter (fun x -> not (List.exists (Value.equal x) ys)) xs)
   | "set.member", [ v; s ] ->
     cov ();
     Value.Bool (List.exists (Value.equal v) (snd (as_set s)))
@@ -856,7 +856,7 @@ and eval_theory_app ctx _env name vs =
     cov ();
     let elt, xs = as_set s in
     let universe = Domain.enumerate ~config:ctx.config ~datatypes:ctx.datatypes elt in
-    Value.mk_set elt (List.filter (fun v -> not (List.exists (Value.equal v) xs)) universe)
+    Normalize.mk_set elt (List.filter (fun v -> not (List.exists (Value.equal v) xs)) universe)
   | "set.choose", [ s ] -> (
     cov ();
     let elt, xs = as_set s in
@@ -882,7 +882,7 @@ and eval_theory_app ctx _env name vs =
       | v -> v
     in
     let elt' = match elt with Sort.Tuple ss -> Sort.Tuple (List.rev ss) | s -> s in
-    Value.mk_set elt' (List.map flip xs)
+    Normalize.mk_set elt' (List.map flip xs)
   | "rel.product", [ a; b ] ->
     cov ();
     let ea, xs = as_set a and eb, ys = as_set b in
@@ -902,7 +902,7 @@ and eval_theory_app ctx _env name vs =
             ys)
         xs
     in
-    Value.mk_set elt pairs
+    Normalize.mk_set elt pairs
   | "rel.join", [ a; b ] ->
     cov ();
     let ea, xs = as_set a and eb, ys = as_set b in
@@ -926,12 +926,12 @@ and eval_theory_app ctx _env name vs =
               ys)
           xs
       in
-      Value.mk_set elt joined
+      Normalize.mk_set elt joined
     | _ -> fail "rel.join on non-relations")
   (* ---- bags ---- *)
   | "bag", [ v; n ] ->
     cov ();
-    Value.mk_bag (Value.sort_of v) [ (v, as_int n) ]
+    Normalize.mk_bag (Value.sort_of v) [ (v, as_int n) ]
   | ("bag.union_max" | "bag.union_disjoint" | "bag.inter_min"
     | "bag.difference_subtract" | "bag.difference_remove"), [ a; b ] ->
     cov ();
@@ -952,7 +952,7 @@ and eval_theory_app ctx _env name vs =
       | "bag.difference_subtract" -> max 0 (cx - cy)
       | _ -> if cy > 0 then 0 else cx
     in
-    Value.mk_bag elt (List.map (fun k -> (k, combine (count xs k) (count ys k))) keys)
+    Normalize.mk_bag elt (List.map (fun k -> (k, combine (count xs k) (count ys k))) keys)
   | "bag.count", [ v; b ] ->
     cov ();
     let _, ys = as_bag b in
@@ -969,7 +969,7 @@ and eval_theory_app ctx _env name vs =
   | "bag.setof", [ b ] ->
     cov ();
     let elt, xs = as_bag b in
-    Value.mk_bag elt (List.map (fun (v, _) -> (v, 1)) xs)
+    Normalize.mk_bag elt (List.map (fun (v, _) -> (v, 1)) xs)
   | "bag.subbag", [ a; b ] ->
     cov ();
     let _, xs = as_bag a and _, ys = as_bag b in

@@ -949,6 +949,40 @@ let test_search_differential_cases () =
   and walk = words (fun () -> Reference.Walk.solve ~max_steps:20_000 script) in
   check_bool "the cases exercise charged blocks" true (search *. 10. < walk)
 
+(* Words the compiled code of [src] allocates per run, its free names bound
+   to [env] in order. *)
+let words_per_run src env =
+  let ctx = Eval.make_ctx ~max_steps:max_int [] in
+  List.iter (fun (name, _) -> Eval.bind ctx name) env;
+  List.iteri (fun i (_, v) -> (Eval.state ctx).Eval.vals.(i) <- v) env;
+  let code = Eval.compile_bool ctx (parse_term_exn src) in
+  let runs = 1_000 in
+  words (fun () -> for _ = 1 to runs do ignore (code ()) done) /. float runs
+
+let test_operator_allocation () =
+  let ints l = List.map (fun n -> Value.Int n) l in
+  let set l = Value.Set (Sort.Int, ints l) in
+  let bag l = Value.Bag (Sort.Int, List.map (fun (x, n) -> (Value.Int x, n)) l) in
+  (* words per run on this build and, in brackets, on the build before
+     collections kept a normal form: set.union 12 (150),
+     bag.difference_subtract 12 (210), set.complement 9.1 (235), + 0 (2) *)
+  List.iter
+    (fun (what, src, env, bound) ->
+      let w = words_per_run src env in
+      if w > bound then Alcotest.failf "%s allocates %.1f words per run, over %.1f" what w bound)
+    [
+      ( "set.union",
+        "(set.is_empty (set.union a b))",
+        [ ("a", set [ 1; 2; 3 ]); ("b", set [ 2; 3; 4 ]) ],
+        24. );
+      ( "bag.difference_subtract",
+        "(bag.member 1 (bag.difference_subtract a b))",
+        [ ("a", bag [ (1, 2); (2, 1); (3, 2) ]); ("b", bag [ (1, 1); (3, 2) ]) ],
+        24. );
+      ("set.complement", "(set.is_empty (set.complement a))", [ ("a", set [ 0; 1 ]) ], 24.);
+      ("+", "(= (+ x y) 3)", [ ("x", Value.Int 1); ("y", Value.Int 2) ], 0.5);
+    ]
+
 (* shared generator library, built once *)
 let campaign = lazy (Once4all.Campaign.prepare ~seed:3 ())
 let generators () = (Lazy.force campaign).Once4all.Campaign.generators
@@ -1022,6 +1056,267 @@ let search_props =
       (QCheck.int_range 0 100_000)
       (fun seed -> List.for_all search_agrees (campaign_shaped seed));
   ]
+
+(* ------------------------- Operators against the reference ------------------------- *)
+
+(* Every operator that keeps Value's normal form by merging and filtering,
+   applied to drawn arguments and compared with the tree-walking reference,
+   which normalizes every collection result with the normalizers Value had
+   before the normal form (test/reference/normalize.ml). The results must
+   be equal by structural [=], so the element kept among equal ones counts
+   (a RegLan compares by size, so every drawn RegLan equals every other),
+   or fail with the same text, after the same steps and coverage counts.
+   Every Set, Bag and Arr result must be in normal form. One argument in
+   eight is drawn from a wrong sort, to pin the order of the operators'
+   sort failures. *)
+
+let op_script =
+  lazy (parse_script_exn "(declare-datatypes ((T 0)) (((zed) (leaf (val Int)) (alpha))))")
+
+(* wider collections than the search's domains *)
+let draw_config =
+  {
+    Domain.default_config with
+    Domain.max_container_elems = 4;
+    max_bag_mult = 3;
+    max_domain_size = 40;
+  }
+
+let op_elt_sorts =
+  [ Sort.Int; Sort.Real; Sort.Bitvec 4; Sort.String_sort; Sort.Reglan;
+    Sort.Tuple [ Sort.Int; Sort.Reglan ]; Sort.Seq Sort.Int; Sort.Datatype "T" ]
+
+let rec normal_form v =
+  let rec increasing cmp = function
+    | a :: (b :: _ as rest) -> cmp a b < 0 && increasing cmp rest
+    | _ -> true
+  in
+  let by_key (a, _) (b, _) = Value.compare a b in
+  match v with
+  | Value.Set (_, xs) -> increasing Value.compare xs && List.for_all normal_form xs
+  | Value.Seq (_, xs) | Value.Tuple xs | Value.Dt (_, _, xs) -> List.for_all normal_form xs
+  | Value.Bag (_, entries) ->
+    increasing by_key entries
+    && List.for_all (fun (k, n) -> n > 0 && normal_form k) entries
+  | Value.Arr { default; entries; _ } ->
+    increasing by_key entries
+    && normal_form default
+    && List.for_all
+         (fun (k, x) -> (not (Value.equal x default)) && normal_form k && normal_form x)
+         entries
+  | _ -> true
+
+(* the outcome of both evaluators on [term] under [env]: the value or the
+   failure text, the steps and the coverage counts *)
+let evaluate_both script env term =
+  let outcome run =
+    match run () with
+    | v -> Ok v
+    | exception (Eval.Out_of_fuel | Reference.Eval.Out_of_fuel) -> Error "out of fuel"
+    | exception (Eval.Eval_failure msg | Reference.Eval.Eval_failure msg) -> Error msg
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let counts, add = Reference.Walk.tally () in
+  let ctx = Eval.make_ctx script in
+  let r = outcome (fun () -> Eval.eval ctx env term) in
+  Eval.flush ctx add;
+  let counts', add' = Reference.Walk.tally () in
+  let rctx = Reference.Eval.make_ctx ~cov:(fun key line -> add' key line 1) script in
+  let r' = outcome (fun () -> Reference.Eval.eval rctx env term) in
+  ((r, (Eval.state ctx).Eval.steps, counts ()), (r', rctx.Reference.Eval.steps, counts' ()))
+
+let operators_agree seed =
+  let st = Random.State.make [| seed |] in
+  let script = Lazy.force op_script in
+  let datatypes = Script.declared_datatypes script in
+  let draw sort =
+    let values = Domain.enumerate ~config:draw_config ~datatypes sort in
+    List.nth values (Random.State.int st (List.length values))
+  in
+  let wrong =
+    [ Value.Bool true; Value.Int 1; Value.Str "a"; Value.Seq (Sort.Bool, []);
+      Value.Set (Sort.Bool, []); Value.Bag (Sort.Bool, []); Value.mk_ff ~order:5 1 ]
+  in
+  let arg sort =
+    if Random.State.int st 8 = 0 then List.nth wrong (Random.State.int st (List.length wrong))
+    else draw sort
+  in
+  let env = ref [] in
+  let v sort =
+    let name = Printf.sprintf "v%d" (List.length !env) in
+    env := (name, arg sort) :: !env;
+    Term.Var name
+  in
+  let app name args = Term.App (name, args) in
+  let e = List.nth op_elt_sorts (Random.State.int st (List.length op_elt_sorts)) in
+  let set = Sort.Set e and bag = Sort.Bag e and seq = Sort.Seq e in
+  let pair = Sort.Tuple [ Sort.Int; e ] in
+  let rel = Sort.Set pair and ints = Sort.Set (Sort.Tuple [ Sort.Int; Sort.Int ]) in
+  let num () = if Random.State.bool st then Sort.Int else Sort.Real in
+  let ff = Sort.Finite_field (if Random.State.bool st then 5 else 13) in
+  let bv = Sort.Bitvec 4 in
+  let arr = Sort.Array (e, Sort.Int) and arr' = Sort.Array (Sort.Int, e) in
+  let terms =
+    List.concat
+      [
+        List.map (fun op -> app op [ v set; v set ]) [ "set.union"; "set.inter"; "set.minus"; "set.subset" ];
+        List.map (fun op -> app op [ v set ])
+          [ "set.card"; "set.complement"; "set.choose"; "set.is_empty"; "set.is_singleton" ];
+        [ app "set.singleton" [ v e ]; app "set.member" [ v e; v set ];
+          app "set.insert" [ v e; v set ]; app "set.insert" [ v e; v e; v e; v set ];
+          app "set.union" [ app "set.insert" [ v e; v set ]; app "set.singleton" [ v e ] ] ];
+        List.map (fun op -> app op [ v bag; v bag ])
+          [ "bag.union_max"; "bag.union_disjoint"; "bag.inter_min"; "bag.difference_subtract";
+            "bag.difference_remove"; "bag.subbag" ];
+        [ app "bag" [ v e; v Sort.Int ]; app "bag.count" [ v e; v bag ];
+          app "bag.member" [ v e; v bag ]; app "bag.card" [ v bag ]; app "bag.setof" [ v bag ];
+          app "bag.choose" [ v bag ];
+          app "bag.union_disjoint" [ app "bag" [ v e; v Sort.Int ]; v bag ];
+          app "=" [ v bag; v bag ] ];
+        [ app "store" [ v arr; v e; v Sort.Int ]; app "store" [ v arr'; v Sort.Int; v e ];
+          app "store" [ app "store" [ v arr; v e; v Sort.Int ]; v e; v Sort.Int ];
+          (let i = v e in
+           app "store" [ app "store" [ v arr; i; v Sort.Int ]; i; v Sort.Int ]);
+          app "select" [ app "store" [ v arr'; v Sort.Int; v e ]; v Sort.Int ];
+          app "=" [ v arr; app "store" [ v arr; v e; v Sort.Int ] ] ];
+        [ app "rel.transpose" [ v rel ]; app "rel.product" [ v rel; v ints ];
+          app "rel.join" [ v ints; v rel ]; app "rel.join" [ v ints; v ints ] ];
+        [ app "distinct" [ v e; v e ]; app "distinct" [ v e; v e; v e ];
+          app "distinct" [ v (num ()); v (num ()) ]; app "=" [ v e; v e; v e ] ];
+        List.map (fun op -> app op [ v (num ()); v (num ()) ])
+          [ "+"; "-"; "*"; "/"; "<"; "<="; ">"; ">=" ];
+        List.map (fun op -> app op [ v (num ()); v (num ()); v (num ()) ])
+          [ "+"; "-"; "*"; "/"; "<"; ">=" ];
+        [ app "-" [ v (num ()) ]; app "to_int" [ v (num ()) ]; app "is_int" [ v (num ()) ];
+          app "to_real" [ v Sort.Int ] ];
+        [ app "ff.add" [ v ff; v ff ]; app "ff.mul" [ v ff; v ff ]; app "ff.add" [ v ff; v ff; v ff ];
+          app "ff.mul" [ v ff; v ff; v ff ]; app "ff.neg" [ v ff ];
+          app "ff.bitsum" [ v ff; v ff; v ff ] ];
+        List.map (fun op -> app op [ v bv; v bv ])
+          [ "bvadd"; "bvnand"; "bvudiv"; "bvsmod"; "bvshl"; "bvult"; "bvsge"; "concat"; "bvcomp" ];
+        [ app "bvmul" [ v bv; v bv; v bv ]; app "bv2nat" [ v bv ]; app "bvneg" [ v bv ] ];
+        [ app "seq.++" [ v seq; v seq ]; app "seq.++" [ v seq; v seq; v seq ];
+          app "seq.unit" [ v e ]; app "seq.len" [ v seq ]; app "seq.nth" [ v seq; v Sort.Int ];
+          app "seq.at" [ v seq; v Sort.Int ]; app "seq.extract" [ v seq; v Sort.Int; v Sort.Int ];
+          app "seq.update" [ v seq; v Sort.Int; v seq ]; app "seq.contains" [ v seq; v seq ];
+          app "seq.prefixof" [ v seq; v seq ]; app "seq.suffixof" [ v seq; v seq ];
+          app "seq.indexof" [ v seq; v seq; v Sort.Int ]; app "seq.replace" [ v seq; v seq; v seq ];
+          app "seq.rev" [ v seq ] ];
+      ]
+  in
+  List.for_all
+    (fun term ->
+      let env = !env in
+      let (r, steps, counts), (r', steps', counts') = evaluate_both script env term in
+      let shown () =
+        Printf.sprintf "%s\nwith %s" (Printer.term term)
+          (String.concat ", "
+             (List.rev_map (fun (n, x) -> n ^ " = " ^ Value.to_term_string x) env))
+      in
+      let result = function
+        | Ok x -> Value.to_term_string x
+        | Error m -> "error: " ^ m
+      in
+      if r <> r' then
+        QCheck.Test.fail_reportf "%s\ngave %s, expected %s%s" (shown ()) (result r) (result r')
+          (if result r = result r' then " (equal text: a RegLan prints as re.all)" else "")
+      else if steps <> steps' then
+        QCheck.Test.fail_reportf "%s\ntook %d steps, expected %d" (shown ()) steps steps'
+      else if counts <> counts' then
+        QCheck.Test.fail_reportf "%s\ncoverage counts differ" (shown ())
+      else (
+        match r with
+        | Ok x when not (normal_form x) ->
+          QCheck.Test.fail_reportf "%s\ngave %s, not in normal form" (shown ()) (result r)
+        | _ -> true))
+    terms
+
+(* lib's order and normalizers against the copies in
+   test/reference/normalize.ml, on drawn values and on lists drawn with
+   repeats and in any order *)
+let normalizers_agree seed =
+  let st = Random.State.make [| seed |] in
+  let datatypes = Script.declared_datatypes (Lazy.force op_script) in
+  let e = List.nth op_elt_sorts (Random.State.int st (List.length op_elt_sorts)) in
+  let pool sort = Array.of_list (Domain.enumerate ~config:draw_config ~datatypes sort) in
+  let draw values = values.(Random.State.int st (Array.length values)) in
+  let elems = pool e in
+  let loose () = List.init (Random.State.int st 7) (fun _ -> draw elems) in
+  let sign c = compare c 0 in
+  let values = Array.concat [ elems; pool (Sort.Set e); pool (Sort.Bag e); pool (Sort.Array (e, e)) ] in
+  List.for_all
+    (fun _ ->
+      let a = draw values and b = draw values in
+      sign (Value.compare a b) = sign (Reference.Normalize.compare a b)
+      ||
+      QCheck.Test.fail_reportf "compare %s %s" (Value.to_term_string a) (Value.to_term_string b))
+    (List.init 20 Fun.id)
+  &&
+  let xs = loose () in
+  let counted = List.map (fun x -> (x, Random.State.int st 4 - 1)) (loose ()) in
+  (Value.mk_set e xs = Reference.Normalize.mk_set e xs
+  || QCheck.Test.fail_reportf "mk_set of %s" (String.concat " " (List.map Value.to_term_string xs)))
+  && (Value.mk_bag e counted = Reference.Normalize.mk_bag e counted
+     || QCheck.Test.fail_reportf "mk_bag of %s"
+          (String.concat " "
+             (List.map (fun (x, n) -> Printf.sprintf "%s:%d" (Value.to_term_string x) n) counted)))
+
+let operator_props =
+  [
+    QCheck.Test.make ~name:"operators = reference on drawn arguments" ~count:300
+      (QCheck.int_range 0 1_000_000) operators_agree;
+    QCheck.Test.make ~name:"order and normalizers = the reference copies" ~count:300
+      (QCheck.int_range 0 1_000_000) normalizers_agree;
+  ]
+
+(* ------------------------- Search across builds ------------------------- *)
+
+(* One line per pinned boolean stream (test_frontend's fixture streams): for
+   every formula that parses and sort-checks, trunk Zeal's and trunk Cove's
+   [solve_script] at [fixture_steps]: the verdict, the printed model, the
+   fuel used and the sorted coverage counts, hashed together. *)
+let fixture_steps = 20_000
+
+let search_digests () =
+  let zeal = Engine.zeal () and cove = Engine.cove () in
+  List.map
+    (fun seed ->
+      let stream = Fuzz_stream.stream ~seed ~ticks:500 () in
+      let b = Buffer.create 65536 in
+      let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+      List.iter
+        (fun (f : Once4all.Synthesize.filled) ->
+          match f.Once4all.Synthesize.parsed with
+          | Some script when Theories.Typecheck.check_script script = Ok () ->
+            List.iter
+              (fun engine ->
+                let ledger = Coverage.make_ledger () in
+                Coverage.with_ledger ledger (fun () ->
+                    match
+                      Engine.solve_script ~max_steps:fixture_steps engine
+                        (Formula.of_script script)
+                    with
+                    | Engine.Sat model -> line "sat %s" (Model.to_string script model)
+                    | Engine.Unsat -> line "unsat"
+                    | Engine.Resource_limit -> line "resource limit"
+                    | Engine.Unknown m -> line "unknown %s" m
+                    | Engine.Error m -> line "error %s" m
+                    | exception Engine.Crash { signature; _ } -> line "crash %s" signature);
+                line "steps %d" (Engine.last_query_stats engine).Engine.steps;
+                List.iter
+                  (fun (point, n) -> line "%s %d" point n)
+                  (List.sort compare (Coverage.export ledger)))
+              [ zeal; cove ]
+          | _ -> ())
+        stream;
+      Printf.sprintf "boolean seed %d ticks %d %s\n" seed (List.length stream)
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    [ 1; 2; 3; 4 ]
+  |> String.concat ""
+
+let test_search_fixture () =
+  let expected = In_channel.with_open_bin "fixtures/search_stream.txt" In_channel.input_all in
+  check_str "search_stream.txt" expected (search_digests ())
 
 (* ------------------------- Model ------------------------- *)
 
@@ -1512,8 +1807,11 @@ let () =
           Alcotest.test_case "empty domain" `Quick test_search_empty_domain;
           Alcotest.test_case "differential: corpus" `Quick test_search_differential_corpus;
           Alcotest.test_case "differential: cases" `Quick test_search_differential_cases;
+          Alcotest.test_case "operators allocate little" `Quick test_operator_allocation;
+          Alcotest.test_case "pinned streams = the fixture" `Quick test_search_fixture;
         ] );
       ("search differential", List.map QCheck_alcotest.to_alcotest search_props);
+      ("op differential", List.map QCheck_alcotest.to_alcotest operator_props);
       ( "model",
         [
           Alcotest.test_case "printable" `Quick test_model_to_string_parses;

@@ -55,7 +55,9 @@ grep -q "expected signature reproduced" "$out/repro.log" || {
 
 echo "== Bundle replay: each bundle's searches, compiled = tree-walking evaluator =="
 # outcome, model, fuel and every coverage count under both solvers' rules,
-# order and bounds at the campaign's 60,000 steps; every spec's indexed
+# order and bounds at the campaign's 60,000 steps (the reference evaluator
+# sorts its collections with the normalizers kept in
+# test/reference/normalize.ml, not lib's); every spec's indexed
 # trigger and rarity gate = the per-predicate walks; the oracle given the
 # parse = the oracle given the text; the lexed S-expressions, the printed
 # parse, the sort check and both trunk engines' parse_check = the front end
@@ -185,7 +187,12 @@ echo "== Graceful shutdown: SIGTERM drains, checkpoints, resumes identically =="
 "$cli" fuzz --budget 2000 --shard-size 100 --jobs 2 \
   --checkpoint "$out/gcp.json" > "$out/g_stop.log" &
 gpid=$!
-sleep 1
+# signal once the journal holds a merged shard (a header and one entry): a
+# fixed one-second sleep outlives the whole campaign on a fast build
+while kill -0 "$gpid" 2>/dev/null \
+  && [ "$(cat "$out/gcp.json" 2>/dev/null | wc -l)" -lt 2 ]; do
+  sleep 0.02
+done
 kill -TERM "$gpid" 2>/dev/null || true
 wait "$gpid" || {
   echo "FAIL: SIGTERM-stopped campaign exited nonzero"; cat "$out/g_stop.log"; exit 1; }
