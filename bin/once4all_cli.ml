@@ -24,7 +24,6 @@ module Telemetry = O4a_telemetry.Telemetry
 module Sink = O4a_telemetry.Sink
 module Event = O4a_telemetry.Event
 module Json = O4a_telemetry.Json
-module Metrics = O4a_telemetry.Metrics
 module Trace = O4a_trace.Trace
 module Bundle = O4a_trace.Bundle
 module Health = O4a_health.Health
@@ -92,15 +91,10 @@ let make_telemetry telemetry_path =
    definition shared with the server's per-job report.txt, which is what
    keeps the two byte-identical. *)
 
-let dump_metrics tel telemetry_path =
+let close_telemetry tel telemetry_path =
   match telemetry_path with
   | None -> ()
   | Some path ->
-    Telemetry.emit tel "metrics"
-      [
-        ( "entries",
-          Json.List (List.map Metrics.entry_to_json (Telemetry.snapshot tel)) );
-      ];
     Telemetry.flush tel;
     Printf.printf "\ntelemetry written to %s\n" path
 
@@ -168,7 +162,7 @@ let run_sharded_campaign ~tel ~telemetry_path ~(spec : Jobspec.t)
     print_string
       (Render.finish ~show_formulas ?checkpoint:checkpoint_path ?trace_dir
          ~chaos r);
-    dump_metrics tel telemetry_path;
+    close_telemetry tel telemetry_path;
     0
 
 (* The run options outside the job spec, checked before any work (Algorithm 1

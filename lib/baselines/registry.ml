@@ -6,7 +6,7 @@ let baselines ~client =
     Typefuzz.fuzzer;
     Histfuzz.fuzzer;
     Fuzz4all_sim.make ~client;
-    Et_sim.fuzzer;
+    Et_sim.make ();
   ]
 
 let wrap_once4all ~name ~use_skeletons (campaign : Once4all.Campaign.t) =

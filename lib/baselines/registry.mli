@@ -3,7 +3,8 @@
 
 val baselines : client:Llm_sim.Client.t -> Fuzzer.t list
 (** STORM, YinYang, OpFuzz, TypeFuzz, HistFuzz, Fuzz4All(-sim), ET(-sim) —
-    the RQ2 lineup. *)
+    the RQ2 lineup. Stateful fuzzers (ET's enumeration cursor) are built
+    fresh by each call. *)
 
 val once4all : Once4all.Campaign.t -> Fuzzer.t
 (** The full skeleton-guided pipeline as a fuzzer. *)

@@ -12,6 +12,7 @@ type report = {
   final_valid : int;
   history : (int * int) list;
   llm_calls : int;
+  llm_tokens : int;
 }
 
 let sample_num = 20
@@ -204,7 +205,6 @@ let self_correct ?(max_iter = max_iter) ~client ~solvers gen =
   (* iterate: validate the current generator; refine while samples fail and
      budget remains; keep the best version seen (Algorithm 1, line 31) *)
   let rec loop iter gen valid errors best best_valid history =
-    Telemetry.incr tel ~labels:[ ("theory", theory_key) ] "synthesis.iterations";
     Telemetry.emit tel "synthesis.iteration"
       [
         ("theory", Json.String theory_key);
@@ -232,11 +232,6 @@ let self_correct ?(max_iter = max_iter) ~client ~solvers gen =
   let best, iterations, final_valid, history =
     loop 0 gen initial_valid initial_errors gen (-1) []
   in
-  let llm_calls = Llm_sim.Client.call_count client - calls_before in
-  Telemetry.incr tel ~by:llm_calls "llm.calls";
-  Telemetry.incr tel
-    ~by:(Llm_sim.Client.token_count client - tokens_before)
-    "llm.tokens";
   ( best,
     {
       theory_key;
@@ -245,7 +240,8 @@ let self_correct ?(max_iter = max_iter) ~client ~solvers gen =
       initial_valid;
       final_valid;
       history;
-      llm_calls;
+      llm_calls = Llm_sim.Client.call_count client - calls_before;
+      llm_tokens = Llm_sim.Client.token_count client - tokens_before;
     } )
 
 let construct ?max_iter ~client ~solvers theory =

@@ -18,6 +18,7 @@ type report = {
   final_valid : int;
   history : (int * int) list;  (** (iteration, valid count) including iter 0 *)
   llm_calls : int;  (** queries attributable to this theory's construction *)
+  llm_tokens : int;  (** the tokens those queries cost *)
 }
 
 val sample_num : int

@@ -40,6 +40,7 @@ let prepare ?(seed = 42) ?(profile = Llm_sim.Profile.gpt4) ?theories () =
             ("samples", Json.Int report.Gensynth.Synthesis.sample_num);
             ("iterations", Json.Int report.Gensynth.Synthesis.iterations);
             ("llm_calls", Json.Int report.Gensynth.Synthesis.llm_calls);
+            ("llm_tokens", Json.Int report.Gensynth.Synthesis.llm_tokens);
           ];
         Log.info (fun m ->
             m "generator %-14s initial %2d/%d final %2d/%d iterations %d"

@@ -23,4 +23,5 @@ val prepare :
     seed 42, gpt-4 profile, all theories; generators are validated against
     fresh trunk solvers. When the ambient telemetry handle is enabled, each
     theory's construction runs under a ["construct"] span and emits a
-    ["gen.construct"] event with its validity trajectory. *)
+    ["gen.construct"] event with its validity trajectory and its LLM calls
+    and tokens. *)

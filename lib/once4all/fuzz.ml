@@ -147,38 +147,24 @@ let one_mutation ~tel ~rng ~config ~generators current =
           Synthesize.fill ~swap_prob:config.adapt_prob ~rng ~generators ~skeleton
             ~holes ()))
 
-(* per-test telemetry: overall and per-generator counters plus one
-   ["fuzz.test"] event *)
+(* per-test telemetry: one ["fuzz.test"] event, the record every per-test
+   and per-generator count is read back from *)
 let record_test tel (filled : Synthesize.filled) (outcome : Oracle.outcome) =
-  if Telemetry.enabled tel then (
-    let parse_ok = filled.Synthesize.parsed <> None in
-    let found = outcome.Oracle.finding <> None in
-    Telemetry.incr tel "fuzz.tests";
-    if parse_ok then Telemetry.incr tel "fuzz.parse_ok";
-    if outcome.Oracle.solved then Telemetry.incr tel "fuzz.solved";
-    if found then Telemetry.incr tel "fuzz.findings";
-    Telemetry.incr tel ~by:(String.length filled.Synthesize.source) "fuzz.bytes";
-    List.iter
-      (fun key ->
-        let labels = [ ("generator", key) ] in
-        Telemetry.incr tel ~labels "fuzz.generator.picks";
-        if parse_ok then Telemetry.incr tel ~labels "fuzz.generator.parse_ok";
-        if found then Telemetry.incr tel ~labels "fuzz.generator.findings")
-      filled.Synthesize.theories_spliced;
+  if Telemetry.enabled tel then
     Telemetry.emit tel "fuzz.test"
       [
         ( "gens",
           Json.List
             (List.map (fun k -> Json.String k) filled.Synthesize.theories_spliced)
         );
-        ("parse_ok", Json.Bool parse_ok);
+        ("parse_ok", Json.Bool (filled.Synthesize.parsed <> None));
         ("solved", Json.Bool outcome.Oracle.solved);
         ("bytes", Json.Int (String.length filled.Synthesize.source));
         ( "finding",
           match outcome.Oracle.finding with
           | Some f -> Json.String (Solver.Bug_db.kind_to_string f.Oracle.kind)
           | None -> Json.Null );
-      ])
+      ]
 
 let stats_fields stats =
   [

@@ -103,7 +103,6 @@ let test ?(max_steps = 200_000) ?telemetry ?parsed ~zeal ~cove ~source () =
   in
   match Telemetry.with_span tel "parse" parse with
   | Error e ->
-    Telemetry.incr tel "oracle.parse_errors";
     if Trace.noting () then
       Trace.note (Trace.Parse_rejected { error = Parser.error_message e });
     {
@@ -127,7 +126,6 @@ let test ?(max_steps = 200_000) ?telemetry ?parsed ~zeal ~cove ~source () =
           (* no release history: the cross-version comparison would pit the
              engine against itself, so skip the bisection pairing and fall
              back to single-solver + model-validation *)
-          Telemetry.incr tel "oracle.no_history";
           Telemetry.emit tel "oracle.no_history"
             [ ("solver", O4a_telemetry.Json.String (Engine.name cove)) ];
           [ cove ])
@@ -137,9 +135,6 @@ let test ?(max_steps = 200_000) ?telemetry ?parsed ~zeal ~cove ~source () =
       | None -> ()
       | Some st ->
         let st_name = Health.state_name st in
-        Telemetry.incr tel
-          ~labels:[ ("solver", solver); ("theory", theory); ("to", st_name) ]
-          "health.transitions";
         Telemetry.emit tel "health.breaker"
           [
             ("solver", O4a_telemetry.Json.String solver);
@@ -164,8 +159,6 @@ let test ?(max_steps = 200_000) ?telemetry ?parsed ~zeal ~cove ~source () =
       | es ->
         Degraded (String.concat "+" (List.map (fun (e, _) -> Engine.name e) es))
     in
-    if mode <> Differential then
-      Telemetry.incr tel ~labels:[ ("theory", theory) ] "oracle.degraded";
     let classify = function
       | Runner.R_timeout -> Health.Timeout
       | Runner.R_crash _ -> Health.Crash
@@ -297,9 +290,6 @@ let test ?(max_steps = 200_000) ?telemetry ?parsed ~zeal ~cove ~source () =
     (match finding with
     | Some f ->
       let kind = Bug_db.kind_to_string f.kind in
-      Telemetry.incr tel
-        ~labels:[ ("kind", kind); ("solver", f.solver_name) ]
-        "oracle.findings";
       Telemetry.emit tel "oracle.finding"
         [
           ("kind", O4a_telemetry.Json.String kind);

@@ -4,7 +4,6 @@ module Stop = Stop
 module Pool = Pool
 module Rng = O4a_util.Rng
 module Telemetry = O4a_telemetry.Telemetry
-module Metrics = O4a_telemetry.Metrics
 module Sink = O4a_telemetry.Sink
 module Event = O4a_telemetry.Event
 module Json = O4a_telemetry.Json
@@ -114,7 +113,6 @@ let make_env ?(config = Fuzz.default_config) ?(tel_enabled = false)
 type shard_payload = {
   merged : Checkpoint.merged_shard;
   events : Event.t list;
-  metric_entries : Metrics.entry list;
   promoted : Trace.promoted list;
   profile_export : Profile.t;
 }
@@ -204,8 +202,6 @@ let run_one_shard ~env ~worker_id ~zeal ~cove shard =
       };
     events =
       (if env.env_tel_enabled then Sink.events (Telemetry.sink wtel) else []);
-    metric_entries =
-      (if env.env_tel_enabled then Telemetry.snapshot wtel else []);
     promoted = Trace.Recorder.promoted recorder;
     profile_export = Profile.export pledger;
   }
@@ -615,7 +611,6 @@ module Merge = struct
             (Event.make ~ts:e.Event.ts ~name:e.Event.name
                (e.Event.fields @ [ ("shard", Json.Int shard_idx) ])))
         payload.events;
-      Telemetry.absorb_metrics t.tel payload.metric_entries;
       t.profile <- Profile.merge t.profile payload.profile_export;
       if payload.promoted <> [] then
         t.promoted_by_shard <-
@@ -648,7 +643,7 @@ module Merge = struct
         match Coverage.unregistered m.Checkpoint.m_coverage with
         | Some id ->
           Error (Printf.sprintf "the result's coverage names no point here: %S" id)
-        | None -> Metrics.fits (Telemetry.metrics t.tel) p.metric_entries)
+        | None -> Ok ())
     | Quarantined _ when t.env.env_chaos = None ->
       (* only injected faults quarantine a shard *)
       Error

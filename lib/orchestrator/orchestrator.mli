@@ -121,11 +121,11 @@ val make_env :
 (** Everything one clean shard execution hands the merge owner. Concrete so
     the campaign server's wire layer can ship it between hosts — a remote
     worker's payload must absorb exactly like a local one. [merged] is the
-    journal entry {!Merge.absorb} folds into the state and appends. *)
+    journal entry {!Merge.absorb} folds into the state and appends;
+    [events] is the shard's whole telemetry record. *)
 type shard_payload = {
   merged : Checkpoint.merged_shard;
   events : O4a_telemetry.Event.t list;
-  metric_entries : O4a_telemetry.Metrics.entry list;
   promoted : O4a_trace.Trace.promoted list;
   profile_export : O4a_profile.Profile.t;
 }
@@ -186,7 +186,7 @@ module Merge : sig
 
   val absorb : t -> Shard.t -> shard_outcome -> unit
   (** Merge one outcome: {!Checkpoint.add} its entry, forward its worker
-      events (tagged with the shard), fold its metrics and profile, run
+      events (tagged with the shard), fold its profile, run
       plateau detection over the contiguous settled shard prefix (emitting
       ["analytics.plateau"] at most once per series, at a point independent
       of completion order), then append the same entry to the checkpoint
@@ -199,11 +199,9 @@ module Merge : sig
   val check : t -> Shard.t -> shard_outcome -> (unit, string) result
   (** Vet an outcome from outside the process (a remote worker's result)
       before absorbing it for [shard]: a [Merged] payload's shard result
-      and analytics buckets must name [shard], its coverage must hold
-      positive counts of registered points, and its metric entries must fit
-      the campaign's registry ({!O4a_telemetry.Metrics.fits}); a
-      [Quarantined] one needs a chaos plan. Changes nothing. Owner domain
-      only. *)
+      and analytics buckets must name [shard], and its coverage must hold
+      positive counts of registered points; a [Quarantined] one needs a
+      chaos plan. Changes nothing. Owner domain only. *)
 
   val analytics_snapshot : t -> O4a_analytics.Analytics.t
   (** The series merged so far — the live [metrics] exposition reads this

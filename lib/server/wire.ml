@@ -5,22 +5,22 @@ module O = Orchestrator
 
 (* A complete shard outcome as a remote worker streams it back. Every part
    is encoded by the codec that sits next to its type — the checkpoint's
-   shard result, telemetry events, lossless metric entries, trace bundles,
-   health, profile, and analytics exports — so the wire only composes them
-   and can never drift from the formats it reuses. *)
+   shard result, telemetry events, trace bundles, health, profile, and
+   analytics exports — so the wire only composes them and can never drift
+   from the formats it reuses. A payload from an older worker may still
+   carry a "metrics" member; the decoder reads members by name, so it is
+   ignored. *)
 
 let payload_codec =
   let module Cp = O.Checkpoint in
   C.(
     obj
-      (fun m_result events metric_entries m_coverage promoted m_health
-           profile_export m_analytics ->
+      (fun m_result events m_coverage promoted m_health profile_export
+           m_analytics ->
         { O.merged = { Cp.m_result; m_coverage; m_health; m_analytics };
-          events; metric_entries; promoted; profile_export })
+          events; promoted; profile_export })
     |> mem "sr" Cp.shard_result_codec (fun p -> p.O.merged.Cp.m_result)
     |> mem "events" (list O4a_telemetry.Event.codec) (fun p -> p.O.events)
-    |> mem "metrics" (list O4a_telemetry.Metrics.entry_codec) (fun p ->
-           p.O.metric_entries)
     |> mem "coverage" (assoc int) (fun p -> p.O.merged.Cp.m_coverage)
     |> mem "promoted" (list O4a_trace.Trace.promoted_codec) (fun p -> p.O.promoted)
     |> mem "health" (list O4a_health.Health.entry_codec) (fun p ->

@@ -48,16 +48,6 @@ let observed tel engine f =
     if not live then result
     else (
       let q = Engine.last_query_stats engine in
-      Telemetry.incr tel ~labels:[ ("solver", solver) ] "solver.queries";
-      Telemetry.incr tel
-        ~labels:[ ("solver", solver); ("verdict", verdict_label result) ]
-        "solver.verdicts";
-      Telemetry.incr tel ~labels:[ ("solver", solver) ] ~by:q.Engine.steps
-        "solver.fuel";
-      Telemetry.incr tel ~labels:[ ("solver", solver) ] ~by:q.Engine.decisions
-        "solver.decisions";
-      Telemetry.incr tel ~labels:[ ("solver", solver) ]
-        ~by:q.Engine.propagations "solver.propagations";
       Telemetry.emit tel "oracle.verdict"
         [
           ("solver", Json.String solver);

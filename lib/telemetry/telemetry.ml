@@ -1,6 +1,5 @@
 type t = {
   enabled : bool;
-  metrics : Metrics.t;
   sink : Sink.t;
   clock : unit -> float;
   labels : (string * string) list;
@@ -10,7 +9,6 @@ type t = {
 let disabled =
   {
     enabled = false;
-    metrics = Metrics.create ();
     sink = Sink.null;
     clock = Unix.gettimeofday;
     labels = [];
@@ -18,7 +16,7 @@ let disabled =
   }
 
 let create ?(sink = Sink.null) ?(clock = Unix.gettimeofday) ?(labels = []) () =
-  { enabled = true; metrics = Metrics.create (); sink; clock; labels; span_stack = [] }
+  { enabled = true; sink; clock; labels; span_stack = [] }
 
 let monotonic_clock () =
   (* Wall-clock time nudged forward so successive reads never tie or go
@@ -32,7 +30,6 @@ let monotonic_clock () =
     t
 
 let enabled t = t.enabled
-let metrics t = t.metrics
 let sink t = t.sink
 let now t = t.clock ()
 
@@ -44,12 +41,6 @@ let emit t name fields =
     Sink.emit t.sink (Event.make ~ts:(t.clock ()) ~name (label_fields t fields))
 
 let forward t event = if t.enabled then Sink.emit t.sink event
-
-(* Counters stay unlabeled by the handle's base labels so that absorbing
-   several workers' registries sums them into one campaign total; a span's
-   histogram carries the base labels so per-worker cells never collide. *)
-let incr t ?(labels = []) ?(by = 1) name =
-  if t.enabled then Metrics.incr_named t.metrics ~labels ~by name
 
 (* Span hooks are domain-local and independent of any handle, so a profiling
    layer can observe every span boundary on its domain — including spans taken
@@ -73,9 +64,6 @@ let instrumented_span t labels stage f =
   let finish () =
     let dur = t.clock () -. start in
     t.span_stack <- (match t.span_stack with _ :: rest -> rest | [] -> []);
-    Metrics.observe_named t.metrics
-      ~labels:(("stage", stage) :: (labels @ t.labels))
-      "stage.duration" dur;
     emit t "span"
       (("stage", Json.String stage)
       :: ("dur_us", Json.Float (dur *. 1e6))
@@ -95,12 +83,6 @@ let with_span t ?(labels = []) stage f =
   | Some h ->
     h.on_enter stage;
     Fun.protect ~finally:(fun () -> h.on_leave stage) body
-
-let snapshot t = Metrics.snapshot t.metrics
-
-let absorb_metrics t entries = if t.enabled then Metrics.absorb t.metrics entries
-
-let counter_value t ?(labels = []) name = Metrics.get_counter t.metrics ~labels name
 
 let flush t = Sink.close t.sink
 

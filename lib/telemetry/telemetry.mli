@@ -1,11 +1,12 @@
-(** The campaign telemetry handle: a metrics registry, an event sink, and a
-    clock, behind one [enabled] switch.
+(** The campaign telemetry handle: an event sink and a clock, behind one
+    [enabled] switch.
 
     Every instrumentation hook in the pipeline goes through a [t]. The
     {!disabled} handle (also the initial {!global}) short-circuits each hook
     to a single branch, so an uninstrumented run pays no measurable cost;
-    {!create} builds a live handle whose hooks update the registry and stream
-    events to the sink.
+    {!create} builds a live handle whose hooks stream events to the sink.
+    Events are telemetry's one record: every count a campaign's telemetry
+    reports ([stats], [watch]) is read back from them.
 
     Instrumented entry points ([Orchestrator.run], [Oracle.test],
     [Runner.run], …) take [?telemetry] defaulting to {!global}; deep hooks
@@ -20,13 +21,12 @@ val disabled : t
 val create :
   ?sink:Sink.t -> ?clock:(unit -> float) -> ?labels:(string * string) list ->
   unit -> t
-(** A live handle. [sink] defaults to {!Sink.null} (metrics only); [clock]
-    defaults to [Unix.gettimeofday] and supplies event timestamps and span
-    durations. [labels] are {e base labels} stamped onto every emitted event
-    (as string fields) and every span with its ["stage.duration"] histogram
-    cell — but {e not} onto counters, so absorbing several workers'
-    registries sums counters into campaign totals while latency cells stay
-    per-worker. A parallel worker's handle carries [("worker", id)] here. *)
+(** A live handle. [sink] defaults to {!Sink.null}, so a live handle built
+    without one records nothing: its hooks still run, and their events are
+    dropped. [clock] defaults to [Unix.gettimeofday] and supplies event
+    timestamps and span durations. [labels] are {e base labels}, stamped
+    onto every event the handle emits (as string fields), spans included; a
+    parallel worker's handle carries [("worker", id)] here. *)
 
 val monotonic_clock : unit -> unit -> float
 (** [monotonic_clock ()] builds a fresh wall-clock that never returns the
@@ -35,7 +35,6 @@ val monotonic_clock : unit -> unit -> float
     build its own. *)
 
 val enabled : t -> bool
-val metrics : t -> Metrics.t
 val sink : t -> Sink.t
 val now : t -> float
 
@@ -49,14 +48,11 @@ val forward : t -> Event.t -> unit
     no base labels) — how the merge stage replays a worker's buffered events
     into the campaign log. *)
 
-val incr : t -> ?labels:(string * string) list -> ?by:int -> string -> unit
-
 val with_span : t -> ?labels:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** [with_span t stage f] times [f], records the duration into the
-    ["stage.duration"] histogram (label [stage]), and emits a ["span"] event
-    [{stage; dur_us}]. Spans nest: an inner span's event carries
-    ["parent"] and ["depth"] fields. The duration is recorded even when [f]
-    raises. *)
+(** [with_span t stage f] times [f] and emits a ["span"] event
+    [{stage; dur_us}] plus [labels]. Spans nest: an inner span's event
+    carries ["parent"] and ["depth"] fields. The event is emitted even when
+    [f] raises. *)
 
 (** {1 Span hooks}
 
@@ -71,15 +67,6 @@ type span_hook = { on_enter : string -> unit; on_leave : string -> unit }
 val with_span_hook : span_hook -> (unit -> 'a) -> 'a
 (** Install [hook] as the calling domain's ambient span hook for the call,
     restoring the previous hook afterwards (also on exception). *)
-
-(** {1 Snapshots} *)
-
-val snapshot : t -> Metrics.entry list
-val counter_value : t -> ?labels:(string * string) list -> string -> int
-
-val absorb_metrics : t -> Metrics.entry list -> unit
-(** Fold a worker handle's {!snapshot} into this handle's registry (see
-    {!Metrics.absorb}). No-op on a disabled handle. *)
 
 val flush : t -> unit
 (** Flush/close the sink (see {!Sink.close}). *)

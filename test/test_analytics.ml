@@ -343,7 +343,6 @@ let test_merge_announces_plateaus () =
                 { Analytics.samples = [ mk ~bucket:i ~cov () ]; yield = [] };
             };
           events = [];
-          metric_entries = [];
           promoted = [];
           profile_export = O4a_profile.Profile.empty;
         },

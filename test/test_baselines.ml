@@ -153,8 +153,26 @@ let test_fuzz4all_costs_llm_calls () =
 
 let test_et_needs_no_seeds () =
   let rng = O4a_util.Rng.create 7 in
-  let source = Baselines.Et_sim.fuzzer.Fuzzer.generate ~rng ~seeds:[] in
+  let source = (Baselines.Et_sim.make ()).Fuzzer.generate ~rng ~seeds:[] in
   check_bool "from-scratch generation" true (Result.is_ok (Parser.parse_script source))
+
+(* ET's enumeration depth follows the fuzzer's own calls: a fresh ET fuzzer
+   emits the same text whether or not another one first ran past the depth
+   step at 4,000 calls *)
+let test_et_state_per_fuzzer () =
+  let emissions f =
+    let rng = O4a_util.Rng.create 7 in
+    List.init 20 (fun _ -> f.Fuzzer.generate ~rng ~seeds:[])
+  in
+  let alone = emissions (Baselines.Et_sim.make ()) in
+  let other = Baselines.Et_sim.make () in
+  let rng = O4a_util.Rng.create 8 in
+  for _ = 1 to 5_000 do
+    ignore (other.Fuzzer.generate ~rng ~seeds:[])
+  done;
+  check_bool "a fresh fuzzer after another's 5,000 calls" true
+    (emissions (Baselines.Et_sim.make ()) = alone);
+  check_bool "the depth step shows in the text" true (emissions other <> alone)
 
 let test_yinyang_fuses_two_seeds () =
   let rng = O4a_util.Rng.create 11 in
@@ -199,6 +217,7 @@ let () =
           Alcotest.test_case "Fuzz4All ~50% invalid" `Slow test_fuzz4all_invalid_rate;
           Alcotest.test_case "Fuzz4All LLM cost" `Quick test_fuzz4all_costs_llm_calls;
           Alcotest.test_case "ET from scratch" `Quick test_et_needs_no_seeds;
+          Alcotest.test_case "ET state is per fuzzer" `Quick test_et_state_per_fuzzer;
           Alcotest.test_case "YinYang fusion" `Quick test_yinyang_fuses_two_seeds;
           Alcotest.test_case "Once4All wrappers" `Slow test_once4all_wrapper;
         ] );

@@ -813,27 +813,72 @@ let test_result_for_another_shard () =
   remote_result_rejected ~name:"wrong-shard" ~corrupt:(fun ~good _ ->
       List.hd good)
 
-(* a result whose metrics turn the stage-duration histograms into counters:
-   absorbed, it raised out of Metrics.absorb and took the whole daemon down *)
-let test_result_with_clashing_metrics () =
-  remote_result_rejected ~name:"metric-clash" ~corrupt:(fun ~good:_ o ->
-      match o with
-      | Orchestrator.Merged (p, retries, fired) ->
-        let clash (e : O4a_telemetry.Metrics.entry) =
-          match e.O4a_telemetry.Metrics.value with
-          | O4a_telemetry.Metrics.Histogram _
-            when e.O4a_telemetry.Metrics.name = "stage.duration" ->
-            { e with O4a_telemetry.Metrics.value = O4a_telemetry.Metrics.Counter 1 }
-          | _ -> e
-        in
-        Orchestrator.Merged
-          ( { p with
-              Orchestrator.metric_entries =
-                List.map clash p.Orchestrator.metric_entries },
-            retries,
-            fired )
-      | o -> Alcotest.failf "shard 1 did not merge: %s"
-               (Json.to_string (Wire.outcome_to_json o)))
+(* An outcome as a worker built before payloads dropped their "metrics"
+   member sends it: the payload carries its registry's entries, a counter
+   and a histogram, between its events and its coverage. *)
+let with_metrics_member outcome =
+  let entries =
+    Result.get_ok
+      (Json.parse
+         {|[{"name":"fuzz.tests","labels":{},"counter":10},{"name":"stage.duration","labels":{"stage":"parse","worker":"0"},"histogram":{"bounds":[0.001,0.01],"counts":[9,1,0],"sum":0.0125,"count":10}}]|})
+  in
+  match outcome with
+  | Json.Obj fields ->
+    Json.Obj
+      (List.map
+         (function
+           | "payload", Json.Obj payload ->
+             ( "payload",
+               Json.Obj
+                 (List.concat_map
+                    (fun ((k, _) as kv) ->
+                      if k = "events" then [ kv; ("metrics", entries) ] else [ kv ])
+                    payload) )
+           | kv -> kv)
+         fields)
+  | j -> j
+
+(* A pool of an older build answers both leases of a two-shard job with
+   payloads that still carry their "metrics" member. The coordinator reads
+   members by name, so it absorbs both, and the job ends with the
+   standalone report without another pool's help. *)
+let test_result_with_metrics_member () =
+  let dir = temp_dir () in
+  let cfg = dist_cfg ~dir in
+  let daemon = Domain.spawn (fun () -> Daemon.run cfg) in
+  let port = wait_port (Filename.concat cfg.Daemon.state_dir "tcp.port") in
+  let spec =
+    { (Jobspec.default ~name:"older-worker") with Jobspec.seed = 3; budget = 20; shard_size = 10 }
+  in
+  let env = Jobspec.env spec (Jobspec.prepare spec) in
+  let zeal = Solver.Engine.zeal () and cove = Solver.Engine.cove () in
+  let sent = ref [] in
+  let answer _ ~lease sh =
+    let outcome =
+      with_metrics_member
+        (Wire.outcome_to_json (Orchestrator.exec_shard ~env ~worker_id:0 ~zeal ~cove sh))
+    in
+    sent := outcome :: !sent;
+    Json.to_string
+      (Protocol.request_codec.enc (Protocol.Worker_result { lease; outcome }))
+  in
+  let scripted = Domain.spawn (fun () -> scripted_worker ~port ~answers:2 ~answer) in
+  let c = connect_tcp port in
+  let id = submit_exn c spec in
+  ignore (Domain.join scripted);
+  check_bool "both results carry a metrics member" true
+    (List.length !sent = 2
+    && List.for_all
+         (fun o ->
+           Option.bind (Json.member "payload" o) (Json.member "metrics") <> None)
+         !sent);
+  check_bool "the job completes on the older pool's results" true
+    (wait_done c id = Protocol.Done);
+  check_string "report byte-identical to standalone" (standalone_text spec)
+    (read_file (Filename.concat (Filename.concat cfg.Daemon.state_dir id) "report.txt"));
+  let _ = request_exn c Protocol.Shutdown in
+  Client.close c;
+  check_int "daemon drains and exits 0" 0 (Domain.join daemon)
 
 let () =
   Alcotest.run "dist"
@@ -875,8 +920,8 @@ let () =
         [
           Alcotest.test_case "a result for another shard is requeued" `Slow
             test_result_for_another_shard;
-          Alcotest.test_case "clashing metrics are requeued" `Slow
-            test_result_with_clashing_metrics;
+          Alcotest.test_case "an older worker's metrics member is ignored" `Slow
+            test_result_with_metrics_member;
           Alcotest.test_case "a finished job is retired at its pool" `Slow
             test_finished_job_retired;
         ] );

@@ -315,7 +315,8 @@ let test_oracle_no_bug_on_clean_formula () =
     outcome.Oracle.fuel
 
 let test_oracle_parse_error () =
-  let tel = O4a_telemetry.Telemetry.create () in
+  let sink = O4a_telemetry.Sink.memory () in
+  let tel = O4a_telemetry.Telemetry.create ~sink () in
   let source = "(assert" in
   let outcome = Oracle.test ~telemetry:tel ~zeal:(zeal ()) ~cove:(cove ()) ~source () in
   check_bool "no finding" true (outcome.Oracle.finding = None);
@@ -329,8 +330,14 @@ let test_oracle_parse_error () =
   in
   check_bool "the parser's message" true
     (outcome.Oracle.results = [ ("parser", message) ]);
-  check_int "counted as a parse error" 1
-    (O4a_telemetry.Telemetry.counter_value tel "oracle.parse_errors")
+  (* the oracle's record of it: a parse span inside its own span, and no
+     solver run or verdict *)
+  check_bool "counted as a parse error" true
+    (List.map
+       (fun e -> (e.O4a_telemetry.Event.name, O4a_telemetry.Event.field "stage" e))
+       (O4a_telemetry.Sink.events sink)
+    = [ ("span", Some (O4a_telemetry.Json.String "parse"));
+        ("span", Some (O4a_telemetry.Json.String "oracle.compare")) ])
 
 (* The oracle given Synthesize's parse ([?parsed]) behaves as the oracle
    given the text alone, over a pinned 300-tick stream in the campaign

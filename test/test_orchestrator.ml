@@ -1017,10 +1017,13 @@ let test_telemetry_merge () =
   let sink = Sink.memory () in
   let tel = Telemetry.create ~sink () in
   let r = run ~jobs:2 ~telemetry:tel () in
-  check_int "campaign counter equals budget" 300
-    (Telemetry.counter_value tel "fuzz.tests");
   let events = Sink.events sink in
   let named n = List.filter (fun e -> e.Event.name = n) events in
+  check_int "campaign counter equals budget" 300
+    (List.fold_left
+       (fun acc e ->
+         match Event.field "tests" e with Some (Json.Int n) -> acc + n | _ -> acc)
+       0 (named "shard.end"));
   check_int "one campaign.start" 1 (List.length (named "campaign.start"));
   check_int "one campaign.end" 1 (List.length (named "campaign.end"));
   check_int "one fuzz.test event per test" 300 (List.length (named "fuzz.test"));
@@ -1032,6 +1035,49 @@ let test_telemetry_merge () =
       check_bool "shard field present" true (Event.field "shard" e <> None);
       check_bool "worker field present" true (Event.field "worker" e <> None))
     (named "fuzz.test")
+
+(* A campaign's telemetry is the same at any --jobs once scheduling is
+   taken out: grouped by the shard each event belongs to (events without a
+   shard are the merge owner's), and stripped of timestamps, durations, the
+   executor's [worker] label and campaign.start's [jobs], each group of a
+   --jobs 2 run lists a --jobs 1 run's events in the same order. *)
+let jobs_invariant_groups events =
+  let strip (e : Event.t) =
+    let dropped k =
+      k = "dur_us" || k = "worker" || (e.Event.name = "campaign.start" && k = "jobs")
+    in
+    Json.to_string
+      (Json.Obj
+         (("event", Json.String e.Event.name)
+         :: List.filter (fun (k, _) -> not (dropped k)) e.Event.fields))
+  in
+  let shard e =
+    match Event.field "shard" e with Some (Json.Int n) -> Some n | _ -> None
+  in
+  events
+  |> List.map (fun e -> (shard e, strip e))
+  |> O4a_util.Listx.group_by fst
+  |> List.map (fun (s, group) -> (s, List.map snd group))
+  |> List.sort compare
+
+let test_telemetry_jobs_invariant () =
+  let groups jobs =
+    let sink = Sink.memory () in
+    ignore (run ~jobs ~telemetry:(Telemetry.create ~sink ()) ());
+    jobs_invariant_groups (Sink.events sink)
+  in
+  let one = groups 1 and two = groups 2 in
+  check_bool "one group per shard plus the merge owner's" true
+    (List.map fst one = None :: List.init 5 Option.some);
+  check_bool "the same groups" true (List.map fst two = List.map fst one);
+  List.iter2
+    (fun (s, a) (_, b) ->
+      Alcotest.(check (list string))
+        (match s with
+        | Some n -> Printf.sprintf "shard %d's events" n
+        | None -> "the merge owner's events")
+        a b)
+    one two
 
 let test_ledger_isolation () =
   (* a parallel campaign must not leak coverage into the ambient ledger *)
@@ -1218,6 +1264,8 @@ let () =
       ( "merge",
         [
           Alcotest.test_case "telemetry merge" `Slow test_telemetry_merge;
+          Alcotest.test_case "telemetry same at any jobs" `Slow
+            test_telemetry_jobs_invariant;
           Alcotest.test_case "ledger isolation" `Quick test_ledger_isolation;
           Alcotest.test_case "parallel map" `Quick test_parallel_map;
         ] );

@@ -1,14 +1,11 @@
 (* Cross-cutting property tests: the determinism contracts the chaos harness
    leans on. SMT-LIB printing must be a parser fixpoint (repro bundles round-
    trip), [Rng.split_indexed] must be a stable O(1) jump (shard and fault
-   plans are derived from it), [Metrics.absorb] and [Profile.merge] must
-   commute (the merge stage folds worker snapshots in completion order), and
-   [Metrics.fits] must predict [absorb] without touching the registry (the
-   coordinator vets remote results with it). *)
+   plans are derived from it), and [Profile.merge] must commute (the merge
+   stage folds worker profiles in completion order). *)
 
 open Smtlib
 module Rng = O4a_util.Rng
-module Metrics = O4a_telemetry.Metrics
 module Profile = O4a_profile.Profile
 module Campaign = Once4all.Campaign
 module Synthesize = Once4all.Synthesize
@@ -103,139 +100,10 @@ let rng_props =
         a = draws 4 (Rng.split_indexed ~seed ~index));
   ]
 
-(* ------------------------- Metrics.absorb ------------------------- *)
-
-let hist_bounds = [| 0.001; 0.01; 0.1 |]
-
-let gen_snapshot =
-  let open QCheck.Gen in
-  let counter_entry =
-    map2
-      (fun name v ->
-        { Metrics.name; labels = []; value = Metrics.Counter v })
-      (oneofl [ "c.requests"; "c.hits"; "c.errors" ])
-      (int_range 0 50)
-  in
-  let labeled_counter_entry =
-    map3
-      (fun name w v ->
-        {
-          Metrics.name;
-          labels = [ ("worker", string_of_int w) ];
-          value = Metrics.Counter v;
-        })
-      (oneofl [ "c.shards"; "c.tests" ])
-      (int_range 0 2) (int_range 1 20)
-  in
-  let hist_entry =
-    map
-      (fun counts ->
-        let counts = Array.of_list counts in
-        let count = Array.fold_left ( + ) 0 counts in
-        {
-          Metrics.name = "h.latency";
-          labels = [];
-          value =
-            Metrics.Histogram
-              {
-                Metrics.bounds = Array.copy hist_bounds;
-                counts;
-                (* multiples of 0.5 add exactly, so absorption order cannot
-                   introduce float rounding differences *)
-                sum = 0.5 *. float_of_int count;
-                count;
-              };
-        })
-      (list_repeat (Array.length hist_bounds + 1) (int_range 0 9))
-  in
-  small_list (frequency [ (3, counter_entry); (2, labeled_counter_entry); (2, hist_entry) ])
-
-let arb_snapshot =
-  QCheck.make
-    ~print:(fun entries ->
-      String.concat ";"
-        (List.map
-           (fun (e : Metrics.entry) ->
-             match e.Metrics.value with
-             | Metrics.Counter n -> Printf.sprintf "%s=%d" e.Metrics.name n
-             | Metrics.Histogram h -> Printf.sprintf "%s#%d" e.Metrics.name h.Metrics.count)
-           entries))
-    gen_snapshot
-
-(* a snapshot with one entry turned against the others: a histogram made a
-   counter or given other bounds, or a counter renamed onto the histogram *)
-let arb_clashing =
-  let open QCheck.Gen in
-  let clash k (entries : Metrics.entry list) =
-    List.mapi
-      (fun i (e : Metrics.entry) ->
-        if i <> k then e
-        else
-          match e.Metrics.value with
-          | Metrics.Histogram h when k mod 2 = 0 ->
-            { e with
-              Metrics.value =
-                Metrics.Histogram
-                  { h with Metrics.bounds = Array.map (fun b -> 2. *. b) h.Metrics.bounds } }
-          | Metrics.Histogram _ -> { e with Metrics.value = Metrics.Counter 1 }
-          | _ -> { e with Metrics.name = "h.latency"; labels = [] })
-      entries
-  in
-  QCheck.make (map2 clash (int_range 0 4) gen_snapshot)
-
-let absorb_all snapshots =
-  let t = Metrics.create () in
-  List.iter (Metrics.absorb t) snapshots;
-  Metrics.snapshot t
-
-let metrics_props =
-  [
-    QCheck.Test.make ~name:"absorb commutes" ~count:200
-      QCheck.(pair arb_snapshot arb_snapshot)
-      (fun (s1, s2) -> absorb_all [ s1; s2 ] = absorb_all [ s2; s1 ]);
-    QCheck.Test.make ~name:"absorb is associative" ~count:200
-      QCheck.(triple arb_snapshot arb_snapshot arb_snapshot)
-      (fun (s1, s2, s3) ->
-        (* ((s1 + s2) + s3) versus (s1 + (s2 + s3)) via an intermediate
-           registry's own snapshot *)
-        let left = absorb_all [ absorb_all [ s1; s2 ]; s3 ] in
-        let right = absorb_all [ s1; absorb_all [ s2; s3 ] ] in
-        left = right);
-    QCheck.Test.make ~name:"fits is absorb's precondition and changes nothing"
-      ~count:300
-      QCheck.(pair arb_snapshot arb_clashing)
-      (fun (s1, s2) ->
-        let t = Metrics.create () in
-        Metrics.absorb t s1;
-        let before = Metrics.snapshot t in
-        let verdict = Metrics.fits t s2 in
-        Metrics.snapshot t = before
-        &&
-        match Metrics.absorb t s2 with
-        | () -> Result.is_ok verdict
-        | exception Invalid_argument _ -> Result.is_error verdict);
-    QCheck.Test.make ~name:"absorbing a snapshot of itself doubles counters"
-      ~count:200 arb_snapshot
-      (fun s ->
-        let once = absorb_all [ s ] in
-        let twice = absorb_all [ s; s ] in
-        List.for_all2
-          (fun (a : Metrics.entry) (b : Metrics.entry) ->
-            a.Metrics.name = b.Metrics.name
-            && a.Metrics.labels = b.Metrics.labels
-            &&
-            match (a.Metrics.value, b.Metrics.value) with
-            | Metrics.Counter x, Metrics.Counter y -> y = 2 * x
-            | Metrics.Histogram x, Metrics.Histogram y ->
-                y.Metrics.count = 2 * x.Metrics.count
-            | _ -> false)
-          once twice);
-  ]
-
 (* ------------------------- Profile.merge ------------------------- *)
 
 (* worker profiles are merged at the shard barrier in completion order, so
-   the merge must be order-insensitive like [Metrics.absorb] above *)
+   the merge must be order-insensitive *)
 let gen_profile =
   let open QCheck.Gen in
   let entry =
@@ -402,7 +270,6 @@ let () =
         Alcotest.test_case "campaign scripts round-trip" `Quick test_campaign_round_trip
         :: List.map QCheck_alcotest.to_alcotest script_props );
       ("rng", List.map QCheck_alcotest.to_alcotest rng_props);
-      ("metrics", List.map QCheck_alcotest.to_alcotest metrics_props);
       ("profile", List.map QCheck_alcotest.to_alcotest profile_props);
       ("analytics", List.map QCheck_alcotest.to_alcotest analytics_props);
     ]

@@ -1,12 +1,10 @@
 module Telemetry = O4a_telemetry.Telemetry
-module Metrics = O4a_telemetry.Metrics
 module Sink = O4a_telemetry.Sink
 module Event = O4a_telemetry.Event
 module Json = O4a_telemetry.Json
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-let check_float = Alcotest.(check (float 1e-9))
 let check_str = Alcotest.(check string)
 
 (* a deterministic clock: each reading advances by 1ms *)
@@ -46,126 +44,15 @@ let test_json_rejects_garbage () =
   check_bool "unterminated" true (Result.is_error (Json.parse "{\"a\":"));
   check_bool "bare word" true (Result.is_error (Json.parse "hello"))
 
-(* ------------------------- Metrics ------------------------- *)
-
-let test_counter_semantics () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "tests" in
-  Metrics.inc c;
-  Metrics.add c 4;
-  check_int "accumulates" 5 (Metrics.counter_value c);
-  (* same name+labels returns the same cell *)
-  Metrics.inc (Metrics.counter m "tests");
-  check_int "shared cell" 6 (Metrics.counter_value c);
-  check_int "get_counter" 6 (Metrics.get_counter m "tests");
-  check_int "unregistered reads 0" 0 (Metrics.get_counter m "nope");
-  Alcotest.check_raises "monotonic"
-    (Invalid_argument "Metrics.add: counters are monotonic") (fun () ->
-      Metrics.add c (-1))
-
-let test_labels_distinguish_cells () =
-  let m = Metrics.create () in
-  Metrics.incr_named m ~labels:[ ("solver", "zeal") ] "queries";
-  Metrics.incr_named m ~labels:[ ("solver", "cove") ] ~by:2 "queries";
-  check_int "zeal" 1 (Metrics.get_counter m ~labels:[ ("solver", "zeal") ] "queries");
-  check_int "cove" 2 (Metrics.get_counter m ~labels:[ ("solver", "cove") ] "queries");
-  (* label order is irrelevant: keys are normalized *)
-  Metrics.incr_named m ~labels:[ ("b", "2"); ("a", "1") ] "x";
-  check_int "normalized" 1 (Metrics.get_counter m ~labels:[ ("a", "1"); ("b", "2") ] "x")
-
-let test_kind_mismatch_raises () =
-  let m = Metrics.create () in
-  ignore (Metrics.counter m "dual");
-  check_bool "re-register as histogram raises" true
-    (match Metrics.histogram m "dual" with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-let test_histogram_semantics () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m ~bounds:[| 1.; 10.; 100. |] "lat" in
-  List.iter (Metrics.observe h) [ 0.5; 1.; 5.; 50.; 1000. ];
-  match Metrics.snapshot m with
-  | [ { Metrics.value = Metrics.Histogram hs; _ } ] ->
-    check_int "count" 5 hs.Metrics.count;
-    check_float "sum" 1056.5 hs.Metrics.sum;
-    (* buckets: <=1, <=10, <=100, overflow *)
-    check_bool "bucket counts" true (Array.to_list hs.Metrics.counts = [ 2; 1; 1; 1 ]);
-    check_float "p50 estimate" 10. (Metrics.hist_quantile hs 0.5);
-    check_float "quantile of empty" 0.
-      (Metrics.hist_quantile { hs with Metrics.counts = [| 0; 0; 0; 0 |]; count = 0 } 0.5)
-  | _ -> Alcotest.fail "expected one histogram entry"
-
-let test_histogram_bad_bounds () =
-  let m = Metrics.create () in
-  check_bool "non-increasing bounds raise" true
-    (match Metrics.histogram m ~bounds:[| 5.; 5. |] "bad" with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-let test_snapshot_sorted () =
-  let m = Metrics.create () in
-  Metrics.incr_named m "zz";
-  Metrics.incr_named m "aa";
-  Metrics.observe_named m "mm" 1.;
-  check_bool "sorted by name" true
-    (List.map (fun e -> e.Metrics.name) (Metrics.snapshot m) = [ "aa"; "mm"; "zz" ])
-
-let test_absorb_merges_worker_snapshots () =
-  let campaign = Metrics.create () in
-  Metrics.incr_named campaign ~by:10 "tests";
-  let worker tag n lat =
-    let m = Metrics.create () in
-    Metrics.incr_named m ~by:n "tests";
-    Metrics.observe_named m ~labels:[ ("worker", tag) ] "progress" (float_of_int n);
-    Metrics.observe_named m ~labels:[ ("stage", "solve") ] "stage.duration" lat;
-    Metrics.snapshot m
-  in
-  (* absorption order must not matter for counters and histograms *)
-  Metrics.absorb campaign (worker "w1" 5 0.002);
-  Metrics.absorb campaign (worker "w0" 7 0.004);
-  check_int "counters sum" 22 (Metrics.get_counter campaign "tests");
-  let hist_count =
-    List.fold_left
-      (fun acc e ->
-        match e.Metrics.value with
-        | Metrics.Histogram h when e.Metrics.name = "stage.duration" ->
-          acc + h.Metrics.count
-        | _ -> acc)
-      0 (Metrics.snapshot campaign)
-  in
-  check_int "histograms add bucket-wise" 2 hist_count;
-  (* worker-labeled histograms land in distinct cells, no clobbering *)
-  check_bool "per-worker histograms kept" true
-    (List.exists
-       (fun e ->
-         e.Metrics.name = "progress" && e.Metrics.labels = [ ("worker", "w1") ]
-         &&
-         match e.Metrics.value with
-         | Metrics.Histogram h -> h.Metrics.count = 1 && h.Metrics.sum = 5.
-         | Metrics.Counter _ -> false)
-       (Metrics.snapshot campaign))
-
-let test_absorb_rejects_foreign_bounds () =
-  let campaign = Metrics.create () in
-  ignore (Metrics.histogram campaign ~bounds:[| 1.; 2. |] "lat");
-  let m = Metrics.create () in
-  Metrics.observe (Metrics.histogram m ~bounds:[| 5.; 50. |] "lat") 7.;
-  check_bool "bounds mismatch raises" true
-    (match Metrics.absorb campaign (Metrics.snapshot m) with
-    | () -> false
-    | exception Invalid_argument _ -> true)
-
 (* ------------------------- Telemetry + sinks ------------------------- *)
 
 let test_disabled_records_nothing () =
   let t = Telemetry.disabled in
-  Telemetry.incr t "x";
   Telemetry.emit t "e" [];
   let r = Telemetry.with_span t "s" (fun () -> 7) in
   check_int "passes value through" 7 r;
-  check_bool "no entries" true (Telemetry.snapshot t = []);
-  check_int "counter reads 0" 0 (Telemetry.counter_value t "x")
+  check_bool "not enabled" false (Telemetry.enabled t);
+  check_bool "no events" true (Sink.events (Telemetry.sink t) = [])
 
 let test_memory_sink_capture () =
   let sink = Sink.memory () in
@@ -189,7 +76,7 @@ let test_span_nesting () =
   in
   check_int "result" 42 r;
   (* inner completes first, so it is emitted first *)
-  (match Sink.events sink with
+  match Sink.events sink with
   | [ inner; outer ] ->
     check_bool "inner stage" true (Event.field "stage" inner = Some (Json.String "inner"));
     check_bool "inner parent" true
@@ -200,18 +87,7 @@ let test_span_nesting () =
       (match Event.field "dur_us" outer with
       | Some d -> Option.value ~default:(-1.) (Json.to_float d) > 0.
       | None -> false)
-  | es -> Alcotest.failf "expected 2 span events, got %d" (List.length es));
-  (* durations also land in the stage.duration histogram *)
-  let hist_count =
-    List.fold_left
-      (fun acc e ->
-        match e.Metrics.value with
-        | Metrics.Histogram h when e.Metrics.name = "stage.duration" ->
-          acc + h.Metrics.count
-        | _ -> acc)
-      0 (Telemetry.snapshot t)
-  in
-  check_int "two observations" 2 hist_count
+  | es -> Alcotest.failf "expected 2 span events, got %d" (List.length es)
 
 let test_span_exception_safety () =
   let sink = Sink.memory () in
@@ -251,23 +127,14 @@ let test_monotonic_clock_never_repeats () =
     prev := t
   done
 
-let test_base_labels_on_events_not_counters () =
+let test_base_labels_stamp_events () =
   let sink = Sink.memory () in
   let t =
     Telemetry.create ~sink ~clock:(ticking_clock ())
       ~labels:[ ("worker", "w3") ] ()
   in
-  Telemetry.incr t "fuzz.tests";
   Telemetry.with_span t "depth" ignore;
   Telemetry.emit t "ping" [];
-  (* counters stay label-free so absorb can sum them into campaign totals *)
-  check_int "counter unlabeled" 1 (Telemetry.counter_value t "fuzz.tests");
-  check_bool "histogram carries worker label" true
-    (List.exists
-       (fun e ->
-         e.Metrics.name = "stage.duration"
-         && List.mem_assoc "worker" e.Metrics.labels)
-       (Telemetry.snapshot t));
   match Sink.events sink with
   | [ span; e ] ->
     check_bool "events carry worker field" true
@@ -347,10 +214,11 @@ let test_parse_log_torn_tail () =
 
 (* ------------------------- campaign smoke ------------------------- *)
 
-(* a tiny instrumented campaign: the telemetry counters must agree with the
-   stats the fuzzer itself returns *)
+(* a tiny instrumented campaign: the counts read back from its events must
+   agree with the stats the fuzzer itself returns *)
 let test_campaign_counters_match () =
-  let tel = Telemetry.create ~sink:(Sink.memory ()) () in
+  let sink = Sink.memory () in
+  let tel = Telemetry.create ~sink () in
   let campaign = Once4all.Campaign.prepare ~seed:42 () in
   let seeds =
     Seeds.Corpus.filtered ~zeal:campaign.Once4all.Campaign.zeal
@@ -361,20 +229,22 @@ let test_campaign_counters_match () =
        ~generators:campaign.Once4all.Campaign.generators ~seeds ())
       .Orchestrator.stats
   in
-  check_int "tests counter" stats.Once4all.Fuzz.tests
-    (Telemetry.counter_value tel "fuzz.tests");
+  (* the event stream carries one fuzz.test record per test *)
+  let tests = List.filter (fun e -> e.Event.name = "fuzz.test") (Sink.events sink) in
+  let count p = List.length (List.filter p tests) in
+  check_int "tests counter" stats.Once4all.Fuzz.tests (List.length tests);
   check_int "parse_ok counter" stats.Once4all.Fuzz.parse_ok
-    (Telemetry.counter_value tel "fuzz.parse_ok");
+    (count (fun e -> Event.field "parse_ok" e = Some (Json.Bool true)));
+  check_int "solved counter" stats.Once4all.Fuzz.solved
+    (count (fun e -> Event.field "solved" e = Some (Json.Bool true)));
+  check_int "bytes counter" stats.Once4all.Fuzz.bytes_total
+    (List.fold_left
+       (fun acc e ->
+         match Event.field "bytes" e with Some (Json.Int n) -> acc + n | _ -> acc)
+       0 tests);
   check_int "findings counter"
     (List.length stats.Once4all.Fuzz.findings)
-    (Telemetry.counter_value tel "fuzz.findings");
-  (* the event stream carries one fuzz.test record per test *)
-  let test_events =
-    List.filter
-      (fun e -> e.Event.name = "fuzz.test")
-      (Sink.events (Telemetry.sink tel))
-  in
-  check_int "one event per test" stats.Once4all.Fuzz.tests (List.length test_events)
+    (count (fun e -> Event.field "finding" e <> Some Json.Null))
 
 let () =
   Alcotest.run "telemetry"
@@ -385,19 +255,6 @@ let () =
           Alcotest.test_case "special floats" `Quick test_json_special_floats;
           Alcotest.test_case "rejects garbage" `Quick test_json_rejects_garbage;
         ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "counter" `Quick test_counter_semantics;
-          Alcotest.test_case "labels" `Quick test_labels_distinguish_cells;
-          Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch_raises;
-          Alcotest.test_case "histogram" `Quick test_histogram_semantics;
-          Alcotest.test_case "bad bounds" `Quick test_histogram_bad_bounds;
-          Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted;
-          Alcotest.test_case "absorb worker snapshots" `Quick
-            test_absorb_merges_worker_snapshots;
-          Alcotest.test_case "absorb bounds mismatch" `Quick
-            test_absorb_rejects_foreign_bounds;
-        ] );
       ( "spans",
         [
           Alcotest.test_case "disabled no-op" `Quick test_disabled_records_nothing;
@@ -407,7 +264,7 @@ let () =
           Alcotest.test_case "using restores" `Quick test_using_restores_global;
           Alcotest.test_case "domain-local ambient" `Quick test_global_is_domain_local;
           Alcotest.test_case "monotonic clock" `Quick test_monotonic_clock_never_repeats;
-          Alcotest.test_case "base labels" `Quick test_base_labels_on_events_not_counters;
+          Alcotest.test_case "base labels" `Quick test_base_labels_stamp_events;
         ] );
       ( "jsonl",
         [

@@ -4,6 +4,47 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== Lint: top-level mutable state in lib is on the allowlist =="
+# every top-level binding in lib/*.ml (or in a top-level `module ... =
+# struct`) of a ref, Hashtbl.create, Array.make, Atomic.make, Mutex.create,
+# Domain.DLS.new_key or lazy, on one line or with the value on the next
+# line, as "file binding"; each must be in tools/global_state.allow with its
+# synchronisation, and each entry there must still name such a binding
+state_found="$(find lib -name '*.ml' | LC_ALL=C sort | xargs awk '
+  function mutable(rest) {
+    return rest ~ /^(ref|Hashtbl[.]create|Array[.]make|Atomic[.]make|Mutex[.]create|Domain[.]DLS[.]new_key|lazy)([^A-Za-z0-9_.]|$)/
+  }
+  FNR == 1 { depth = 0; pending = "" }
+  {
+    match($0, /^ */); ind = RLENGTH
+    if (pending != "") {
+      rest = $0; sub(/^ +/, "", rest)
+      if (mutable(rest)) print FILENAME, pending
+      pending = ""
+    }
+    if ($0 ~ /^ *module [A-Z][A-Za-z0-9_]* *(:[^=]*)?= *struct *$/ && ind == 2 * depth) { depth++; next }
+    if ($0 ~ /^ *end *$/ && depth > 0 && ind == 2 * (depth - 1)) { depth--; next }
+    if (ind != 2 * depth) next
+    body = substr($0, ind + 1)
+    if (match(body, /^let [a-z_][A-Za-z0-9_]* *(:[^=]*)?= */)) {
+      name = body; sub(/^let /, "", name); sub(/[ :=].*$/, "", name)
+      rest = substr(body, RLENGTH + 1)
+      if (rest == "") pending = name
+      else if (mutable(rest)) print FILENAME, name
+    }
+  }' | LC_ALL=C sort)"
+state_allowed="$(awk '!/^#/ && NF {
+    if (NF < 3) { print "no synchronisation named: " $0 > "/dev/stderr"; exit 1 }
+    print $1, $2
+  }' tools/global_state.allow | LC_ALL=C sort)"
+state_unlisted="$(LC_ALL=C comm -23 <(echo "$state_found") <(echo "$state_allowed"))"
+state_stale="$(LC_ALL=C comm -13 <(echo "$state_found") <(echo "$state_allowed"))"
+if [ -n "$state_unlisted" ] || [ -n "$state_stale" ]; then
+  [ -z "$state_unlisted" ] || printf 'FAIL: top-level mutable state missing from tools/global_state.allow:\n%s\n' "$state_unlisted"
+  [ -z "$state_stale" ] || printf 'FAIL: tools/global_state.allow lists bindings lib no longer has:\n%s\n' "$state_stale"
+  exit 1
+fi
+
 echo "== dune build =="
 dune build
 
@@ -250,8 +291,19 @@ echo "== HUD purity: --progress changes no report, telemetry or checkpoint =="
 diff <(grep -v '^telemetry written' "$out/hud_off.log") \
      <(grep -v '^telemetry written' "$out/hud_on.log") || {
   echo "FAIL: --progress changed the campaign report"; exit 1; }
-diff <(grep -o '"event":"[^"]*"' "$out/hud_off.jsonl" | sort | uniq -c) \
-     <(grep -o '"event":"[^"]*"' "$out/hud_on.jsonl" | sort | uniq -c) || {
+# the telemetry as test_orchestrator's "telemetry same at any jobs" compares
+# it: each shard's events, then the merge owner's (the events with no shard),
+# in order, without timestamps, durations, the executor's worker label and
+# campaign.start's jobs, which depend on scheduling
+jobs_invariant_events() {
+  jq -r 'del(.ts, .dur_us, .worker)
+         | if .event == "campaign.start" then del(.jobs) else . end
+         | "\(.shard // "owner")\t\(tojson)"' "$1" | LC_ALL=C sort -s -t$'\t' -k1,1
+}
+jobs_invariant_events "$out/hud_off.jsonl" > "$out/hud_off.events"
+jobs_invariant_events "$out/hud_on.jsonl" > "$out/hud_on.events"
+[ -s "$out/hud_off.events" ] || { echo "FAIL: no telemetry to compare"; exit 1; }
+diff "$out/hud_off.events" "$out/hud_on.events" || {
   echo "FAIL: --progress changed the telemetry event stream"; exit 1; }
 # what the run persists: the checkpoint bytes and the analytics read back
 cmp "$out/hud_off_cp.json" "$out/hud_on_cp.json" || {
